@@ -26,10 +26,8 @@ from .compress import (
     add_conductor,
     build_compressed,
     compute_output,
-    evaluate_compressed,
     expand_to_gprime,
     expected_expanded_size,
-    is_correct_compressed,
     lift_query_string,
     merge,
 )

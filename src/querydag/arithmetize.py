@@ -362,7 +362,6 @@ class CompressionAudit:
     """How many oracle queries the optimum's bit-length actually demanded."""
 
     bits: int  # bit-length of the scaled optimum 2T
-    h_target: int
     queries_used: int
 
 
@@ -377,7 +376,6 @@ def audit_weak_compression(g, backend=None):
     backend = backend if backend is not None else EvaluationBackend()
     weights = omega_weights(g, ADMISSIBILITY_C)
     t_tilde = binary_search_T(g, weights, proof_oracle, stats, backend)
-    bits = t_tilde.bit_length()
     return CompressionAudit(
-        bits=bits, h_target=bits, queries_used=stats.threshold_queries
+        bits=t_tilde.bit_length(), queries_used=stats.threshold_queries
     )

@@ -24,6 +24,13 @@ from .weighting import omega_weights, weight_report
 
 FAMILIES = ("chain", "star", "layered", "random-sep")
 
+# Every decision method, called as decide(g, witness=..., backend=...).
+DECIDERS = {
+    "compress": decide_compress,
+    "depth": decide_depth,
+    "direct": lambda g, witness=False, backend=None: decide_direct(g, witness=witness),
+}
+
 
 @dataclass(frozen=True)
 class BenchConfig:
@@ -180,12 +187,7 @@ def _cmd_compress(args):
 
 def _cmd_solve(args):
     g = _read_instance(args.input)
-    if args.method == "compress":
-        report = decide_compress(g, witness=args.witness, backend=_backend(args))
-    elif args.method == "depth":
-        report = decide_depth(g, witness=args.witness, backend=_backend(args))
-    else:
-        report = decide_direct(g, witness=args.witness)
+    report = DECIDERS[args.method](g, witness=args.witness, backend=_backend(args))
     _emit(report.to_doc(include_transcript=args.transcript), args.output)
     return 0
 
@@ -208,7 +210,7 @@ def _cmd_arith(args):
         "query_string": {str(k): v for k, v in sorted(x.items())},
         "audit": {
             "B": audit.bits,
-            "h_target": audit.h_target,
+            "h_target": audit.bits,
             "queries_used": audit.queries_used,
             "budget": audit.bits + 1,
         },
@@ -227,12 +229,7 @@ def run_bench(config, method="compress"):
             seed = config.seed + 1000 * rep + n
             g = gen_instance(config.family, n, seed, config.sep_bound)
             tree = build_separator_tree(g)
-            if method == "compress":
-                report = decide_compress(g)
-            elif method == "depth":
-                report = decide_depth(g)
-            else:
-                report = decide_direct(g)
+            report = DECIDERS[method](g)
             rows.append(
                 {
                     "family": config.family,
@@ -311,7 +308,7 @@ def _build_parser():
     common(p)
 
     p = sub.add_parser("solve", help="decide an instance")
-    p.add_argument("--method", choices=("compress", "depth", "direct"), default="compress")
+    p.add_argument("--method", choices=tuple(DECIDERS), default="compress")
     p.add_argument("--witness", action="store_true")
     p.add_argument("--transcript", action="store_true")
     p.add_argument("--backend", choices=("eval", "brute"), default="eval")
@@ -329,7 +326,7 @@ def _build_parser():
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sep-bound", type=int, default=2)
-    p.add_argument("--method", choices=("compress", "depth", "direct"), default="compress")
+    p.add_argument("--method", choices=tuple(DECIDERS), default="compress")
     common(p, needs_input=False)
 
     return parser

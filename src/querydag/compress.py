@@ -25,12 +25,13 @@ of deeper copies.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
 
 from .errors import ValidationError, WireValueError
-from .querygraph import VERIFIER, QueryNode
+from .querygraph import VERIFIER, QueryNode, proof_bit
 from .weighting import WeightAssignment, descendant_masks, omega_weights
 
 CONDUCTOR_ID = 0
@@ -60,9 +61,17 @@ class CompressedNode:
 
 
 class CompressedDag:
-    """A compressed graph at any stage: copies only, with conductor, or merged."""
+    """A compressed graph at any stage: copies only, with conductor, or merged.
 
-    def __init__(self, origin_dag, septree, nodes, edges_out, conductor_id, merged):
+    `visible` and `origin_query` depend only on the original graph and its
+    separator tree, so expand_to_gprime computes them once and every later
+    stage shares them.  The conductor id is the graph's `output`.
+    """
+
+    def __init__(
+        self, origin_dag, septree, nodes, edges_out, conductor_id, merged,
+        visible, origin_query,
+    ):
         self.origin_dag = origin_dag
         self.septree = septree
         self.nodes = dict(nodes)
@@ -74,25 +83,19 @@ class CompressedDag:
             for t in targets:
                 self._in[t].append(cid)
         self._in = {cid: tuple(sorted(v)) for cid, v in self._in.items()}
-        # Vacuous verifiers stand in for dummy padding vertices.
-        self.origin_query = dict(origin_dag.by_id)
-        for d in septree.dummies:
-            self.origin_query[d] = QueryNode(
-                id=d, kind=VERIFIER, inputs=(), proof_var_count=0, clauses=()
-            )
-        self._dset = _visible_ancestors(origin_dag, septree)
-        if merged:
-            self._index = {
-                (n.origin, n.signature): n.cid
-                for n in self.nodes.values()
-                if not n.is_conductor
-            }
-        else:
-            self._index = {
-                (n.origin, n.conditioning): n.cid
-                for n in self.nodes.values()
-                if not n.is_conductor
-            }
+        self.origin_query = origin_query
+        self._visible = visible
+        # Copies are looked up by exact conditioning before merging and by
+        # signature after.
+        self._index = {
+            (n.origin, n.signature if merged else n.conditioning): n.cid
+            for n in self.nodes.values()
+            if not n.is_conductor
+        }
+
+    @property
+    def output(self):
+        return self.conductor_id
 
     def node_ids(self):
         return list(self.nodes)
@@ -108,7 +111,7 @@ class CompressedDag:
 
     def visible_ancestors(self, origin):
         """Ancestors of `origin` lying on its own branch, with bit coordinates."""
-        return self._dset[origin]
+        return self._visible[origin]
 
     def label(self, cid):
         node = self.nodes[cid]
@@ -124,7 +127,7 @@ class CompressedDag:
         else:
             sig = tuple(
                 (anc, int(conditioning[lvl][pos]))
-                for anc, lvl, pos in self._dset[origin]
+                for anc, lvl, pos in self._visible[origin]
             )
             key = (origin, sig)
         cid = self._index.get(key)
@@ -144,14 +147,31 @@ class CompressedDag:
             plain.append(self.conductor_id)
         return plain
 
-    def fixed_bits(self):
-        """Dummy-origin copies are vacuously satisfiable; pin their bits to 1."""
+    @functools.cached_property
+    def _fixed(self):
+        # Computed on first use: only the graph that answers threshold
+        # queries needs it, and G' and G'' can hold thousands of dummy copies.
         dummies = set(self.septree.dummies)
         return {
             cid: 1
             for cid, n in self.nodes.items()
             if not n.is_conductor and n.origin in dummies
         }
+
+    def fixed_bits(self):
+        """Dummy-origin copies are vacuously satisfiable, so their bits are
+        fixed to 1; a fresh dict per call."""
+        return dict(self._fixed)
+
+    def forced_bit(self, cid, x, sat):
+        """Answer of copy `cid` when every wire lookup reads its bit in x: the
+        origin's query on wires resolved through compute_output, or for the
+        conductor the replayed original output."""
+        node = self.nodes[cid]
+        if node.is_conductor:
+            return compute_output(self, self.origin_dag.output, (), x)
+        z = resolved_input_bits(self, cid, x)
+        return proof_bit(self.origin_query[node.origin], z, sat)
 
     def to_doc(self, weights=None):
         doc = {
@@ -209,6 +229,14 @@ def _visible_ancestors(g, tree):
     return out
 
 
+def _origin_queries(g, tree):
+    """Query per origin id; vacuous verifiers stand in for dummy vertices."""
+    out = dict(g.by_id)
+    for d in tree.dummies:
+        out[d] = QueryNode(id=d, kind=VERIFIER, inputs=(), proof_var_count=0, clauses=())
+    return out
+
+
 def expected_expanded_size(tree):
     """Node count of the conductor stage: 1 + sum over supervertices of
     s * 2^(s * depth)."""
@@ -257,7 +285,10 @@ def expand_to_gprime(g, tree):
                     if other in idx and (mask >> idx[other]) & 1:
                         targets.append(index[(other, node.conditioning[: j + 1])])
         edges[node.cid] = tuple(sorted(targets))
-    return CompressedDag(g, tree, nodes, edges, conductor_id=None, merged=False)
+    return CompressedDag(
+        g, tree, nodes, edges, conductor_id=None, merged=False,
+        visible=dset, origin_query=_origin_queries(g, tree),
+    )
 
 
 def add_conductor(gp):
@@ -275,7 +306,7 @@ def add_conductor(gp):
     edges[CONDUCTOR_ID] = ()
     return CompressedDag(
         gp.origin_dag, gp.septree, nodes, edges, conductor_id=CONDUCTOR_ID,
-        merged=gp.merged,
+        merged=gp.merged, visible=gp._visible, origin_query=gp.origin_query,
     )
 
 
@@ -355,6 +386,7 @@ def merge(gpp):
     gstar = CompressedDag(
         gpp.origin_dag, tree, new_nodes, edges,
         conductor_id=gpp.conductor_id, merged=True,
+        visible=gpp._visible, origin_query=gpp.origin_query,
     )
     return gstar, WeightAssignment(weights=weights, c=2)
 
@@ -409,32 +441,6 @@ def resolved_input_bits(gd, cid, wire_values):
     return "".join(
         str(compute_output(gd, parent, seed, wire_values)) for parent in qnode.inputs
     )
-
-
-def evaluate_compressed(gd, sat):
-    """Answer every copy as an NP query, then the conductor; returns all bits."""
-    bits = {}
-    for cid in gd.topo_order():
-        node = gd.nodes[cid]
-        if node.is_conductor:
-            bits[cid] = compute_output(gd, gd.origin_dag.output, (), bits)
-        else:
-            z = resolved_input_bits(gd, cid, bits)
-            bits[cid] = 1 if sat.exists(gd.origin_query[node.origin], z) else 0
-    return bits
-
-
-def is_correct_compressed(gd, x, sat):
-    """True iff every bit of x matches its copy's forced answer under x."""
-    for cid, node in gd.nodes.items():
-        if node.is_conductor:
-            expected = compute_output(gd, gd.origin_dag.output, (), x)
-        else:
-            z = resolved_input_bits(gd, cid, x)
-            expected = 1 if sat.exists(gd.origin_query[node.origin], z) else 0
-        if x[cid] != expected:
-            return False
-    return True
 
 
 def lift_query_string(g, gstar, xstar):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import CapacityError, ValidationError
-from .querygraph import QueryDag, evaluate
+from .querygraph import evaluate
 
 
 class OracleStats:
@@ -58,23 +58,35 @@ def _assign(clauses, lit):
     return out
 
 
-def _dpll(clauses):
-    # Unit propagation, then branch on the smallest unassigned variable.
+def _propagate(clauses):
+    """Unit propagation to a fixpoint; None on an empty clause."""
     while True:
-        unit = None
         for clause in clauses:
-            if not clause:
-                return False
-            if len(clause) == 1:
-                unit = clause[0]
+            if len(clause) < 2:
                 break
-        if unit is None:
-            break
-        clauses = _assign(clauses, unit)
-    if not clauses:
-        return True
-    var = min(abs(l) for clause in clauses for l in clause)
-    return _dpll(_assign(clauses, var)) or _dpll(_assign(clauses, -var))
+        else:
+            return clauses
+        if not clause:
+            return None
+        clauses = _assign(clauses, clause[0])
+
+
+def _dpll(clauses):
+    # Branch on the smallest unassigned variable, the positive literal first.
+    # Pending branches wait on an explicit stack, so deep formulas cannot hit
+    # the recursion limit; a branch's literal is assigned only once popped.
+    stack = [(clauses, None)]
+    while stack:
+        clauses, lit = stack.pop()
+        clauses = _propagate(clauses if lit is None else _assign(clauses, lit))
+        if clauses is None:
+            continue
+        if not clauses:
+            return True
+        var = min(abs(l) for clause in clauses for l in clause)
+        stack.append((clauses, -var))
+        stack.append((clauses, var))
+    return False
 
 
 def sat_exists_proof(node, input_bits):
@@ -103,14 +115,9 @@ class ProofOracle:
         return answer
 
 
-def _instance_fixed_bits(inst):
-    dag = inst.dag
-    return {} if isinstance(dag, QueryDag) else dag.fixed_bits()
-
-
 def _merge_pins(inst):
-    """Dummy bits are fixed to 1; a pin contradicting that admits no string."""
-    merged = _instance_fixed_bits(inst)
+    """Fixed bits plus pins; a pin contradicting a fixed bit admits no string."""
+    merged = inst.dag.fixed_bits()
     for nid, bit in inst.pins.items():
         if nid in merged and merged[nid] != bit:
             return None
@@ -160,7 +167,6 @@ class EvaluationBackend:
         self._cache = {}
 
     def _profile(self, inst, proof_oracle):
-        from .compress import evaluate_compressed
         from .solver import max_t_for_assignment
         from .weighting import check_admissible
 
@@ -179,10 +185,7 @@ class EvaluationBackend:
         ok, bad = check_admissible(inst.dag, inst.weights)
         if not ok:
             raise ValidationError(f"weighting is not admissible at node {bad}")
-        if isinstance(inst.dag, QueryDag):
-            bits = dict(evaluate(inst.dag, proof_oracle).bits)
-        else:
-            bits = evaluate_compressed(inst.dag, proof_oracle)
+        bits = evaluate(inst.dag, proof_oracle).bits
         two_t = max_t_for_assignment(inst, bits, proof_oracle)
         # Keep the graph objects alive so ids cannot be recycled under us.
         self._cache[key] = (inst.dag, inst.weights, bits, two_t)

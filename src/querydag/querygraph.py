@@ -82,6 +82,19 @@ class QueryDag:
     def in_neighbors(self):
         return {node.id: node.inputs for node in self.nodes}
 
+    def topo_order(self):
+        return topological_order(self)
+
+    def fixed_bits(self):
+        """Every answer bit of a plain query graph is free."""
+        return {}
+
+    def forced_bit(self, nid, x, sat):
+        """Answer of query `nid` when its input wires read their bits in x."""
+        node = self.by_id[nid]
+        z = "".join("1" if x[p] else "0" for p in node.inputs)
+        return proof_bit(node, z, sat)
+
     def undirected_edges(self):
         """Edge set of the undirected skeleton, as (min, max) pairs."""
         edges = set()
@@ -221,52 +234,60 @@ def serialize_dag(g):
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def topological_order(g):
-    """Parents-first order over node ids, ties broken by ascending id."""
-    indeg = {node.id: len(node.inputs) for node in g.nodes}
+def topo_sort(ids, out):
+    """Order of `ids` with every node before its `out` targets, ties broken
+    by ascending id."""
+    indeg = {nid: 0 for nid in ids}
+    for nid in ids:
+        for child in out[nid]:
+            indeg[child] += 1
     heap = [nid for nid, d in indeg.items() if d == 0]
     heapq.heapify(heap)
     order = []
     while heap:
         nid = heapq.heappop(heap)
         order.append(nid)
-        for child in g._children[nid]:
+        for child in out[nid]:
             indeg[child] -= 1
             if indeg[child] == 0:
                 heapq.heappush(heap, child)
+    if len(order) != len(ids):
+        raise ValidationError("graph is not acyclic")
     return order
 
 
+def topological_order(g):
+    """Parents-first order over node ids, ties broken by ascending id."""
+    return topo_sort(g.node_ids(), g.out_neighbors())
+
+
+def proof_bit(node, z, sat):
+    """1 iff `sat` finds a proof for the verifier `node` on input wires z.
+
+    A conductor has no clauses to decide: only a compressed graph gives it a
+    meaning, so a graph that declares one is rejected here, on every path.
+    """
+    if node.kind == CONDUCTOR:
+        raise ValidationError(f"node {node.id}: conductor outside a compressed graph")
+    return 1 if sat.exists(node, z) else 0
+
+
 def evaluate(g, sat):
-    """Decide g by answering every query in topological order.
+    """Decide g by answering every query in g's topological order.
 
     `sat` decides proof existence per node given fixed input bits.  NP has no
-    invalid queries, so the trace is deterministic.
+    invalid queries, so the trace is deterministic.  Works on any graph with
+    the topo_order()/forced_bit()/output protocol.
     """
-    order = topological_order(g)
+    order = g.topo_order()
     bits = {}
     for nid in order:
-        node = g.by_id[nid]
-        if node.kind == CONDUCTOR:
-            raise ValidationError(
-                f"node {nid}: conductor outside a compressed graph cannot be evaluated"
-            )
-        z = "".join("1" if bits[p] else "0" for p in node.inputs)
-        bits[nid] = 1 if sat.exists(node, z) else 0
+        bits[nid] = g.forced_bit(nid, bits, sat)
     return EvalTrace(order=tuple(order), bits=bits, answer=bits[g.output])
 
 
 def is_correct_query_string(g, x, sat):
     """True iff every bit of x matches the forced answer of its query."""
-    if set(x) != set(g.by_id):
+    if set(x) != set(g.node_ids()):
         raise ValidationError("query string does not cover the node set")
-    for node in g.nodes:
-        if node.kind == CONDUCTOR:
-            raise ValidationError(
-                f"node {node.id}: conductor outside a compressed graph"
-            )
-        z = "".join("1" if x[p] else "0" for p in node.inputs)
-        expected = 1 if sat.exists(node, z) else 0
-        if x[node.id] != expected:
-            return False
-    return True
+    return all(x[nid] == g.forced_bit(nid, x, sat) for nid in g.node_ids())

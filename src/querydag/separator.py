@@ -157,23 +157,27 @@ def _balanced_components(vertex_set, adj, members):
     return comps
 
 
-def find_balanced_separator(vertices, edges, max_size):
-    """First balanced separator of size <= max_size in enumeration order.
-
-    Subsets are tried by increasing size, then lexicographically by sorted
-    member ids.  Returns None when no such separator exists.
-    """
-    if max_size < 1:
-        raise ValidationError("max_size must be at least 1")
-    vertex_list = sorted(set(vertices))
-    vertex_set = set(vertex_list)
-    adj = _adjacency(vertex_list, edges)
+def _balanced_separators(vertices, adj, max_size):
+    """Every balanced separator of size <= max_size of the vertex set, in
+    enumeration order: by increasing size, then lexicographically by sorted
+    member ids."""
+    vertex_set = set(vertices)
+    vertex_list = sorted(vertex_set)
     for size in range(1, min(max_size, len(vertex_list)) + 1):
         for combo in itertools.combinations(vertex_list, size):
             comps = _balanced_components(vertex_set, adj, combo)
             if comps is not None:
-                return Separator(members=combo, components=comps)
-    return None
+                yield Separator(members=combo, components=comps)
+
+
+def find_balanced_separator(vertices, edges, max_size):
+    """First balanced separator of size <= max_size in enumeration order, or
+    None when no such separator exists."""
+    if max_size < 1:
+        raise ValidationError("max_size must be at least 1")
+    vertices = set(vertices)
+    adj = _adjacency(vertices, edges)
+    return next(_balanced_separators(vertices, adj, max_size), None)
 
 
 def _pad(raw_supervertices, uniform_size, max_real_id):
@@ -204,16 +208,8 @@ def build_separator_tree(g):
     raw = []
 
     def recurse(subset, parent):
-        subset_set = set(subset)
-        sep = None
-        for size in range(1, len(subset) + 1):
-            for combo in itertools.combinations(sorted(subset), size):
-                comps = _balanced_components(subset_set, adj, combo)
-                if comps is not None:
-                    sep = Separator(members=combo, components=comps)
-                    break
-            if sep is not None:
-                break
+        # The whole subset always qualifies, so a separator is always found.
+        sep = next(_balanced_separators(subset, adj, len(subset)))
         svid = len(raw) + 1
         members = tuple(sorted(sep.members, key=pos.__getitem__))
         raw.append((svid, members, parent))
@@ -241,22 +237,17 @@ def build_depth_bounded_tree(g, depth_bound, size_bound):
     adj = _adjacency(order, g.undirected_edges())
 
     def search(subset, budget):
-        subset_set = set(subset)
-        for size in range(1, min(size_bound, len(subset)) + 1):
-            for combo in itertools.combinations(sorted(subset), size):
-                comps = _balanced_components(subset_set, adj, combo)
-                if comps is None:
-                    continue
-                if budget == 1 and comps:
-                    continue
-                kids = []
-                for comp in sorted(comps, key=min):
-                    sub = search(comp, budget - 1)
-                    if sub is None:
-                        break
-                    kids.append(sub)
-                else:
-                    return (combo, kids)
+        for sep in _balanced_separators(subset, adj, size_bound):
+            if budget == 1 and sep.components:
+                continue
+            kids = []
+            for comp in sorted(sep.components, key=min):
+                sub = search(comp, budget - 1)
+                if sub is None:
+                    break
+                kids.append(sub)
+            else:
+                return (sep.members, kids)
         return None
 
     found = search(tuple(order), depth_bound)

@@ -13,21 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .compress import (
-    build_compressed,
-    compute_output,
-    is_correct_compressed,
-    lift_query_string,
-    resolved_input_bits,
-)
+from .compress import build_compressed, lift_query_string
 from .errors import PipelineError
 from .oracle import EvaluationBackend, OracleStats, ProofOracle, threshold_query
-from .querygraph import (
-    QueryDag,
-    evaluate,
-    is_correct_query_string,
-    topological_order,
-)
+from .querygraph import evaluate, is_correct_query_string
 from .separator import build_separator_tree
 from .weighting import rho_weights, total_weight
 
@@ -85,32 +74,17 @@ def max_t_for_assignment(inst, x, proof_oracle):
     """Scaled objective 2t of the string x, proofs chosen best per node.
 
     Proofs enter as a cross product, so each node maximizes independently:
-    a node claimed 1 contributes 2w when a satisfying proof exists given its
-    resolved input wires, a node claimed 0 contributes w.
+    a node claimed 1 contributes 2w when its forced answer under x is 1, a
+    node claimed 0 contributes w.
     """
     dag = inst.dag
     weights = inst.weights.weights
     total = 0
-    if isinstance(dag, QueryDag):
-        for node in dag.nodes:
-            if x[node.id]:
-                z = "".join("1" if x[p] else "0" for p in node.inputs)
-                total += 2 * weights[node.id] * (
-                    1 if proof_oracle.exists(node, z) else 0
-                )
-            else:
-                total += weights[node.id]
-    else:
-        for cid, node in dag.nodes.items():
-            if x[cid]:
-                if node.is_conductor:
-                    ok = compute_output(dag, dag.origin_dag.output, (), x) == 1
-                else:
-                    z = resolved_input_bits(dag, cid, x)
-                    ok = proof_oracle.exists(dag.origin_query[node.origin], z)
-                total += 2 * weights[cid] * (1 if ok else 0)
-            else:
-                total += weights[cid]
+    for nid in dag.node_ids():
+        if x[nid]:
+            total += 2 * weights[nid] * dag.forced_bit(nid, x, proof_oracle)
+        else:
+            total += weights[nid]
     return total
 
 
@@ -151,6 +125,45 @@ def extract_query_string(dag, weights, t_tilde, proof_oracle, stats, backend, or
     return pins
 
 
+def _decide(method, g, witness, backend, stats):
+    """Weighted graph for the method, binary search, one pinned query on its
+    output; in witness mode one pinned query per node, checked, and pulled
+    back to g when the graph was compressed."""
+    stats = stats if stats is not None else OracleStats()
+    proof_oracle = ProofOracle(stats)
+    backend = backend if backend is not None else EvaluationBackend()
+    if method == "compress":
+        dag, weights = build_compressed(g, build_separator_tree(g))
+    else:
+        dag, weights = g, rho_weights(g, ADMISSIBILITY_C)
+    t_tilde = binary_search_T(dag, weights, proof_oracle, stats, backend)
+    final = ThresholdInstance(dag, weights, t_tilde, {dag.output: 1})
+    answer = threshold_query(final, proof_oracle, stats, backend)
+    used = stats.threshold_queries
+    query_string = None
+    if witness:
+        query_string = extract_query_string(
+            dag, weights, t_tilde, proof_oracle, stats, backend, dag.topo_order()
+        )
+        if not is_correct_query_string(dag, query_string, proof_oracle):
+            raise PipelineError("extracted query string is not correct")
+        if dag is not g:
+            query_string = lift_query_string(g, dag, query_string)
+            if not is_correct_query_string(g, query_string, proof_oracle):
+                raise PipelineError("lifted query string is not correct")
+    return SolveReport(
+        answer=1 if answer else 0,
+        method=method,
+        t_scaled=t_tilde,
+        w_total=total_weight(weights),
+        queries=used,
+        budget=search_budget(weights) + 1,
+        query_string=query_string,
+        proof_queries=stats.proof_queries,
+        stats=stats,
+    )
+
+
 def decide_compress(g, witness=False, backend=None, stats=None):
     """Full compression pipeline: separator tree, compressed graph, binary
     search, one pinned query on the conductor.
@@ -158,67 +171,13 @@ def decide_compress(g, witness=False, backend=None, stats=None):
     Witness mode spends |V*| extra pinned queries (outside the budget) to
     recover the compressed query string, then lifts it back to g.
     """
-    stats = stats if stats is not None else OracleStats()
-    proof_oracle = ProofOracle(stats)
-    backend = backend if backend is not None else EvaluationBackend()
-    tree = build_separator_tree(g)
-    gstar, fstar = build_compressed(g, tree)
-    t_tilde = binary_search_T(gstar, fstar, proof_oracle, stats, backend)
-    final = ThresholdInstance(gstar, fstar, t_tilde, {gstar.conductor_id: 1})
-    answer = threshold_query(final, proof_oracle, stats, backend)
-    used = stats.threshold_queries
-    query_string = None
-    if witness:
-        xstar = extract_query_string(
-            gstar, fstar, t_tilde, proof_oracle, stats, backend, gstar.topo_order()
-        )
-        if not is_correct_compressed(gstar, xstar, proof_oracle):
-            raise PipelineError("extracted compressed string is not correct")
-        query_string = lift_query_string(g, gstar, xstar)
-        if not is_correct_query_string(g, query_string, proof_oracle):
-            raise PipelineError("lifted query string is not correct")
-    return SolveReport(
-        answer=1 if answer else 0,
-        method="compress",
-        t_scaled=t_tilde,
-        w_total=total_weight(fstar),
-        queries=used,
-        budget=search_budget(fstar) + 1,
-        query_string=query_string,
-        proof_queries=stats.proof_queries,
-        stats=stats,
-    )
+    return _decide("compress", g, witness, backend, stats)
 
 
 def decide_depth(g, witness=False, backend=None, stats=None):
     """Bounded-depth pipeline: no graph transformation, the depth-based
     weighting directly on g, then the same search and final pinned query."""
-    stats = stats if stats is not None else OracleStats()
-    proof_oracle = ProofOracle(stats)
-    backend = backend if backend is not None else EvaluationBackend()
-    rho = rho_weights(g, ADMISSIBILITY_C)
-    t_tilde = binary_search_T(g, rho, proof_oracle, stats, backend)
-    final = ThresholdInstance(g, rho, t_tilde, {g.output: 1})
-    answer = threshold_query(final, proof_oracle, stats, backend)
-    used = stats.threshold_queries
-    query_string = None
-    if witness:
-        query_string = extract_query_string(
-            g, rho, t_tilde, proof_oracle, stats, backend, topological_order(g)
-        )
-        if not is_correct_query_string(g, query_string, proof_oracle):
-            raise PipelineError("extracted query string is not correct")
-    return SolveReport(
-        answer=1 if answer else 0,
-        method="depth",
-        t_scaled=t_tilde,
-        w_total=total_weight(rho),
-        queries=used,
-        budget=search_budget(rho) + 1,
-        query_string=query_string,
-        proof_queries=stats.proof_queries,
-        stats=stats,
-    )
+    return _decide("depth", g, witness, backend, stats)
 
 
 def decide_direct(g, witness=False, stats=None):

@@ -6,15 +6,18 @@ the total-solution-weight objective; c is 2 throughout the NP pipeline.
 
 Any graph object exposing node_ids(), out_neighbors(), and in_neighbors()
 works here, so the same functions serve plain query graphs and compressed
-graphs.
+graphs.  Those three methods are the structural half of the graph protocol
+that QueryDag and CompressedDag share; topo_order(), fixed_bits(),
+forced_bit(id, x, sat) and `output` complete it, and evaluation, the
+objective and the threshold backends are written against them alone.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .querygraph import topo_sort
 
 
 @dataclass(frozen=True)
@@ -25,31 +28,11 @@ class WeightAssignment:
     c: int
 
 
-def _generic_topo(ids, out):
-    indeg = {nid: 0 for nid in ids}
-    for nid in ids:
-        for child in out[nid]:
-            indeg[child] += 1
-    heap = [nid for nid, d in indeg.items() if d == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        nid = heapq.heappop(heap)
-        order.append(nid)
-        for child in out[nid]:
-            indeg[child] -= 1
-            if indeg[child] == 0:
-                heapq.heappush(heap, child)
-    if len(order) != len(ids):
-        raise ValidationError("graph is not acyclic")
-    return order
-
-
 def descendant_masks(ids, out):
     """Bitmask of descendants per node (index positions follow `ids` order)."""
     idx = {nid: i for i, nid in enumerate(ids)}
     masks = {}
-    for nid in reversed(_generic_topo(ids, out)):
+    for nid in reversed(topo_sort(ids, out)):
         m = 0
         for child in out[nid]:
             m |= masks[child] | (1 << idx[child])
@@ -69,7 +52,7 @@ def levels(g):
     inn = g.in_neighbors()
     out = g.out_neighbors()
     lv = {}
-    for nid in _generic_topo(list(g.node_ids()), out):
+    for nid in topo_sort(list(g.node_ids()), out):
         parents = inn[nid]
         lv[nid] = 0 if not parents else 1 + max(lv[p] for p in parents)
     return lv

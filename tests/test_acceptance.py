@@ -28,7 +28,6 @@ from querydag import (
     decide_depth,
     decide_direct,
     evaluate,
-    evaluate_compressed,
     expand_to_gprime,
     expected_expanded_size,
     extract_from_optimum,
@@ -93,7 +92,7 @@ def corpus():
         gpp = add_conductor(expand_to_gprime(g, tree))
         gstar, fstar = merge(gpp)
         pre_masks = descendant_masks(list(gpp.node_ids()), gpp.out_neighbors())
-        xstar = evaluate_compressed(gstar, oracle)
+        xstar = evaluate(gstar, oracle).bits
         lifted = lift_query_string(g, gstar, xstar)
         audit = audit_weak_compression(g)
         records.append(

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from querydag import parse_dag, serialize_dag, verify_separator_tree
 from querydag.cli import BenchConfig, gen_instance, main, run_bench
 
@@ -193,3 +195,39 @@ def test_run_bench_compress_within_paper_style_budget():
     for row in run_bench(config, method="compress"):
         bound = 4 * (row["s"] * row["D"] + math.log2(row["n"])) + 8
         assert row["queries"] <= bound
+
+
+def test_solve_direct_on_deep_formula_has_no_recursion_error(tmp_path, capsys):
+    # 1,500 clauses (p_i or q_i) over 3,000 proof variables: the DPLL
+    # branches once per clause, deeper than the recursion limit.
+    clauses = [[2 * i - 1, 2 * i] for i in range(1, 1501)]
+    doc = {
+        "nodes": [{"id": 1, "inputs": [], "proof_vars": 3000, "clauses": clauses}],
+        "output": 1,
+    }
+    inst = tmp_path / "deep.json"
+    inst.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["solve", "--method", "direct", "-i", str(inst), "-o", str(out)]) == 0
+    assert read_json(out)["answer"] == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "method,backend",
+    [(m, b) for m in ("compress", "depth", "direct") for b in ("eval", "brute")],
+)
+@pytest.mark.parametrize("conductor", [1, 2])
+def test_declared_conductor_fails_cleanly_everywhere(tmp_path, capsys, method, backend, conductor):
+    nodes = [
+        {"id": 1, "kind": "verifier", "inputs": [], "proof_vars": 1, "clauses": [[1]]},
+        {"id": 2, "kind": "verifier", "inputs": [1], "proof_vars": 1, "clauses": [[1], [2]]},
+    ]
+    nodes[conductor - 1] = {"id": conductor, "kind": "conductor", "inputs": nodes[conductor - 1]["inputs"]}
+    inst = tmp_path / "conductor.json"
+    inst.write_text(json.dumps({"nodes": nodes, "output": 2}))
+    rc = main(["solve", "--method", method, "--backend", backend, "-i", str(inst)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"node {conductor}: conductor outside a compressed graph" in err
+    assert "Traceback" not in err

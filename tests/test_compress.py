@@ -9,10 +9,8 @@ from querydag import (
     build_separator_tree,
     compute_output,
     evaluate,
-    evaluate_compressed,
     expand_to_gprime,
     expected_expanded_size,
-    is_correct_compressed,
     is_correct_query_string,
     lift_query_string,
     merge,
@@ -227,7 +225,7 @@ def test_evaluate_compressed_equals_evaluate(chain2, chain2_v2_unsat):
     oracle = ProofOracle()
     for g in (chain2, chain2_v2_unsat):
         tree, gp, gpp, gstar, fstar = compress_all(g)
-        bits = evaluate_compressed(gstar, oracle)
+        bits = evaluate(gstar, oracle).bits
         assert bits[gstar.conductor_id] == evaluate(g, oracle).answer
 
 
@@ -237,9 +235,9 @@ def test_compression_equivalence_on_random_instances():
         g = random_instance(seed)
         tree = build_separator_tree(g)
         gstar, fstar = build_compressed(g, tree)
-        bits = evaluate_compressed(gstar, oracle)
+        bits = evaluate(gstar, oracle).bits
         assert bits[gstar.conductor_id] == evaluate(g, oracle).answer
-        assert is_correct_compressed(gstar, bits, oracle)
+        assert is_correct_query_string(gstar, bits, oracle)
 
 
 def test_lift_chain2_example(chain2):
@@ -256,7 +254,7 @@ def test_lift_chain2_example(chain2):
 
 def test_lift_single_vacuous(single_vacuous):
     tree, gp, gpp, gstar, fstar = compress_all(single_vacuous)
-    bits = evaluate_compressed(gstar, ProofOracle())
+    bits = evaluate(gstar, ProofOracle()).bits
     assert lift_query_string(single_vacuous, gstar, bits) == {1: 1}
 
 
@@ -266,7 +264,7 @@ def test_lift_is_correct_on_random_instances():
         g = random_instance(seed)
         tree = build_separator_tree(g)
         gstar, fstar = build_compressed(g, tree)
-        xstar = evaluate_compressed(gstar, oracle)
+        xstar = evaluate(gstar, oracle).bits
         lifted = lift_query_string(g, gstar, xstar)
         assert is_correct_query_string(g, lifted, oracle)
 
@@ -292,5 +290,5 @@ def test_dummy_copies_merge_to_single_reps():
         assert len(reps) == 1
     fixed = gstar.fixed_bits()
     assert all(bit == 1 for bit in fixed.values())
-    bits = evaluate_compressed(gstar, ProofOracle())
+    bits = evaluate(gstar, ProofOracle()).bits
     assert all(bits[cid] == 1 for cid in fixed)
