@@ -29,7 +29,6 @@ from .compress import (
     expand_to_gprime,
     expected_expanded_size,
     lift_query_string,
-    merge,
 )
 from .errors import (
     CapacityError,

@@ -1,26 +1,30 @@
 """Separator-tree compression of a query graph.
 
-The pipeline turns a query graph G into an equivalent graph whose nodes all
-have few descendants, so an admissible weighting of small total weight
-exists:
+Compression turns a query graph G into an equivalent graph G* whose nodes
+all have few descendant origins, so an admissible weighting of small total
+weight exists.  The paper reaches G* in three stages:
 
   expand_to_gprime  makes, for every vertex u in a supervertex at depth d,
                     one copy per conditioning tuple (z_1, ..., z_d) of s-bit
                     strings; z_j hardcodes assumed answers for the j-th
                     supervertex on u's branch.  Edges run from each copy
                     upward to the copies of u's descendants higher on the
-                    branch, with matching conditioning prefixes.
+                    branch, with matching conditioning prefixes.  This is G'.
   add_conductor     appends the output node t, wired from every copy; t
                     answers by replaying compute_output on the original
-                    output vertex.
-  merge             collapses copies of the same origin whose conditioning
+                    output vertex.  This is G''.
+  merging           collapses the copies of an origin whose conditioning
                     agrees on the origin's visible ancestors (those on its
-                    own branch), summing their weights so the total is
-                    conserved and admissibility survives.
+                    own branch), summing their omega weights so the total
+                    is conserved and admissibility survives.
 
-A copy's query resolves each original input wire through compute_output, so
+build_compressed, the production path, enumerates G* and its weighting
+straight from the signatures, in closed form, without building a copy; G'
+and G'' are kept as the paper's stages and the tests check G* against them.
+
+A node's query resolves each original input wire through compute_output, so
 its answer is a deterministic function of hardcoded bits and the answer bits
-of deeper copies.
+of deeper nodes.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .errors import ValidationError, WireValueError
+from .errors import WireValueError
 from .querygraph import VERIFIER, QueryNode, proof_bit
-from .weighting import WeightAssignment, descendant_masks, omega_weights
+from .weighting import WeightAssignment, descendant_masks
 
 CONDUCTOR_ID = 0
 
@@ -42,10 +46,10 @@ class CompressedNode:
     """One conditioned copy: origin vertex plus hardcoded answer strings.
 
     `conditioning` holds one s-bit string per supervertex on the branch from
-    the root down to the origin's supervertex; after merging, positions the
-    origin cannot see are shown as '*'.  `signature` is the conditioning
-    restricted to the origin's ancestors on that branch, which is exactly
-    what survives a merge.
+    the root down to the origin's supervertex; in G*, positions the origin
+    cannot see are shown as '*'.  `signature` is the conditioning restricted
+    to the origin's ancestors on that branch, which is exactly what
+    identifies a node of G*.
     """
 
     cid: int
@@ -60,8 +64,19 @@ class CompressedNode:
         return self.origin is None
 
 
+CONDUCTOR_NODE = CompressedNode(
+    cid=CONDUCTOR_ID,
+    origin=None,
+    supervertex=None,
+    position=None,
+    conditioning=(),
+    signature=(),
+)
+
+
 class CompressedDag:
-    """A compressed graph at any stage: copies only, with conductor, or merged.
+    """A compressed graph at any stage: copies only (G'), with conductor
+    (G''), or merged (G*).
 
     `visible` and `origin_query` depend only on the original graph and its
     separator tree, so expand_to_gprime computes them once and every later
@@ -85,8 +100,8 @@ class CompressedDag:
         self._in = {cid: tuple(sorted(v)) for cid, v in self._in.items()}
         self.origin_query = origin_query
         self._visible = visible
-        # Copies are looked up by exact conditioning before merging and by
-        # signature after.
+        # Copies are looked up by exact conditioning in G' and G'', and by
+        # signature in G*.
         self._index = {
             (n.origin, n.signature if merged else n.conditioning): n.cid
             for n in self.nodes.values()
@@ -120,8 +135,8 @@ class CompressedDag:
         return f"v{node.origin}^{{{','.join(node.conditioning)}}}"
 
     def resolve_copy(self, origin, conditioning):
-        """The node standing for this copy: exact match before merging, the
-        representative that agrees on the origin's visible ancestors after."""
+        """The node standing for this copy: the exact match in G' and G'', the
+        node that agrees on the origin's visible ancestors in G*."""
         if not self.merged:
             key = (origin, tuple(conditioning))
         else:
@@ -204,29 +219,37 @@ class CompressedDag:
         return json.dumps(self.to_doc(weights), sort_keys=True) + "\n"
 
 
-def _ancestor_masks(g):
+def _relatives_on_branch(g, tree, edges, own_level):
+    """Per origin: (relative id, branch level index, position) for every
+    node reachable along `edges` that lives in a supervertex on the origin's
+    branch, its own supervertex included only when `own_level` is set."""
     ids = list(g.node_ids())
-    return ids, descendant_masks(ids, g.in_neighbors())
-
-
-def _visible_ancestors(g, tree):
-    """Per origin: tuple of (ancestor id, branch level index, position) for
-    ancestors living in the supervertices on the origin's own branch."""
-    ids, anc = _ancestor_masks(g)
     idx = {nid: i for i, nid in enumerate(ids)}
+    masks = descendant_masks(ids, edges)
     out = {}
     for sv in tree.supervertices:
         branch = tree.branch(sv.id)
+        levels = branch if own_level else branch[:-1]
         for member in sv.members:
-            entries = []
-            if member in idx:  # dummies have no ancestors
-                mask = anc[member]
-                for lvl, svid in enumerate(branch):
-                    for pos, other in enumerate(tree.by_id[svid].members):
-                        if other in idx and (mask >> idx[other]) & 1:
-                            entries.append((other, lvl, pos))
-            out[member] = tuple(entries)
+            # Dummies have no relatives, and no real vertex reaches them.
+            out[member] = tuple(
+                (other, lvl, pos)
+                for lvl, svid in enumerate(levels)
+                for pos, other in enumerate(tree.by_id[svid].members)
+                if member in idx and other in idx and (masks[member] >> idx[other]) & 1
+            )
     return out
+
+
+def _visible_ancestors(g, tree):
+    """Ancestors of each origin in the supervertices on its own branch."""
+    return _relatives_on_branch(g, tree, g.in_neighbors(), own_level=True)
+
+
+def _descendants_above(g, tree):
+    """Descendants of each origin in supervertices strictly above its own on
+    its branch: the copies every copy of the origin points to."""
+    return _relatives_on_branch(g, tree, g.out_neighbors(), own_level=False)
 
 
 def _origin_queries(g, tree):
@@ -249,14 +272,11 @@ def expected_expanded_size(tree):
 def expand_to_gprime(g, tree):
     """Build every conditioned copy and all upward edges (no conductor yet)."""
     s = tree.uniform_size
-    ids = list(g.node_ids())
-    idx = {nid: i for i, nid in enumerate(ids)}
-    desc = descendant_masks(ids, g.out_neighbors())
     strings = ["".join(bits) for bits in itertools.product("01", repeat=s)]
     nodes = {}
-    edges = {}
     index = {}
     dset = _visible_ancestors(g, tree)
+    above = _descendants_above(g, tree)
     cid = CONDUCTOR_ID + 1
     for sv in tree.supervertices:
         d = tree.depth_of(sv.id)
@@ -274,17 +294,10 @@ def expand_to_gprime(g, tree):
                 )
                 index[(member, cond)] = cid
                 cid += 1
-    for node in nodes.values():
-        branch = tree.branch(node.supervertex)
-        member = node.origin
-        targets = []
-        if member in idx:
-            mask = desc[member]
-            for j in range(len(branch) - 1):  # strictly above the origin's level
-                for other in tree.by_id[branch[j]].members:
-                    if other in idx and (mask >> idx[other]) & 1:
-                        targets.append(index[(other, node.conditioning[: j + 1])])
-        edges[node.cid] = tuple(sorted(targets))
+    edges = {
+        node.cid: [index[(v, node.conditioning[: lvl + 1])] for v, lvl, _ in above[node.origin]]
+        for node in nodes.values()
+    }
     return CompressedDag(
         g, tree, nodes, edges, conductor_id=None, merged=False,
         visible=dset, origin_query=_origin_queries(g, tree),
@@ -294,14 +307,7 @@ def expand_to_gprime(g, tree):
 def add_conductor(gp):
     """Append the output node t, wired from every copy."""
     nodes = dict(gp.nodes)
-    nodes[CONDUCTOR_ID] = CompressedNode(
-        cid=CONDUCTOR_ID,
-        origin=None,
-        supervertex=None,
-        position=None,
-        conditioning=(),
-        signature=(),
-    )
+    nodes[CONDUCTOR_ID] = CONDUCTOR_NODE
     edges = {cid: tuple(list(t) + [CONDUCTOR_ID]) for cid, t in gp.edges_out.items()}
     edges[CONDUCTOR_ID] = ()
     return CompressedDag(
@@ -310,93 +316,71 @@ def add_conductor(gp):
     )
 
 
-def _masked_conditioning(tree, origin, conditioning, visible):
-    """Replace every bit the origin cannot see with '*'."""
-    keep = {(lvl, pos) for _, lvl, pos in visible}
-    branch = tree.branch(tree.supervertex_of(origin))
-    out = []
-    for lvl, svid in enumerate(branch):
-        s = len(tree.by_id[svid].members)
-        out.append(
-            "".join(
-                conditioning[lvl][pos] if (lvl, pos) in keep else "*"
-                for pos in range(s)
-            )
-        )
-    return tuple(out)
+def build_compressed(g, tree):
+    """Enumerate G* from signatures: one node per origin u and assignment of
+    bits to visible(u), with no conditioned copy built.
 
-
-def merge(gpp):
-    """Collapse copies that agree on their origin's visible ancestors.
-
-    Starting from the weighting omega with c = 2, pairs with equal origin and
-    equal signature are merged, deepest origins first, and weights add up, so
-    the total weight of the result equals the total weight of the input and
-    admissibility is preserved.  Returns the merged graph and its weighting.
+    Node u^sigma stands for the 2^(s*d_u - |visible(u)|) copies of u that
+    agree with sigma on u's visible ancestors, d_u being the depth of u's
+    supervertex.  Each such copy has the same omega weight 3^(1 + a_u) in
+    G'': its descendants are the conductor and one copy of each of the a_u
+    descendants of u in supervertices strictly above u's on its branch.  So
+    u^sigma weighs their sum, and it points to the conductor and to every
+    v^sigma' of such a descendant v whose sigma' agrees with sigma on the
+    ancestors both can see.  Ids are the conductor 0, then consecutive from
+    expected_expanded_size(tree) by decreasing depth, origin id and sigma in
+    itertools.product order.  Returns G* and its weighting, which conserves
+    the total omega weight of G''.
     """
-    if gpp.conductor_id is None:
-        raise ValidationError("merge requires the conductor stage")
-    tree = gpp.septree
-    base = omega_weights(gpp, 2).weights
-    groups = {}
-    for node in gpp.nodes.values():
-        if node.is_conductor:
-            continue
-        groups.setdefault((node.origin, node.signature), []).append(node.cid)
-    depth_of_origin = {
-        member: tree.depth_of(sv.id)
-        for sv in tree.supervertices
-        for member in sv.members
-    }
-    ordered = sorted(
-        groups.items(), key=lambda kv: (-depth_of_origin[kv[0][0]], kv[0][0], kv[0][1])
-    )
-    next_cid = max(gpp.nodes) + 1
-    rep_of = {gpp.conductor_id: gpp.conductor_id}
-    new_nodes = {gpp.conductor_id: gpp.nodes[gpp.conductor_id]}
-    weights = {gpp.conductor_id: base[gpp.conductor_id]}
-    for (origin, sig), cids in ordered:
-        cids = sorted(cids)
-        if len(cids) == 1:
-            keep = gpp.nodes[cids[0]]
-            new_nodes[keep.cid] = keep
-            rep_of[cids[0]] = keep.cid
-            weights[keep.cid] = base[cids[0]]
-            continue
-        first = gpp.nodes[cids[0]]
-        visible = gpp.visible_ancestors(origin)
-        rep = CompressedNode(
-            cid=next_cid,
-            origin=origin,
-            supervertex=first.supervertex,
-            position=first.position,
-            conditioning=_masked_conditioning(tree, origin, first.conditioning, visible),
-            signature=sig,
-        )
-        new_nodes[next_cid] = rep
-        weights[next_cid] = sum(base[c] for c in cids)
-        for c in cids:
-            rep_of[c] = next_cid
-        next_cid += 1
-    edge_sets = {cid: set() for cid in new_nodes}
-    for a, targets in gpp.edges_out.items():
-        for b in targets:
-            edge_sets[rep_of[a]].add(rep_of[b])
-    edges = {cid: tuple(sorted(t)) for cid, t in edge_sets.items()}
+    s = tree.uniform_size
+    visible = _visible_ancestors(g, tree)
+    above = _descendants_above(g, tree)
+    origins = sorted(visible, key=lambda u: (-tree.depth_of(tree.supervertex_of(u)), u))
+    first = {}
+    cid = expected_expanded_size(tree)
+    for u in origins:
+        first[u] = cid
+        cid += 2 ** len(visible[u])
+    nodes = {CONDUCTOR_ID: CONDUCTOR_NODE}
+    edges = {CONDUCTOR_ID: ()}
+    weights = {CONDUCTOR_ID: 1}
+    for u in origins:
+        svid = tree.supervertex_of(u)
+        branch = tree.branch(svid)
+        vis = visible[u]
+        weight = 3 ** (1 + len(above[u])) * 2 ** (s * len(branch) - len(vis))
+        bit_strings = itertools.product((0, 1), repeat=len(vis))
+        for cid, bits in enumerate(bit_strings, start=first[u]):
+            sigma = {anc: bit for (anc, _, _), bit in zip(vis, bits)}
+            cond = [["*"] * s for _ in branch]
+            for (_, lvl, pos), bit in zip(vis, bits):
+                cond[lvl][pos] = str(bit)
+            targets = [CONDUCTOR_ID]
+            for v, _, _ in above[u]:
+                # sigma' is read as a binary number, first visible ancestor
+                # most significant: shared bits are fixed, the rest range.
+                base, spread = first[v], [0]
+                for i, (anc, _, _) in enumerate(reversed(visible[v])):
+                    if anc not in sigma:
+                        spread += [o + (1 << i) for o in spread]
+                    elif sigma[anc]:
+                        base += 1 << i
+                targets.extend(base + o for o in spread)
+            nodes[cid] = CompressedNode(
+                cid=cid,
+                origin=u,
+                supervertex=svid,
+                position=tree.position_of(u) + 1,
+                conditioning=tuple("".join(part) for part in cond),
+                signature=tuple(sigma.items()),
+            )
+            edges[cid] = targets
+            weights[cid] = weight
     gstar = CompressedDag(
-        gpp.origin_dag, tree, new_nodes, edges,
-        conductor_id=gpp.conductor_id, merged=True,
-        visible=gpp._visible, origin_query=gpp.origin_query,
+        g, tree, nodes, edges, conductor_id=CONDUCTOR_ID, merged=True,
+        visible=visible, origin_query=_origin_queries(g, tree),
     )
     return gstar, WeightAssignment(weights=weights, c=2)
-
-
-def build_compressed(g, tree):
-    """Run the whole pipeline: expand, add the conductor, merge.
-
-    Returns the merged graph and its conserved weighting.
-    """
-    return merge(add_conductor(expand_to_gprime(g, tree)))
 
 
 def compute_output(gd, u, conditioning, wire_values):
@@ -431,8 +415,8 @@ def compute_output(gd, u, conditioning, wire_values):
 def resolved_input_bits(gd, cid, wire_values):
     """Input wires of a copy, each resolved through compute_output.
 
-    The copy's own conditioning (with merged-away positions read as 0, which
-    never influences the result) seeds the recursion for every original
+    The copy's own conditioning (with '*' positions read as 0, which never
+    influences the result) seeds the recursion for every original
     parent wire.
     """
     node = gd.nodes[cid]

@@ -21,7 +21,11 @@ from .querygraph import evaluate
 
 
 class OracleStats:
-    """Counters and an ordered transcript of every oracle interaction."""
+    """Counters and an ordered transcript of every oracle interaction.
+
+    Entries are kept raw, as tuples holding the instance's own pins dict;
+    to_doc renders them, so each query costs an append and nothing more.
+    """
 
     def __init__(self):
         self.proof_queries = 0
@@ -30,23 +34,31 @@ class OracleStats:
 
     def record_proof(self, node_id, input_bits, answer):
         self.proof_queries += 1
-        self.transcript.append(
-            {"kind": "proof", "node": node_id, "inputs": input_bits, "answer": answer}
-        )
+        self.transcript.append(("proof", node_id, input_bits, answer))
 
     def record_threshold(self, threshold, pins, answer):
         self.threshold_queries += 1
-        self.transcript.append(
-            {
-                "kind": "threshold",
-                "threshold": str(threshold),
-                "pins": {str(k): v for k, v in sorted(pins.items())},
-                "answer": answer,
-            }
-        )
+        self.transcript.append(("threshold", threshold, pins, answer))
 
     def to_doc(self):
-        return [dict(entry) for entry in self.transcript]
+        doc = []
+        for entry in self.transcript:
+            if entry[0] == "proof":
+                _, node, inputs, answer = entry
+                doc.append(
+                    {"kind": "proof", "node": node, "inputs": inputs, "answer": answer}
+                )
+            else:
+                _, threshold, pins, answer = entry
+                doc.append(
+                    {
+                        "kind": "threshold",
+                        "threshold": str(threshold),
+                        "pins": {str(k): v for k, v in sorted(pins.items())},
+                        "answer": answer,
+                    }
+                )
+        return doc
 
 
 def _assign(clauses, lit):

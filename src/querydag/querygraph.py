@@ -83,7 +83,8 @@ class QueryDag:
         return {node.id: node.inputs for node in self.nodes}
 
     def topo_order(self):
-        return topological_order(self)
+        """Parents first, ties by ascending id; computed once by validation."""
+        return list(self._order)
 
     def fixed_bits(self):
         """Every answer bit of a plain query graph is free."""
@@ -128,20 +129,7 @@ def _validate(g):
                     raise ValidationError(f"node {node.id}: literal {lit} out of range")
     if g.output not in g.by_id:
         raise ValidationError(f"node {g.output}: missing output node")
-    # Acyclicity via Kahn's algorithm; report the smallest node left on a cycle.
-    indeg = {node.id: len(node.inputs) for node in g.nodes}
-    ready = [nid for nid, d in indeg.items() if d == 0]
-    seen = 0
-    while ready:
-        nid = ready.pop()
-        seen += 1
-        for child in g._children[nid]:
-            indeg[child] -= 1
-            if indeg[child] == 0:
-                ready.append(child)
-    if seen != len(g.nodes):
-        stuck = min(nid for nid, d in indeg.items() if d > 0)
-        raise ValidationError(f"node {stuck}: cycle detected")
+    g._order = tuple(topo_sort(g.node_ids(), g._children))
     sinks = [nid for nid, kids in g._children.items() if not kids]
     if g.output not in sinks:
         raise ValidationError(f"node {g.output}: output node has outgoing edges")
@@ -236,7 +224,8 @@ def serialize_dag(g):
 
 def topo_sort(ids, out):
     """Order of `ids` with every node before its `out` targets, ties broken
-    by ascending id."""
+    by ascending id; a cycle raises, naming the smallest node left on or
+    below one."""
     indeg = {nid: 0 for nid in ids}
     for nid in ids:
         for child in out[nid]:
@@ -252,7 +241,10 @@ def topo_sort(ids, out):
             if indeg[child] == 0:
                 heapq.heappush(heap, child)
     if len(order) != len(ids):
-        raise ValidationError("graph is not acyclic")
+        # The nodes left over are those on or below a cycle, whatever the
+        # processing order, so the smallest of them is a stable report.
+        stuck = min(nid for nid, d in indeg.items() if d > 0)
+        raise ValidationError(f"node {stuck}: cycle detected")
     return order
 
 

@@ -195,43 +195,15 @@ def _pad(raw_supervertices, uniform_size, max_real_id):
     return padded, dummies
 
 
-def build_separator_tree(g):
-    """Recursively decompose g by smallest balanced separators, then pad.
+def _search_tree(g, depth_bound, size_bound):
+    """Backtracking search for a separator tree of depth <= depth_bound whose
+    separators have at most size_bound members.
 
-    At every step the smallest balanced separator (sizes tried from 1 up) is
-    removed and each connected component is decomposed recursively.  Balance
-    keeps the depth logarithmic.
+    All balanced separators of size up to size_bound are tried at each level
+    in enumeration order; a candidate is kept only if every remaining
+    component admits a tree within the reduced depth budget.  Returns the
+    unpadded (id, members, parent) triples, or None when no tree exists.
     """
-    order = topological_order(g)
-    pos = {nid: i for i, nid in enumerate(order)}
-    adj = _adjacency(order, g.undirected_edges())
-    raw = []
-
-    def recurse(subset, parent):
-        # The whole subset always qualifies, so a separator is always found.
-        sep = next(_balanced_separators(subset, adj, len(subset)))
-        svid = len(raw) + 1
-        members = tuple(sorted(sep.members, key=pos.__getitem__))
-        raw.append((svid, members, parent))
-        for comp in sorted(sep.components, key=min):
-            recurse(comp, svid)
-
-    recurse(tuple(order), None)
-    uniform = max(len(members) for _, members, _ in raw)
-    padded, dummies = _pad(raw, uniform, max(g.by_id))
-    return SeparatorTree(padded, uniform, dummies)
-
-
-def build_depth_bounded_tree(g, depth_bound, size_bound):
-    """Backtracking search for a separator tree of depth <= D and size <= s.
-
-    All balanced separators of size up to `size_bound` are considered at each
-    level; a candidate is kept only if every remaining component admits a
-    tree within the reduced depth budget.  Returns None when no tree exists.
-    Supervertices are padded to exactly `size_bound`.
-    """
-    if depth_bound < 1 or size_bound < 1:
-        raise ValidationError("depth and size bounds must be at least 1")
     order = topological_order(g)
     pos = {nid: i for i, nid in enumerate(order)}
     adj = _adjacency(order, g.undirected_edges())
@@ -263,6 +235,32 @@ def build_depth_bounded_tree(g, depth_bound, size_bound):
             assign(kid, svid)
 
     assign(found, None)
+    return raw
+
+
+def build_separator_tree(g):
+    """Recursively decompose g by smallest balanced separators, then pad to
+    the largest one.
+
+    With depth and size bounds of |V| the search never backtracks: every
+    subset fits its budget, so the smallest balanced separator (sizes tried
+    from 1 up) is removed at every step and each component decomposed in
+    turn.  Balance keeps the depth logarithmic.
+    """
+    raw = _search_tree(g, len(g.nodes), len(g.nodes))
+    uniform = max(len(members) for _, members, _ in raw)
+    padded, dummies = _pad(raw, uniform, max(g.by_id))
+    return SeparatorTree(padded, uniform, dummies)
+
+
+def build_depth_bounded_tree(g, depth_bound, size_bound):
+    """Separator tree of depth <= D and separators of size <= s, padded to
+    exactly `size_bound`, or None when no such tree exists."""
+    if depth_bound < 1 or size_bound < 1:
+        raise ValidationError("depth and size bounds must be at least 1")
+    raw = _search_tree(g, depth_bound, size_bound)
+    if raw is None:
+        return None
     padded, dummies = _pad(raw, size_bound, max(g.by_id))
     return SeparatorTree(padded, size_bound, dummies)
 

@@ -126,7 +126,7 @@ def brute_two_t(dag, weights):
     oracle = ProofOracle()
     inst = ThresholdInstance(dag, weights, 0, {})
     ids = list(dag.node_ids())
-    fixed = {} if not hasattr(dag, "fixed_bits") else dag.fixed_bits()
+    fixed = dag.fixed_bits()
     free = [nid for nid in ids if nid not in fixed]
     best = None
     for combo in itertools.product((0, 1), repeat=len(free)):

@@ -34,7 +34,6 @@ from querydag import (
     is_correct_query_string,
     lift_query_string,
     max_t_for_assignment,
-    merge,
     multilinear_eval,
     omega_weights,
     rho_weights,
@@ -90,7 +89,7 @@ def corpus():
         rd = decide_depth(g)
         tree = build_separator_tree(g)
         gpp = add_conductor(expand_to_gprime(g, tree))
-        gstar, fstar = merge(gpp)
+        gstar, fstar = build_compressed(g, tree)
         pre_masks = descendant_masks(list(gpp.node_ids()), gpp.out_neighbors())
         xstar = evaluate(gstar, oracle).bits
         lifted = lift_query_string(g, gstar, xstar)
@@ -163,7 +162,7 @@ def test_criterion_02_query_budget(corpus):
 
 
 def test_criterion_03_weight_conservation(corpus):
-    @_criterion(3, "merge conserves total weight, stays 2-admissible")
+    @_criterion(3, "G* conserves the total weight of G'', stays 2-admissible")
     def body():
         for row in _rows(corpus):
             assert row["w_star"] == row["w_gpp"], row["seed"]

@@ -2,7 +2,6 @@ import pytest
 
 from querydag import (
     ProofOracle,
-    ValidationError,
     WireValueError,
     add_conductor,
     build_compressed,
@@ -13,7 +12,6 @@ from querydag import (
     expected_expanded_size,
     is_correct_query_string,
     lift_query_string,
-    merge,
     omega_weights,
     total_weight,
 )
@@ -26,7 +24,7 @@ def compress_all(g):
     tree = build_separator_tree(g)
     gp = expand_to_gprime(g, tree)
     gpp = add_conductor(gp)
-    gstar, fstar = merge(gpp)
+    gstar, fstar = build_compressed(g, tree)
     return tree, gp, gpp, gstar, fstar
 
 
@@ -118,20 +116,44 @@ def test_merge_chain2(chain2):
     assert total_weight(fstar) == 19
 
 
-def test_merge_requires_conductor(chain2):
-    tree = build_separator_tree(chain2)
-    gp = expand_to_gprime(chain2, tree)
-    with pytest.raises(ValidationError, match="conductor"):
-        merge(gp)
-
-
-def test_merge_without_mergeable_pairs_is_identity(chain2):
-    tree, gp, gpp, gstar, fstar = compress_all(chain2)
-    again, f_again = merge(gstar)
-    assert set(again.nodes) == set(gstar.nodes)
-    assert again.edges_out == gstar.edges_out
-    # With nothing to merge the weighting is just omega on the input graph.
-    assert f_again.weights == omega_weights(gstar, 2).weights
+def test_gstar_is_gpp_grouped_by_signature():
+    # The paper's definition of G* is the materialized route: build every
+    # copy (G''), weight it with omega, and collapse the copies of an origin
+    # that agree on its visible ancestors.  build_compressed must produce
+    # exactly that graph without building G''.
+    instances = [random_instance(seed, max_n=6) for seed in range(25)]
+    instances.append(random_instance(94))  # reaches depth 3
+    for g in instances:
+        tree = build_separator_tree(g)
+        gpp = add_conductor(expand_to_gprime(g, tree))
+        omega = omega_weights(gpp, 2).weights
+        groups = {}
+        for node in gpp.nodes.values():
+            if not node.is_conductor:
+                groups.setdefault((node.origin, node.signature), []).append(node.cid)
+        gstar, fstar = build_compressed(g, tree)
+        rep = {gpp.conductor_id: gstar.conductor_id}
+        for node in gstar.nodes.values():
+            if node.is_conductor:
+                continue
+            key = (node.origin, node.signature)
+            assert key in groups and all(c not in rep for c in groups[key])
+            rep.update((c, node.cid) for c in groups[key])
+            assert fstar.weights[node.cid] == sum(omega[c] for c in groups[key])
+            visible = gstar.visible_ancestors(node.origin)
+            shown = {(lvl, pos): bit for (_, lvl, pos), (_, bit) in zip(visible, node.signature)}
+            depth = tree.depth_of(node.supervertex)
+            assert [len(part) for part in node.conditioning] == [tree.uniform_size] * depth
+            for lvl, part in enumerate(node.conditioning):
+                for pos, ch in enumerate(part):
+                    assert ch == (str(shown[lvl, pos]) if (lvl, pos) in shown else "*")
+        assert len(gstar.nodes) == len(groups) + 1
+        assert fstar.weights[gstar.conductor_id] == omega[gpp.conductor_id]
+        image = {
+            (rep[a], rep[b]) for a, targets in gpp.edges_out.items() for b in targets
+        }
+        edges = {(a, b) for a, targets in gstar.edges_out.items() for b in targets}
+        assert edges == image
 
 
 def test_merge_no_duplicate_signatures(chain3):
@@ -153,7 +175,7 @@ def test_weight_conservation_and_admissibility_on_random_instances():
         tree = build_separator_tree(g)
         gpp = add_conductor(expand_to_gprime(g, tree))
         w_before = total_weight(omega_weights(gpp, 2))
-        gstar, fstar = merge(gpp)
+        gstar, fstar = build_compressed(g, tree)
         assert total_weight(fstar) == w_before
         assert len(gstar.nodes) <= len(gpp.nodes)
         ok, bad = check_admissible(gstar, fstar)
@@ -189,7 +211,7 @@ def test_descendant_bound_on_random_instances():
         masks = descendant_masks(list(gpp.node_ids()), gpp.out_neighbors())
         bound = tree.uniform_size * tree.depth() + 1
         assert max(m.bit_count() for m in masks.values()) <= bound
-        gstar, fstar = merge(gpp)
+        gstar, fstar = build_compressed(g, tree)
         assert origin_descendant_count(gstar) <= bound
 
 
@@ -213,8 +235,7 @@ def test_merge_union_can_exceed_per_node_descendant_bound():
     # so counting descendant nodes (rather than origins) can exceed sD + 1.
     g = random_instance(94)
     tree = build_separator_tree(g)
-    gpp = add_conductor(expand_to_gprime(g, tree))
-    gstar, fstar = merge(gpp)
+    gstar, fstar = build_compressed(g, tree)
     masks = descendant_masks(list(gstar.node_ids()), gstar.out_neighbors())
     bound = tree.uniform_size * tree.depth() + 1
     assert max(m.bit_count() for m in masks.values()) == bound + 1

@@ -166,7 +166,7 @@ def test_transcript_export_fields(chain2):
         stats,
         BruteForceBackend(),
     )
-    entry = stats.transcript[-1]
+    entry = stats.to_doc()[-1]
     assert entry["kind"] == "threshold"
     assert entry["threshold"] == "8"
     assert entry["pins"] == {"2": 1}

@@ -1,12 +1,10 @@
 from querydag import (
-    add_conductor,
+    build_compressed,
     build_dag,
     build_separator_tree,
     check_admissible,
     dag_depth,
-    expand_to_gprime,
     levels,
-    merge,
     omega_weights,
     rho_weights,
     total_weight,
@@ -61,7 +59,7 @@ def test_check_admissible(chain2):
 
 def test_merged_weighting_is_admissible(chain2):
     tree = build_separator_tree(chain2)
-    gstar, fstar = merge(add_conductor(expand_to_gprime(chain2, tree)))
+    gstar, fstar = build_compressed(chain2, tree)
     ok, bad = check_admissible(gstar, fstar)
     assert ok and bad is None
     assert total_weight(fstar) == 19
