@@ -8,10 +8,6 @@ maximization.
 """
 
 from .arithmetize import (
-    ArithCircuit,
-    BuiltPolynomial,
-    CompressionAudit,
-    ThreeCnf,
     arithmetize_clause,
     audit_weak_compression,
     brute_force_max,
@@ -21,8 +17,6 @@ from .arithmetize import (
     to_three_cnf,
 )
 from .compress import (
-    CompressedDag,
-    CompressedNode,
     add_conductor,
     build_compressed,
     compute_output,
@@ -48,18 +42,14 @@ from .oracle import (
     threshold_query,
 )
 from .querygraph import (
-    EvalTrace,
-    QueryDag,
     QueryNode,
     build_dag,
     evaluate,
     is_correct_query_string,
     parse_dag,
     serialize_dag,
-    topological_order,
 )
 from .separator import (
-    Separator,
     SeparatorTree,
     Supervertex,
     build_depth_bounded_tree,
@@ -68,8 +58,6 @@ from .separator import (
     verify_separator_tree,
 )
 from .solver import (
-    ADMISSIBILITY_C,
-    SolveReport,
     ThresholdInstance,
     binary_search_T,
     decide_compress,

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapacityError, PipelineError
-from .oracle import EvaluationBackend, OracleStats, ProofOracle
-from .querygraph import is_correct_query_string, topological_order
+from .oracle import EvaluationBackend, ProofOracle
+from .querygraph import is_correct_query_string
 from .solver import ADMISSIBILITY_C, binary_search_T
 from .weighting import omega_weights
 
@@ -164,7 +164,6 @@ def arithmetize_clause(literals):
 class NodeCnf:
     """Per-node 3-CNF over local variables: wires, proofs, then auxiliaries."""
 
-    node_id: int
     clauses: tuple
     var_count: int
     aux_count: int
@@ -201,9 +200,7 @@ def to_three_cnf(node):
             for t in range(k - 4):
                 out.append((-fresh[t], lits[2 + t], fresh[t + 1]))
             out.append((-fresh[-1], lits[k - 2], lits[k - 1]))
-    return NodeCnf(
-        node_id=node.id, clauses=tuple(out), var_count=base + aux, aux_count=aux
-    )
+    return NodeCnf(clauses=tuple(out), var_count=base + aux, aux_count=aux)
 
 
 @dataclass(frozen=True)
@@ -217,14 +214,12 @@ class ThreeCnf:
 
     order: tuple
     clauses_by_node: dict
-    proof_vars: dict
-    aux_vars: dict
     n_common: int
     m_common: int
 
 
 def three_cnf_for_dag(g):
-    order = tuple(topological_order(g))
+    order = tuple(g.topo_order())
     per = {nid: to_three_cnf(g.by_id[nid]) for nid in order}
     n_common = max(nc.var_count for nc in per.values())
     m_common = max(len(nc.clauses) for nc in per.values())
@@ -237,8 +232,6 @@ def three_cnf_for_dag(g):
     return ThreeCnf(
         order=order,
         clauses_by_node=padded,
-        proof_vars={nid: g.by_id[nid].proof_var_count for nid in order},
-        aux_vars={nid: per[nid].aux_count for nid in order},
         n_common=n_common,
         m_common=m_common,
     )
@@ -256,9 +249,7 @@ class BuiltPolynomial:
     circuit: ArithCircuit
     var_count: int
     x_coord: dict
-    block_start: dict
     order: tuple
-    cnf: ThreeCnf
 
 
 def build_p(g, weights):
@@ -298,9 +289,7 @@ def build_p(g, weights):
         circuit=circuit,
         var_count=cursor,
         x_coord=x_coord,
-        block_start=block_start,
         order=order,
-        cnf=cnf,
     )
 
 
@@ -371,11 +360,10 @@ def audit_weak_compression(g, backend=None):
     The optimum of p equals T, so locating it pins down every query answer;
     the search spends at most bit_length(2T) + 1 threshold queries.
     """
-    stats = OracleStats()
-    proof_oracle = ProofOracle(stats)
+    proof_oracle = ProofOracle()
     backend = backend if backend is not None else EvaluationBackend()
     weights = omega_weights(g, ADMISSIBILITY_C)
-    t_tilde = binary_search_T(g, weights, proof_oracle, stats, backend)
+    t_tilde = binary_search_T(g, weights, proof_oracle, backend)
     return CompressionAudit(
-        bits=t_tilde.bit_length(), queries_used=stats.threshold_queries
+        bits=t_tilde.bit_length(), queries_used=proof_oracle.stats.threshold_queries
     )

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from . import arithmetize
 from .compress import build_compressed, expected_expanded_size
-from .errors import GenerationError, QueryDagError
-from .oracle import BruteForceBackend, EvaluationBackend, OracleStats, ProofOracle
+from .errors import GenerationError, ParseError, QueryDagError
+from .oracle import BruteForceBackend, EvaluationBackend, ProofOracle
 from .querygraph import VERIFIER, build_dag, evaluate, parse_dag, serialize_dag
 from .separator import build_depth_bounded_tree, build_separator_tree
 from .solver import decide_compress, decide_depth, decide_direct
@@ -123,10 +123,15 @@ def _emit(doc, out_path):
 
 
 def _read_instance(path):
-    if path is None or path == "-":
-        return parse_dag(sys.stdin.read())
-    with open(path) as fh:
-        return parse_dag(fh.read())
+    try:
+        if path is None or path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"instance is not text: {exc}") from exc
+    return parse_dag(text)
 
 
 def _backend(args):
@@ -143,13 +148,13 @@ def _cmd_gen(args):
 
 def _cmd_evaluate(args):
     g = _read_instance(args.input)
-    stats = OracleStats()
-    trace = evaluate(g, ProofOracle(stats))
+    proof_oracle = ProofOracle()
+    trace = evaluate(g, proof_oracle)
     doc = {
         "order": list(trace.order),
         "bits": {str(k): v for k, v in sorted(trace.bits.items())},
         "answer": trace.answer,
-        "proof_queries": stats.proof_queries,
+        "proof_queries": proof_oracle.stats.proof_queries,
     }
     _emit(doc, args.output)
     return 0
@@ -263,11 +268,18 @@ def _format_table(rows):
     return "\n".join(out) + "\n"
 
 
+def _sizes(text):
+    """The --sizes argument: comma-separated integers."""
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
 def _cmd_bench(args):
-    sizes = tuple(int(part) for part in args.sizes.split(","))
     config = BenchConfig(
         family=args.family,
-        sizes=sizes,
+        sizes=args.sizes,
         sep_bound=args.sep_bound,
         repetitions=args.reps,
         seed=args.seed,
@@ -322,7 +334,7 @@ def _build_parser():
 
     p = sub.add_parser("bench", help="family sweep with query counts")
     p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--sizes", required=True, help="comma-separated sizes")
+    p.add_argument("--sizes", type=_sizes, required=True, help="comma-separated sizes")
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sep-bound", type=int, default=2)

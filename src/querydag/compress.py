@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import WireValueError
-from .querygraph import VERIFIER, QueryNode, proof_bit
+from .querygraph import VERIFIER, QueryNode
 from .weighting import WeightAssignment, descendant_masks
 
 CONDUCTOR_ID = 0
@@ -186,7 +186,7 @@ class CompressedDag:
         if node.is_conductor:
             return compute_output(self, self.origin_dag.output, (), x)
         z = resolved_input_bits(self, cid, x)
-        return proof_bit(self.origin_query[node.origin], z, sat)
+        return 1 if sat.exists(self.origin_query[node.origin], z) else 0
 
     def to_doc(self, weights=None):
         doc = {

@@ -115,15 +115,15 @@ def sat_exists_proof(node, input_bits):
 
 
 class ProofOracle:
-    """Per-node proof-existence decisions, recorded when stats are attached."""
+    """Per-node proof-existence decisions, each one recorded in `stats`, the
+    oracle's own record of every proof and threshold query of a solve."""
 
-    def __init__(self, stats=None):
-        self.stats = stats
+    def __init__(self):
+        self.stats = OracleStats()
 
     def exists(self, node, input_bits):
         answer = sat_exists_proof(node, input_bits)
-        if self.stats is not None:
-            self.stats.record_proof(node.id, "".join(str(int(b)) for b in input_bits), answer)
+        self.stats.record_proof(node.id, "".join(str(int(b)) for b in input_bits), answer)
         return answer
 
 
@@ -215,9 +215,9 @@ class EvaluationBackend:
         return BruteForceBackend(cap=self.fallback_cap).decide(inst, proof_oracle)
 
 
-def threshold_query(inst, proof_oracle, stats, backend):
-    """One counted oracle call: does some pinned answer string reach the
-    scaled threshold?"""
+def threshold_query(inst, proof_oracle, backend):
+    """One counted oracle call, recorded in the proof oracle's stats: does
+    some pinned answer string reach the scaled threshold?"""
     answer = backend.decide(inst, proof_oracle)
-    stats.record_threshold(inst.threshold, inst.pins, answer)
+    proof_oracle.stats.record_threshold(inst.threshold, inst.pins, answer)
     return answer

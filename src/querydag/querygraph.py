@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .errors import ParseError, ValidationError
 
 VERIFIER = "verifier"
-CONDUCTOR = "conductor"
 
 # An answer bit per node id.
 QueryString = dict
@@ -28,9 +27,8 @@ class QueryNode:
     """One query node: a CNF over input wires and private proof variables.
 
     Variables 1..indeg are the input wires (in `inputs` order); variables
-    indeg+1..indeg+proof_var_count are the proof block.  A conductor node has
-    no clauses and no proof variables; its semantics are procedural and live
-    in the compress module.
+    indeg+1..indeg+proof_var_count are the proof block.  The only kind is
+    "verifier"; a compressed graph's conductor lives in the compress module.
     """
 
     id: int
@@ -94,7 +92,7 @@ class QueryDag:
         """Answer of query `nid` when its input wires read their bits in x."""
         node = self.by_id[nid]
         z = "".join("1" if x[p] else "0" for p in node.inputs)
-        return proof_bit(node, z, sat)
+        return 1 if sat.exists(node, z) else 0
 
     def undirected_edges(self):
         """Edge set of the undirected skeleton, as (min, max) pairs."""
@@ -112,16 +110,12 @@ def _validate(g):
     if not g.nodes:
         raise ValidationError("graph has no nodes")
     for node in g.nodes:
-        if node.kind not in (VERIFIER, CONDUCTOR):
+        if node.kind != VERIFIER:
             raise ValidationError(f"node {node.id}: unknown kind {node.kind!r}")
         if node.proof_var_count < 0:
             raise ValidationError(f"node {node.id}: negative proof_vars")
         if len(set(node.inputs)) != len(node.inputs):
             raise ValidationError(f"node {node.id}: repeated input")
-        if node.kind == CONDUCTOR and (node.proof_var_count or node.clauses):
-            raise ValidationError(
-                f"node {node.id}: conductor carries clauses or proof variables"
-            )
         limit = node.var_count
         for clause in node.clauses:
             for lit in clause:
@@ -166,6 +160,8 @@ def parse_dag(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed document: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("malformed document: nested too deeply") from exc
     if not isinstance(doc, dict) or "nodes" not in doc or "output" not in doc:
         raise ParseError("document must be an object with 'nodes' and 'output'")
     if not isinstance(doc["output"], int) or isinstance(doc["output"], bool):
@@ -246,22 +242,6 @@ def topo_sort(ids, out):
         stuck = min(nid for nid, d in indeg.items() if d > 0)
         raise ValidationError(f"node {stuck}: cycle detected")
     return order
-
-
-def topological_order(g):
-    """Parents-first order over node ids, ties broken by ascending id."""
-    return topo_sort(g.node_ids(), g.out_neighbors())
-
-
-def proof_bit(node, z, sat):
-    """1 iff `sat` finds a proof for the verifier `node` on input wires z.
-
-    A conductor has no clauses to decide: only a compressed graph gives it a
-    meaning, so a graph that declares one is rejected here, on every path.
-    """
-    if node.kind == CONDUCTOR:
-        raise ValidationError(f"node {node.id}: conductor outside a compressed graph")
-    return 1 if sat.exists(node, z) else 0
 
 
 def evaluate(g, sat):

@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .querygraph import topological_order
 
 
 @dataclass(frozen=True)
@@ -204,7 +203,7 @@ def _search_tree(g, depth_bound, size_bound):
     component admits a tree within the reduced depth budget.  Returns the
     unpadded (id, members, parent) triples, or None when no tree exists.
     """
-    order = topological_order(g)
+    order = g.topo_order()
     pos = {nid: i for i, nid in enumerate(order)}
     adj = _adjacency(order, g.undirected_edges())
 
@@ -297,7 +296,7 @@ def verify_separator_tree(g, tree):
     if any(len(sv.members) != tree.uniform_size for sv in tree.supervertices):
         return False
     # Member order must follow the fixed topological order, dummies last by id.
-    order = topological_order(g)
+    order = g.topo_order()
     ext = {nid: i for i, nid in enumerate(order)}
     for i, d in enumerate(sorted(dummy)):
         ext[d] = len(order) + i

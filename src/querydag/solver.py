@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .compress import build_compressed, lift_query_string
 from .errors import PipelineError
-from .oracle import EvaluationBackend, OracleStats, ProofOracle, threshold_query
+from .oracle import EvaluationBackend, ProofOracle, threshold_query
 from .querygraph import evaluate, is_correct_query_string
 from .separator import build_separator_tree
 from .weighting import rho_weights, total_weight
@@ -93,7 +93,7 @@ def search_budget(weights):
     return (2 * total_weight(weights)).bit_length()
 
 
-def binary_search_T(dag, weights, proof_oracle, stats, backend):
+def binary_search_T(dag, weights, proof_oracle, backend):
     """Exact maximum 2T by bitwise descent over [0, 2^B - 1] covering [0, 2W].
 
     Every probe is a real threshold query, so the count is exactly B; probes
@@ -104,12 +104,12 @@ def binary_search_T(dag, weights, proof_oracle, stats, backend):
     for bit in range(bits - 1, -1, -1):
         candidate = result | (1 << bit)
         inst = ThresholdInstance(dag, weights, candidate, {})
-        if threshold_query(inst, proof_oracle, stats, backend):
+        if threshold_query(inst, proof_oracle, backend):
             result = candidate
     return result
 
 
-def extract_query_string(dag, weights, t_tilde, proof_oracle, stats, backend, order):
+def extract_query_string(dag, weights, t_tilde, proof_oracle, backend, order):
     """Recover the string attaining 2t >= t_tilde, one pinned query per node.
 
     Bits are pinned in the given order; a prefix extends to the maximizer as
@@ -120,30 +120,30 @@ def extract_query_string(dag, weights, t_tilde, proof_oracle, stats, backend, or
     for nid in order:
         pins[nid] = 1
         inst = ThresholdInstance(dag, weights, t_tilde, dict(pins))
-        if not threshold_query(inst, proof_oracle, stats, backend):
+        if not threshold_query(inst, proof_oracle, backend):
             pins[nid] = 0
     return pins
 
 
-def _decide(method, g, witness, backend, stats):
+def _decide(method, g, witness, backend):
     """Weighted graph for the method, binary search, one pinned query on its
     output; in witness mode one pinned query per node, checked, and pulled
     back to g when the graph was compressed."""
-    stats = stats if stats is not None else OracleStats()
-    proof_oracle = ProofOracle(stats)
+    proof_oracle = ProofOracle()
+    stats = proof_oracle.stats
     backend = backend if backend is not None else EvaluationBackend()
     if method == "compress":
         dag, weights = build_compressed(g, build_separator_tree(g))
     else:
         dag, weights = g, rho_weights(g, ADMISSIBILITY_C)
-    t_tilde = binary_search_T(dag, weights, proof_oracle, stats, backend)
+    t_tilde = binary_search_T(dag, weights, proof_oracle, backend)
     final = ThresholdInstance(dag, weights, t_tilde, {dag.output: 1})
-    answer = threshold_query(final, proof_oracle, stats, backend)
+    answer = threshold_query(final, proof_oracle, backend)
     used = stats.threshold_queries
     query_string = None
     if witness:
         query_string = extract_query_string(
-            dag, weights, t_tilde, proof_oracle, stats, backend, dag.topo_order()
+            dag, weights, t_tilde, proof_oracle, backend, dag.topo_order()
         )
         if not is_correct_query_string(dag, query_string, proof_oracle):
             raise PipelineError("extracted query string is not correct")
@@ -164,26 +164,25 @@ def _decide(method, g, witness, backend, stats):
     )
 
 
-def decide_compress(g, witness=False, backend=None, stats=None):
+def decide_compress(g, witness=False, backend=None):
     """Full compression pipeline: separator tree, compressed graph, binary
     search, one pinned query on the conductor.
 
     Witness mode spends |V*| extra pinned queries (outside the budget) to
     recover the compressed query string, then lifts it back to g.
     """
-    return _decide("compress", g, witness, backend, stats)
+    return _decide("compress", g, witness, backend)
 
 
-def decide_depth(g, witness=False, backend=None, stats=None):
+def decide_depth(g, witness=False, backend=None):
     """Bounded-depth pipeline: no graph transformation, the depth-based
     weighting directly on g, then the same search and final pinned query."""
-    return _decide("depth", g, witness, backend, stats)
+    return _decide("depth", g, witness, backend)
 
 
-def decide_direct(g, witness=False, stats=None):
+def decide_direct(g, witness=False):
     """Baseline: straight evaluation, one proof query per node, no thresholds."""
-    stats = stats if stats is not None else OracleStats()
-    proof_oracle = ProofOracle(stats)
+    proof_oracle = ProofOracle()
     trace = evaluate(g, proof_oracle)
     return SolveReport(
         answer=trace.answer,
@@ -193,6 +192,6 @@ def decide_direct(g, witness=False, stats=None):
         queries=0,
         budget=None,
         query_string=dict(trace.bits) if witness else None,
-        proof_queries=stats.proof_queries,
-        stats=stats,
+        proof_queries=proof_oracle.stats.proof_queries,
+        stats=proof_oracle.stats,
     )

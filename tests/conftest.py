@@ -16,7 +16,6 @@ from querydag import (
     ThresholdInstance,
     build_dag,
     max_t_for_assignment,
-    topological_order,
 )
 from querydag.cli import gen_instance
 
@@ -114,7 +113,7 @@ def enum_sat(node, input_bits):
 def enum_evaluate(g):
     """Reference evaluation built on enum_sat."""
     bits = {}
-    for nid in topological_order(g):
+    for nid in g.topo_order():
         node = g.by_id[nid]
         z = "".join("1" if bits[p] else "0" for p in node.inputs)
         bits[nid] = 1 if enum_sat(node, z) else 0

@@ -38,7 +38,6 @@ from querydag import (
     omega_weights,
     rho_weights,
     search_budget,
-    topological_order,
     total_weight,
 )
 from querydag.cli import BenchConfig, gen_instance, run_bench
@@ -304,7 +303,7 @@ def test_criterion_10_degenerate_suite():
         # Evaluation of the degenerate nodes.
         assert evaluate(single, oracle).answer == 1
         assert evaluate(contradictory, oracle).answer == 0
-        assert topological_order(star) == [1, 2, 3, 4]
+        assert star.topo_order() == [1, 2, 3, 4]
         # Separator structure.
         tree = build_separator_tree(single)
         assert len(tree.supervertices) == 1 and tree.depth() == 1

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -214,11 +216,16 @@ def test_solve_direct_on_deep_formula_has_no_recursion_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "method,backend",
-    [(m, b) for m in ("compress", "depth", "direct") for b in ("eval", "brute")],
+    "command",
+    [
+        pytest.param(["solve", "--method", m, "--backend", b], id=f"{m}-{b}")
+        for m in ("compress", "depth", "direct")
+        for b in ("eval", "brute")
+    ]
+    + [pytest.param([c], id=c) for c in ("compress", "septree", "evaluate", "arith")],
 )
 @pytest.mark.parametrize("conductor", [1, 2])
-def test_declared_conductor_fails_cleanly_everywhere(tmp_path, capsys, method, backend, conductor):
+def test_declared_conductor_fails_cleanly_everywhere(tmp_path, capsys, command, conductor):
     nodes = [
         {"id": 1, "kind": "verifier", "inputs": [], "proof_vars": 1, "clauses": [[1]]},
         {"id": 2, "kind": "verifier", "inputs": [1], "proof_vars": 1, "clauses": [[1], [2]]},
@@ -226,8 +233,37 @@ def test_declared_conductor_fails_cleanly_everywhere(tmp_path, capsys, method, b
     nodes[conductor - 1] = {"id": conductor, "kind": "conductor", "inputs": nodes[conductor - 1]["inputs"]}
     inst = tmp_path / "conductor.json"
     inst.write_text(json.dumps({"nodes": nodes, "output": 2}))
-    rc = main(["solve", "--method", method, "--backend", backend, "-i", str(inst)])
+    rc = main(command + ["-i", str(inst)])
     err = capsys.readouterr().err
     assert rc == 1
-    assert f"node {conductor}: conductor outside a compressed graph" in err
+    assert f"node {conductor}: unknown kind 'conductor'" in err
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_document_exits_1(tmp_path, capsys):
+    inst = tmp_path / "deep.json"
+    inst.write_text("[" * 100_000)
+    assert main(["evaluate", "-i", str(inst)]) == 1
+    err = capsys.readouterr().err
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
+
+
+def test_undecodable_instance_exits_1(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "bom.json"
+    inst.write_bytes(b"\xff\xfe")
+    assert main(["evaluate", "-i", str(inst)]) == 1
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main(["evaluate", "-i", "-"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 2
+    assert "error: instance is not text" in err
+    assert "Traceback" not in err
+
+
+def test_bench_non_integer_sizes_is_usage_error(capsys):
+    assert main(["bench", "--family", "chain", "--sizes", "a"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --sizes" in err
     assert "Traceback" not in err

@@ -6,7 +6,6 @@ from querydag import (
     BruteForceBackend,
     CapacityError,
     EvaluationBackend,
-    OracleStats,
     ProofOracle,
     QueryNode,
     ThresholdInstance,
@@ -71,26 +70,25 @@ def test_sat_agrees_with_enumeration_at_sixteen_proof_vars():
 
 
 def test_threshold_examples_chain2(chain2):
-    stats = OracleStats()
-    oracle = ProofOracle(stats)
+    oracle = ProofOracle()
+    stats = oracle.stats
     backend = BruteForceBackend()
     weights = omega_weights(chain2, 2)
     answers = {}
     for theta in (8, 9, 0):
         inst = ThresholdInstance(chain2, weights, theta, {})
-        answers[theta] = threshold_query(inst, oracle, stats, backend)
+        answers[theta] = threshold_query(inst, oracle, backend)
     assert answers == {8: True, 9: False, 0: True}
     assert stats.threshold_queries == 3
 
 
 def test_threshold_is_monotone(chain2):
-    stats = OracleStats()
-    oracle = ProofOracle(stats)
+    oracle = ProofOracle()
     backend = BruteForceBackend()
     weights = omega_weights(chain2, 2)
     results = [
         threshold_query(
-            ThresholdInstance(chain2, weights, theta, {}), oracle, stats, backend
+            ThresholdInstance(chain2, weights, theta, {}), oracle, backend
         )
         for theta in range(0, 2 * total_weight(weights) + 2)
     ]
@@ -109,8 +107,7 @@ def test_backends_agree_on_plain_and_compressed_instances():
     for seed in range(12):
         g = random_instance(seed, max_n=4)
         weights = omega_weights(g, 2)
-        stats = OracleStats()
-        oracle = ProofOracle(stats)
+        oracle = ProofOracle()
         brute = BruteForceBackend()
         smart = EvaluationBackend()
         top = 2 * total_weight(weights)
@@ -157,13 +154,12 @@ def test_transcript_replays_identically(chain2):
 
 
 def test_transcript_export_fields(chain2):
-    stats = OracleStats()
-    oracle = ProofOracle(stats)
+    oracle = ProofOracle()
+    stats = oracle.stats
     weights = omega_weights(chain2, 2)
     threshold_query(
         ThresholdInstance(chain2, weights, 8, {2: 1}),
         oracle,
-        stats,
         BruteForceBackend(),
     )
     entry = stats.to_doc()[-1]

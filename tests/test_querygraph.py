@@ -11,7 +11,6 @@ from querydag import (
     is_correct_query_string,
     parse_dag,
     serialize_dag,
-    topological_order,
 )
 
 from conftest import enum_evaluate, random_instance
@@ -102,9 +101,9 @@ def test_serialize_round_trip_is_byte_identical(chain2):
 
 
 def test_topological_order(chain2, star4, single_vacuous):
-    assert topological_order(chain2) == [1, 2]
-    assert topological_order(star4) == [1, 2, 3, 4]
-    assert topological_order(single_vacuous) == [1]
+    assert chain2.topo_order() == [1, 2]
+    assert star4.topo_order() == [1, 2, 3, 4]
+    assert single_vacuous.topo_order() == [1]
 
 
 def test_evaluate_chain2(chain2):
@@ -127,11 +126,8 @@ def test_evaluate_is_deterministic(chain2):
 
 
 def test_conductor_cannot_be_evaluated_standalone():
-    g = build_dag(
-        [(1, "verifier", [], 1, [[1]]), (2, "conductor", [1], 0, [])], 2
-    )
-    with pytest.raises(ValidationError, match="conductor"):
-        evaluate(g, ProofOracle())
+    with pytest.raises(ValidationError, match="node 2: unknown kind 'conductor'"):
+        build_dag([(1, "verifier", [], 1, [[1]]), (2, "conductor", [1], 0, [])], 2)
 
 
 def wide_random_instance(seed, n=10, max_proof_vars=3):

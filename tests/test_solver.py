@@ -3,7 +3,6 @@ import itertools
 from querydag import (
     BruteForceBackend,
     EvaluationBackend,
-    OracleStats,
     ProofOracle,
     ThresholdInstance,
     binary_search_T,
@@ -19,7 +18,6 @@ from querydag import (
     omega_weights,
     rho_weights,
     search_budget,
-    topological_order,
     total_weight,
 )
 
@@ -35,30 +33,28 @@ def test_max_t_chain2_values(chain2):
 
 
 def test_binary_search_chain2(chain2):
-    stats = OracleStats()
+    oracle = ProofOracle()
     weights = omega_weights(chain2, 2)
-    t = binary_search_T(chain2, weights, ProofOracle(stats), stats, BruteForceBackend())
+    t = binary_search_T(chain2, weights, oracle, BruteForceBackend())
     assert t == 8
-    assert stats.threshold_queries == 4  # ceil(log2(2W+1)) with W = 4
+    assert oracle.stats.threshold_queries == 4  # ceil(log2(2W+1)) with W = 4
 
 
 def test_binary_search_single_vacuous(single_vacuous):
-    stats = OracleStats()
+    oracle = ProofOracle()
     weights = omega_weights(single_vacuous, 2)
-    t = binary_search_T(
-        single_vacuous, weights, ProofOracle(stats), stats, BruteForceBackend()
-    )
+    t = binary_search_T(single_vacuous, weights, oracle, BruteForceBackend())
     assert total_weight(weights) == 1
     assert t == 2
-    assert stats.threshold_queries == 2
+    assert oracle.stats.threshold_queries == 2
 
 
 def test_binary_search_compressed_chain2(chain2):
     tree = build_separator_tree(chain2)
     gstar, fstar = build_compressed(chain2, tree)
-    stats = OracleStats()
-    t = binary_search_T(gstar, fstar, ProofOracle(stats), stats, BruteForceBackend())
-    assert stats.threshold_queries == 6  # ceil(log2(39))
+    oracle = ProofOracle()
+    t = binary_search_T(gstar, fstar, oracle, BruteForceBackend())
+    assert oracle.stats.threshold_queries == 6  # ceil(log2(39))
     assert t == brute_two_t(gstar, fstar)
 
 
@@ -66,10 +62,10 @@ def test_binary_search_matches_brute_force_on_random_instances():
     for seed in range(15):
         g = random_instance(seed, max_n=5)
         weights = omega_weights(g, 2)
-        stats = OracleStats()
-        t = binary_search_T(g, weights, ProofOracle(stats), stats, EvaluationBackend())
+        oracle = ProofOracle()
+        t = binary_search_T(g, weights, oracle, EvaluationBackend())
         assert t == brute_two_t(g, weights)
-        assert stats.threshold_queries == search_budget(weights)
+        assert oracle.stats.threshold_queries == search_budget(weights)
 
 
 def test_decide_compress_chain2(chain2):
@@ -122,41 +118,39 @@ def test_decide_direct_counts_one_proof_query_per_node(star4):
 
 
 def test_extract_query_string_chain2(chain2):
-    stats = OracleStats()
-    oracle = ProofOracle(stats)
+    oracle = ProofOracle()
+    stats = oracle.stats
     weights = omega_weights(chain2, 2)
     backend = BruteForceBackend()
-    t = binary_search_T(chain2, weights, oracle, stats, backend)
+    t = binary_search_T(chain2, weights, oracle, backend)
     before = stats.threshold_queries
     x = extract_query_string(
-        chain2, weights, t, oracle, stats, backend, topological_order(chain2)
+        chain2, weights, t, oracle, backend, chain2.topo_order()
     )
     assert x == {1: 1, 2: 1}
     assert stats.threshold_queries - before == 2  # one pinned query per node
 
 
 def test_extract_query_string_v1_unsat(chain2_v1_unsat):
-    stats = OracleStats()
-    oracle = ProofOracle(stats)
+    oracle = ProofOracle()
     weights = omega_weights(chain2_v1_unsat, 2)
     backend = BruteForceBackend()
-    t = binary_search_T(chain2_v1_unsat, weights, oracle, stats, backend)
+    t = binary_search_T(chain2_v1_unsat, weights, oracle, backend)
     assert t == 4  # both answers 0: weights 3 and 1 each contribute once
     x = extract_query_string(
-        chain2_v1_unsat, weights, t, oracle, stats, backend,
-        topological_order(chain2_v1_unsat),
+        chain2_v1_unsat, weights, t, oracle, backend,
+        chain2_v1_unsat.topo_order(),
     )
     assert x == {1: 0, 2: 0}
 
 
 def test_extract_single_vacuous(single_vacuous):
-    stats = OracleStats()
-    oracle = ProofOracle(stats)
+    oracle = ProofOracle()
     weights = omega_weights(single_vacuous, 2)
     backend = BruteForceBackend()
-    t = binary_search_T(single_vacuous, weights, oracle, stats, backend)
+    t = binary_search_T(single_vacuous, weights, oracle, backend)
     x = extract_query_string(
-        single_vacuous, weights, t, oracle, stats, backend, [1]
+        single_vacuous, weights, t, oracle, backend, [1]
     )
     assert x == {1: 1}
 
