@@ -2,7 +2,12 @@
 
 Only threshold queries are compared against the paper-style budgets; proof
 queries are internal to the oracle's own decision procedure, the way an NP
-oracle does unbounded work behind one answer.
+oracle does unbounded work behind one answer.  That work is a DPLL search
+over integer bitmasks: each clause is a (positive, negative) pair of variable
+masks and the assignment a (true, false) pair, with unit propagation to a
+fixpoint and branching on the smallest free variable.  A ProofOracle lasts
+one solve and memoizes its answers per (query, input bits); every issued
+call is still counted and recorded, and `proof_distinct` counts decisions.
 
 Two threshold backends are provided.  BruteForceBackend is the reference: it
 enumerates answer strings outright and is capped.  EvaluationBackend answers
@@ -29,6 +34,7 @@ class OracleStats:
 
     def __init__(self):
         self.proof_queries = 0
+        self.proof_distinct = 0
         self.threshold_queries = 0
         self.transcript = []
 
@@ -61,43 +67,50 @@ class OracleStats:
         return doc
 
 
-def _assign(clauses, lit):
-    out = []
-    for clause in clauses:
-        if lit in clause:
-            continue
-        out.append(tuple(l for l in clause if l != -lit))
-    return out
+def _propagate(clauses, true, false):
+    """Unit propagation to a fixpoint over (positive, negative) clause masks.
 
-
-def _propagate(clauses):
-    """Unit propagation to a fixpoint; None on an empty clause."""
+    Returns the clauses still unsatisfied, the extended assignment and the
+    variables those clauses leave free, or None on a conflict.
+    """
     while True:
-        for clause in clauses:
-            if len(clause) < 2:
-                break
-        else:
-            return clauses
-        if not clause:
-            return None
-        clauses = _assign(clauses, clause[0])
+        free_vars = 0
+        live = []
+        before = assigned = true | false
+        for pos, neg in clauses:
+            if pos & true or neg & false:
+                continue
+            free = (pos | neg) & ~assigned
+            if not free:
+                return None
+            if free & (free - 1):
+                live.append((pos, neg))
+                free_vars |= free
+            else:
+                # A unit clause: its one free literal must hold.
+                true |= pos & free
+                false |= neg & free
+                assigned |= free
+        if assigned == before:
+            return live, true, false, free_vars
+        clauses = live
 
 
-def _dpll(clauses):
-    # Branch on the smallest unassigned variable, the positive literal first.
-    # Pending branches wait on an explicit stack, so deep formulas cannot hit
-    # the recursion limit; a branch's literal is assigned only once popped.
-    stack = [(clauses, None)]
+def _dpll(clauses, true, false):
+    # Branch on the smallest variable left in an unsatisfied clause, the
+    # positive literal first.  Pending branches wait on an explicit stack, so
+    # deep formulas cannot hit the recursion limit.
+    stack = [(clauses, true, false)]
     while stack:
-        clauses, lit = stack.pop()
-        clauses = _propagate(clauses if lit is None else _assign(clauses, lit))
-        if clauses is None:
+        state = _propagate(*stack.pop())
+        if state is None:
             continue
+        clauses, true, false, free_vars = state
         if not clauses:
             return True
-        var = min(abs(l) for clause in clauses for l in clause)
-        stack.append((clauses, -var))
-        stack.append((clauses, var))
+        var = free_vars & -free_vars
+        stack.append((clauses, true, false | var))
+        stack.append((clauses, true | var, false))
     return False
 
 
@@ -108,22 +121,49 @@ def sat_exists_proof(node, input_bits):
             f"node {node.id}: expected {len(node.inputs)} input bits, "
             f"got {len(input_bits)}"
         )
-    clauses = [tuple(cl) for cl in node.clauses]
+    # Variable v is bit v of a mask; a clause holding v and -v always holds.
+    clauses = []
+    for clause in node.clauses:
+        pos = neg = 0
+        for lit in clause:
+            if lit > 0:
+                pos |= 1 << lit
+            else:
+                neg |= 1 << -lit
+        if not pos & neg:
+            clauses.append((pos, neg))
+    true = false = 0
     for i, bit in enumerate(input_bits):
-        clauses = _assign(clauses, (i + 1) if int(bit) else -(i + 1))
-    return _dpll(clauses)
+        if int(bit):
+            true |= 1 << (i + 1)
+        else:
+            false |= 1 << (i + 1)
+    return _dpll(clauses, true, false)
 
 
 class ProofOracle:
     """Per-node proof-existence decisions, each one recorded in `stats`, the
-    oracle's own record of every proof and threshold query of a solve."""
+    oracle's own record of every proof and threshold query of a solve.
+
+    Answers are memoized for the oracle's lifetime, one solve, on the query
+    itself and its input bits: a repeated call is still recorded, but only
+    a new pair reaches `sat_exists_proof`.
+    """
 
     def __init__(self):
         self.stats = OracleStats()
+        self._memo = {}
 
     def exists(self, node, input_bits):
-        answer = sat_exists_proof(node, input_bits)
-        self.stats.record_proof(node.id, "".join(str(int(b)) for b in input_bits), answer)
+        bits = "".join(str(int(b)) for b in input_bits)
+        # Keyed on the node's value, not its id: one oracle may serve
+        # several graphs whose ids collide.
+        key = (node, bits)
+        answer = self._memo.get(key)
+        if answer is None:
+            answer = self._memo[key] = sat_exists_proof(node, input_bits)
+            self.stats.proof_distinct += 1
+        self.stats.record_proof(node.id, bits, answer)
         return answer
 
 
@@ -185,7 +225,7 @@ class EvaluationBackend:
         key = (id(inst.dag), id(inst.weights))
         hit = self._cache.get(key)
         if hit is not None:
-            return hit[2], hit[3]
+            return hit[2:]
         # The one-unit gap below the maximum only exists for integer
         # weightings that are admissible with constant 2 or more.
         if inst.weights.c < 2 or not all(
@@ -199,12 +239,17 @@ class EvaluationBackend:
             raise ValidationError(f"weighting is not admissible at node {bad}")
         bits = evaluate(inst.dag, proof_oracle).bits
         two_t = max_t_for_assignment(inst, bits, proof_oracle)
+        agrees = inst.dag.fixed_bits().items() <= bits.items()
         # Keep the graph objects alive so ids cannot be recycled under us.
-        self._cache[key] = (inst.dag, inst.weights, bits, two_t)
-        return bits, two_t
+        self._cache[key] = (inst.dag, inst.weights, bits, two_t, agrees)
+        return bits, two_t, agrees
 
     def decide(self, inst, proof_oracle):
-        correct, two_t = self._profile(inst, proof_oracle)
+        correct, two_t, agrees = self._profile(inst, proof_oracle)
+        # Pins that agree with a maximizer agreeing with the fixed bits
+        # cannot contradict those bits: skip the merge.
+        if agrees and inst.pins.items() <= correct.items():
+            return inst.threshold <= two_t
         fixed = _merge_pins(inst)
         if fixed is None:
             return False

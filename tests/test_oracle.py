@@ -10,8 +10,12 @@ from querydag import (
     QueryNode,
     ThresholdInstance,
     build_compressed,
+    build_dag,
     build_separator_tree,
     decide_compress,
+    decide_direct,
+    evaluate,
+    max_t_for_assignment,
     omega_weights,
     sat_exists_proof,
     threshold_query,
@@ -67,6 +71,87 @@ def test_sat_agrees_with_enumeration_at_sixteen_proof_vars():
         )
     node = QueryNode(1, "verifier", (), 16, tuple(clauses))
     assert sat_exists_proof(node, "") == enum_sat(node, "")
+
+
+# (inputs, proof vars, clauses, input bits, expected answer)
+EDGE_CNFS = {
+    "tautology": ((), 1, ((-1, 1),), "", True),
+    "tautology-beside-unit": ((), 1, ((-1, 1), (-1,)), "", True),
+    "tautology-beside-contradiction": ((), 1, ((1, -1), (1,), (-1,)), "", False),
+    "tautology-over-input": ((5,), 0, ((-1, 1),), "0", True),
+    "duplicate-literals-contradict": ((), 1, ((1, 1), (-1, -1)), "", False),
+    "duplicate-literals-satisfiable": ((), 2, ((1, 1, 2), (-1,)), "", True),
+    "empty-clause-among-others": ((), 1, ((1,), ()), "", False),
+    "empty-clause-list-with-inputs": ((4, 5), 0, (), "10", True),
+    "zero-proof-vars-sat": ((7, 8), 0, ((1, 2), (-1,)), "01", True),
+    "zero-proof-vars-unsat": ((7, 8), 0, ((1, 2), (-1,)), "00", False),
+    "zero-proof-vars-false-unit": ((7, 8), 0, ((1, 2), (-1,)), "10", False),
+    "input-only-clauses-beside-proof-vars": ((7,), 2, ((1,),), "0", False),
+    "input-only-clauses-satisfied": ((7,), 2, ((1,), (-1, 2, 3)), "1", True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CNFS))
+def test_sat_edge_cases(name):
+    inputs, pv, clauses, bits, expected = EDGE_CNFS[name]
+    node = QueryNode(1, "verifier", inputs, pv, clauses)
+    assert sat_exists_proof(node, bits) is expected
+    assert enum_sat(node, bits) is expected
+
+
+def test_sat_differential_against_enumeration():
+    # Narrow variable ranges and wide clauses make tautologies, duplicate
+    # literals, empty clauses and input-only clauses common.
+    rng = random.Random(2024)
+    answers = set()
+    for _ in range(3000):
+        indeg = rng.randint(0, 3)
+        pv = rng.randint(0, 6)
+        n = indeg + pv
+        clauses = []
+        for _ in range(rng.randint(0, 9)):
+            width = rng.randint(1, 4) if n and rng.random() > 0.03 else 0
+            clauses.append(
+                tuple(rng.randint(1, n) * rng.choice((1, -1)) for _ in range(width))
+            )
+        node = QueryNode(1, "verifier", tuple(range(100, 100 + indeg)), pv, tuple(clauses))
+        bits = "".join(rng.choice("01") for _ in range(indeg))
+        answer = sat_exists_proof(node, bits)
+        assert answer == enum_sat(node, bits), (node, bits)
+        answers.add(answer)
+    assert answers == {True, False}
+
+
+def test_proof_memo_keeps_graphs_with_colliding_ids_apart():
+    sat = build_dag([(1, "verifier", [], 1, [[1]])], 1)
+    unsat = build_dag([(1, "verifier", [], 1, [[1], [-1]])], 1)
+    oracle = ProofOracle()
+    assert evaluate(sat, oracle).answer == 1
+    assert evaluate(unsat, oracle).answer == 0
+    assert evaluate(sat, oracle).answer == 1
+    stats = oracle.stats
+    assert (stats.proof_queries, stats.proof_distinct) == (3, 2)
+
+
+def test_proof_memo_records_every_issued_call(chain2):
+    oracle = ProofOracle()
+    v1, v2 = chain2.nodes
+    answers = [oracle.exists(v2, "0") for _ in range(3)] + [oracle.exists(v2, [1])]
+    assert answers == [False, False, False, True]
+    stats = oracle.stats
+    assert stats.proof_queries == len(stats.to_doc()) == 4
+    assert stats.proof_distinct == 2
+    assert [entry["inputs"] for entry in stats.to_doc()] == ["0", "0", "0", "1"]
+
+
+def test_proof_distinct_counts_decisions_not_calls():
+    for seed in range(6):
+        g = random_instance(seed)
+        direct = decide_direct(g).stats
+        assert direct.proof_distinct == direct.proof_queries == len(g.nodes)
+        report = decide_compress(g, witness=True)
+        assert 0 < report.stats.proof_distinct <= report.stats.proof_queries
+        assert "proof_distinct" not in report.to_doc(include_transcript=True)
 
 
 def test_threshold_examples_chain2(chain2):
@@ -136,6 +221,33 @@ def test_backends_agree_under_pins(chain2):
                 theta,
                 pins,
             )
+
+
+def test_backends_agree_under_pins_on_compressed_instances():
+    # Pins agreeing with the maximizer take the evaluation backend's fast
+    # path; a flipped pin takes the merge path.
+    for seed in range(12):
+        g = random_instance(seed, max_n=4)
+        gstar, fstar = build_compressed(g, build_separator_tree(g))
+        if len(gstar.nodes) > 12:
+            continue
+        oracle = ProofOracle()
+        correct = evaluate(gstar, oracle).bits
+        brute = BruteForceBackend()
+        smart = EvaluationBackend()
+        two_t = max_t_for_assignment(
+            ThresholdInstance(gstar, fstar, 0, {}), correct, oracle
+        )
+        order = gstar.topo_order()
+        for k in range(len(order) + 1):
+            pins = {nid: correct[nid] for nid in order[:k]}
+            flipped = dict(pins)
+            if k:
+                flipped[order[k - 1]] ^= 1
+            for theta in (0, two_t - 1, two_t, two_t + 1):
+                for p in (pins, flipped):
+                    inst = ThresholdInstance(gstar, fstar, theta, p)
+                    assert brute.decide(inst, oracle) == smart.decide(inst, oracle)
 
 
 def test_evaluation_backend_rejects_inadmissible_weights(chain2):
