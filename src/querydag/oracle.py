@@ -7,7 +7,7 @@ over integer bitmasks: each clause is a (positive, negative) pair of variable
 masks and the assignment a (true, false) pair, with unit propagation to a
 fixpoint and branching on the smallest free variable.  A ProofOracle lasts
 one solve and memoizes its answers per (query, input bits); every issued
-call is still counted and recorded, and `proof_distinct` counts decisions.
+call is still counted and recorded, and `proof_distinct` is the memo's size.
 
 Two threshold backends are provided.  BruteForceBackend is the reference: it
 enumerates answer strings outright and is capped.  EvaluationBackend answers
@@ -30,13 +30,19 @@ class OracleStats:
 
     Entries are kept raw, as tuples holding the instance's own pins dict;
     to_doc renders them, so each query costs an append and nothing more.
+    `decisions` holds each distinct proof decision once, keyed on (query,
+    input bits); the proof oracle reads it as its memo.
     """
 
     def __init__(self):
         self.proof_queries = 0
-        self.proof_distinct = 0
         self.threshold_queries = 0
         self.transcript = []
+        self.decisions = {}
+
+    @property
+    def proof_distinct(self):
+        return len(self.decisions)
 
     def record_proof(self, node_id, input_bits, answer):
         self.proof_queries += 1
@@ -152,17 +158,16 @@ class ProofOracle:
 
     def __init__(self):
         self.stats = OracleStats()
-        self._memo = {}
 
     def exists(self, node, input_bits):
         bits = "".join(str(int(b)) for b in input_bits)
         # Keyed on the node's value, not its id: one oracle may serve
         # several graphs whose ids collide.
         key = (node, bits)
-        answer = self._memo.get(key)
+        memo = self.stats.decisions
+        answer = memo.get(key)
         if answer is None:
-            answer = self._memo[key] = sat_exists_proof(node, input_bits)
-            self.stats.proof_distinct += 1
+            answer = memo[key] = sat_exists_proof(node, input_bits)
         self.stats.record_proof(node.id, bits, answer)
         return answer
 
@@ -208,10 +213,11 @@ class EvaluationBackend:
     """Exact threshold decisions via the unique maximizer of the objective.
 
     The correct query string attains the maximum 2T, and any other string
-    scores at most 2T - 1 (integer scaling plus the admissibility gap), so an
-    unpinned query is just a comparison against 2T, and a pinned query at a
-    threshold of at least 2T is decided by pin consistency.  Pinned queries
-    strictly below 2T with inconsistent pins fall back to brute force.
+    scores at most 2T - 1 (integer scaling plus the admissibility gap).  It
+    agrees with the graph's fixed bits, so a query whose pins agree with it
+    is just a comparison against 2T.  Any other query admits only other
+    strings: it is false at a threshold of at least 2T and falls back to
+    brute force below.
     """
 
     def __init__(self, fallback_cap=20):
@@ -238,22 +244,16 @@ class EvaluationBackend:
         if not ok:
             raise ValidationError(f"weighting is not admissible at node {bad}")
         bits = evaluate(inst.dag, proof_oracle).bits
+        if not inst.dag.fixed_bits().items() <= bits.items():
+            raise ValidationError("the correct query string contradicts a fixed bit")
         two_t = max_t_for_assignment(inst, bits, proof_oracle)
-        agrees = inst.dag.fixed_bits().items() <= bits.items()
         # Keep the graph objects alive so ids cannot be recycled under us.
-        self._cache[key] = (inst.dag, inst.weights, bits, two_t, agrees)
-        return bits, two_t, agrees
+        self._cache[key] = (inst.dag, inst.weights, bits, two_t)
+        return bits, two_t
 
     def decide(self, inst, proof_oracle):
-        correct, two_t, agrees = self._profile(inst, proof_oracle)
-        # Pins that agree with a maximizer agreeing with the fixed bits
-        # cannot contradict those bits: skip the merge.
-        if agrees and inst.pins.items() <= correct.items():
-            return inst.threshold <= two_t
-        fixed = _merge_pins(inst)
-        if fixed is None:
-            return False
-        if all(correct[nid] == bit for nid, bit in fixed.items()):
+        correct, two_t = self._profile(inst, proof_oracle)
+        if inst.pins.items() <= correct.items():
             return inst.threshold <= two_t
         if inst.threshold >= two_t:
             return False

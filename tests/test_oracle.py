@@ -43,23 +43,26 @@ def test_sat_empty_clause_is_unsat():
 
 
 def test_sat_matches_enumeration_on_random_cnfs():
+    # Narrow variable ranges and wide clauses make tautologies, duplicate
+    # literals and input-only clauses common; a few clauses are empty.
     rng = random.Random(7)
-    for _ in range(200):
-        pv = rng.randint(0, 12)
+    answers = set()
+    for _ in range(2000):
+        pv = rng.randint(0, 10)
         indeg = rng.randint(0, 3)
+        n = indeg + pv
         clauses = []
-        for _ in range(rng.randint(0, 6)):
-            width = rng.randint(1, 4)
-            clause = []
-            for _ in range(width):
-                var = rng.randint(1, max(1, indeg + pv))
-                clause.append(var if rng.random() < 0.5 else -var)
-            clauses.append(tuple(clause))
-        if any(abs(l) > indeg + pv for cl in clauses for l in cl):
-            continue
+        for _ in range(rng.randint(0, 9)):
+            width = rng.randint(1, 4) if n and rng.random() > 0.03 else 0
+            clauses.append(
+                tuple(rng.randint(1, n) * rng.choice((1, -1)) for _ in range(width))
+            )
         node = QueryNode(1, "verifier", tuple(range(100, 100 + indeg)), pv, tuple(clauses))
         bits = "".join(rng.choice("01") for _ in range(indeg))
-        assert sat_exists_proof(node, bits) == enum_sat(node, bits)
+        answer = sat_exists_proof(node, bits)
+        assert answer == enum_sat(node, bits), (node, bits)
+        answers.add(answer)
+    assert answers == {True, False}
 
 
 def test_sat_agrees_with_enumeration_at_sixteen_proof_vars():
@@ -81,8 +84,6 @@ EDGE_CNFS = {
     "tautology-over-input": ((5,), 0, ((-1, 1),), "0", True),
     "duplicate-literals-contradict": ((), 1, ((1, 1), (-1, -1)), "", False),
     "duplicate-literals-satisfiable": ((), 2, ((1, 1, 2), (-1,)), "", True),
-    "empty-clause-among-others": ((), 1, ((1,), ()), "", False),
-    "empty-clause-list-with-inputs": ((4, 5), 0, (), "10", True),
     "zero-proof-vars-sat": ((7, 8), 0, ((1, 2), (-1,)), "01", True),
     "zero-proof-vars-unsat": ((7, 8), 0, ((1, 2), (-1,)), "00", False),
     "zero-proof-vars-false-unit": ((7, 8), 0, ((1, 2), (-1,)), "10", False),
@@ -97,29 +98,6 @@ def test_sat_edge_cases(name):
     node = QueryNode(1, "verifier", inputs, pv, clauses)
     assert sat_exists_proof(node, bits) is expected
     assert enum_sat(node, bits) is expected
-
-
-def test_sat_differential_against_enumeration():
-    # Narrow variable ranges and wide clauses make tautologies, duplicate
-    # literals, empty clauses and input-only clauses common.
-    rng = random.Random(2024)
-    answers = set()
-    for _ in range(3000):
-        indeg = rng.randint(0, 3)
-        pv = rng.randint(0, 6)
-        n = indeg + pv
-        clauses = []
-        for _ in range(rng.randint(0, 9)):
-            width = rng.randint(1, 4) if n and rng.random() > 0.03 else 0
-            clauses.append(
-                tuple(rng.randint(1, n) * rng.choice((1, -1)) for _ in range(width))
-            )
-        node = QueryNode(1, "verifier", tuple(range(100, 100 + indeg)), pv, tuple(clauses))
-        bits = "".join(rng.choice("01") for _ in range(indeg))
-        answer = sat_exists_proof(node, bits)
-        assert answer == enum_sat(node, bits), (node, bits)
-        answers.add(answer)
-    assert answers == {True, False}
 
 
 def test_proof_memo_keeps_graphs_with_colliding_ids_apart():
@@ -224,8 +202,8 @@ def test_backends_agree_under_pins(chain2):
 
 
 def test_backends_agree_under_pins_on_compressed_instances():
-    # Pins agreeing with the maximizer take the evaluation backend's fast
-    # path; a flipped pin takes the merge path.
+    # Pins agreeing with the maximizer are a comparison against 2T; a
+    # flipped pin is false at 2T and above and goes to brute force below.
     for seed in range(12):
         g = random_instance(seed, max_n=4)
         gstar, fstar = build_compressed(g, build_separator_tree(g))
@@ -255,6 +233,15 @@ def test_evaluation_backend_rejects_inadmissible_weights(chain2):
 
     inst = ThresholdInstance(chain2, WeightAssignment({1: 1, 2: 1}, 2), 1, {})
     with pytest.raises(ValidationError, match="admissible"):
+        EvaluationBackend().decide(inst, ProofOracle())
+
+
+def test_evaluation_backend_rejects_fixed_bits_off_the_maximizer(chain2, monkeypatch):
+    from querydag import ValidationError
+
+    monkeypatch.setattr(chain2, "fixed_bits", lambda: {1: 0})
+    inst = ThresholdInstance(chain2, omega_weights(chain2, 2), 1, {})
+    with pytest.raises(ValidationError, match="fixed bit"):
         EvaluationBackend().decide(inst, ProofOracle())
 
 
