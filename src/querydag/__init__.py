@@ -17,10 +17,8 @@ from .arithmetize import (
     to_three_cnf,
 )
 from .compress import (
-    add_conductor,
     build_compressed,
     compute_output,
-    expand_to_gprime,
     expected_expanded_size,
     lift_query_string,
 )

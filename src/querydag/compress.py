@@ -2,25 +2,17 @@
 
 Compression turns a query graph G into an equivalent graph G* whose nodes
 all have few descendant origins, so an admissible weighting of small total
-weight exists.  The paper reaches G* in three stages:
+weight exists.  The paper reaches G* in three stages: G' holds one copy of
+every vertex per conditioning tuple of hardcoded answer strings for the
+supervertices on its branch, G'' adds the conductor t that replays
+compute_output on the original output, and G* merges the copies of an
+origin that agree on its visible ancestors (those on its own branch),
+summing their omega weights so the total is conserved and admissibility
+survives.
 
-  expand_to_gprime  makes, for every vertex u in a supervertex at depth d,
-                    one copy per conditioning tuple (z_1, ..., z_d) of s-bit
-                    strings; z_j hardcodes assumed answers for the j-th
-                    supervertex on u's branch.  Edges run from each copy
-                    upward to the copies of u's descendants higher on the
-                    branch, with matching conditioning prefixes.  This is G'.
-  add_conductor     appends the output node t, wired from every copy; t
-                    answers by replaying compute_output on the original
-                    output vertex.  This is G''.
-  merging           collapses the copies of an origin whose conditioning
-                    agrees on the origin's visible ancestors (those on its
-                    own branch), summing their omega weights so the total
-                    is conserved and admissibility survives.
-
-build_compressed, the production path, enumerates G* and its weighting
-straight from the signatures, in closed form, without building a copy; G'
-and G'' are kept as the paper's stages and the tests check G* against them.
+build_compressed enumerates G* and its weighting straight from the
+signatures, in closed form, without building a copy.  G' and G'' live in
+tests/paper_stages.py as the reference the tests check G* against.
 
 A node's query resolves each original input wire through compute_output, so
 its answer is a deterministic function of hardcoded bits and the answer bits
@@ -29,7 +21,6 @@ of deeper nodes.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -75,24 +66,20 @@ CONDUCTOR_NODE = CompressedNode(
 
 
 class CompressedDag:
-    """A compressed graph at any stage: copies only (G'), with conductor
-    (G''), or merged (G*).
+    """The merged graph G*: one node per origin and assignment to its
+    visible ancestors, plus the conductor, which is the graph's `output`.
 
     `visible` and `origin_query` depend only on the original graph and its
-    separator tree, so expand_to_gprime computes them once and every later
-    stage shares them.  The conductor id is the graph's `output`.
+    separator tree; build_compressed computes them once.
     """
 
-    def __init__(
-        self, origin_dag, septree, nodes, edges_out, conductor_id, merged,
-        visible, origin_query,
-    ):
+    conductor_id = output = CONDUCTOR_ID
+
+    def __init__(self, origin_dag, septree, nodes, edges_out, visible, origin_query):
         self.origin_dag = origin_dag
         self.septree = septree
         self.nodes = dict(nodes)
         self.edges_out = {cid: tuple(sorted(t)) for cid, t in edges_out.items()}
-        self.conductor_id = conductor_id
-        self.merged = merged
         self._in = {cid: [] for cid in self.nodes}
         for cid, targets in self.edges_out.items():
             for t in targets:
@@ -100,17 +87,17 @@ class CompressedDag:
         self._in = {cid: tuple(sorted(v)) for cid, v in self._in.items()}
         self.origin_query = origin_query
         self._visible = visible
-        # Copies are looked up by exact conditioning in G' and G'', and by
-        # signature in G*.
         self._index = {
-            (n.origin, n.signature if merged else n.conditioning): n.cid
+            (n.origin, n.signature): n.cid
             for n in self.nodes.values()
             if not n.is_conductor
         }
-
-    @property
-    def output(self):
-        return self.conductor_id
+        dummies = set(septree.dummies)
+        self._fixed = {
+            cid: 1
+            for cid, n in self.nodes.items()
+            if not n.is_conductor and n.origin in dummies
+        }
 
     def node_ids(self):
         return list(self.nodes)
@@ -135,17 +122,12 @@ class CompressedDag:
         return f"v{node.origin}^{{{','.join(node.conditioning)}}}"
 
     def resolve_copy(self, origin, conditioning):
-        """The node standing for this copy: the exact match in G' and G'', the
-        node that agrees on the origin's visible ancestors in G*."""
-        if not self.merged:
-            key = (origin, tuple(conditioning))
-        else:
-            sig = tuple(
-                (anc, int(conditioning[lvl][pos]))
-                for anc, lvl, pos in self._visible[origin]
-            )
-            key = (origin, sig)
-        cid = self._index.get(key)
+        """The node standing for this copy: the one that agrees with the
+        conditioning on the origin's visible ancestors."""
+        sig = tuple(
+            (anc, int(conditioning[lvl][pos])) for anc, lvl, pos in self._visible[origin]
+        )
+        cid = self._index.get((origin, sig))
         if cid is None:
             raise WireValueError(f"no copy of node {origin} matches {conditioning}")
         return cid
@@ -158,20 +140,8 @@ class CompressedDag:
         }
         plain = [cid for cid, n in self.nodes.items() if not n.is_conductor]
         plain.sort(key=lambda cid: (-depth[self.nodes[cid].supervertex], cid))
-        if self.conductor_id is not None:
-            plain.append(self.conductor_id)
+        plain.append(CONDUCTOR_ID)
         return plain
-
-    @functools.cached_property
-    def _fixed(self):
-        # Computed on first use: only the graph that answers threshold
-        # queries needs it, and G' and G'' can hold thousands of dummy copies.
-        dummies = set(self.septree.dummies)
-        return {
-            cid: 1
-            for cid, n in self.nodes.items()
-            if not n.is_conductor and n.origin in dummies
-        }
 
     def fixed_bits(self):
         """Dummy-origin copies are vacuously satisfiable, so their bits are
@@ -190,7 +160,7 @@ class CompressedDag:
 
     def to_doc(self, weights=None):
         doc = {
-            "merged": self.merged,
+            "merged": True,
             "uniform_size": self.septree.uniform_size,
             "origin_output": self.origin_dag.output,
             "nodes": [
@@ -261,58 +231,11 @@ def _origin_queries(g, tree):
 
 
 def expected_expanded_size(tree):
-    """Node count of the conductor stage: 1 + sum over supervertices of
-    s * 2^(s * depth)."""
+    """Node count of the paper's conductor stage G'', which G*'s ids start
+    from: 1 + sum over supervertices of s * 2^(s * depth)."""
     s = tree.uniform_size
     return 1 + sum(
         s * 2 ** (s * tree.depth_of(sv.id)) for sv in tree.supervertices
-    )
-
-
-def expand_to_gprime(g, tree):
-    """Build every conditioned copy and all upward edges (no conductor yet)."""
-    s = tree.uniform_size
-    strings = ["".join(bits) for bits in itertools.product("01", repeat=s)]
-    nodes = {}
-    index = {}
-    dset = _visible_ancestors(g, tree)
-    above = _descendants_above(g, tree)
-    cid = CONDUCTOR_ID + 1
-    for sv in tree.supervertices:
-        d = tree.depth_of(sv.id)
-        for pos, member in enumerate(sv.members):
-            visible = dset[member]
-            for cond in itertools.product(strings, repeat=d):
-                sig = tuple((anc, int(cond[lvl][p])) for anc, lvl, p in visible)
-                nodes[cid] = CompressedNode(
-                    cid=cid,
-                    origin=member,
-                    supervertex=sv.id,
-                    position=pos + 1,
-                    conditioning=cond,
-                    signature=sig,
-                )
-                index[(member, cond)] = cid
-                cid += 1
-    edges = {
-        node.cid: [index[(v, node.conditioning[: lvl + 1])] for v, lvl, _ in above[node.origin]]
-        for node in nodes.values()
-    }
-    return CompressedDag(
-        g, tree, nodes, edges, conductor_id=None, merged=False,
-        visible=dset, origin_query=_origin_queries(g, tree),
-    )
-
-
-def add_conductor(gp):
-    """Append the output node t, wired from every copy."""
-    nodes = dict(gp.nodes)
-    nodes[CONDUCTOR_ID] = CONDUCTOR_NODE
-    edges = {cid: tuple(list(t) + [CONDUCTOR_ID]) for cid, t in gp.edges_out.items()}
-    edges[CONDUCTOR_ID] = ()
-    return CompressedDag(
-        gp.origin_dag, gp.septree, nodes, edges, conductor_id=CONDUCTOR_ID,
-        merged=gp.merged, visible=gp._visible, origin_query=gp.origin_query,
     )
 
 
@@ -376,10 +299,7 @@ def build_compressed(g, tree):
             )
             edges[cid] = targets
             weights[cid] = weight
-    gstar = CompressedDag(
-        g, tree, nodes, edges, conductor_id=CONDUCTOR_ID, merged=True,
-        visible=visible, origin_query=_origin_queries(g, tree),
-    )
+    gstar = CompressedDag(g, tree, nodes, edges, visible, _origin_queries(g, tree))
     return gstar, WeightAssignment(weights=weights, c=2)
 
 

@@ -254,9 +254,17 @@ def build_separator_tree(g):
 
 def build_depth_bounded_tree(g, depth_bound, size_bound):
     """Separator tree of depth <= D and separators of size <= s, padded to
-    exactly `size_bound`, or None when no such tree exists."""
+    exactly `size_bound`, or None when no such tree exists.
+
+    No separator holds more than |V| members, so a larger size bound could
+    only add dummies and is rejected.
+    """
     if depth_bound < 1 or size_bound < 1:
         raise ValidationError("depth and size bounds must be at least 1")
+    if size_bound > len(g.nodes):
+        raise ValidationError(
+            f"size bound {size_bound} exceeds the graph's {len(g.nodes)} vertices"
+        )
     raw = _search_tree(g, depth_bound, size_bound)
     if raw is None:
         return None

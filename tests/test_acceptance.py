@@ -16,7 +16,6 @@ import pytest
 from querydag import (
     ProofOracle,
     ThresholdInstance,
-    add_conductor,
     audit_weak_compression,
     brute_force_max,
     build_compressed,
@@ -28,7 +27,6 @@ from querydag import (
     decide_depth,
     decide_direct,
     evaluate,
-    expand_to_gprime,
     expected_expanded_size,
     extract_from_optimum,
     is_correct_query_string,
@@ -44,6 +42,7 @@ from querydag.cli import BenchConfig, gen_instance, run_bench
 from querydag.weighting import descendant_masks
 
 from conftest import brute_two_t
+from paper_stages import add_conductor, expand_to_gprime
 
 CORPUS_SIZE = 1000
 

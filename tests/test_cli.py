@@ -143,6 +143,17 @@ def test_cli_septree_depth_bounded(tmp_path):
     assert main(["septree", "-i", str(path4), "--depth", "1", "--size", "1"]) == 1
 
 
+def test_cli_septree_size_above_vertex_count_exits_1(tmp_path, capsys):
+    # Slots beyond |V| could only hold dummies; the bound is refused before
+    # any padding is allocated.
+    path = tmp_path / "chain3.json"
+    path.write_text(serialize_dag(gen_instance("chain", 3, 0)))
+    assert main(["septree", "-i", str(path), "--depth", "2", "--size", "4"]) == 1
+    err = capsys.readouterr().err
+    assert "size bound 4" in err and "3 vertices" in err
+    assert main(["septree", "-i", str(path), "--depth", "2", "--size", "3"]) == 0
+
+
 def test_cli_compress(tmp_path):
     inst = write_chain2(tmp_path)
     out = tmp_path / "gstar.json"

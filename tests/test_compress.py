@@ -3,12 +3,10 @@ import pytest
 from querydag import (
     ProofOracle,
     WireValueError,
-    add_conductor,
     build_compressed,
     build_separator_tree,
     compute_output,
     evaluate,
-    expand_to_gprime,
     expected_expanded_size,
     is_correct_query_string,
     lift_query_string,
@@ -18,6 +16,7 @@ from querydag import (
 from querydag.weighting import descendant_masks
 
 from conftest import random_instance
+from paper_stages import add_conductor, expand_to_gprime
 
 
 def compress_all(g):

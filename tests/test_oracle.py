@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -226,6 +228,29 @@ def test_backends_agree_under_pins_on_compressed_instances():
                 for p in (pins, flipped):
                     inst = ThresholdInstance(gstar, fstar, theta, p)
                     assert brute.decide(inst, oracle) == smart.decide(inst, oracle)
+
+
+def test_evaluation_backend_keeps_only_the_current_profile(monkeypatch):
+    # A backend reused across solves must not keep earlier graphs alive.
+    from querydag import solver
+
+    built = []
+
+    def recording_build(g, tree):
+        gstar, fstar = build_compressed(g, tree)
+        built.append(weakref.ref(gstar))
+        return gstar, fstar
+
+    monkeypatch.setattr(solver, "build_compressed", recording_build)
+    backend = EvaluationBackend()
+    g = random_instance(3)
+    first = decide_compress(g, backend=backend)
+    second = decide_compress(g, backend=backend)
+    gc.collect()
+    assert len(built) == 2
+    assert built[0]() is None and built[1]() is not None
+    assert first.answer == second.answer == evaluate(g, ProofOracle()).answer
+    assert first.stats.to_doc() == second.stats.to_doc()
 
 
 def test_evaluation_backend_rejects_inadmissible_weights(chain2):
