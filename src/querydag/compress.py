@@ -12,11 +12,13 @@ survives.
 
 build_compressed enumerates G* and its weighting straight from the
 signatures, in closed form, without building a copy.  G' and G'' live in
-tests/paper_stages.py as the reference the tests check G* against.
+tests/paper_stages.py as the reference the tests check G* against, together
+with the paper's compute_output over answer strings.
 
-A node's query resolves each original input wire through compute_output, so
-its answer is a deterministic function of hardcoded bits and the answer bits
-of deeper nodes.
+A node's query resolves each original input wire through compute_output,
+which reads the answers of the input's visible ancestors top-down, each off
+the copy their bits select, so a node's answer is a deterministic function
+of its signature and the answer bits of deeper nodes.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ class CompressedNode:
 
     `conditioning` holds one s-bit string per supervertex on the branch from
     the root down to the origin's supervertex; in G*, positions the origin
-    cannot see are shown as '*'.  `signature` is the conditioning restricted
-    to the origin's ancestors on that branch, which is exactly what
-    identifies a node of G*.
+    cannot see are shown as '*'.  It is for display only.  `signature`
+    pairs each of the origin's ancestors on that branch with its bit, which
+    is exactly what identifies a node of G*.
     """
 
     cid: int
@@ -69,8 +71,10 @@ class CompressedDag:
     """The merged graph G*: one node per origin and assignment to its
     visible ancestors, plus the conductor, which is the graph's `output`.
 
-    `visible` and `origin_query` depend only on the original graph and its
-    separator tree; build_compressed computes them once.
+    Every wire is resolved by signature: copy_of finds the node of an
+    origin from the bits of its visible ancestors.  `visible` and
+    `origin_query` depend only on the original graph and its separator
+    tree; build_compressed computes them once.
     """
 
     conductor_id = output = CONDUCTOR_ID
@@ -121,15 +125,13 @@ class CompressedDag:
             return "t"
         return f"v{node.origin}^{{{','.join(node.conditioning)}}}"
 
-    def resolve_copy(self, origin, conditioning):
-        """The node standing for this copy: the one that agrees with the
-        conditioning on the origin's visible ancestors."""
-        sig = tuple(
-            (anc, int(conditioning[lvl][pos])) for anc, lvl, pos in self._visible[origin]
-        )
+    def copy_of(self, origin, bits):
+        """The node of `origin` whose signature matches `bits`, a dict from
+        original id to answer bit covering the origin's visible ancestors."""
+        sig = tuple((anc, bits[anc]) for anc, _, _ in self._visible[origin])
         cid = self._index.get((origin, sig))
         if cid is None:
-            raise WireValueError(f"no copy of node {origin} matches {conditioning}")
+            raise WireValueError(f"no copy of node {origin} has signature {sig}")
         return cid
 
     def topo_order(self):
@@ -150,13 +152,16 @@ class CompressedDag:
 
     def forced_bit(self, cid, x, sat):
         """Answer of copy `cid` when every wire lookup reads its bit in x: the
-        origin's query on wires resolved through compute_output, or for the
-        conductor the replayed original output."""
+        origin's query on wires resolved through compute_output from the
+        copy's signature, or for the conductor the replayed original
+        output."""
         node = self.nodes[cid]
         if node.is_conductor:
-            return compute_output(self, self.origin_dag.output, (), x)
-        z = resolved_input_bits(self, cid, x)
-        return 1 if sat.exists(self.origin_query[node.origin], z) else 0
+            return compute_output(self, self.origin_dag.output, {}, x)
+        query = self.origin_query[node.origin]
+        known = dict(node.signature)
+        z = "".join(str(compute_output(self, p, known, x)) for p in query.inputs)
+        return 1 if sat.exists(query, z) else 0
 
     def to_doc(self, weights=None):
         doc = {
@@ -303,48 +308,24 @@ def build_compressed(g, tree):
     return gstar, WeightAssignment(weights=weights, c=2)
 
 
-def compute_output(gd, u, conditioning, wire_values):
-    """Answer bit of original vertex u given hardcoded strings z_1..z_m.
+def compute_output(gd, u, known, wire_values):
+    """Answer bit of original vertex u, given the bits in `known` (a dict
+    from original id to bit).
 
-    With m at least the branch depth of u, the answer is read straight off
-    the hardcoded string.  Otherwise the next string is computed one bit at a
-    time, in supervertex member order, by looking up the copies selected by
-    the strings built so far (each lookup sees the partially filled string,
-    later bits still zero), and the recursion continues one level deeper.
+    The visible ancestors of u, then u itself, are read top-down: each one
+    not yet known is the answer of the copy that the bits found so far
+    select, its visible ancestors all coming earlier in that order.
     `wire_values` maps node ids of this compressed graph to answer bits; a
     missing entry is a construction bug and raises immediately.
     """
-    tree = gd.septree
-    branch = tree.branch(tree.supervertex_of(u))
-    d = len(branch)
-    z = [str(part) for part in conditioning]
-    while len(z) < d:
-        svid = branch[len(z)]
-        members = tree.by_id[svid].members
-        bits = ["0"] * len(members)
-        for pos, member in enumerate(members):
-            key = tuple(z) + ("".join(bits),)
-            cid = gd.resolve_copy(member, key)
+    bits = dict(known)
+    for v in [anc for anc, _, _ in gd.visible_ancestors(u)] + [u]:
+        if v not in bits:
+            cid = gd.copy_of(v, bits)
             if cid not in wire_values:
                 raise WireValueError(f"no wire value for node {gd.label(cid)}")
-            bits[pos] = "1" if wire_values[cid] else "0"
-        z.append("".join(bits))
-    return int(z[d - 1][tree.position_of(u)])
-
-
-def resolved_input_bits(gd, cid, wire_values):
-    """Input wires of a copy, each resolved through compute_output.
-
-    The copy's own conditioning (with '*' positions read as 0, which never
-    influences the result) seeds the recursion for every original
-    parent wire.
-    """
-    node = gd.nodes[cid]
-    qnode = gd.origin_query[node.origin]
-    seed = tuple(part.replace("*", "0") for part in node.conditioning)
-    return "".join(
-        str(compute_output(gd, parent, seed, wire_values)) for parent in qnode.inputs
-    )
+            bits[v] = 1 if wire_values[cid] else 0
+    return bits[u]
 
 
 def lift_query_string(g, gstar, xstar):
@@ -353,4 +334,4 @@ def lift_query_string(g, gstar, xstar):
     Each original vertex's bit is what compute_output returns when every
     wire lookup reads the corresponding bit of xstar.
     """
-    return {nid: compute_output(gstar, nid, (), xstar) for nid in g.by_id}
+    return {nid: compute_output(gstar, nid, {}, xstar) for nid in g.by_id}

@@ -3,11 +3,12 @@
 Only threshold queries are compared against the paper-style budgets; proof
 queries are internal to the oracle's own decision procedure, the way an NP
 oracle does unbounded work behind one answer.  That work is a DPLL search
-over integer bitmasks: each clause is a (positive, negative) pair of variable
-masks and the assignment a (true, false) pair, with unit propagation to a
-fixpoint and branching on the smallest free variable.  A ProofOracle lasts
-one solve and memoizes its answers per (query, input bits); every issued
-call is still counted and recorded, and `proof_distinct` is the memo's size.
+over integer bitmasks, one bit per variable that occurs in the clauses: each
+clause is a (positive, negative) pair of variable masks and the assignment a
+(true, false) pair, with unit propagation to a fixpoint and branching on the
+smallest free variable.  A ProofOracle lasts one solve and memoizes its
+answers per (query, input bits); every issued call is still counted and
+recorded, and `proof_distinct` is the memo's size.
 
 Two threshold backends are provided.  BruteForceBackend is the reference: it
 enumerates answer strings outright and is capped.  EvaluationBackend answers
@@ -127,23 +128,28 @@ def sat_exists_proof(node, input_bits):
             f"node {node.id}: expected {len(node.inputs)} input bits, "
             f"got {len(input_bits)}"
         )
-    # Variable v is bit v of a mask; a clause holding v and -v always holds.
+    # The variables in the clauses take consecutive bits in ascending order,
+    # so masks are as wide as the variables used, not as their numbers, and
+    # the smallest free bit is still the smallest free variable.  An input
+    # in no clause gets no bit; a clause holding v and -v always holds.
+    used = sorted({abs(lit) for clause in node.clauses for lit in clause})
+    mask = {var: 1 << i for i, var in enumerate(used)}
     clauses = []
     for clause in node.clauses:
         pos = neg = 0
         for lit in clause:
             if lit > 0:
-                pos |= 1 << lit
+                pos |= mask[lit]
             else:
-                neg |= 1 << -lit
+                neg |= mask[-lit]
         if not pos & neg:
             clauses.append((pos, neg))
     true = false = 0
-    for i, bit in enumerate(input_bits):
+    for var, bit in enumerate(input_bits, start=1):
         if int(bit):
-            true |= 1 << (i + 1)
+            true |= mask.get(var, 0)
         else:
-            false |= 1 << (i + 1)
+            false |= mask.get(var, 0)
     return _dpll(clauses, true, false)
 
 

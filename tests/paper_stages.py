@@ -6,9 +6,12 @@ hardcodes assumed answers for the j-th supervertex on u's branch.  Edges run
 from each copy upward to the copies of u's descendants higher on the
 branch, with matching conditioning prefixes.  add_conductor appends the
 output node t, wired from every copy, which answers by replaying
-compute_output on the original output vertex: that is G''.  The package
-builds G* straight from signatures (compress.build_compressed); the tests
-check it against G'' grouped by signature.
+staged_compute_output on the original output vertex: that is G''.
+staged_compute_output is the paper's lookup over hardcoded answer strings,
+and StagedDag resolves every wire through it from the copy's full
+conditioning.  The package builds G* straight from signatures
+(compress.build_compressed) and resolves wires by signature alone
+(compress.compute_output); the tests check both against this reference.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ from querydag.compress import (
 
 class StagedDag(CompressedDag):
     """G' or G'': every conditioned copy, looked up by its exact
-    conditioning rather than by signature.  G' has no conductor; it is
-    only inspected, never evaluated."""
+    conditioning rather than by signature, with each wire resolved by
+    staged_compute_output.  G' has no conductor; it is only inspected,
+    never evaluated."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -45,6 +49,46 @@ class StagedDag(CompressedDag):
         if cid is None:
             raise WireValueError(f"no copy of node {origin} matches {conditioning}")
         return cid
+
+    def forced_bit(self, cid, x, sat):
+        node = self.nodes[cid]
+        if node.is_conductor:
+            return staged_compute_output(self, self.origin_dag.output, (), x)
+        query = self.origin_query[node.origin]
+        z = "".join(
+            str(staged_compute_output(self, p, node.conditioning, x))
+            for p in query.inputs
+        )
+        return 1 if sat.exists(query, z) else 0
+
+
+def staged_compute_output(gd, u, conditioning, wire_values):
+    """Answer bit of original vertex u given hardcoded strings z_1..z_m.
+
+    With m at least the branch depth of u, the answer is read straight off
+    the hardcoded string.  Otherwise the next string is computed one bit at a
+    time, in supervertex member order, by looking up the copies selected by
+    the strings built so far (each lookup sees the partially filled string,
+    later bits still zero), and the recursion continues one level deeper.
+    `wire_values` maps node ids of this compressed graph to answer bits; a
+    missing entry is a construction bug and raises immediately.
+    """
+    tree = gd.septree
+    branch = tree.branch(tree.supervertex_of(u))
+    d = len(branch)
+    z = [str(part) for part in conditioning]
+    while len(z) < d:
+        svid = branch[len(z)]
+        members = tree.by_id[svid].members
+        bits = ["0"] * len(members)
+        for pos, member in enumerate(members):
+            key = tuple(z) + ("".join(bits),)
+            cid = gd.resolve_copy(member, key)
+            if cid not in wire_values:
+                raise WireValueError(f"no wire value for node {gd.label(cid)}")
+            bits[pos] = "1" if wire_values[cid] else "0"
+        z.append("".join(bits))
+    return int(z[d - 1][tree.position_of(u)])
 
 
 def expand_to_gprime(g, tree):

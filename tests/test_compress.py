@@ -16,7 +16,7 @@ from querydag import (
 from querydag.weighting import descendant_masks
 
 from conftest import random_instance
-from paper_stages import add_conductor, expand_to_gprime
+from paper_stages import add_conductor, expand_to_gprime, staged_compute_output
 
 
 def compress_all(g):
@@ -86,22 +86,48 @@ def test_compute_output_trace_chain2(chain2):
     labels = by_label(gpp)
     wires = {labels["v1^{0}"]: 1, labels["v2^{1,0}"]: 1}
     # z1 is read off v1^{0} (partial string still zero), z2 off v2^{z1,0}.
-    assert compute_output(gpp, 2, (), wires) == 1
+    assert staged_compute_output(gpp, 2, (), wires) == 1
     wires0 = {labels["v1^{0}"]: 0, labels["v2^{0,0}"]: 0}
-    assert compute_output(gpp, 2, (), wires0) == 0
+    assert staged_compute_output(gpp, 2, (), wires0) == 0
 
 
 def test_compute_output_base_case_reads_no_wires(chain2):
     tree, gp, gpp, gstar, fstar = compress_all(chain2)
     # Conditioning already covers v1's depth: the bit is hardcoded.
-    assert compute_output(gpp, 1, ("1",), {}) == 1
-    assert compute_output(gpp, 1, ("0",), {}) == 0
+    assert staged_compute_output(gpp, 1, ("1",), {}) == 1
+    assert staged_compute_output(gpp, 1, ("0",), {}) == 0
 
 
 def test_compute_output_missing_wire_names_node(chain2):
     tree, gp, gpp, gstar, fstar = compress_all(chain2)
     with pytest.raises(WireValueError, match=r"v1\^\{0\}"):
-        compute_output(gpp, 2, (), {})
+        staged_compute_output(gpp, 2, (), {})
+
+
+def test_gstar_compute_output_trace_chain2(chain2):
+    tree, gp, gpp, gstar, fstar = compress_all(chain2)
+    labels = by_label(gstar)
+    # v1 sees no ancestor, so its bit is read off v1^{*}; v2's copy is then
+    # the one whose signature holds that bit.
+    wires = {labels["v1^{*}"]: 1, labels["v2^{1,*}"]: 1}
+    assert compute_output(gstar, 2, {}, wires) == 1
+    wires0 = {labels["v1^{*}"]: 0, labels["v2^{0,*}"]: 0}
+    assert compute_output(gstar, 2, {}, wires0) == 0
+
+
+def test_gstar_compute_output_known_bit_reads_no_wires(chain2):
+    tree, gp, gpp, gstar, fstar = compress_all(chain2)
+    labels = by_label(gstar)
+    assert compute_output(gstar, 1, {1: 1}, {}) == 1
+    assert compute_output(gstar, 1, {1: 0}, {}) == 0
+    # A known v1 selects v2's copy without reading v1^{*}.
+    assert compute_output(gstar, 2, {1: 1}, {labels["v2^{1,*}"]: 1}) == 1
+
+
+def test_gstar_compute_output_missing_wire_names_node(chain2):
+    tree, gp, gpp, gstar, fstar = compress_all(chain2)
+    with pytest.raises(WireValueError, match=r"v1\^\{\*\}"):
+        compute_output(gstar, 2, {}, {})
 
 
 def test_merge_chain2(chain2):

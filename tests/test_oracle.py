@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -100,6 +101,22 @@ def test_sat_edge_cases(name):
     node = QueryNode(1, "verifier", inputs, pv, clauses)
     assert sat_exists_proof(node, bits) is expected
     assert enum_sat(node, bits) is expected
+
+
+def test_sat_masks_do_not_grow_with_variable_numbers():
+    # Bit v of a mask for variable v would make every mask about 1.25 MB
+    # here; only the four variables in use may take bits.
+    big = 10**7
+    clauses = ((big, -1), (-big, big - 1), (-(big - 1),), (1, 2))
+    node = QueryNode(1, "verifier", (5, 6, 7), big, clauses)
+    tracemalloc.start()
+    try:
+        answers = [sat_exists_proof(node, bits) for bits in ("000", "100", "010")]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert answers == [False, False, True]
+    assert peak < 5 * 2**20
 
 
 def test_proof_memo_keeps_graphs_with_colliding_ids_apart():
