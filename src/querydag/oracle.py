@@ -29,10 +29,13 @@ from .querygraph import evaluate
 class OracleStats:
     """Counters and an ordered transcript of every oracle interaction.
 
-    Entries are kept raw, as tuples holding the instance's own pins dict;
-    to_doc renders them, so each query costs an append and nothing more.
-    `decisions` holds each distinct proof decision once, keyed on (query,
-    input bits); the proof oracle reads it as its memo.
+    Entries are kept raw, as tuples holding the pins mapping the query was
+    given, not a copy; to_doc renders them, so each query costs an append
+    and nothing more.  The queries of a witness extraction all hold its one
+    pins dict plus their position k in it, and to_doc rebuilds what query k
+    pinned: the first k entries as they end up, then the node at index k
+    pinned at 1.  `decisions` holds each distinct proof decision once, keyed
+    on (query, input bits); the proof oracle reads it as its memo.
     """
 
     def __init__(self):
@@ -49,9 +52,9 @@ class OracleStats:
         self.proof_queries += 1
         self.transcript.append(("proof", node_id, input_bits, answer))
 
-    def record_threshold(self, threshold, pins, answer):
+    def record_threshold(self, threshold, pins, answer, position=None):
         self.threshold_queries += 1
-        self.transcript.append(("threshold", threshold, pins, answer))
+        self.transcript.append(("threshold", threshold, pins, answer, position))
 
     def to_doc(self):
         doc = []
@@ -62,7 +65,10 @@ class OracleStats:
                     {"kind": "proof", "node": node, "inputs": inputs, "answer": answer}
                 )
             else:
-                _, threshold, pins, answer = entry
+                _, threshold, pins, answer, k = entry
+                if k is not None:
+                    pins = dict(itertools.islice(pins.items(), k + 1))
+                    pins[next(reversed(pins))] = 1
                 doc.append(
                     {
                         "kind": "threshold",
@@ -264,9 +270,16 @@ class EvaluationBackend:
         return BruteForceBackend(cap=self.fallback_cap).decide(inst, proof_oracle)
 
 
-def threshold_query(inst, proof_oracle, backend):
+def threshold_query(inst, proof_oracle, backend, position=None):
     """One counted oracle call, recorded in the proof oracle's stats: does
-    some pinned answer string reach the scaled threshold?"""
+    some pinned answer string reach the scaled threshold?
+
+    The transcript keeps `inst.pins` itself, so the mapping is the query's
+    only while it runs.  A witness extraction, which goes on to extend it,
+    passes `position`: the index of the node this query pins at 1, after
+    entries that no longer change.  The transcript rebuilds the query's pins
+    from that.
+    """
     answer = backend.decide(inst, proof_oracle)
-    proof_oracle.stats.record_threshold(inst.threshold, inst.pins, answer)
+    proof_oracle.stats.record_threshold(inst.threshold, inst.pins, answer, position)
     return answer

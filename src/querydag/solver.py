@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .compress import build_compressed, lift_query_string
 from .errors import PipelineError
@@ -27,12 +28,22 @@ ADMISSIBILITY_C = 2
 
 @dataclass(frozen=True)
 class ThresholdInstance:
-    """One threshold question: dag, weighting, scaled threshold, pinned bits."""
+    """One threshold question: dag, weighting, scaled threshold, pinned bits.
+
+    The pins mapping is valid only for the duration of the query: a witness
+    extraction hands every query the same dict and extends it between
+    queries, so a backend must not keep it.
+    """
 
     dag: object
     weights: object
     threshold: int
     pins: dict
+
+
+# The pins of every binary-search probe: one read-only empty mapping shared
+# by all of them, instead of a fresh dict per probe.
+_NO_PINS = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -103,7 +114,7 @@ def binary_search_T(dag, weights, proof_oracle, backend):
     result = 0
     for bit in range(bits - 1, -1, -1):
         candidate = result | (1 << bit)
-        inst = ThresholdInstance(dag, weights, candidate, {})
+        inst = ThresholdInstance(dag, weights, candidate, _NO_PINS)
         if threshold_query(inst, proof_oracle, backend):
             result = candidate
     return result
@@ -114,15 +125,18 @@ def extract_query_string(dag, weights, t_tilde, proof_oracle, backend, order):
 
     Bits are pinned in the given order; a prefix extends to the maximizer as
     long as every pinned bit matches it, and at threshold 2T the maximizer is
-    unique and correct.
+    unique and correct.  Every query is handed the one pins dict, holding the
+    bits fixed so far and the next node at 1; the transcript records the
+    query's position in it rather than a copy, so memory stays linear.
     """
     pins = {}
-    for nid in order:
+    for k, nid in enumerate(order):
         pins[nid] = 1
-        inst = ThresholdInstance(dag, weights, t_tilde, dict(pins))
-        if not threshold_query(inst, proof_oracle, backend):
+        inst = ThresholdInstance(dag, weights, t_tilde, pins)
+        if not threshold_query(inst, proof_oracle, backend, position=k):
             pins[nid] = 0
-    return pins
+    # A copy, so a caller changing the string cannot rewrite the transcript.
+    return dict(pins)
 
 
 def _decide(method, g, witness, backend):

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 
 from querydag import (
     BruteForceBackend,
@@ -20,6 +22,8 @@ from querydag import (
     search_budget,
     total_weight,
 )
+
+from querydag.cli import gen_instance
 
 from conftest import brute_two_t, random_instance
 
@@ -209,3 +213,63 @@ def test_report_serialization(chain2):
     assert doc["W"] == "19"
     assert doc["witness"] == {"1": 1, "2": 1}
     assert isinstance(doc["transcript"], list)
+
+
+class SnapshotBackend:
+    """Decides through `inner`, keeping a copy of the pins each query saw."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen = []
+
+    def decide(self, inst, proof_oracle):
+        self.seen.append(dict(inst.pins))
+        return self.inner.decide(inst, proof_oracle)
+
+
+def transcript_pins(stats):
+    return [
+        {int(k): v for k, v in entry["pins"].items()}
+        for entry in stats.to_doc()
+        if entry["kind"] == "threshold"
+    ]
+
+
+def test_transcript_pins_are_what_the_backend_saw():
+    # Witness extraction hands every pinned query one shared pins dict; the
+    # transcript must still render, query by query, exactly the pins the
+    # backend was given.
+    brute_solves = 0
+    for seed in range(24):
+        g = random_instance(seed, max_n=6)
+        for method, decide in (("compress", decide_compress), ("depth", decide_depth)):
+            size = len(g.nodes)
+            if method == "compress":
+                size = len(build_compressed(g, build_separator_tree(g))[0].nodes)
+            backends = [("evaluation", EvaluationBackend())]
+            if size <= 8:
+                backends.append(("brute", BruteForceBackend()))
+            for name, inner in backends:
+                backend = SnapshotBackend(inner)
+                report = decide(g, witness=True, backend=backend)
+                assert transcript_pins(report.stats) == backend.seen, (seed, method, name)
+                assert len(backend.seen) == report.stats.threshold_queries
+                brute_solves += name == "brute"
+    assert brute_solves >= 24
+
+
+def test_witness_extraction_memory_is_linear():
+    # One pin per pinned query, not a copy of every pin so far: on the
+    # 96-node chain (about 880 pinned queries on G*) the copies alone took
+    # over 15 MB.
+    g = gen_instance("chain", 96, 0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = decide_compress(g, witness=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.query_string) == 96
+    assert report.stats.threshold_queries > 800
+    assert peak < 5 * 10**6
