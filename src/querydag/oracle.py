@@ -32,10 +32,11 @@ class OracleStats:
     Entries are kept raw, as tuples holding the pins mapping the query was
     given, not a copy; to_doc renders them, so each query costs an append
     and nothing more.  The queries of a witness extraction all hold its one
-    pins dict plus their position k in it, and to_doc rebuilds what query k
-    pinned: the first k entries as they end up, then the node at index k
-    pinned at 1.  `decisions` holds each distinct proof decision once, keyed
-    on (query, input bits); the proof oracle reads it as its memo.
+    pins dict plus their position k in it, which each carries as
+    `ThresholdInstance.position`, and to_doc rebuilds what query k pinned:
+    the first k entries as they end up, then the node at index k pinned at
+    1.  `decisions` holds each distinct proof decision once, keyed on
+    (query, input bits); the proof oracle reads it as its memo.
     """
 
     def __init__(self):
@@ -52,9 +53,11 @@ class OracleStats:
         self.proof_queries += 1
         self.transcript.append(("proof", node_id, input_bits, answer))
 
-    def record_threshold(self, threshold, pins, answer, position=None):
+    def record_threshold(self, inst, answer):
         self.threshold_queries += 1
-        self.transcript.append(("threshold", threshold, pins, answer, position))
+        self.transcript.append(
+            ("threshold", inst.threshold, inst.pins, answer, inst.position)
+        )
 
     def to_doc(self):
         doc = []
@@ -230,19 +233,32 @@ class EvaluationBackend:
     is just a comparison against 2T.  Any other query admits only other
     strings: it is false at a threshold of at least 2T and falls back to
     brute force below.
+
+    Once (dag, weights) is profiled, a query costs O(1): an identity check
+    of the profile, then for a query without pins or with a position (see
+    ThresholdInstance) a look at its newest pins only.  For that the backend
+    keeps the pins dict of the last query, if it had a position, and
+    whether its settled entries agree; a new profile drops both.
     """
 
     def __init__(self, fallback_cap=20):
         self.fallback_cap = fallback_cap
         self._current = None  # (dag, weights, bits, 2T) of the last profile
+        # (pins, position, do the entries before position agree?) of the
+        # last query on the current profile, if it had a position.
+        self._pinned = None
 
     def _profile(self, inst, proof_oracle):
-        from .solver import max_t_for_assignment
-        from .weighting import check_admissible
-
         hit = self._current
         if hit is not None and hit[0] is inst.dag and hit[1] is inst.weights:
             return hit[2:]
+        # Imported at call time, and only on a miss: a profiled query pays
+        # for no import, and callers that swap these functions on their
+        # modules are still heard.
+        from .solver import max_t_for_assignment
+        from .weighting import check_admissible
+
+        self._current = self._pinned = None
         # The one-unit gap below the maximum only exists for integer
         # weightings that are admissible with constant 2 or more.
         if inst.weights.c < 2 or not all(
@@ -261,25 +277,48 @@ class EvaluationBackend:
         self._current = (inst.dag, inst.weights, bits, two_t)
         return bits, two_t
 
+    def _pins_agree(self, inst, correct):
+        """Do all of the query's pins agree with the maximizer?
+
+        A query at position k that continues the last one, on the same dict
+        at k - 1, checks two entries read from the dict's end: the one at
+        k - 1, final since the last query, and the new one.  Any other
+        positioned query scans the entries before it once; a query without
+        a position, or whose pins do not end at it, is checked in full.
+        """
+        pins, k = inst.pins, inst.position
+        agreed = correct.items()
+        if k is None or len(pins) != k + 1:
+            self._pinned = None
+            return pins.items() <= agreed
+        last = self._pinned
+        newest = reversed(pins.items())
+        entry = next(newest)
+        if last is not None and last[0] is pins and last[1] == k - 1:
+            before = last[2] and next(newest) in agreed
+        else:
+            before = all(e in agreed for e in itertools.islice(pins.items(), k))
+        self._pinned = (pins, k, before)
+        return before and entry in agreed
+
     def decide(self, inst, proof_oracle):
         correct, two_t = self._profile(inst, proof_oracle)
-        if inst.pins.items() <= correct.items():
+        if self._pins_agree(inst, correct):
             return inst.threshold <= two_t
         if inst.threshold >= two_t:
             return False
         return BruteForceBackend(cap=self.fallback_cap).decide(inst, proof_oracle)
 
 
-def threshold_query(inst, proof_oracle, backend, position=None):
+def threshold_query(inst, proof_oracle, backend):
     """One counted oracle call, recorded in the proof oracle's stats: does
     some pinned answer string reach the scaled threshold?
 
     The transcript keeps `inst.pins` itself, so the mapping is the query's
     only while it runs.  A witness extraction, which goes on to extend it,
-    passes `position`: the index of the node this query pins at 1, after
-    entries that no longer change.  The transcript rebuilds the query's pins
-    from that.
+    sets `inst.position`, and the transcript rebuilds the query's pins from
+    that.
     """
     answer = backend.decide(inst, proof_oracle)
-    proof_oracle.stats.record_threshold(inst.threshold, inst.pins, answer, position)
+    proof_oracle.stats.record_threshold(inst, answer)
     return answer

@@ -32,13 +32,19 @@ class ThresholdInstance:
 
     The pins mapping is valid only for the duration of the query: a witness
     extraction hands every query the same dict and extends it between
-    queries, so a backend must not keep it.
+    queries, so a backend must not rely on what it holds later.  Such a
+    query carries its `position` k: the pins are k + 1 entries, the last
+    one the node this query pins at 1, and the k entries before it no
+    longer change while the same dict goes on to positions k + 1, k + 2
+    and so on.  A backend may then check only what is new since position
+    k - 1; without a position it reads the pins afresh.
     """
 
     dag: object
     weights: object
     threshold: int
     pins: dict
+    position: int | None = None
 
 
 # The pins of every binary-search probe: one read-only empty mapping shared
@@ -126,14 +132,15 @@ def extract_query_string(dag, weights, t_tilde, proof_oracle, backend, order):
     Bits are pinned in the given order; a prefix extends to the maximizer as
     long as every pinned bit matches it, and at threshold 2T the maximizer is
     unique and correct.  Every query is handed the one pins dict, holding the
-    bits fixed so far and the next node at 1; the transcript records the
-    query's position in it rather than a copy, so memory stays linear.
+    bits fixed so far and the next node at 1, and its position in it; the
+    transcript records that position rather than a copy, so memory stays
+    linear, and the evaluation backend checks only the newest pins.
     """
     pins = {}
     for k, nid in enumerate(order):
         pins[nid] = 1
-        inst = ThresholdInstance(dag, weights, t_tilde, pins)
-        if not threshold_query(inst, proof_oracle, backend, position=k):
+        inst = ThresholdInstance(dag, weights, t_tilde, pins, k)
+        if not threshold_query(inst, proof_oracle, backend):
             pins[nid] = 0
     # A copy, so a caller changing the string cannot rewrite the transcript.
     return dict(pins)

@@ -1,3 +1,4 @@
+import builtins
 import gc
 import random
 import tracemalloc
@@ -15,11 +16,14 @@ from querydag import (
     build_compressed,
     build_dag,
     build_separator_tree,
+    binary_search_T,
     decide_compress,
     decide_direct,
     evaluate,
+    extract_query_string,
     max_t_for_assignment,
     omega_weights,
+    rho_weights,
     sat_exists_proof,
     threshold_query,
     total_weight,
@@ -247,27 +251,141 @@ def test_backends_agree_under_pins_on_compressed_instances():
                     assert brute.decide(inst, oracle) == smart.decide(inst, oracle)
 
 
+def test_positioned_queries_agree_with_brute_force():
+    # Pins sequences driven by hand that keep the position contract, many of
+    # them with settled entries off the maximizer: the evaluation backend's
+    # check of the newest pins only must answer as enumeration does.
+    rng = random.Random(5)
+    off_settled = 0
+    for seed in range(32):
+        g = random_instance(seed)
+        assert len(g.nodes) <= 8
+        weights = rho_weights(g, 2)
+        oracle = ProofOracle()
+        correct = evaluate(g, oracle).bits
+        two_t = max_t_for_assignment(
+            ThresholdInstance(g, weights, 0, {}), correct, oracle
+        )
+        brute = BruteForceBackend()
+        smart = EvaluationBackend()
+        order = g.topo_order()
+
+        def ask(pins, k):
+            nonlocal off_settled
+            off_settled += any(correct[nid] != pins[nid] for nid in order[:k])
+            for theta in (two_t - 1, two_t, two_t + 1):
+                inst = ThresholdInstance(g, weights, theta, pins, k)
+                assert smart.decide(inst, oracle) == brute.decide(inst, oracle), (
+                    seed, theta, dict(pins), k
+                )
+
+        def run(pins, settle, stop=len(order)):
+            for k, nid in enumerate(order[:stop]):
+                pins[nid] = 1
+                ask(pins, k)
+                pins[nid] = settle(k, nid)
+
+        flip = rng.randrange(len(order))
+        reused = {}
+        run(reused, lambda k, nid: correct[nid] ^ (k == flip))
+        # The same dict again from position 0, now following the maximizer.
+        reused.clear()
+        run(reused, lambda k, nid: correct[nid])
+        run({}, lambda k, nid: 1)
+        run({}, lambda k, nid: rng.randint(0, 1))
+        if len(order) >= 3:
+            # A different dict at the position after the last query's: its
+            # first entry is off, the entry the last query left final is not.
+            last = len(order) - 1
+            run({}, lambda k, nid: correct[nid], stop=last)
+            other = {nid: correct[nid] for nid in order}
+            other[order[0]] ^= 1
+            ask(other, last)
+    assert off_settled > 100
+
+
+def test_profiled_queries_import_and_recompute_nothing(monkeypatch):
+    # Once (dag, weights) is profiled, a threshold query is a lookup: no
+    # import statement runs, and neither the admissibility check nor the
+    # objective is evaluated again.
+    from querydag import solver, weighting
+
+    g = random_instance(7)
+    weights = rho_weights(g, 2)
+    oracle = ProofOracle()
+    backend = EvaluationBackend()
+    two_t = binary_search_T(g, weights, oracle, backend)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a profiled query recomputed its profile")
+
+    imports = []
+    real_import = builtins.__import__
+
+    def counting_import(*args, **kwargs):
+        imports.append(args[0])
+        return real_import(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "max_t_for_assignment", forbidden)
+    monkeypatch.setattr(weighting, "check_admissible", forbidden)
+    monkeypatch.setattr(builtins, "__import__", counting_import)
+    again = binary_search_T(g, weights, oracle, backend)
+    bits = extract_query_string(g, weights, two_t, oracle, backend, g.topo_order())
+    monkeypatch.undo()
+    assert imports == []
+    assert again == two_t
+    assert bits == evaluate(g, ProofOracle()).bits
+
+
+def _reaches(root, target):
+    """Is `target` among the objects held by `root`'s attributes, through
+    tuples, lists, sets and dicts?  (A dict takes no weak reference.)"""
+    seen = set()
+    stack = [vars(root)]
+    while stack:
+        obj = stack.pop()
+        if obj is target:
+            return True
+        if id(obj) in seen or not isinstance(obj, (tuple, list, set, dict)):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return False
+
+
 def test_evaluation_backend_keeps_only_the_current_profile(monkeypatch):
-    # A backend reused across solves must not keep earlier graphs alive.
+    # A backend reused across solves must not keep earlier graphs alive, nor
+    # the pins dicts of an earlier solve's queries.
     from querydag import solver
 
     built = []
+    pins_seen = []
 
     def recording_build(g, tree):
         gstar, fstar = build_compressed(g, tree)
         built.append(weakref.ref(gstar))
         return gstar, fstar
 
+    def recording_query(inst, proof_oracle, backend):
+        if type(inst.pins) is dict and len(built) == 1:
+            pins_seen.append(inst.pins)
+        return threshold_query(inst, proof_oracle, backend)
+
     monkeypatch.setattr(solver, "build_compressed", recording_build)
+    monkeypatch.setattr(solver, "threshold_query", recording_query)
     backend = EvaluationBackend()
     g = random_instance(3)
-    first = decide_compress(g, backend=backend)
+    first = decide_compress(g, witness=True, backend=backend)
+    assert any(_reaches(backend, pins) for pins in pins_seen)
     second = decide_compress(g, backend=backend)
     gc.collect()
     assert len(built) == 2
     assert built[0]() is None and built[1]() is not None
+    assert len(pins_seen) > 2
+    assert not any(_reaches(backend, pins) for pins in pins_seen)
     assert first.answer == second.answer == evaluate(g, ProofOracle()).answer
-    assert first.stats.to_doc() == second.stats.to_doc()
+    witness_doc = first.stats.to_doc()
+    assert witness_doc[: len(second.stats.to_doc())] == second.stats.to_doc()
 
 
 def test_evaluation_backend_rejects_inadmissible_weights(chain2):
