@@ -17,7 +17,14 @@ from . import arithmetize
 from .compress import build_compressed, expected_expanded_size
 from .errors import GenerationError, ParseError, QueryDagError
 from .oracle import BruteForceBackend, EvaluationBackend, ProofOracle
-from .querygraph import VERIFIER, build_dag, evaluate, parse_dag, serialize_dag
+from .querygraph import (
+    VERIFIER,
+    build_dag,
+    decimal_str,
+    evaluate,
+    parse_dag,
+    serialize_dag,
+)
 from .separator import build_depth_bounded_tree, build_separator_tree
 from .solver import decide_compress, decide_depth, decide_direct
 from .weighting import omega_weights, weight_report
@@ -135,9 +142,9 @@ def _read_instance(path):
 
 
 def _backend(args):
-    if getattr(args, "backend", "eval") == "brute":
+    if args.backend == "brute":
         return BruteForceBackend(cap=args.cap)
-    return EvaluationBackend(fallback_cap=args.cap)
+    return EvaluationBackend()
 
 
 def _cmd_gen(args):
@@ -209,8 +216,9 @@ def _cmd_arith(args):
     doc = {
         "var_count": built.var_count,
         "circuit_size": built.circuit.size(),
-        "max": f"{best.numerator}/{best.denominator}",
-        "max_scaled": str(2 * best),
+        "max": f"{decimal_str(best.numerator)}/{decimal_str(best.denominator)}",
+        # 2p is an integer at every vertex.
+        "max_scaled": decimal_str(int(2 * best)),
         "witness_vertex": "".join(str(b) for b in vertex),
         "query_string": {str(k): v for k, v in sorted(x.items())},
         "audit": {
@@ -243,7 +251,9 @@ def run_bench(config, method="compress"):
                     "seed": seed,
                     "s": tree.uniform_size,
                     "D": tree.depth(),
-                    "W": None if report.w_total is None else str(report.w_total),
+                    "W": None
+                    if report.w_total is None
+                    else decimal_str(report.w_total),
                     "queries": report.queries
                     if report.method != "direct"
                     else report.proof_queries,
@@ -324,7 +334,9 @@ def _build_parser():
     p.add_argument("--witness", action="store_true")
     p.add_argument("--transcript", action="store_true")
     p.add_argument("--backend", choices=("eval", "brute"), default="eval")
-    p.add_argument("--cap", type=int, default=20)
+    p.add_argument(
+        "--cap", type=int, default=20, help="free-bit cap, brute backend only"
+    )
     common(p)
 
     p = sub.add_parser("arith", help="polynomial build, brute-force max, audit")

@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import WireValueError
-from .querygraph import VERIFIER, QueryNode
+from .querygraph import VERIFIER, QueryNode, decimal_str
 from .weighting import WeightAssignment, descendant_masks
 
 CONDUCTOR_ID = 0
@@ -186,7 +186,7 @@ class CompressedDag:
         }
         if weights is not None:
             doc["weights"] = {
-                str(cid): str(w) for cid, w in sorted(weights.weights.items())
+                str(cid): decimal_str(w) for cid, w in sorted(weights.weights.items())
             }
         return doc
 

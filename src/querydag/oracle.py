@@ -12,10 +12,11 @@ recorded, and `proof_distinct` is the memo's size.
 
 Two threshold backends are provided.  BruteForceBackend is the reference: it
 enumerates answer strings outright and is capped.  EvaluationBackend answers
-exactly at any size by computing the unique maximizer of the objective (the
-correct query string; every other string scores at least one scaled unit
-lower), so compressed instances with hundreds of nodes stay tractable.  The
-two are cross-checked against each other in the tests.
+exactly at any size by computing the unique maximizer of the objective under
+the query's pins (without pins, the correct query string; every other string
+scores at least one scaled unit lower), so compressed instances with
+hundreds of nodes stay tractable.  The two are cross-checked against each
+other in the tests.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import CapacityError, ValidationError
-from .querygraph import evaluate
+from .querygraph import decimal_str, evaluate
 
 
 class OracleStats:
@@ -35,8 +36,11 @@ class OracleStats:
     pins dict plus their position k in it, which each carries as
     `ThresholdInstance.position`, and to_doc rebuilds what query k pinned:
     the first k entries as they end up, then the node at index k pinned at
-    1.  `decisions` holds each distinct proof decision once, keyed on
-    (query, input bits); the proof oracle reads it as its memo.
+    1.  Rendering reads the live dicts, so it is right only while callers
+    keep the pins contract of ThresholdInstance: a dict cleared and reused
+    from position 0 would rewrite the earlier queries' pins.  `decisions`
+    holds each distinct proof decision once, keyed on (query, input bits);
+    the proof oracle reads it as its memo.
     """
 
     def __init__(self):
@@ -75,7 +79,7 @@ class OracleStats:
                 doc.append(
                     {
                         "kind": "threshold",
-                        "threshold": str(threshold),
+                        "threshold": decimal_str(threshold),
                         "pins": {str(k): v for k, v in sorted(pins.items())},
                         "answer": answer,
                     }
@@ -231,18 +235,20 @@ class EvaluationBackend:
     scores at most 2T - 1 (integer scaling plus the admissibility gap).  It
     agrees with the graph's fixed bits, so a query whose pins agree with it
     is just a comparison against 2T.  Any other query admits only other
-    strings: it is false at a threshold of at least 2T and falls back to
-    brute force below.
+    strings: it is false at a threshold of at least 2T, and below that it
+    is compared with the score of the best string under its pins, which
+    one evaluation keeping the pinned bits finds (see querygraph.evaluate).
 
-    Once (dag, weights) is profiled, a query costs O(1): an identity check
-    of the profile, then for a query without pins or with a position (see
-    ThresholdInstance) a look at its newest pins only.  For that the backend
-    keeps the pins dict of the last query, if it had a position, and
-    whether its settled entries agree; a new profile drops both.
+    Once (dag, weights) is profiled, a query answered against 2T costs
+    O(1): an identity check of the profile, then for a query without pins
+    or with a position (see ThresholdInstance) a look at its newest pins
+    only.  For that the backend keeps the pins dict of the last query, if
+    it had a position, and whether its settled entries agree; a new profile
+    drops both.  A query whose pins disagree, below 2T, costs one pass of
+    forced bits and one of the objective: at most 2|V| proof calls.
     """
 
-    def __init__(self, fallback_cap=20):
-        self.fallback_cap = fallback_cap
+    def __init__(self):
         self._current = None  # (dag, weights, bits, 2T) of the last profile
         # (pins, position, do the entries before position agree?) of the
         # last query on the current profile, if it had a position.
@@ -307,17 +313,23 @@ class EvaluationBackend:
             return inst.threshold <= two_t
         if inst.threshold >= two_t:
             return False
-        return BruteForceBackend(cap=self.fallback_cap).decide(inst, proof_oracle)
+        merged = _merge_pins(inst)
+        if merged is None:
+            return False
+        from .solver import max_t_for_assignment
+
+        best = evaluate(inst.dag, proof_oracle, merged).bits
+        return inst.threshold <= max_t_for_assignment(inst, best, proof_oracle)
 
 
 def threshold_query(inst, proof_oracle, backend):
     """One counted oracle call, recorded in the proof oracle's stats: does
     some pinned answer string reach the scaled threshold?
 
-    The transcript keeps `inst.pins` itself, so the mapping is the query's
-    only while it runs.  A witness extraction, which goes on to extend it,
-    sets `inst.position`, and the transcript rebuilds the query's pins from
-    that.
+    The transcript keeps `inst.pins` itself, not a copy, so the caller may
+    change the mapping afterwards only as ThresholdInstance allows.  A
+    witness extraction, which goes on to extend it, sets `inst.position`,
+    and the transcript rebuilds the query's pins from that.
     """
     answer = backend.decide(inst, proof_oracle)
     proof_oracle.stats.record_threshold(inst, answer)

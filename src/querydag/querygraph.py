@@ -10,6 +10,7 @@ bit decides the graph.
 
 from __future__ import annotations
 
+import decimal
 import heapq
 import json
 from dataclasses import dataclass
@@ -20,6 +21,13 @@ VERIFIER = "verifier"
 
 # An answer bit per node id.
 QueryString = dict
+
+
+def decimal_str(n):
+    """The integer n in decimal, at any length.  str(n) refuses integers of
+    more digits than sys.get_int_max_str_digits() (4300 by default), and
+    that limit is process-wide; Decimal's conversion has none."""
+    return str(decimal.Decimal(n))
 
 
 @dataclass(frozen=True)
@@ -158,7 +166,8 @@ def parse_dag(text):
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or a number past the integer digit limit.
         raise ParseError(f"malformed document: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("malformed document: nested too deeply") from exc
@@ -244,17 +253,24 @@ def topo_sort(ids, out):
     return order
 
 
-def evaluate(g, sat):
+def evaluate(g, sat, pins=None):
     """Decide g by answering every query in g's topological order.
 
     `sat` decides proof existence per node given fixed input bits.  NP has no
-    invalid queries, so the trace is deterministic.  Works on any graph with
-    the topo_order()/forced_bit()/output protocol.
+    invalid queries, so the trace is deterministic.  A node in `pins` keeps
+    its pinned bit instead of its forced one.  Under a weighting admissible
+    with c >= 2 the result is the unique best string among those agreeing
+    with the pins: a forced bit reads only the node's in-neighbours, so
+    setting an unpinned node u to it gains w_u in u's own term and moves
+    only the terms of u's children, each by at most 2 w_child, a total that
+    admissibility keeps below w_u.  Works on any graph with the
+    topo_order()/forced_bit()/output protocol.
     """
     order = g.topo_order()
+    pins = pins or {}
     bits = {}
     for nid in order:
-        bits[nid] = g.forced_bit(nid, bits, sat)
+        bits[nid] = pins[nid] if nid in pins else g.forced_bit(nid, bits, sat)
     return EvalTrace(order=tuple(order), bits=bits, answer=bits[g.output])
 
 

@@ -17,7 +17,7 @@ from types import MappingProxyType
 from .compress import build_compressed, lift_query_string
 from .errors import PipelineError
 from .oracle import EvaluationBackend, ProofOracle, threshold_query
-from .querygraph import evaluate, is_correct_query_string
+from .querygraph import decimal_str, evaluate, is_correct_query_string
 from .separator import build_separator_tree
 from .weighting import rho_weights, total_weight
 
@@ -30,14 +30,17 @@ ADMISSIBILITY_C = 2
 class ThresholdInstance:
     """One threshold question: dag, weighting, scaled threshold, pinned bits.
 
-    The pins mapping is valid only for the duration of the query: a witness
+    The transcript keeps the pins mapping itself, not a copy, and reads it
+    again whenever it is rendered, so a mapping may change after its query
+    only as far as the stats that recorded the query allow.  Without a
+    position it must not change at all while they are alive.  A witness
     extraction hands every query the same dict and extends it between
-    queries, so a backend must not rely on what it holds later.  Such a
-    query carries its `position` k: the pins are k + 1 entries, the last
-    one the node this query pins at 1, and the k entries before it no
-    longer change while the same dict goes on to positions k + 1, k + 2
-    and so on.  A backend may then check only what is new since position
-    k - 1; without a position it reads the pins afresh.
+    queries; such a query carries its `position` k: the pins are k + 1
+    entries, the last one the node this query pins at 1.  While the stats
+    are alive the dict is only extended: its entry at k may be settled and
+    entries added after it, but the k entries before it never change, and
+    the dict is not cleared or reused.  A backend may then check only what
+    is new since position k - 1.
     """
 
     dag: object
@@ -70,8 +73,8 @@ class SolveReport:
         doc = {
             "answer": self.answer,
             "method": self.method,
-            "T_scaled": None if self.t_scaled is None else str(self.t_scaled),
-            "W": None if self.w_total is None else str(self.w_total),
+            "T_scaled": None if self.t_scaled is None else decimal_str(self.t_scaled),
+            "W": None if self.w_total is None else decimal_str(self.w_total),
             "queries": self.queries,
             "budget": self.budget,
             "proof_queries": self.proof_queries,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .querygraph import topo_sort
+from .querygraph import decimal_str, topo_sort
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,8 @@ def weight_report(w):
     """Weights as decimal strings; arbitrary precision survives text round-trip."""
     return {
         "c": w.c,
-        "weights": {str(nid): str(val) for nid, val in sorted(w.weights.items())},
-        "total": str(total_weight(w)),
+        "weights": {
+            str(nid): decimal_str(val) for nid, val in sorted(w.weights.items())
+        },
+        "total": decimal_str(total_weight(w)),
     }

@@ -120,12 +120,16 @@ def enum_evaluate(g):
     return bits, bits[g.output]
 
 
-def brute_two_t(dag, weights):
-    """Exact maximum of the scaled objective by enumerating all strings."""
+def brute_two_t(dag, weights, pins=None):
+    """Exact maximum of the scaled objective by enumerating all strings that
+    agree with the fixed bits and `pins`; None if the two contradict."""
     oracle = ProofOracle()
     inst = ThresholdInstance(dag, weights, 0, {})
     ids = list(dag.node_ids())
     fixed = dag.fixed_bits()
+    for nid, bit in (pins or {}).items():
+        if fixed.setdefault(nid, bit) != bit:
+            return None
     free = [nid for nid in ids if nid not in fixed]
     best = None
     for combo in itertools.product((0, 1), repeat=len(free)):

@@ -278,3 +278,28 @@ def test_bench_non_integer_sizes_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert "argument --sizes" in err
     assert "Traceback" not in err
+
+
+def test_outputs_integers_past_the_digit_limit(tmp_path, capsys):
+    # rho weights on a 1,300-node chain are (2 * 1300) ** depth, so 2T and W
+    # run to more than the 4,300 digits str() of an int allows.
+    inst = tmp_path / "chain1300.json"
+    inst.write_text(serialize_dag(gen_instance("chain", 1300, 0)))
+    out = tmp_path / "report.json"
+    assert main(["solve", "--method", "depth", "-i", str(inst), "-o", str(out)]) == 0
+    report = read_json(out)
+    assert len(report["T_scaled"]) > 4300
+    rows = tmp_path / "bench.json"
+    argv = ["bench", "--family", "chain", "--sizes", "1300", "--method", "depth"]
+    assert main(argv + ["-o", str(rows)]) == 0
+    assert read_json(rows)["rows"][0]["W"] == report["W"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_number_past_the_digit_limit_exits_1(tmp_path, capsys):
+    inst = tmp_path / "big.json"
+    inst.write_text('{"nodes": [], "output": 1' + "0" * 5000 + "}")
+    assert main(["evaluate", "-i", str(inst)]) == 1
+    err = capsys.readouterr().err
+    assert "error: malformed document" in err
+    assert "Traceback" not in err

@@ -13,6 +13,7 @@ from querydag import (
     ProofOracle,
     QueryNode,
     ThresholdInstance,
+    WeightAssignment,
     build_compressed,
     build_dag,
     build_separator_tree,
@@ -29,7 +30,9 @@ from querydag import (
     total_weight,
 )
 
-from conftest import enum_sat, random_instance
+from querydag.cli import gen_instance
+
+from conftest import brute_two_t, enum_sat, random_instance
 
 
 def test_sat_chain2_nodes(chain2):
@@ -251,6 +254,74 @@ def test_backends_agree_under_pins_on_compressed_instances():
                     assert brute.decide(inst, oracle) == smart.decide(inst, oracle)
 
 
+def _tightest_weights(g):
+    """The least weighting admissible with c = 2: one more than twice the
+    children's total."""
+    out = g.out_neighbors()
+    weights = {}
+    for nid in reversed(g.topo_order()):
+        weights[nid] = 1 + 2 * sum(weights[child] for child in out[nid])
+    return WeightAssignment(weights, 2)
+
+
+WEIGHTED_GRAPHS = {
+    "omega": lambda g: (g, omega_weights(g, 2)),
+    "rho": lambda g: (g, rho_weights(g, 2)),
+    "tightest": lambda g: (g, _tightest_weights(g)),
+    "gstar": lambda g: build_compressed(g, build_separator_tree(g)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WEIGHTED_GRAPHS))
+def test_backends_agree_under_random_pins(kind):
+    # Below 2T, a query whose pins disagree with the maximizer is answered
+    # by one evaluation under its pins.  Enumeration must agree at 2T - 1,
+    # 2T and 2T + 1, at the pinned maximum and one above, and at a sample
+    # of lower thresholds.
+    rng = random.Random(11)
+    below = 0
+    for seed in range(36):
+        dag, weights = WEIGHTED_GRAPHS[kind](random_instance(seed, max_n=12))
+        if len(dag.nodes) - len(dag.fixed_bits()) > 12:
+            continue
+        oracle = ProofOracle()
+        brute = BruteForceBackend()
+        smart = EvaluationBackend()
+        two_t = brute_two_t(dag, weights)
+        ids = dag.node_ids()
+        for _ in range(4):
+            pinned = rng.sample(ids, rng.randint(1, len(ids)))
+            pins = {nid: rng.randint(0, 1) for nid in pinned}
+            best = brute_two_t(dag, weights, pins)
+            thetas = {two_t - 1, two_t, two_t + 1}
+            thetas.update(rng.sample(range(two_t), min(3, two_t)))
+            if best is not None:
+                thetas.update((best, best + 1))
+                below += best < two_t
+            for theta in sorted(thetas):
+                inst = ThresholdInstance(dag, weights, theta, pins)
+                assert smart.decide(inst, oracle) == brute.decide(inst, oracle), (
+                    seed, theta, pins
+                )
+    assert below >= 20
+
+
+def test_evaluation_backend_decides_a_flipped_pin_on_a_30_chain():
+    # 29 free bits: more than enumeration can take, one evaluation for the
+    # evaluation backend.
+    g = gen_instance("chain", 30, 0)
+    weights = rho_weights(g, 2)
+    oracle = ProofOracle()
+    backend = EvaluationBackend()
+    two_t = binary_search_T(g, weights, oracle, backend)
+    first = g.topo_order()[0]
+    flipped = {first: evaluate(g, ProofOracle()).bits[first] ^ 1}
+    before = oracle.stats.proof_queries
+    inst = ThresholdInstance(g, weights, two_t - 1, flipped)
+    assert threshold_query(inst, oracle, backend) is False
+    assert oracle.stats.proof_queries - before <= 2 * len(g.nodes)
+
+
 def test_positioned_queries_agree_with_brute_force():
     # Pins sequences driven by hand that keep the position contract, many of
     # them with settled entries off the maximizer: the evaluation backend's
@@ -426,3 +497,8 @@ def test_transcript_export_fields(chain2):
     assert entry["threshold"] == "8"
     assert entry["pins"] == {"2": 1}
     assert entry["answer"] is True
+    # str() of an int refuses more than 4,300 digits by default.
+    threshold_query(
+        ThresholdInstance(chain2, weights, 10**5000, {}), oracle, EvaluationBackend()
+    )
+    assert stats.to_doc()[-1]["threshold"] == "1" + "0" * 5000

@@ -1,4 +1,5 @@
 from querydag import (
+    WeightAssignment,
     build_compressed,
     build_dag,
     build_separator_tree,
@@ -132,3 +133,10 @@ def test_weight_report_round_trips_big_integers(chain3):
     report = weight_report(omega_weights(chain3, 6))
     assert report["weights"]["1"] == str(7 ** 2)
     assert int(report["total"]) == 49 + 7 + 1
+    # Past the 4,300 digits str() of an int allows by default, in the
+    # report and in the weights of a G* document.
+    gstar, fstar = build_compressed(chain3, build_separator_tree(chain3))
+    huge = WeightAssignment({nid: 10**5000 + w for nid, w in fstar.weights.items()}, 2)
+    expected = {str(nid): "1" + f"{w:05000d}" for nid, w in fstar.weights.items()}
+    assert weight_report(huge)["weights"] == expected
+    assert gstar.to_doc(huge)["weights"] == expected
