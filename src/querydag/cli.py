@@ -286,6 +286,17 @@ def _sizes(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _reps(text):
+    """The --reps argument: a positive integer."""
+    try:
+        reps = int(text)
+    except ValueError:
+        reps = 0
+    if reps < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return reps
+
+
 def _cmd_bench(args):
     config = BenchConfig(
         family=args.family,
@@ -347,7 +358,7 @@ def _build_parser():
     p = sub.add_parser("bench", help="family sweep with query counts")
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--sizes", type=_sizes, required=True, help="comma-separated sizes")
-    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--reps", type=_reps, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sep-bound", type=int, default=2)
     p.add_argument("--method", choices=tuple(DECIDERS), default="compress")

@@ -6,9 +6,10 @@ oracle does unbounded work behind one answer.  That work is a DPLL search
 over integer bitmasks, one bit per variable that occurs in the clauses: each
 clause is a (positive, negative) pair of variable masks and the assignment a
 (true, false) pair, with unit propagation to a fixpoint and branching on the
-smallest free variable.  A ProofOracle lasts one solve and memoizes its
-answers per (query, input bits); every issued call is still counted and
-recorded, and `proof_distinct` is the memo's size.
+smallest variable of the first unsatisfied clause with two free literals, or
+failing that of the first unsatisfied clause.  A ProofOracle lasts one
+solve and memoizes its answers per (query, input bits); every issued call is
+still counted and recorded, and `proof_distinct` is the memo's size.
 
 Two threshold backends are provided.  BruteForceBackend is the reference: it
 enumerates answer strings outright and is capped.  EvaluationBackend answers
@@ -91,10 +92,11 @@ def _propagate(clauses, true, false):
     """Unit propagation to a fixpoint over (positive, negative) clause masks.
 
     Returns the clauses still unsatisfied, the extended assignment and the
-    variables those clauses leave free, or None on a conflict.
+    free variables of the first of those clauses with exactly two (0 if
+    none has two), or None on a conflict.
     """
     while True:
-        free_vars = 0
+        pair = 0
         live = []
         before = assigned = true | false
         for pos, neg in clauses:
@@ -103,32 +105,40 @@ def _propagate(clauses, true, false):
             free = (pos | neg) & ~assigned
             if not free:
                 return None
-            if free & (free - 1):
+            rest = free & (free - 1)
+            if rest:
                 live.append((pos, neg))
-                free_vars |= free
+                if not (pair or rest & (rest - 1)):
+                    pair = free
             else:
                 # A unit clause: its one free literal must hold.
                 true |= pos & free
                 false |= neg & free
                 assigned |= free
         if assigned == before:
-            return live, true, false, free_vars
+            return live, true, false, pair
         clauses = live
 
 
 def _dpll(clauses, true, false):
-    # Branch on the smallest variable left in an unsatisfied clause, the
-    # positive literal first.  Pending branches wait on an explicit stack, so
-    # deep formulas cannot hit the recursion limit.
+    # Branch on the smallest free variable of the first unsatisfied clause
+    # with two free literals, so that either branch satisfies the clause or
+    # forces its other literal; if no clause has two, on that of the first
+    # unsatisfied clause.  The variable is set true first.  Pending branches
+    # wait on an explicit stack, so deep formulas cannot hit the recursion
+    # limit.
     stack = [(clauses, true, false)]
     while stack:
         state = _propagate(*stack.pop())
         if state is None:
             continue
-        clauses, true, false, free_vars = state
+        clauses, true, false, pair = state
         if not clauses:
             return True
-        var = free_vars & -free_vars
+        if not pair:
+            pos, neg = clauses[0]
+            pair = (pos | neg) & ~(true | false)
+        var = pair & -pair
         stack.append((clauses, true, false | var))
         stack.append((clauses, true | var, false))
     return False
@@ -143,8 +153,8 @@ def sat_exists_proof(node, input_bits):
         )
     # The variables in the clauses take consecutive bits in ascending order,
     # so masks are as wide as the variables used, not as their numbers, and
-    # the smallest free bit is still the smallest free variable.  An input
-    # in no clause gets no bit; a clause holding v and -v always holds.
+    # a clause's smallest free bit is still its smallest free variable.  An
+    # input in no clause gets no bit; a clause holding v and -v always holds.
     used = sorted({abs(lit) for clause in node.clauses for lit in clause})
     mask = {var: 1 << i for i, var in enumerate(used)}
     clauses = []

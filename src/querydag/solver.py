@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .compress import build_compressed, lift_query_string
 from .errors import PipelineError
@@ -26,8 +27,7 @@ from .weighting import rho_weights, total_weight
 ADMISSIBILITY_C = 2
 
 
-@dataclass(frozen=True)
-class ThresholdInstance:
+class ThresholdInstance(NamedTuple):
     """One threshold question: dag, weighting, scaled threshold, pinned bits.
 
     The transcript keeps the pins mapping itself, not a copy, and reads it

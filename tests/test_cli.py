@@ -280,6 +280,15 @@ def test_bench_non_integer_sizes_is_usage_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("reps", ["0", "-1", "a"])
+def test_bench_non_positive_reps_is_usage_error(reps, capsys):
+    # Zero repetitions would print an empty table and exit 0.
+    assert main(["bench", "--family", "chain", "--sizes", "3", "--reps", reps]) == 2
+    err = capsys.readouterr().err
+    assert "argument --reps" in err
+    assert "Traceback" not in err
+
+
 def test_outputs_integers_past_the_digit_limit(tmp_path, capsys):
     # rho weights on a 1,300-node chain are (2 * 1300) ** depth, so 2T and W
     # run to more than the 4,300 digits str() of an int allows.

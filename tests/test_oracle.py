@@ -52,11 +52,26 @@ def test_sat_empty_clause_is_unsat():
     assert not sat_exists_proof(node, "")
 
 
+def _near_threshold_cnf(rng, proof_vars, wires):
+    """A random 3-CNF over the proof block at clause ratio 4.2, plus a clause
+    (-wire, l1, l2) per input wire, as the benchmark's SAT-heavy nodes are."""
+    proof = range(wires + 1, wires + proof_vars + 1)
+
+    def clause(width):
+        return tuple(v * rng.choice((1, -1)) for v in rng.sample(proof, width))
+
+    clauses = [clause(3) for _ in range(round(4.2 * proof_vars))]
+    clauses += [(-wire,) + clause(2) for wire in range(1, wires + 1)]
+    inputs = tuple(range(100, 100 + wires))
+    bits = "".join(rng.choice("01") for _ in range(wires))
+    return QueryNode(1, "verifier", inputs, proof_vars, tuple(clauses)), bits
+
+
 def test_sat_matches_enumeration_on_random_cnfs():
     # Narrow variable ranges and wide clauses make tautologies, duplicate
     # literals and input-only clauses common; a few clauses are empty.
     rng = random.Random(7)
-    answers = set()
+    small = []
     for _ in range(2000):
         pv = rng.randint(0, 10)
         indeg = rng.randint(0, 3)
@@ -69,10 +84,44 @@ def test_sat_matches_enumeration_on_random_cnfs():
             )
         node = QueryNode(1, "verifier", tuple(range(100, 100 + indeg)), pv, tuple(clauses))
         bits = "".join(rng.choice("01") for _ in range(indeg))
-        answer = sat_exists_proof(node, bits)
-        assert answer == enum_sat(node, bits), (node, bits)
-        answers.add(answer)
+        small.append((node, bits))
+    # Those are almost all satisfiable.  Near ratio 4.2 both answers are
+    # common, and the search keeps reaching states with clauses of two free
+    # literals and states with none.
+    rng = random.Random(11)
+    near = [_near_threshold_cnf(rng, 10, rng.randint(0, 3)) for _ in range(100)]
+    for cases in (small, near):
+        answers = set()
+        for node, bits in cases:
+            answer = sat_exists_proof(node, bits)
+            assert answer == enum_sat(node, bits), (node, bits)
+            answers.add(answer)
+        assert answers == {True, False}
+
+
+def test_dpll_branches_on_two_literal_clauses(monkeypatch):
+    # Search nodes are _propagate calls.  Branching on the smallest free
+    # variable needed 810 on these 40 formulas.  A branch on a clause with
+    # two free literals satisfies it or forces its other literal, and the
+    # search needs 503.
+    from querydag import oracle
+
+    propagate = oracle._propagate
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return propagate(*args)
+
+    monkeypatch.setattr(oracle, "_propagate", counting)
+    rng = random.Random(12)
+    answers = set()
+    for _ in range(40):
+        node, bits = _near_threshold_cnf(rng, 18, rng.randint(0, 3))
+        answers.add(sat_exists_proof(node, bits))
     assert answers == {True, False}
+    assert calls < 600
 
 
 def test_sat_agrees_with_enumeration_at_sixteen_proof_vars():
