@@ -255,7 +255,7 @@ class EvaluationBackend:
     only.  For that the backend keeps the pins dict of the last query, if
     it had a position, and whether its settled entries agree; a new profile
     drops both.  A query whose pins disagree, below 2T, costs one pass of
-    forced bits and one of the objective: at most 2|V| proof calls.
+    forced bits, scored in place: at most |V| proof calls.
     """
 
     def __init__(self):
@@ -326,10 +326,17 @@ class EvaluationBackend:
         merged = _merge_pins(inst)
         if merged is None:
             return False
-        from .solver import max_t_for_assignment
-
+        # Score the best string in place: an unpinned node holds its forced
+        # bit already, so only a pinned or fixed 1 needs a proof call.
         best = evaluate(inst.dag, proof_oracle, merged).bits
-        return inst.threshold <= max_t_for_assignment(inst, best, proof_oracle)
+        weights = inst.weights.weights
+        score = 0
+        for nid, bit in best.items():
+            if bit and nid in merged:
+                score += 2 * weights[nid] * inst.dag.forced_bit(nid, best, proof_oracle)
+            else:
+                score += (1 + bit) * weights[nid]
+        return inst.threshold <= score
 
 
 def threshold_query(inst, proof_oracle, backend):

@@ -1,9 +1,11 @@
 """Balanced separators and separator trees over the undirected skeleton.
 
-Separator search is exact brute force: candidate subsets are enumerated by
-increasing size, then lexicographically by sorted member ids, so all results
-are deterministic.  Trees are padded with isolated dummy vertices so every
-supervertex has the same size.
+Separator search is exact: balanced separators are enumerated by increasing
+size, then lexicographically by sorted member ids, so all results are
+deterministic.  The subsets sharing all members but the last are judged
+together, by flood fills over vertex bitmasks or by one cut-vertex pass.
+Trees are padded with isolated dummy vertices so every supervertex has the
+same size.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import json
 from dataclasses import dataclass
 
 from .errors import ValidationError
+
+_FEW_CANDIDATES = 8  # see _balanced_separators
 
 
 @dataclass(frozen=True)
@@ -156,17 +160,106 @@ def _balanced_components(vertex_set, adj, members):
     return comps
 
 
+def _oversized(rest, nbrs, half):
+    """Part of the component of the vertex mask `rest` with more than `half`
+    vertices, or 0 if there is none (callers keep |rest| <= 2 * half + 1, so
+    at most one is that large).  A flood fill over bitmasks that stops once
+    a component outgrows `half`, or the vertices left cannot.
+    """
+    while rest.bit_count() > half:
+        comp = frontier = rest & -rest
+        while frontier:
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                grow |= nbrs[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & rest & ~comp
+            comp |= frontier
+            if comp.bit_count() > half:
+                return comp
+        rest ^= comp
+    return 0
+
+
+def _cut_fits(rest, root, nbrs, half):
+    """Mask of the vertices b of root's component C in the vertex mask `rest`
+    that leave no piece of C - b with more than `half` vertices.
+
+    One iterative DFS for cut vertices (Hopcroft-Tarjan), lowpoints kept as
+    masks: reach[v] holds the vertices seen earlier that v's subtree is
+    adjacent to.  A child c of b whose reach misses the path above b is a
+    piece of its own; what is left of C beside b and them is one more.
+    """
+    n = len(nbrs)
+    reach, cut, top, size = [0] * n, [0] * n, [0] * n, [1] * n
+    seen = path = 1 << root
+    stack = [root]
+    while stack:
+        v = stack[-1]
+        todo = nbrs[v] & rest & ~seen
+        if todo:
+            bit = todo & -todo
+            w = bit.bit_length() - 1
+            reach[w] = nbrs[w] & seen
+            seen |= bit
+            path |= bit
+            stack.append(w)
+            continue
+        stack.pop()
+        path ^= 1 << v
+        if stack:
+            p = stack[-1]
+            size[p] += size[v]
+            if reach[v] & (path ^ 1 << p):
+                reach[p] |= reach[v]
+            else:
+                cut[p] += size[v]
+                top[p] = max(top[p], size[v])
+    left = seen.bit_count() - 1
+    return sum(1 << b for b in range(n) if seen >> b & 1 and max(top[b], left - cut[b]) <= half)
+
+
 def _balanced_separators(vertices, adj, max_size):
     """Every balanced separator of size <= max_size of the vertex set, in
     enumeration order: by increasing size, then lexicographically by sorted
-    member ids."""
+    member ids.
+
+    Removing k of the n vertices must leave no component of more than
+    half = ceil((n - k) / 2) vertices, which forces two components when two
+    or more are left.  The k-subsets sharing a (k-1)-prefix P are judged on
+    G - P, where at most one component C is larger than half.  Each
+    candidate b > max(P) passes if there is no C, and otherwise if b is in
+    C and leaves no piece of C larger than half.  Up to _FEW_CANDIDATES
+    candidates are checked by a flood fill each; more, by one cut-vertex
+    pass over C.  Components are listed only for the separators yielded.
+    """
     vertex_set = set(vertices)
-    vertex_list = sorted(vertex_set)
-    for size in range(1, min(max_size, len(vertex_list)) + 1):
-        for combo in itertools.combinations(vertex_list, size):
-            comps = _balanced_components(vertex_set, adj, combo)
-            if comps is not None:
-                yield Separator(members=combo, components=comps)
+    ids = sorted(vertex_set)
+    index = {v: i for i, v in enumerate(ids)}
+    nbrs = [sum(1 << index[w] for w in adj.get(v, ()) if w in index) for v in ids]
+    n = len(ids)
+    bits = [1 << i for i in range(n)]
+    for size in range(1, min(max_size, n) + 1):
+        half = (n - size + 1) // 2
+        for prefix in itertools.combinations(bits, size - 1):
+            first = prefix[-1].bit_length() if prefix else 0
+            rest = (1 << n) - 1 - sum(prefix)
+            if n - first <= _FEW_CANDIDATES:
+                fits = 0
+                for bit in bits[first:]:
+                    if not _oversized(rest ^ bit, nbrs, half):
+                        fits |= bit
+            else:
+                big = _oversized(rest, nbrs, half)
+                fits = rest >> first << first
+                if big:
+                    fits &= _cut_fits(rest, (big & -big).bit_length() - 1, nbrs, half)
+            while fits:
+                bit = fits & -fits
+                fits ^= bit
+                members = tuple(ids[b.bit_length() - 1] for b in prefix + (bit,))
+                yield Separator(members, _components(vertex_set.difference(members), adj))
 
 
 def find_balanced_separator(vertices, edges, max_size):

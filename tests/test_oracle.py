@@ -368,7 +368,7 @@ def test_evaluation_backend_decides_a_flipped_pin_on_a_30_chain():
     before = oracle.stats.proof_queries
     inst = ThresholdInstance(g, weights, two_t - 1, flipped)
     assert threshold_query(inst, oracle, backend) is False
-    assert oracle.stats.proof_queries - before <= 2 * len(g.nodes)
+    assert oracle.stats.proof_queries - before <= len(g.nodes)
 
 
 def test_positioned_queries_agree_with_brute_force():

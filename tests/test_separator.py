@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 from querydag import (
     SeparatorTree,
@@ -9,8 +11,11 @@ from querydag import (
     find_balanced_separator,
     verify_separator_tree,
 )
+from querydag import separator
+from querydag.separator import _adjacency
 
 from conftest import random_instance
+from separator_reference import balanced_separators
 
 
 def path(n):
@@ -199,3 +204,57 @@ def test_builder_is_deterministic():
     for seed in (3, 11):
         g = random_instance(seed)
         assert build_separator_tree(g).to_doc() == build_separator_tree(g).to_doc()
+
+
+def random_adjacency(rng):
+    """A seeded random graph on scattered ids, and a random subset of it:
+    the subset may be disconnected, hold isolated vertices, or have at most
+    two vertices, and edges to vertices outside it must be ignored."""
+    ids = rng.sample(range(1, 60), rng.randint(0, 11))
+    p = rng.choice((0.0, 0.1, 0.2, 0.35, 0.6, 0.9))
+    edges = [(a, b) for a, b in itertools.combinations(ids, 2) if rng.random() < p]
+    subset = [v for v in ids if rng.random() < 0.8]
+    return subset, _adjacency(ids, edges)
+
+
+def test_enumerator_matches_reference_sequence(monkeypatch):
+    # Every separator, members and components, in order, for every size
+    # bound; and for the largest bound with cut passes only and with flood
+    # fills only.
+    rng = random.Random(13)
+    small = 0
+    for _ in range(600):
+        subset, adj = random_adjacency(rng)
+        small += len(subset) <= 2
+        expected = list(balanced_separators(subset, adj, len(subset)))
+        for max_size in range(1, len(subset) + 1):
+            got = list(separator._balanced_separators(subset, adj, max_size))
+            assert got == [s for s in expected if len(s.members) <= max_size]
+        for few in (0, len(subset)):
+            monkeypatch.setattr(separator, "_FEW_CANDIDATES", few)
+            assert list(separator._balanced_separators(subset, adj, len(subset))) == expected
+        monkeypatch.undo()
+    assert small >= 50
+
+
+def test_depth_bounded_trees_match_reference_enumerator(monkeypatch):
+    # build_depth_bounded_tree backtracks, so it consumes whole generators.
+    cases = []
+    for seed in range(1000):
+        g = random_instance(seed)
+        balanced = build_separator_tree(g)
+        for depth in range(1, balanced.depth() + 1):
+            for size in range(1, min(balanced.uniform_size + 1, len(g.nodes)) + 1):
+                tree = build_depth_bounded_tree(g, depth, size)
+                cases.append((g, depth, size, tree and tree.to_doc()))
+    monkeypatch.setattr(separator, "_balanced_separators", balanced_separators)
+    for g, depth, size, doc in cases:
+        tree = build_depth_bounded_tree(g, depth, size)
+        assert (tree and tree.to_doc()) == doc
+
+
+def test_long_chain_builds_without_recursion():
+    g = path(3000)
+    tree = build_separator_tree(g)
+    assert tree.uniform_size == 1
+    assert verify_separator_tree(g, tree)
