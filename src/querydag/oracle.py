@@ -5,11 +5,17 @@ queries are internal to the oracle's own decision procedure, the way an NP
 oracle does unbounded work behind one answer.  That work is a DPLL search
 over integer bitmasks, one bit per variable that occurs in the clauses: each
 clause is a (positive, negative) pair of variable masks and the assignment a
-(true, false) pair, with unit propagation to a fixpoint and branching on the
-smallest variable of the first unsatisfied clause with two free literals, or
-failing that of the first unsatisfied clause.  A ProofOracle lasts one
-solve and memoizes its answers per (query, input bits); every issued call is
-still counted and recorded, and `proof_distinct` is the memo's size.
+(true, false) pair.  The search branches on the smallest variable of the
+first unsatisfied clause with two free literals, or failing that of the
+first unsatisfied clause.  Its root propagates unit clauses to a fixpoint
+over every clause; each search node below propagates only from the variable
+it branched on, through the clauses that lose a literal to it.  The masks
+and those per-variable clause lists are the node's compiled form
+(CompiledCnf), linear in its clauses, built on its first decision and kept
+on the node for later ones; parsing compiles nothing, and a clause-free
+node is never compiled.  A ProofOracle lasts one solve and memoizes its
+answers per (query, input bits); every issued call is still counted and
+recorded, and `proof_distinct` is the memo's size.
 
 Two threshold backends are provided.  BruteForceBackend is the reference: it
 enumerates answer strings outright and is capped.  EvaluationBackend answers
@@ -88,59 +94,126 @@ class OracleStats:
         return doc
 
 
-def _propagate(clauses, true, false):
-    """Unit propagation to a fixpoint over (positive, negative) clause masks.
+class CompiledCnf:
+    """A node's clauses as the DPLL reads them, built on the node's first
+    decision and cached on it (`QueryNode.cnf`).
 
-    Returns the clauses still unsatisfied, the extended assignment and the
-    free variables of the first of those clauses with exactly two (0 if
-    none has two), or None on a conflict.
+    The variables in the clauses take consecutive bits in ascending order,
+    so masks are as wide as the variables used, not as their numbers, and a
+    clause's smallest free bit is still its smallest free variable.  An
+    input in no clause gets no bit; a clause holding v and -v always holds
+    and is dropped.  `wires` holds each input wire's bit (0 for none),
+    `clauses` each remaining clause as a (positive, negative) pair of
+    masks, in the node's order, and `on_true[bit]` / `on_false[bit]` the
+    clauses that lose a literal when that variable is set true / false.
+    The root of a search sets the pseudo-variable 0 false, and
+    `on_false[0]` is every clause, so the root checks them all.  The size
+    is linear in the node's literals.
     """
-    while True:
-        pair = 0
-        live = []
-        before = assigned = true | false
+
+    __slots__ = ("wires", "clauses", "on_true", "on_false")
+
+    def __init__(self, node):
+        used = sorted({abs(lit) for clause in node.clauses for lit in clause})
+        mask = {}
+        self.on_true = {}
+        self.on_false = {}
+        # The clauses holding literal v lose it when v is set false, those
+        # holding -v when v is set true: lose[lit] is that list.
+        lose = {}
+        for i, var in enumerate(used):
+            bit = mask[var] = 1 << i
+            lose[var] = self.on_false[bit] = []
+            lose[-var] = self.on_true[bit] = []
+        self.wires = tuple(mask.get(var, 0) for var in range(1, len(node.inputs) + 1))
+        clauses = []
+        for clause in node.clauses:
+            pos = neg = 0
+            for lit in clause:
+                if lit > 0:
+                    pos |= mask[lit]
+                else:
+                    neg |= mask[-lit]
+            if pos & neg:
+                continue
+            pair = (pos, neg)
+            clauses.append(pair)
+            if pos.bit_count() + neg.bit_count() < len(clause):
+                clause = set(clause)  # a repeated literal is listed once
+            for lit in clause:
+                lose[lit].append(pair)
+        self.clauses = tuple(clauses)
+        self.on_false[0] = self.clauses
+
+
+def _propagate(cnf, true, false, var, value):
+    """Set var to value, then unit-propagate to a fixpoint.
+
+    Only clauses that lose a literal are looked at: first those of var,
+    then those of each variable a unit clause sets.  At the root (var 0)
+    that is every clause, so the root's fixpoint is the full one, and each
+    search node below it needs only the consequences of its own branch.
+    Returns the extended (true, false) assignment, or None on a conflict.
+    """
+    if value:
+        true |= var
+    else:
+        false |= var
+    on_true, on_false = cnf.on_true, cnf.on_false
+    queue = [var]
+    while queue:
+        bit = queue.pop()
+        for pos, neg in (on_true if bit & true else on_false)[bit]:
+            if pos & true or neg & false:
+                continue
+            free = (pos | neg) & ~(true | false)
+            if not free:
+                return None
+            if free & (free - 1):
+                continue
+            # A unit clause: its one free literal must hold.
+            if pos & free:
+                true |= free
+            else:
+                false |= free
+            queue.append(free)
+    return true, false
+
+
+def _dpll(cnf, true, false):
+    # Each search node is one _propagate call, from the assignment its
+    # parent reached plus its branch; the root propagates everything.
+    # Branch on the smallest free variable of the first unsatisfied clause
+    # with two free literals, so that either branch satisfies the clause or
+    # forces its other literal; if no clause has two, on that of the first
+    # unsatisfied clause.  After propagation every unsatisfied clause has
+    # two free literals or more, so one scan that stops at the first with
+    # exactly two finds the variable.  It is set true first.  Pending
+    # branches wait on an explicit stack, so deep formulas cannot hit the
+    # recursion limit.
+    clauses = cnf.clauses
+    stack = [(true, false, 0, 0)]
+    while stack:
+        state = _propagate(cnf, *stack.pop())
+        if state is None:
+            continue
+        true, false = state
+        assigned = true | false
+        pick = 0
         for pos, neg in clauses:
             if pos & true or neg & false:
                 continue
             free = (pos | neg) & ~assigned
-            if not free:
-                return None
             rest = free & (free - 1)
-            if rest:
-                live.append((pos, neg))
-                if not (pair or rest & (rest - 1)):
-                    pair = free
-            else:
-                # A unit clause: its one free literal must hold.
-                true |= pos & free
-                false |= neg & free
-                assigned |= free
-        if assigned == before:
-            return live, true, false, pair
-        clauses = live
-
-
-def _dpll(clauses, true, false):
-    # Branch on the smallest free variable of the first unsatisfied clause
-    # with two free literals, so that either branch satisfies the clause or
-    # forces its other literal; if no clause has two, on that of the first
-    # unsatisfied clause.  The variable is set true first.  Pending branches
-    # wait on an explicit stack, so deep formulas cannot hit the recursion
-    # limit.
-    stack = [(clauses, true, false)]
-    while stack:
-        state = _propagate(*stack.pop())
-        if state is None:
-            continue
-        clauses, true, false, pair = state
-        if not clauses:
+            if not rest & (rest - 1):
+                pick = free
+                break
+            pick = pick or free
+        if not pick:
             return True
-        if not pair:
-            pos, neg = clauses[0]
-            pair = (pos | neg) & ~(true | false)
-        var = pair & -pair
-        stack.append((clauses, true, false | var))
-        stack.append((clauses, true | var, false))
+        var = pick & -pick
+        stack.append((true, false, var, 0))
+        stack.append((true, false, var, 1))
     return False
 
 
@@ -151,29 +224,18 @@ def sat_exists_proof(node, input_bits):
             f"node {node.id}: expected {len(node.inputs)} input bits, "
             f"got {len(input_bits)}"
         )
-    # The variables in the clauses take consecutive bits in ascending order,
-    # so masks are as wide as the variables used, not as their numbers, and
-    # a clause's smallest free bit is still its smallest free variable.  An
-    # input in no clause gets no bit; a clause holding v and -v always holds.
-    used = sorted({abs(lit) for clause in node.clauses for lit in clause})
-    mask = {var: 1 << i for i, var in enumerate(used)}
-    clauses = []
-    for clause in node.clauses:
-        pos = neg = 0
-        for lit in clause:
-            if lit > 0:
-                pos |= mask[lit]
-            else:
-                neg |= mask[-lit]
-        if not pos & neg:
-            clauses.append((pos, neg))
+    # A clause-free verifier, such as a compressed graph's dummy, always
+    # holds and is never compiled.
+    if not node.clauses:
+        return True
+    cnf = node.cnf
     true = false = 0
-    for var, bit in enumerate(input_bits, start=1):
+    for bit, wire in zip(input_bits, cnf.wires):
         if int(bit):
-            true |= mask.get(var, 0)
+            true |= wire
         else:
-            false |= mask.get(var, 0)
-    return _dpll(clauses, true, false)
+            false |= wire
+    return _dpll(cnf, true, false)
 
 
 class ProofOracle:

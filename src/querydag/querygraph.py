@@ -14,6 +14,7 @@ import decimal
 import heapq
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParseError, ValidationError
 
@@ -48,6 +49,32 @@ class QueryNode:
     @property
     def var_count(self):
         return len(self.inputs) + self.proof_var_count
+
+    # The proof memo keys on nodes, and a tuple of clauses does not keep
+    # its hash, so a node keeps the one the dataclass would compute.  A
+    # clause-free node, as compression's throwaway dummies are, hashes as
+    # fast without and keeps nothing.
+    def __hash__(self):
+        if not self.clauses:
+            return hash((self.id, self.kind, self.inputs, self.proof_var_count, ()))
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        return hash((self.id, self.kind, self.inputs, self.proof_var_count, self.clauses))
+
+    @cached_property
+    def cnf(self):
+        """The clauses compiled for the proof oracle's DPLL, built on the
+        node's first decision, never at parse or validation time."""
+        from .oracle import CompiledCnf
+
+        return CompiledCnf(self)
+
+    def __reduce__(self):
+        # Pickle and copy the fields alone: a string's hash differs between
+        # processes, and the compiled form is rebuilt on use.
+        return type(self), (self.id, self.kind, self.inputs, self.proof_var_count, self.clauses)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import builtins
 import gc
+import itertools
 import random
 import tracemalloc
 import weakref
@@ -67,7 +68,9 @@ def _near_threshold_cnf(rng, proof_vars, wires):
     return QueryNode(1, "verifier", inputs, proof_vars, tuple(clauses)), bits
 
 
-def test_sat_matches_enumeration_on_random_cnfs():
+def _random_cnfs():
+    """The formulas of test_sat_matches_enumeration_on_random_cnfs: 2,000
+    small ones, then 100 near the threshold, as (node, input bits) lists."""
     # Narrow variable ranges and wide clauses make tautologies, duplicate
     # literals and input-only clauses common; a few clauses are empty.
     rng = random.Random(7)
@@ -90,7 +93,17 @@ def test_sat_matches_enumeration_on_random_cnfs():
     # literals and states with none.
     rng = random.Random(11)
     near = [_near_threshold_cnf(rng, 10, rng.randint(0, 3)) for _ in range(100)]
-    for cases in (small, near):
+    return small, near
+
+
+def _branching_cnfs():
+    """The 40 formulas of test_dpll_branches_on_two_literal_clauses."""
+    rng = random.Random(12)
+    return [_near_threshold_cnf(rng, 18, rng.randint(0, 3)) for _ in range(40)]
+
+
+def test_sat_matches_enumeration_on_random_cnfs():
+    for cases in _random_cnfs():
         answers = set()
         for node, bits in cases:
             answer = sat_exists_proof(node, bits)
@@ -115,13 +128,77 @@ def test_dpll_branches_on_two_literal_clauses(monkeypatch):
         return propagate(*args)
 
     monkeypatch.setattr(oracle, "_propagate", counting)
-    rng = random.Random(12)
     answers = set()
-    for _ in range(40):
-        node, bits = _near_threshold_cnf(rng, 18, rng.randint(0, 3))
+    for node, bits in _branching_cnfs():
         answers.add(sat_exists_proof(node, bits))
     assert answers == {True, False}
     assert calls < 600
+
+
+def test_dpll_searches_as_the_clause_list_reference(monkeypatch):
+    # Incremental propagation reaches the same fixpoint as re-scanning the
+    # live clauses, and the branch rule is the same, so every formula gets
+    # the same answer from a search tree of the same size.
+    import dpll_reference
+    from querydag import oracle
+
+    calls = {}
+
+    def counting(module):
+        propagate = module._propagate
+
+        def wrapped(*args):
+            calls[module] += 1
+            return propagate(*args)
+
+        monkeypatch.setattr(module, "_propagate", wrapped)
+
+    counting(oracle)
+    counting(dpll_reference)
+    small, near = _random_cnfs()
+    for node, bits in small + near + _branching_cnfs():
+        calls[oracle] = calls[dpll_reference] = 0
+        answer = sat_exists_proof(node, bits)
+        assert answer == dpll_reference.sat_exists_proof(node, bits), (node, bits)
+        # A clause-free node is answered before any search.
+        searched = calls[dpll_reference] if node.clauses else 0
+        assert calls[oracle] == searched, (node, bits)
+
+
+def test_compiled_form_is_reused_across_input_strings():
+    # One node object answers every input string, forwards and then
+    # backwards, from the one compiled form it keeps; a decision that left
+    # anything behind in that form would show in a later answer.
+    rng = random.Random(5)
+    nodes = [_near_threshold_cnf(rng, 8, 3)[0] for _ in range(12)]
+    for _ in range(30):
+        k = rng.randint(1, 3)
+        clauses = tuple(
+            tuple(rng.randint(1, k + 4) * rng.choice((1, -1)) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 12))
+        )
+        nodes.append(QueryNode(1, "verifier", tuple(range(100, 100 + k)), 4, clauses))
+    varied = 0
+    for node in nodes:
+        k = len(node.inputs)
+        strings = ["".join(bits) for bits in itertools.product("01", repeat=k)]
+        expected = {bits: enum_sat(node, bits) for bits in strings}
+        answers = [sat_exists_proof(node, bits) for bits in strings + strings[::-1]]
+        assert answers == [expected[bits] for bits in strings + strings[::-1]], node
+        assert "cnf" in node.__dict__
+        varied += len(set(answers)) == 2
+    assert varied >= 10
+
+
+def test_clause_free_nodes_and_parsing_compile_nothing():
+    g = gen_instance("layered", 12, 3)
+    assert not any("cnf" in node.__dict__ for node in g.nodes)
+    free = QueryNode(1, "verifier", (4, 5), 3, ())
+    assert sat_exists_proof(free, "01")
+    assert "cnf" not in free.__dict__
+    node = g.by_id[g.output]
+    sat_exists_proof(node, "0" * len(node.inputs))
+    assert "cnf" in node.__dict__
 
 
 def test_sat_agrees_with_enumeration_at_sixteen_proof_vars():

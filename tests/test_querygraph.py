@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -188,3 +191,36 @@ def test_evaluate_produces_correct_string_on_random_instances():
         g = random_instance(seed)
         trace = evaluate(g, oracle)
         assert is_correct_query_string(g, trace.bits, oracle)
+
+
+def test_nodes_of_two_parses_are_equal_and_hash_alike():
+    doc = serialize_dag(random_instance(9))
+    first, second = parse_dag(doc), parse_dag(doc)
+    for a, b in zip(first.nodes, second.nodes):
+        assert a is not b
+        assert a == b and repr(a) == repr(b)
+        assert hash(a) == hash(b)
+        # The value a frozen dataclass computes on every call.
+        assert hash(a) == hash((a.id, a.kind, a.inputs, a.proof_var_count, a.clauses))
+    memo = {(node, "1"): node.id for node in first.nodes}
+    assert all(memo[(node, "1")] == node.id for node in second.nodes)
+    assert serialize_dag(first) == serialize_dag(second) == doc
+    # A node differing in one literal is another node.
+    node = first.nodes[-1]
+    other = dataclasses.replace(node, clauses=node.clauses + ((1,),))
+    assert other != node and (other, "1") not in memo
+    bare = dataclasses.replace(node, clauses=())
+    assert hash(bare) == hash(dataclasses.replace(node, clauses=()))
+    assert hash(bare) == hash((node.id, node.kind, node.inputs, node.proof_var_count, ()))
+    # A node with clauses keeps its hash; a clause-free one keeps nothing.
+    assert "_hash" in node.__dict__ and "_hash" not in bare.__dict__
+
+
+def test_node_copies_carry_fields_only():
+    g = parse_dag(CHAIN2_DOC)
+    node = g.by_id[2]
+    ProofOracle().exists(node, "1")
+    assert "cnf" in node.__dict__
+    for copied in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+        assert copied == node and hash(copied) == hash(node)
+        assert "cnf" not in copied.__dict__
