@@ -11,9 +11,13 @@ summing their omega weights so the total is conserved and admissibility
 survives.
 
 build_compressed enumerates G* and its weighting straight from the
-signatures, in closed form, without building a copy.  G' and G'' live in
+signatures, in closed form, without building a copy: the nodes of one
+origin are a block of consecutive ids whose index bits are their
+signatures, so edges and lookups are index arithmetic, and a node's record
+(CompressedNode) is made only when something reads it.  G' and G'' live in
 tests/paper_stages.py as the reference the tests check G* against, together
-with the paper's compute_output over answer strings.
+with the paper's compute_output over answer strings; the record-based build
+this replaced is kept as tests/compress_reference.py.
 
 A node's query resolves each original input wire through compute_output,
 which reads the answers of the input's visible ancestors top-down, each off
@@ -23,8 +27,8 @@ of its signature and the answer bits of deeper nodes.
 
 from __future__ import annotations
 
-import itertools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import WireValueError
@@ -56,6 +60,12 @@ class CompressedNode:
     def is_conductor(self):
         return self.origin is None
 
+    @property
+    def label(self):
+        if self.is_conductor:
+            return "t"
+        return f"v{self.origin}^{{{','.join(self.conditioning)}}}"
+
 
 CONDUCTOR_NODE = CompressedNode(
     cid=CONDUCTOR_ID,
@@ -71,45 +81,56 @@ class CompressedDag:
     """The merged graph G*: one node per origin and assignment to its
     visible ancestors, plus the conductor, which is the graph's `output`.
 
-    Every wire is resolved by signature: copy_of finds the node of an
-    origin from the bits of its visible ancestors.  `visible` and
-    `origin_query` depend only on the original graph and its separator
-    tree; build_compressed computes them once.
+    The copies of origin u are one block of consecutive ids, first[u] to
+    first[u] + 2^|visible(u)| - 1, in itertools.product order over the bits
+    of u's visible ancestors: a copy's index in its block, read as a binary
+    number with the first visible ancestor most significant, is its
+    signature (see _bit_shifts).  Blocks follow one another by decreasing
+    depth of the origin's supervertex, then origin id, which is a
+    topological order.  So copy_of is index arithmetic, and a copy's known
+    bits are read off its index.  Besides the blocks, G* keeps each copy's
+    origin and its sorted out-edges; `nodes` makes a copy's CompressedNode
+    record only when it is read.  `visible` and `origin_query` depend only
+    on the original graph and its separator tree.
     """
 
     conductor_id = output = CONDUCTOR_ID
 
-    def __init__(self, origin_dag, septree, nodes, edges_out, visible, origin_query):
+    def __init__(self, origin_dag, septree, first, visible, edges_out):
         self.origin_dag = origin_dag
         self.septree = septree
-        self.nodes = dict(nodes)
-        self.edges_out = {cid: tuple(sorted(t)) for cid, t in edges_out.items()}
-        self._in = {cid: [] for cid in self.nodes}
-        for cid, targets in self.edges_out.items():
-            for t in targets:
-                self._in[t].append(cid)
-        self._in = {cid: tuple(sorted(v)) for cid, v in self._in.items()}
-        self.origin_query = origin_query
+        self.origin_query = _origin_queries(origin_dag, septree)
+        self.edges_out = edges_out
+        self._first = first
         self._visible = visible
-        self._index = {
-            (n.origin, n.signature): n.cid
-            for n in self.nodes.values()
-            if not n.is_conductor
-        }
-        dummies = set(septree.dummies)
-        self._fixed = {
-            cid: 1
-            for cid, n in self.nodes.items()
-            if not n.is_conductor and n.origin in dummies
-        }
+        self._shifts = {u: _bit_shifts(vis) for u, vis in visible.items()}
+        # Plain ids ascending, each with its origin.
+        self._origin = {}
+        for u, start in first.items():
+            self._origin.update(dict.fromkeys(range(start, start + (1 << len(visible[u]))), u))
+        self._in = None
+        # Dummy origins see no ancestor, so each has a single copy.
+        self._fixed = {first[d]: 1 for d in sorted(septree.dummies, key=first.get)}
+
+    @property
+    def nodes(self):
+        """G*'s nodes by id as CompressedNode records, made when read."""
+        return _Records(self)
 
     def node_ids(self):
-        return list(self.nodes)
+        return [CONDUCTOR_ID, *self._origin]
 
     def out_neighbors(self):
         return self.edges_out
 
     def in_neighbors(self):
+        if self._in is None:
+            inn = {cid: [] for cid in self.node_ids()}
+            # Sources come in ascending id order, so each tuple is sorted.
+            for cid, targets in self.edges_out.items():
+                for t in targets:
+                    inn[t].append(cid)
+            self._in = {cid: tuple(v) for cid, v in inn.items()}
         return self._in
 
     def edge_count(self):
@@ -120,48 +141,64 @@ class CompressedDag:
         return self._visible[origin]
 
     def label(self, cid):
-        node = self.nodes[cid]
-        if node.is_conductor:
-            return "t"
-        return f"v{node.origin}^{{{','.join(node.conditioning)}}}"
+        return self.nodes[cid].label
 
     def copy_of(self, origin, bits):
         """The node of `origin` whose signature matches `bits`, a dict from
-        original id to answer bit covering the origin's visible ancestors."""
-        sig = tuple((anc, bits[anc]) for anc, _, _ in self._visible[origin])
-        cid = self._index.get((origin, sig))
-        if cid is None:
-            raise WireValueError(f"no copy of node {origin} has signature {sig}")
+        original id to answer bit (0 or 1) covering the origin's visible
+        ancestors."""
+        cid = self._first[origin]
+        for anc, shift in self._shifts[origin].items():
+            cid += bits[anc] << shift
         return cid
 
     def topo_order(self):
         """Deepest supervertices first (their copies feed shallower ones),
-        conductor last."""
-        depth = {
-            sv.id: self.septree.depth_of(sv.id) for sv in self.septree.supervertices
-        }
-        plain = [cid for cid, n in self.nodes.items() if not n.is_conductor]
-        plain.sort(key=lambda cid: (-depth[self.nodes[cid].supervertex], cid))
-        plain.append(CONDUCTOR_ID)
-        return plain
+        conductor last: the plain ids ascending."""
+        return [*self._origin, CONDUCTOR_ID]
 
     def fixed_bits(self):
         """Dummy-origin copies are vacuously satisfiable, so their bits are
         fixed to 1; a fresh dict per call."""
         return dict(self._fixed)
 
+    def _known(self, cid, origin):
+        """The bits of the visible ancestors of `origin` in copy `cid`, read
+        off its index, in signature order."""
+        k = cid - self._first[origin]
+        return {anc: k >> shift & 1 for anc, shift in self._shifts[origin].items()}
+
     def forced_bit(self, cid, x, sat):
         """Answer of copy `cid` when every wire lookup reads its bit in x: the
         origin's query on wires resolved through compute_output from the
         copy's signature, or for the conductor the replayed original
         output."""
-        node = self.nodes[cid]
-        if node.is_conductor:
+        if cid == CONDUCTOR_ID:
             return compute_output(self, self.origin_dag.output, {}, x)
-        query = self.origin_query[node.origin]
-        known = dict(node.signature)
-        z = "".join(str(compute_output(self, p, known, x)) for p in query.inputs)
+        origin = self._origin[cid]
+        query = self.origin_query[origin]
+        known = self._known(cid, origin)
+        z = "".join([str(compute_output(self, p, known, x)) for p in query.inputs])
         return 1 if sat.exists(query, z) else 0
+
+    def _record(self, cid):
+        if cid == CONDUCTOR_ID:
+            return CONDUCTOR_NODE
+        origin = self._origin[cid]
+        tree = self.septree
+        svid = tree.supervertex_of(origin)
+        signature = tuple(self._known(cid, origin).items())
+        cond = [["*"] * tree.uniform_size for _ in tree.branch(svid)]
+        for (_, lvl, pos), (_, bit) in zip(self._visible[origin], signature):
+            cond[lvl][pos] = str(bit)
+        return CompressedNode(
+            cid=cid,
+            origin=origin,
+            supervertex=svid,
+            position=tree.position_of(origin) + 1,
+            conditioning=tuple("".join(part) for part in cond),
+            signature=signature,
+        )
 
     def to_doc(self, weights=None):
         doc = {
@@ -171,14 +208,14 @@ class CompressedDag:
             "nodes": [
                 {
                     "id": n.cid,
-                    "label": self.label(n.cid),
+                    "label": n.label,
                     "origin": n.origin,
                     "supervertex": n.supervertex,
                     "position": n.position,
                     "conditioning": list(n.conditioning),
                     "signature": {str(a): b for a, b in n.signature},
                 }
-                for n in sorted(self.nodes.values(), key=lambda n: n.cid)
+                for n in self.nodes.values()
             ],
             "edges": sorted(
                 [a, b] for a, targets in self.edges_out.items() for b in targets
@@ -192,6 +229,45 @@ class CompressedDag:
 
     def serialize(self, weights=None):
         return json.dumps(self.to_doc(weights), sort_keys=True) + "\n"
+
+
+class _Records(Mapping):
+    """G*'s nodes by id, in ascending id order, as CompressedNode records
+    made when they are read; read-only, and its length builds no record."""
+
+    def __init__(self, gd):
+        self._gd = gd
+
+    def __len__(self):
+        return 1 + len(self._gd._origin)
+
+    def __iter__(self):
+        return iter(self._gd.node_ids())
+
+    def __contains__(self, cid):
+        return cid == CONDUCTOR_ID or cid in self._gd._origin
+
+    def __getitem__(self, cid):
+        return self._gd._record(cid)
+
+
+def _bit_shifts(visible):
+    """Where each visible ancestor's bit sits in the index of a copy within
+    its origin's block: the index is the bits read as a binary number, the
+    first visible ancestor most significant, which is itertools.product
+    order.  copy_of, the copies' signatures and build_compressed's edges
+    all read the numbering from here."""
+    n = len(visible)
+    return {anc: n - 1 - i for i, (anc, _, _) in enumerate(visible)}
+
+
+def _offsets(places, start=0):
+    """start + sum of bit_i * places[i], for every bit string in
+    itertools.product order."""
+    out = [start]
+    for p in places:
+        out = [o + b for o in out for b in (0, p)]
+    return out
 
 
 def _relatives_on_branch(g, tree, edges, own_level):
@@ -255,56 +331,48 @@ def build_compressed(g, tree):
     descendants of u in supervertices strictly above u's on its branch.  So
     u^sigma weighs their sum, and it points to the conductor and to every
     v^sigma' of such a descendant v whose sigma' agrees with sigma on the
-    ancestors both can see.  Ids are the conductor 0, then consecutive from
-    expected_expanded_size(tree) by decreasing depth, origin id and sigma in
-    itertools.product order.  Returns G* and its weighting, which conserves
-    the total omega weight of G''.
+    ancestors both can see.  Ids are the conductor 0, then one block per
+    origin, consecutive from expected_expanded_size(tree) by decreasing
+    depth and origin id, with sigma in itertools.product order (see
+    CompressedDag).  Per origin only its first id, visible ancestors,
+    descendants above and weight are worked out; per copy only its edges
+    and weight, by index arithmetic.  Returns G* and its weighting, which
+    conserves the total omega weight of G''.
     """
     s = tree.uniform_size
     visible = _visible_ancestors(g, tree)
     above = _descendants_above(g, tree)
     origins = sorted(visible, key=lambda u: (-tree.depth_of(tree.supervertex_of(u)), u))
+    shifts = {u: _bit_shifts(visible[u]) for u in origins}
     first = {}
     cid = expected_expanded_size(tree)
     for u in origins:
         first[u] = cid
-        cid += 2 ** len(visible[u])
-    nodes = {CONDUCTOR_ID: CONDUCTOR_NODE}
+        cid += 1 << len(visible[u])
     edges = {CONDUCTOR_ID: ()}
     weights = {CONDUCTOR_ID: 1}
     for u in origins:
-        svid = tree.supervertex_of(u)
-        branch = tree.branch(svid)
         vis = visible[u]
-        weight = 3 ** (1 + len(above[u])) * 2 ** (s * len(branch) - len(vis))
-        bit_strings = itertools.product((0, 1), repeat=len(vis))
-        for cid, bits in enumerate(bit_strings, start=first[u]):
-            sigma = {anc: bit for (anc, _, _), bit in zip(vis, bits)}
-            cond = [["*"] * s for _ in branch]
-            for (_, lvl, pos), bit in zip(vis, bits):
-                cond[lvl][pos] = str(bit)
+        copies = range(first[u], first[u] + (1 << len(vis)))
+        depth = tree.depth_of(tree.supervertex_of(u))
+        weight = 3 ** (1 + len(above[u])) * 2 ** (s * depth - len(vis))
+        # Per descendant v above, in id order: the first id of v's copies
+        # for each copy of u, from the ancestors both see, and the offsets
+        # spanned by the ancestors only v sees.
+        blocks = []
+        for v in sorted((v for v, _, _ in above[u]), key=first.get):
+            at = shifts[v]
+            bases = _offsets([1 << at[a] if a in at else 0 for a, _, _ in vis], first[v])
+            spread = _offsets([1 << sh for a, sh in at.items() if a not in shifts[u]])
+            blocks.append((bases, spread))
+        for k, cid in enumerate(copies):
             targets = [CONDUCTOR_ID]
-            for v, _, _ in above[u]:
-                # sigma' is read as a binary number, first visible ancestor
-                # most significant: shared bits are fixed, the rest range.
-                base, spread = first[v], [0]
-                for i, (anc, _, _) in enumerate(reversed(visible[v])):
-                    if anc not in sigma:
-                        spread += [o + (1 << i) for o in spread]
-                    elif sigma[anc]:
-                        base += 1 << i
-                targets.extend(base + o for o in spread)
-            nodes[cid] = CompressedNode(
-                cid=cid,
-                origin=u,
-                supervertex=svid,
-                position=tree.position_of(u) + 1,
-                conditioning=tuple("".join(part) for part in cond),
-                signature=tuple(sigma.items()),
-            )
-            edges[cid] = targets
-            weights[cid] = weight
-    gstar = CompressedDag(g, tree, nodes, edges, visible, _origin_queries(g, tree))
+            for bases, spread in blocks:
+                base = bases[k]
+                targets.extend([base + o for o in spread])
+            edges[cid] = tuple(targets)
+        weights.update(dict.fromkeys(copies, weight))
+    gstar = CompressedDag(g, tree, first, visible, edges)
     return gstar, WeightAssignment(weights=weights, c=2)
 
 
@@ -314,10 +382,13 @@ def compute_output(gd, u, known, wire_values):
 
     The visible ancestors of u, then u itself, are read top-down: each one
     not yet known is the answer of the copy that the bits found so far
-    select, its visible ancestors all coming earlier in that order.
-    `wire_values` maps node ids of this compressed graph to answer bits; a
-    missing entry is a construction bug and raises immediately.
+    select, its visible ancestors all coming earlier in that order.  A u
+    in `known` is answered from it, reading no wire.  `wire_values` maps
+    node ids of this compressed graph to answer bits; a missing entry is a
+    construction bug and raises immediately.
     """
+    if u in known:
+        return known[u]
     bits = dict(known)
     for v in [anc for anc, _, _ in gd.visible_ancestors(u)] + [u]:
         if v not in bits:

@@ -251,7 +251,11 @@ class ProofOracle:
         self.stats = OracleStats()
 
     def exists(self, node, input_bits):
-        bits = "".join(str(int(b)) for b in input_bits)
+        # A '0'/'1' string is its own key; other inputs are normalised to one.
+        if isinstance(input_bits, str) and not input_bits.strip("01"):
+            bits = input_bits
+        else:
+            bits = "".join(str(int(b)) for b in input_bits)
         # Keyed on the node's value, not its id: one oracle may serve
         # several graphs whose ids collide.
         key = (node, bits)
@@ -311,6 +315,9 @@ class EvaluationBackend:
     is compared with the score of the best string under its pins, which
     one evaluation keeping the pinned bits finds (see querygraph.evaluate).
 
+    The profile is one evaluation, one proof call per node that has a
+    query, and 2T in closed form: on the correct string every forced bit
+    equals its bit, so the objective is the sum of w(1 + x) over the nodes.
     Once (dag, weights) is profiled, a query answered against 2T costs
     O(1): an identity check of the profile, then for a query without pins
     or with a position (see ThresholdInstance) a look at its newest pins
@@ -327,13 +334,16 @@ class EvaluationBackend:
         self._pinned = None
 
     def _profile(self, inst, proof_oracle):
+        """(maximizer, 2T) of inst's (dag, weights), kept until another pair
+        is profiled.  Checks that the weighting is integer and admissible
+        with c >= 2 and that the maximizer keeps the fixed bits; 2T is read
+        off the maximizer without a proof call."""
         hit = self._current
         if hit is not None and hit[0] is inst.dag and hit[1] is inst.weights:
             return hit[2:]
         # Imported at call time, and only on a miss: a profiled query pays
-        # for no import, and callers that swap these functions on their
-        # modules are still heard.
-        from .solver import max_t_for_assignment
+        # for no import, and callers that swap the function on its module
+        # are still heard.
         from .weighting import check_admissible
 
         self._current = self._pinned = None
@@ -351,7 +361,10 @@ class EvaluationBackend:
         bits = evaluate(inst.dag, proof_oracle).bits
         if not inst.dag.fixed_bits().items() <= bits.items():
             raise ValidationError("the correct query string contradicts a fixed bit")
-        two_t = max_t_for_assignment(inst, bits, proof_oracle)
+        # Every forced bit of the correct string equals its bit, so it
+        # scores w(1 + x) per node, and 2T needs no further proof call.
+        weights = inst.weights.weights
+        two_t = sum((1 + bit) * weights[nid] for nid, bit in bits.items())
         self._current = (inst.dag, inst.weights, bits, two_t)
         return bits, two_t
 

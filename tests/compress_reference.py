@@ -1,0 +1,221 @@
+"""The record-based G* builder, kept as a test reference.
+
+build_compressed enumerates G* from signatures the way the package did
+before it stored G* as blocks of consecutive ids: it makes a CompressedNode
+for every copy, with its conditioning strings and signature, sorts each
+copy's edges, and CompressedDag indexes the copies by (origin, signature),
+so copy_of looks a signature tuple up in a dict.  querydag.compress.
+build_compressed must produce the same graph: the same documents, edges,
+fixed bits, orders and copy lookups.  tests/paper_stages.py builds the
+paper's G' and G'' on this class, with its explicit records.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+
+from querydag.compress import (
+    CONDUCTOR_ID,
+    CONDUCTOR_NODE,
+    CompressedNode,
+    _descendants_above,
+    _origin_queries,
+    _visible_ancestors,
+    compute_output,
+    expected_expanded_size,
+)
+from querydag.errors import WireValueError
+from querydag.querygraph import decimal_str
+from querydag.weighting import WeightAssignment
+
+
+class CompressedDag:
+    """The merged graph G*: one node per origin and assignment to its
+    visible ancestors, plus the conductor, which is the graph's `output`.
+
+    Every wire is resolved by signature: copy_of finds the node of an
+    origin from the bits of its visible ancestors.  `visible` and
+    `origin_query` depend only on the original graph and its separator
+    tree; build_compressed computes them once.
+    """
+
+    conductor_id = output = CONDUCTOR_ID
+
+    def __init__(self, origin_dag, septree, nodes, edges_out, visible, origin_query):
+        self.origin_dag = origin_dag
+        self.septree = septree
+        self.nodes = dict(nodes)
+        self.edges_out = {cid: tuple(sorted(t)) for cid, t in edges_out.items()}
+        self._in = {cid: [] for cid in self.nodes}
+        for cid, targets in self.edges_out.items():
+            for t in targets:
+                self._in[t].append(cid)
+        self._in = {cid: tuple(sorted(v)) for cid, v in self._in.items()}
+        self.origin_query = origin_query
+        self._visible = visible
+        self._index = {
+            (n.origin, n.signature): n.cid
+            for n in self.nodes.values()
+            if not n.is_conductor
+        }
+        dummies = set(septree.dummies)
+        self._fixed = {
+            cid: 1
+            for cid, n in self.nodes.items()
+            if not n.is_conductor and n.origin in dummies
+        }
+
+    def node_ids(self):
+        return list(self.nodes)
+
+    def out_neighbors(self):
+        return self.edges_out
+
+    def in_neighbors(self):
+        return self._in
+
+    def edge_count(self):
+        return sum(len(t) for t in self.edges_out.values())
+
+    def visible_ancestors(self, origin):
+        """Ancestors of `origin` lying on its own branch, with bit coordinates."""
+        return self._visible[origin]
+
+    def label(self, cid):
+        node = self.nodes[cid]
+        if node.is_conductor:
+            return "t"
+        return f"v{node.origin}^{{{','.join(node.conditioning)}}}"
+
+    def copy_of(self, origin, bits):
+        """The node of `origin` whose signature matches `bits`, a dict from
+        original id to answer bit covering the origin's visible ancestors."""
+        sig = tuple((anc, bits[anc]) for anc, _, _ in self._visible[origin])
+        cid = self._index.get((origin, sig))
+        if cid is None:
+            raise WireValueError(f"no copy of node {origin} has signature {sig}")
+        return cid
+
+    def topo_order(self):
+        """Deepest supervertices first (their copies feed shallower ones),
+        conductor last."""
+        depth = {
+            sv.id: self.septree.depth_of(sv.id) for sv in self.septree.supervertices
+        }
+        plain = [cid for cid, n in self.nodes.items() if not n.is_conductor]
+        plain.sort(key=lambda cid: (-depth[self.nodes[cid].supervertex], cid))
+        plain.append(CONDUCTOR_ID)
+        return plain
+
+    def fixed_bits(self):
+        """Dummy-origin copies are vacuously satisfiable, so their bits are
+        fixed to 1; a fresh dict per call."""
+        return dict(self._fixed)
+
+    def forced_bit(self, cid, x, sat):
+        """Answer of copy `cid` when every wire lookup reads its bit in x: the
+        origin's query on wires resolved through compute_output from the
+        copy's signature, or for the conductor the replayed original
+        output."""
+        node = self.nodes[cid]
+        if node.is_conductor:
+            return compute_output(self, self.origin_dag.output, {}, x)
+        query = self.origin_query[node.origin]
+        known = dict(node.signature)
+        z = "".join(str(compute_output(self, p, known, x)) for p in query.inputs)
+        return 1 if sat.exists(query, z) else 0
+
+    def to_doc(self, weights=None):
+        doc = {
+            "merged": True,
+            "uniform_size": self.septree.uniform_size,
+            "origin_output": self.origin_dag.output,
+            "nodes": [
+                {
+                    "id": n.cid,
+                    "label": self.label(n.cid),
+                    "origin": n.origin,
+                    "supervertex": n.supervertex,
+                    "position": n.position,
+                    "conditioning": list(n.conditioning),
+                    "signature": {str(a): b for a, b in n.signature},
+                }
+                for n in sorted(self.nodes.values(), key=lambda n: n.cid)
+            ],
+            "edges": sorted(
+                [a, b] for a, targets in self.edges_out.items() for b in targets
+            ),
+        }
+        if weights is not None:
+            doc["weights"] = {
+                str(cid): decimal_str(w) for cid, w in sorted(weights.weights.items())
+            }
+        return doc
+
+    def serialize(self, weights=None):
+        return json.dumps(self.to_doc(weights), sort_keys=True) + "\n"
+
+
+def build_compressed(g, tree):
+    """Enumerate G* from signatures: one node per origin u and assignment of
+    bits to visible(u), with no conditioned copy built.
+
+    Node u^sigma stands for the 2^(s*d_u - |visible(u)|) copies of u that
+    agree with sigma on u's visible ancestors, d_u being the depth of u's
+    supervertex.  Each such copy has the same omega weight 3^(1 + a_u) in
+    G'': its descendants are the conductor and one copy of each of the a_u
+    descendants of u in supervertices strictly above u's on its branch.  So
+    u^sigma weighs their sum, and it points to the conductor and to every
+    v^sigma' of such a descendant v whose sigma' agrees with sigma on the
+    ancestors both can see.  Ids are the conductor 0, then consecutive from
+    expected_expanded_size(tree) by decreasing depth, origin id and sigma in
+    itertools.product order.  Returns G* and its weighting, which conserves
+    the total omega weight of G''.
+    """
+    s = tree.uniform_size
+    visible = _visible_ancestors(g, tree)
+    above = _descendants_above(g, tree)
+    origins = sorted(visible, key=lambda u: (-tree.depth_of(tree.supervertex_of(u)), u))
+    first = {}
+    cid = expected_expanded_size(tree)
+    for u in origins:
+        first[u] = cid
+        cid += 2 ** len(visible[u])
+    nodes = {CONDUCTOR_ID: CONDUCTOR_NODE}
+    edges = {CONDUCTOR_ID: ()}
+    weights = {CONDUCTOR_ID: 1}
+    for u in origins:
+        svid = tree.supervertex_of(u)
+        branch = tree.branch(svid)
+        vis = visible[u]
+        weight = 3 ** (1 + len(above[u])) * 2 ** (s * len(branch) - len(vis))
+        bit_strings = itertools.product((0, 1), repeat=len(vis))
+        for cid, bits in enumerate(bit_strings, start=first[u]):
+            sigma = {anc: bit for (anc, _, _), bit in zip(vis, bits)}
+            cond = [["*"] * s for _ in branch]
+            for (_, lvl, pos), bit in zip(vis, bits):
+                cond[lvl][pos] = str(bit)
+            targets = [CONDUCTOR_ID]
+            for v, _, _ in above[u]:
+                # sigma' is read as a binary number, first visible ancestor
+                # most significant: shared bits are fixed, the rest range.
+                base, spread = first[v], [0]
+                for i, (anc, _, _) in enumerate(reversed(visible[v])):
+                    if anc not in sigma:
+                        spread += [o + (1 << i) for o in spread]
+                    elif sigma[anc]:
+                        base += 1 << i
+                targets.extend(base + o for o in spread)
+            nodes[cid] = CompressedNode(
+                cid=cid,
+                origin=u,
+                supervertex=svid,
+                position=tree.position_of(u) + 1,
+                conditioning=tuple("".join(part) for part in cond),
+                signature=tuple(sigma.items()),
+            )
+            edges[cid] = targets
+            weights[cid] = weight
+    gstar = CompressedDag(g, tree, nodes, edges, visible, _origin_queries(g, tree))
+    return gstar, WeightAssignment(weights=weights, c=2)

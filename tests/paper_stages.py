@@ -9,8 +9,10 @@ output node t, wired from every copy, which answers by replaying
 staged_compute_output on the original output vertex: that is G''.
 staged_compute_output is the paper's lookup over hardcoded answer strings,
 and StagedDag resolves every wire through it from the copy's full
-conditioning.  The package builds G* straight from signatures
-(compress.build_compressed) and resolves wires by signature alone
+conditioning.  StagedDag keeps an explicit record per copy, on the
+record-based graph of tests/compress_reference.py.  The package builds G*
+straight from signatures, as blocks of consecutive ids
+(compress.build_compressed), and resolves wires by signature alone
 (compress.compute_output); the tests check both against this reference.
 """
 
@@ -18,11 +20,11 @@ from __future__ import annotations
 
 import itertools
 
+from compress_reference import CompressedDag
 from querydag import WireValueError
 from querydag.compress import (
     CONDUCTOR_ID,
     CONDUCTOR_NODE,
-    CompressedDag,
     CompressedNode,
     _descendants_above,
     _origin_queries,

@@ -15,8 +15,10 @@ from querydag import (
 )
 from querydag.weighting import descendant_masks
 
+from compress_reference import build_compressed as record_based_build
 from conftest import random_instance
 from paper_stages import add_conductor, expand_to_gprime, staged_compute_output
+from test_septree_digest import band_dag, binary_in_tree
 
 
 def compress_all(g):
@@ -338,3 +340,66 @@ def test_dummy_copies_merge_to_single_reps():
     assert all(bit == 1 for bit in fixed.values())
     bits = evaluate(gstar, ProofOracle()).bits
     assert all(bits[cid] == 1 for cid in fixed)
+
+
+def record_build_cases():
+    """The 1000-instance corpus, then larger shapes it lacks: band-2 at the
+    sizes of the band2-compress workload, band-3 up to 30 nodes and the
+    31-node binary in-tree."""
+    for seed in range(1000):
+        yield f"corpus {seed}", random_instance(seed)
+    for n in (20, 24, 26, 28):
+        yield f"band-2 n={n}", band_dag(n, 2)
+    for n in range(12, 31, 3):
+        yield f"band-3 n={n}", band_dag(n, 3)
+    yield "binary in-tree n=31", binary_in_tree(31)
+
+
+def test_blocks_match_the_record_based_build():
+    # The block build must be the graph the record-based reference builds:
+    # the same document byte for byte, the same edges, orders and fixed
+    # bits in the same order, and every signature must find the same copy.
+    copies = 0
+    for name, g in record_build_cases():
+        tree = build_separator_tree(g)
+        gstar, fstar = build_compressed(g, tree)
+        ref, ref_weights = record_based_build(g, tree)
+        assert gstar.serialize(fstar) == ref.serialize(ref_weights), name
+        assert list(fstar.weights.items()) == list(ref_weights.weights.items()), name
+        assert list(gstar.out_neighbors().items()) == list(ref.out_neighbors().items()), name
+        assert list(gstar.in_neighbors().items()) == list(ref.in_neighbors().items()), name
+        assert list(gstar.fixed_bits().items()) == list(ref.fixed_bits().items()), name
+        assert gstar.topo_order() == ref.topo_order(), name
+        assert gstar.node_ids() == ref.node_ids(), name
+        assert len(gstar.nodes) == len(ref.nodes), name
+        assert list(gstar.nodes.values()) == list(ref.nodes.values()), name
+        for node in ref.nodes.values():
+            if node.is_conductor:
+                continue
+            sig = dict(node.signature)
+            assert gstar.copy_of(node.origin, sig) == ref.copy_of(node.origin, sig) == node.cid
+            copies += 1
+    assert copies > 15_000  # 17,551 at the time of writing
+
+
+def test_node_count_and_lookups_build_no_record(monkeypatch):
+    # len(gstar.nodes) is read after every traced build, and evaluation
+    # reads only ids, blocks and edges: none of them may make a record.
+    from querydag.compress import CompressedDag
+
+    g = band_dag(20, 2)
+    gstar, fstar = build_compressed(g, build_separator_tree(g))
+
+    def forbidden(self, cid):
+        raise AssertionError("a record was made")
+
+    monkeypatch.setattr(CompressedDag, "_record", forbidden)
+    assert len(gstar.nodes) == len(gstar.node_ids()) == 220
+    assert gstar.conductor_id in gstar.nodes and gstar.topo_order()[0] in gstar.nodes
+    assert -1 not in gstar.nodes
+    bits = evaluate(gstar, ProofOracle()).bits
+    assert is_correct_query_string(gstar, bits, ProofOracle())
+    monkeypatch.undo()
+    assert gstar.nodes[gstar.topo_order()[0]].origin is not None
+    with pytest.raises(KeyError):
+        gstar.nodes[-1]

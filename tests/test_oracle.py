@@ -274,6 +274,52 @@ def test_proof_memo_records_every_issued_call(chain2):
     assert [entry["inputs"] for entry in stats.to_doc()] == ["0", "0", "0", "1"]
 
 
+def test_proof_oracle_keys_bit_strings_as_given():
+    # A '0'/'1' string is its own memo key; tuples and lists of bits or
+    # booleans normalise to the same string, so memo and transcript agree.
+    node = build_dag(
+        [(1, "verifier", [], 0, []), (2, "verifier", [], 0, []),
+         (3, "verifier", [1, 2], 1, [[1], [-2], [3]])],
+        3,
+    ).by_id[3]
+    oracle = ProofOracle()
+    given = "".join(["1", "0"])
+    answers = [
+        oracle.exists(node, given),
+        oracle.exists(node, (1, 0)),
+        oracle.exists(node, [True, False]),
+        oracle.exists(node, "11"),
+    ]
+    assert answers == [True, True, True, False]
+    stats = oracle.stats
+    assert [key[1] for key in stats.decisions] == ["10", "11"]
+    assert next(iter(stats.decisions))[1] is given
+    assert [entry["inputs"] for entry in stats.to_doc()] == ["10", "10", "10", "11"]
+    assert (stats.proof_queries, stats.proof_distinct) == (4, 2)
+
+
+def test_profile_takes_two_t_in_closed_form():
+    # On the correct string every forced bit equals its bit, so the profile
+    # scores it as sum of w(1 + x) without a further proof call: one call
+    # per node that asks one, |V| on g and |G*| - 1 on G*, whose conductor
+    # asks none.  The objective must agree.
+    checked = 0
+    for seed in range(1000):
+        g = random_instance(seed)
+        gstar, fstar = build_compressed(g, build_separator_tree(g))
+        for dag, weights, calls in (
+            (g, rho_weights(g, 2), len(g.nodes)),
+            (gstar, fstar, len(gstar.nodes) - 1),
+        ):
+            inst = ThresholdInstance(dag, weights, 0, {})
+            oracle = ProofOracle()
+            bits, two_t = EvaluationBackend()._profile(inst, oracle)
+            assert oracle.stats.proof_queries == calls, seed
+            assert two_t == max_t_for_assignment(inst, bits, ProofOracle()), seed
+            checked += 1
+    assert checked == 2000
+
+
 def test_proof_distinct_counts_decisions_not_calls():
     for seed in range(6):
         g = random_instance(seed)
