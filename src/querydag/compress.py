@@ -17,7 +17,8 @@ signatures, so edges and lookups are index arithmetic, and a node's record
 (CompressedNode) is made only when something reads it.  G' and G'' live in
 tests/paper_stages.py as the reference the tests check G* against, together
 with the paper's compute_output over answer strings; the record-based build
-this replaced is kept as tests/compress_reference.py.
+this replaced is kept as tests/compress_reference.py, with the two-pass
+relatives helpers that _relatives replaced.
 
 A node's query resolves each original input wire through compute_output,
 which reads the answers of the input's visible ancestors top-down, each off
@@ -96,19 +97,18 @@ class CompressedDag:
 
     conductor_id = output = CONDUCTOR_ID
 
-    def __init__(self, origin_dag, septree, first, visible, edges_out):
+    def __init__(self, origin_dag, septree, first, visible, shifts, edges_out):
         self.origin_dag = origin_dag
         self.septree = septree
         self.origin_query = _origin_queries(origin_dag, septree)
         self.edges_out = edges_out
         self._first = first
         self._visible = visible
-        self._shifts = {u: _bit_shifts(vis) for u, vis in visible.items()}
+        self._shifts = shifts
         # Plain ids ascending, each with its origin.
         self._origin = {}
         for u, start in first.items():
             self._origin.update(dict.fromkeys(range(start, start + (1 << len(visible[u]))), u))
-        self._in = None
         # Dummy origins see no ancestor, so each has a single copy.
         self._fixed = {first[d]: 1 for d in sorted(septree.dummies, key=first.get)}
 
@@ -122,16 +122,6 @@ class CompressedDag:
 
     def out_neighbors(self):
         return self.edges_out
-
-    def in_neighbors(self):
-        if self._in is None:
-            inn = {cid: [] for cid in self.node_ids()}
-            # Sources come in ascending id order, so each tuple is sorted.
-            for cid, targets in self.edges_out.items():
-                for t in targets:
-                    inn[t].append(cid)
-            self._in = {cid: tuple(v) for cid, v in inn.items()}
-        return self._in
 
     def edge_count(self):
         return sum(len(t) for t in self.edges_out.values())
@@ -270,37 +260,30 @@ def _offsets(places, start=0):
     return out
 
 
-def _relatives_on_branch(g, tree, edges, own_level):
-    """Per origin: (relative id, branch level index, position) for every
-    node reachable along `edges` that lives in a supervertex on the origin's
-    branch, its own supervertex included only when `own_level` is set."""
-    ids = list(g.node_ids())
-    idx = {nid: i for i, nid in enumerate(ids)}
-    masks = descendant_masks(ids, edges)
-    out = {}
+def _relatives(g, tree):
+    """Per origin, read off one set of descendant masks of g: its visible
+    ancestors, those in the supervertices on its branch, as (id, branch
+    level index, position) in branch order; and its descendants above, those
+    in supervertices strictly above its own on its branch, as ids.  Dummies
+    have no relatives, and no real vertex reaches them."""
+    ids = g.node_ids()
+    bit = {nid: 1 << i for i, nid in enumerate(ids)}
+    desc = descendant_masks(ids, g.out_neighbors())
+    visible, above = {}, {}
     for sv in tree.supervertices:
-        branch = tree.branch(sv.id)
-        levels = branch if own_level else branch[:-1]
+        branch = [tree.by_id[svid].members for svid in tree.branch(sv.id)]
         for member in sv.members:
-            # Dummies have no relatives, and no real vertex reaches them.
-            out[member] = tuple(
+            below, me = desc.get(member, 0), bit.get(member, 0)
+            visible[member] = tuple(
                 (other, lvl, pos)
-                for lvl, svid in enumerate(levels)
-                for pos, other in enumerate(tree.by_id[svid].members)
-                if member in idx and other in idx and (masks[member] >> idx[other]) & 1
+                for lvl, members in enumerate(branch)
+                for pos, other in enumerate(members)
+                if desc.get(other, 0) & me
             )
-    return out
-
-
-def _visible_ancestors(g, tree):
-    """Ancestors of each origin in the supervertices on its own branch."""
-    return _relatives_on_branch(g, tree, g.in_neighbors(), own_level=True)
-
-
-def _descendants_above(g, tree):
-    """Descendants of each origin in supervertices strictly above its own on
-    its branch: the copies every copy of the origin points to."""
-    return _relatives_on_branch(g, tree, g.out_neighbors(), own_level=False)
+            above[member] = tuple(
+                other for members in branch[:-1] for other in members if below & bit.get(other, 0)
+            )
+    return visible, above
 
 
 def _origin_queries(g, tree):
@@ -334,14 +317,14 @@ def build_compressed(g, tree):
     ancestors both can see.  Ids are the conductor 0, then one block per
     origin, consecutive from expected_expanded_size(tree) by decreasing
     depth and origin id, with sigma in itertools.product order (see
-    CompressedDag).  Per origin only its first id, visible ancestors,
-    descendants above and weight are worked out; per copy only its edges
-    and weight, by index arithmetic.  Returns G* and its weighting, which
-    conserves the total omega weight of G''.
+    CompressedDag).  Per origin only its first id, weight, visible
+    ancestors and descendants above are worked out, the last two from one
+    descendant-mask pass (_relatives); per copy only its edges and weight,
+    by index arithmetic.  Returns G* and its weighting, which conserves the
+    total omega weight of G''.
     """
     s = tree.uniform_size
-    visible = _visible_ancestors(g, tree)
-    above = _descendants_above(g, tree)
+    visible, above = _relatives(g, tree)
     origins = sorted(visible, key=lambda u: (-tree.depth_of(tree.supervertex_of(u)), u))
     shifts = {u: _bit_shifts(visible[u]) for u in origins}
     first = {}
@@ -360,7 +343,7 @@ def build_compressed(g, tree):
         # for each copy of u, from the ancestors both see, and the offsets
         # spanned by the ancestors only v sees.
         blocks = []
-        for v in sorted((v for v, _, _ in above[u]), key=first.get):
+        for v in sorted(above[u], key=first.get):
             at = shifts[v]
             bases = _offsets([1 << at[a] if a in at else 0 for a, _, _ in vis], first[v])
             spread = _offsets([1 << sh for a, sh in at.items() if a not in shifts[u]])
@@ -372,7 +355,7 @@ def build_compressed(g, tree):
                 targets.extend([base + o for o in spread])
             edges[cid] = tuple(targets)
         weights.update(dict.fromkeys(copies, weight))
-    gstar = CompressedDag(g, tree, first, visible, edges)
+    gstar = CompressedDag(g, tree, first, visible, shifts, edges)
     return gstar, WeightAssignment(weights=weights, c=2)
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 
+from . import weighting
 from .errors import CapacityError, ValidationError
 from .querygraph import decimal_str, evaluate
 
@@ -341,11 +342,6 @@ class EvaluationBackend:
         hit = self._current
         if hit is not None and hit[0] is inst.dag and hit[1] is inst.weights:
             return hit[2:]
-        # Imported at call time, and only on a miss: a profiled query pays
-        # for no import, and callers that swap the function on its module
-        # are still heard.
-        from .weighting import check_admissible
-
         self._current = self._pinned = None
         # The one-unit gap below the maximum only exists for integer
         # weightings that are admissible with constant 2 or more.
@@ -355,7 +351,9 @@ class EvaluationBackend:
             raise ValidationError(
                 "evaluation backend needs an integer weighting with c >= 2"
             )
-        ok, bad = check_admissible(inst.dag, inst.weights)
+        # Looked up on the module at call time, so callers that swap the
+        # function there are still heard.
+        ok, bad = weighting.check_admissible(inst.dag, inst.weights)
         if not ok:
             raise ValidationError(f"weighting is not admissible at node {bad}")
         bits = evaluate(inst.dag, proof_oracle).bits

@@ -112,9 +112,6 @@ class QueryDag:
     def out_neighbors(self):
         return self._children
 
-    def in_neighbors(self):
-        return {node.id: node.inputs for node in self.nodes}
-
     def topo_order(self):
         """Parents first, ties by ascending id; computed once by validation."""
         return list(self._order)

@@ -4,12 +4,12 @@ A weighting f is c-admissible when f(v) >= 1 + c * sum of f over v's
 out-neighbors.  Such weightings make earlier queries dominate later ones in
 the total-solution-weight objective; c is 2 throughout the NP pipeline.
 
-Any graph object exposing node_ids(), out_neighbors(), in_neighbors() and
-topo_order() works here, so the same functions serve plain query graphs and
-compressed graphs.  Those four methods are the structural half of the graph
-protocol that QueryDag and CompressedDag share; fixed_bits(),
-forced_bit(id, x, sat) and `output` complete it, and evaluation, the
-objective and the threshold backends are written against them alone.
+Any graph object exposing node_ids(), out_neighbors() and topo_order()
+works here, so the same functions serve plain query graphs and compressed
+graphs.  Those three methods are the structural half of the graph protocol
+that QueryDag and CompressedDag share; fixed_bits(), forced_bit(id, x, sat)
+and `output` complete it, and evaluation, the objective and the threshold
+backends are written against them alone.
 """
 
 from __future__ import annotations
@@ -49,11 +49,12 @@ def descendant_counts(g):
 def levels(g):
     """Level 0 holds the nodes without incoming edges; children sit one past
     their deepest parent."""
-    inn = g.in_neighbors()
-    lv = {}
-    for nid in g.topo_order():
-        parents = inn[nid]
-        lv[nid] = 0 if not parents else 1 + max(lv[p] for p in parents)
+    out = g.out_neighbors()
+    order = g.topo_order()
+    lv = dict.fromkeys(order, 0)
+    for nid in order:
+        for child in out[nid]:
+            lv[child] = max(lv[child], lv[nid] + 1)
     return lv
 
 

@@ -8,6 +8,13 @@ so copy_of looks a signature tuple up in a dict.  querydag.compress.
 build_compressed must produce the same graph: the same documents, edges,
 fixed bits, orders and copy lookups.  tests/paper_stages.py builds the
 paper's G' and G'' on this class, with its explicit records.
+
+The relatives of each origin come from two reachability passes, as the
+package found them before querydag.compress._relatives read both off one
+set of descendant masks: _visible_ancestors along in-edges, taken from
+each node's inputs, and _descendants_above along out-edges.  Both this
+build and tests/paper_stages.py use them, so the tests check the package's
+one-pass relatives against a separate computation.
 """
 
 from __future__ import annotations
@@ -19,15 +26,47 @@ from querydag.compress import (
     CONDUCTOR_ID,
     CONDUCTOR_NODE,
     CompressedNode,
-    _descendants_above,
     _origin_queries,
-    _visible_ancestors,
     compute_output,
     expected_expanded_size,
 )
 from querydag.errors import WireValueError
 from querydag.querygraph import decimal_str
-from querydag.weighting import WeightAssignment
+from querydag.weighting import WeightAssignment, descendant_masks
+
+
+def _relatives_on_branch(g, tree, edges, own_level):
+    """Per origin: (relative id, branch level index, position) for every
+    node reachable along `edges` that lives in a supervertex on the origin's
+    branch, its own supervertex included only when `own_level` is set."""
+    ids = list(g.node_ids())
+    idx = {nid: i for i, nid in enumerate(ids)}
+    masks = descendant_masks(ids, edges)
+    out = {}
+    for sv in tree.supervertices:
+        branch = tree.branch(sv.id)
+        levels = branch if own_level else branch[:-1]
+        for member in sv.members:
+            # Dummies have no relatives, and no real vertex reaches them.
+            out[member] = tuple(
+                (other, lvl, pos)
+                for lvl, svid in enumerate(levels)
+                for pos, other in enumerate(tree.by_id[svid].members)
+                if member in idx and other in idx and (masks[member] >> idx[other]) & 1
+            )
+    return out
+
+
+def _visible_ancestors(g, tree):
+    """Ancestors of each origin in the supervertices on its own branch."""
+    inputs = {node.id: node.inputs for node in g.nodes}
+    return _relatives_on_branch(g, tree, inputs, own_level=True)
+
+
+def _descendants_above(g, tree):
+    """Descendants of each origin in supervertices strictly above its own on
+    its branch: the copies every copy of the origin points to."""
+    return _relatives_on_branch(g, tree, g.out_neighbors(), own_level=False)
 
 
 class CompressedDag:
@@ -47,11 +86,6 @@ class CompressedDag:
         self.septree = septree
         self.nodes = dict(nodes)
         self.edges_out = {cid: tuple(sorted(t)) for cid, t in edges_out.items()}
-        self._in = {cid: [] for cid in self.nodes}
-        for cid, targets in self.edges_out.items():
-            for t in targets:
-                self._in[t].append(cid)
-        self._in = {cid: tuple(sorted(v)) for cid, v in self._in.items()}
         self.origin_query = origin_query
         self._visible = visible
         self._index = {
@@ -71,9 +105,6 @@ class CompressedDag:
 
     def out_neighbors(self):
         return self.edges_out
-
-    def in_neighbors(self):
-        return self._in
 
     def edge_count(self):
         return sum(len(t) for t in self.edges_out.values())

@@ -20,15 +20,13 @@ from __future__ import annotations
 
 import itertools
 
-from compress_reference import CompressedDag
+from compress_reference import CompressedDag, _descendants_above, _visible_ancestors
 from querydag import WireValueError
 from querydag.compress import (
     CONDUCTOR_ID,
     CONDUCTOR_NODE,
     CompressedNode,
-    _descendants_above,
     _origin_queries,
-    _visible_ancestors,
 )
 
 
