@@ -36,6 +36,7 @@ from .oracle import (
     EvaluationBackend,
     OracleStats,
     ProofOracle,
+    max_t_for_assignment,
     sat_exists_proof,
     threshold_query,
 )
@@ -62,7 +63,6 @@ from .solver import (
     decide_depth,
     decide_direct,
     extract_query_string,
-    max_t_for_assignment,
     search_budget,
 )
 from .weighting import (

@@ -16,14 +16,15 @@ All arithmetic is exact: integers at vertices, Fractions elsewhere.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapacityError, PipelineError
 from .oracle import EvaluationBackend, ProofOracle
 from .querygraph import is_correct_query_string
-from .solver import ADMISSIBILITY_C, binary_search_T
-from .weighting import omega_weights
+from .solver import binary_search_T
+from .weighting import ADMISSIBILITY_C, omega_weights
 
 VAR = "var"
 CONST = "const"
@@ -203,45 +204,30 @@ def to_three_cnf(node):
     return NodeCnf(clauses=tuple(out), var_count=base + aux, aux_count=aux)
 
 
-@dataclass(frozen=True)
-class ThreeCnf:
-    """All per-node formulas padded to a common variable and clause count.
-
-    Variable padding appends unused fresh variables; clause padding repeats
-    the tautology (v or not-v or v) over local variable 1, whose value is 1
-    at every Boolean point.
-    """
-
-    order: tuple
-    clauses_by_node: dict
-    n_common: int
-    m_common: int
-
-
 def three_cnf_for_dag(g):
-    order = tuple(g.topo_order())
-    per = {nid: to_three_cnf(g.by_id[nid]) for nid in order}
+    """(clauses per node, n_common): every node's 3-CNF padded to one clause
+    count, keyed in g.topo_order(), and the largest local variable count.
+
+    Clause padding repeats the tautology (v or not-v or v) over local
+    variable 1, whose value is 1 at every Boolean point; a node with fewer
+    than n_common variables leaves the rest of its block unused.
+    """
+    per = {nid: to_three_cnf(g.by_id[nid]) for nid in g.topo_order()}
     n_common = max(nc.var_count for nc in per.values())
     m_common = max(len(nc.clauses) for nc in per.values())
-    padded = {}
-    for nid in order:
-        clauses = list(per[nid].clauses)
-        while len(clauses) < m_common:
-            clauses.append((1, -1, 1))
-        padded[nid] = tuple(clauses)
-    return ThreeCnf(
-        order=order,
-        clauses_by_node=padded,
-        n_common=n_common,
-        m_common=m_common,
-    )
+    padded = {
+        nid: nc.clauses + ((1, -1, 1),) * (m_common - len(nc.clauses))
+        for nid, nc in per.items()
+    }
+    return padded, n_common
 
 
 @dataclass(frozen=True)
 class BuiltPolynomial:
     """The weighted polynomial with its variable layout.
 
-    Coordinates 0..m-1 are the answer bits x in topological order; each node
+    Coordinates 0..m-1 are the answer bits x in topological order, and
+    x_coord maps each node id to its coordinate in that order; each node
     then owns a block of (n_common - indeg) free coordinates for its proof,
     auxiliary, and padding variables.
     """
@@ -249,19 +235,18 @@ class BuiltPolynomial:
     circuit: ArithCircuit
     var_count: int
     x_coord: dict
-    order: tuple
 
 
 def build_p(g, weights):
     """Circuit for p = sum of w * (x * q_V + (1 - x)/2), subcircuits shared."""
-    cnf = three_cnf_for_dag(g)
-    order = cnf.order
+    clauses_by_node, n_common = three_cnf_for_dag(g)
+    order = list(clauses_by_node)
     x_coord = {nid: i for i, nid in enumerate(order)}
     block_start = {}
     cursor = len(order)
     for nid in order:
         block_start[nid] = cursor
-        cursor += cnf.n_common - len(g.by_id[nid].inputs)
+        cursor += n_common - len(g.by_id[nid].inputs)
     builder = CircuitBuilder()
     half = builder.const(Fraction(1, 2))
     terms = []
@@ -276,7 +261,7 @@ def build_p(g, weights):
 
         clause_gates = [
             builder.clause(tuple((coord(abs(l)), l > 0) for l in cl))
-            for cl in cnf.clauses_by_node[nid]
+            for cl in clauses_by_node[nid]
         ]
         q = builder.mul(tuple(clause_gates))
         x = builder.var(x_coord[nid])
@@ -285,12 +270,7 @@ def build_p(g, weights):
         inner = builder.add((sat_part, miss_part))
         terms.append(builder.mul((builder.const(weights.weights[nid]), inner)))
     circuit = builder.finish(builder.add(tuple(terms)))
-    return BuiltPolynomial(
-        circuit=circuit,
-        var_count=cursor,
-        x_coord=x_coord,
-        order=order,
-    )
+    return BuiltPolynomial(circuit=circuit, var_count=cursor, x_coord=x_coord)
 
 
 def multilinear_eval(circuit, point, cap=20):
@@ -327,20 +307,19 @@ def brute_force_max(circuit, var_count, cap=24):
         raise CapacityError(f"{var_count} variables exceed the cap of {cap}")
     best = None
     witness = None
-    point = [0] * var_count
-    for mask in range(1 << var_count):
-        for i in range(var_count):
-            point[i] = (mask >> (var_count - 1 - i)) & 1
+    # Ascending masks with coordinate 0 most significant, so the first
+    # strict maximum is the lex-least optimal vertex.
+    for point in itertools.product((0, 1), repeat=var_count):
         value = circuit.eval(point)
         if best is None or value > best:
             best = value
-            witness = tuple(point)
+            witness = point
     return Fraction(best), witness
 
 
 def extract_from_optimum(g, built, witness):
     """Read the query string off an optimal vertex and insist it is correct."""
-    x = {nid: witness[built.x_coord[nid]] for nid in built.order}
+    x = {nid: witness[coord] for nid, coord in built.x_coord.items()}
     if not is_correct_query_string(g, x, ProofOracle()):
         raise PipelineError("optimum vertex does not encode a correct query string")
     return x

@@ -11,7 +11,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from . import arithmetize
 from .compress import build_compressed, expected_expanded_size
@@ -27,7 +26,7 @@ from .querygraph import (
 )
 from .separator import build_depth_bounded_tree, build_separator_tree
 from .solver import decide_compress, decide_depth, decide_direct
-from .weighting import omega_weights, weight_report
+from .weighting import ADMISSIBILITY_C, omega_weights, weight_report
 
 FAMILIES = ("chain", "star", "layered", "random-sep")
 
@@ -37,15 +36,6 @@ DECIDERS = {
     "depth": decide_depth,
     "direct": lambda g, witness=False, backend=None: decide_direct(g, witness=witness),
 }
-
-
-@dataclass(frozen=True)
-class BenchConfig:
-    family: str
-    sizes: tuple
-    sep_bound: int
-    repetitions: int
-    seed: int
 
 
 def _random_clauses(rng, var_count):
@@ -156,11 +146,11 @@ def _cmd_gen(args):
 def _cmd_evaluate(args):
     g = _read_instance(args.input)
     proof_oracle = ProofOracle()
-    trace = evaluate(g, proof_oracle)
+    bits = evaluate(g, proof_oracle)
     doc = {
-        "order": list(trace.order),
-        "bits": {str(k): v for k, v in sorted(trace.bits.items())},
-        "answer": trace.answer,
+        "order": g.topo_order(),
+        "bits": {str(k): v for k, v in sorted(bits.items())},
+        "answer": bits[g.output],
         "proof_queries": proof_oracle.stats.proof_queries,
     }
     _emit(doc, args.output)
@@ -206,7 +196,7 @@ def _cmd_solve(args):
 
 def _cmd_arith(args):
     g = _read_instance(args.input)
-    weights = omega_weights(g, 2)
+    weights = omega_weights(g, ADMISSIBILITY_C)
     built = arithmetize.build_p(g, weights)
     best, vertex = arithmetize.brute_force_max(
         built.circuit, built.var_count, cap=args.cap
@@ -234,21 +224,23 @@ def _cmd_arith(args):
     return 0
 
 
-def run_bench(config, method="compress"):
-    """One row per (size, repetition): tree parameters, weight, query counts."""
+def run_bench(*, family, sizes, sep_bound, repetitions, seed, method="compress"):
+    """One row per (size, repetition) of `family`: tree parameters, weight,
+    query counts.  Repetition rep of size n solves the instance generated
+    with seed `seed + 1000 * rep + n` and separator bound `sep_bound`."""
     rows = []
-    for n in config.sizes:
-        for rep in range(config.repetitions):
-            seed = config.seed + 1000 * rep + n
-            g = gen_instance(config.family, n, seed, config.sep_bound)
+    for n in sizes:
+        for rep in range(repetitions):
+            instance_seed = seed + 1000 * rep + n
+            g = gen_instance(family, n, instance_seed, sep_bound)
             tree = build_separator_tree(g)
             report = DECIDERS[method](g)
             rows.append(
                 {
-                    "family": config.family,
+                    "family": family,
                     "n": n,
                     "rep": rep,
-                    "seed": seed,
+                    "seed": instance_seed,
                     "s": tree.uniform_size,
                     "D": tree.depth(),
                     "W": None
@@ -298,14 +290,14 @@ def _reps(text):
 
 
 def _cmd_bench(args):
-    config = BenchConfig(
+    rows = run_bench(
         family=args.family,
         sizes=args.sizes,
         sep_bound=args.sep_bound,
         repetitions=args.reps,
         seed=args.seed,
+        method=args.method,
     )
-    rows = run_bench(config, method=args.method)
     sys.stderr.write(_format_table(rows))
     _emit({"rows": rows}, args.output)
     return 0

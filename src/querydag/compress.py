@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import WireValueError
 from .querygraph import VERIFIER, QueryNode, decimal_str
-from .weighting import WeightAssignment, descendant_masks
+from .weighting import ADMISSIBILITY_C, WeightAssignment, descendant_masks
 
 CONDUCTOR_ID = 0
 
@@ -338,7 +338,7 @@ def build_compressed(g, tree):
         vis = visible[u]
         copies = range(first[u], first[u] + (1 << len(vis)))
         depth = tree.depth_of(tree.supervertex_of(u))
-        weight = 3 ** (1 + len(above[u])) * 2 ** (s * depth - len(vis))
+        weight = (ADMISSIBILITY_C + 1) ** (1 + len(above[u])) * 2 ** (s * depth - len(vis))
         # Per descendant v above, in id order: the first id of v's copies
         # for each copy of u, from the ancestors both see, and the offsets
         # spanned by the ancestors only v sees.
@@ -356,7 +356,7 @@ def build_compressed(g, tree):
             edges[cid] = tuple(targets)
         weights.update(dict.fromkeys(copies, weight))
     gstar = CompressedDag(g, tree, first, visible, shifts, edges)
-    return gstar, WeightAssignment(weights=weights, c=2)
+    return gstar, WeightAssignment(weights=weights, c=ADMISSIBILITY_C)
 
 
 def compute_output(gd, u, known, wire_values):

@@ -268,6 +268,24 @@ class ProofOracle:
         return answer
 
 
+def max_t_for_assignment(inst, x, proof_oracle):
+    """Scaled objective 2t of the string x, proofs chosen best per node.
+
+    Proofs enter as a cross product, so each node maximizes independently:
+    a node claimed 1 contributes 2w when its forced answer under x is 1, a
+    node claimed 0 contributes w.
+    """
+    dag = inst.dag
+    weights = inst.weights.weights
+    total = 0
+    for nid in dag.node_ids():
+        if x[nid]:
+            total += 2 * weights[nid] * dag.forced_bit(nid, x, proof_oracle)
+        else:
+            total += weights[nid]
+    return total
+
+
 def _merge_pins(inst):
     """Fixed bits plus pins; a pin contradicting a fixed bit admits no string."""
     merged = inst.dag.fixed_bits()
@@ -285,8 +303,6 @@ class BruteForceBackend:
         self.cap = cap
 
     def decide(self, inst, proof_oracle):
-        from .solver import max_t_for_assignment
-
         fixed = _merge_pins(inst)
         if fixed is None:
             return False
@@ -356,7 +372,7 @@ class EvaluationBackend:
         ok, bad = weighting.check_admissible(inst.dag, inst.weights)
         if not ok:
             raise ValidationError(f"weighting is not admissible at node {bad}")
-        bits = evaluate(inst.dag, proof_oracle).bits
+        bits = evaluate(inst.dag, proof_oracle)
         if not inst.dag.fixed_bits().items() <= bits.items():
             raise ValidationError("the correct query string contradicts a fixed bit")
         # Every forced bit of the correct string equals its bit, so it
@@ -401,7 +417,7 @@ class EvaluationBackend:
             return False
         # Score the best string in place: an unpinned node holds its forced
         # bit already, so only a pinned or fixed 1 needs a proof call.
-        best = evaluate(inst.dag, proof_oracle, merged).bits
+        best = evaluate(inst.dag, proof_oracle, merged)
         weights = inst.weights.weights
         score = 0
         for nid, bit in best.items():

@@ -20,9 +20,6 @@ from .errors import ParseError, ValidationError
 
 VERIFIER = "verifier"
 
-# An answer bit per node id.
-QueryString = dict
-
 
 def decimal_str(n):
     """The integer n in decimal, at any length.  str(n) refuses integers of
@@ -75,15 +72,6 @@ class QueryNode:
         # Pickle and copy the fields alone: a string's hash differs between
         # processes, and the compiled form is rebuilt on use.
         return type(self), (self.id, self.kind, self.inputs, self.proof_var_count, self.clauses)
-
-
-@dataclass(frozen=True)
-class EvalTrace:
-    """Result of one reference evaluation: order used, all bits, final answer."""
-
-    order: tuple
-    bits: dict
-    answer: int
 
 
 class QueryDag:
@@ -278,10 +266,11 @@ def topo_sort(ids, out):
 
 
 def evaluate(g, sat, pins=None):
-    """Decide g by answering every query in g's topological order.
+    """Answer every query of g in g's topological order; returns the bits,
+    a dict keyed in g.topo_order(), whose entry at g.output decides g.
 
     `sat` decides proof existence per node given fixed input bits.  NP has no
-    invalid queries, so the trace is deterministic.  A node in `pins` keeps
+    invalid queries, so the bits are deterministic.  A node in `pins` keeps
     its pinned bit instead of its forced one.  Under a weighting admissible
     with c >= 2 the result is the unique best string among those agreeing
     with the pins: a forced bit reads only the node's in-neighbours, so
@@ -290,12 +279,11 @@ def evaluate(g, sat, pins=None):
     admissibility keeps below w_u.  Works on any graph with the
     topo_order()/forced_bit()/output protocol.
     """
-    order = g.topo_order()
     pins = pins or {}
     bits = {}
-    for nid in order:
+    for nid in g.topo_order():
         bits[nid] = pins[nid] if nid in pins else g.forced_bit(nid, bits, sat)
-    return EvalTrace(order=tuple(order), bits=bits, answer=bits[g.output])
+    return bits
 
 
 def is_correct_query_string(g, x, sat):

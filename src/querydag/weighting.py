@@ -2,7 +2,9 @@
 
 A weighting f is c-admissible when f(v) >= 1 + c * sum of f over v's
 out-neighbors.  Such weightings make earlier queries dominate later ones in
-the total-solution-weight objective; c is 2 throughout the NP pipeline.
+the total-solution-weight objective; c is ADMISSIBILITY_C = 2 throughout the
+NP pipeline, defined here for the solver, the compression and the
+arithmetization alike.
 
 Any graph object exposing node_ids(), out_neighbors() and topo_order()
 works here, so the same functions serve plain query graphs and compressed
@@ -18,6 +20,10 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .querygraph import decimal_str, topo_sort
+
+# eta = (alpha - beta) / 2 = 1/2 for NP, so the pipeline needs a weighting
+# admissible for the constant 1/eta.
+ADMISSIBILITY_C = 2
 
 
 @dataclass(frozen=True)
@@ -40,12 +46,6 @@ def descendant_masks(ids, out):
     return masks
 
 
-def descendant_counts(g):
-    ids = list(g.node_ids())
-    masks = descendant_masks(ids, g.out_neighbors())
-    return {nid: masks[nid].bit_count() for nid in ids}
-
-
 def levels(g):
     """Level 0 holds the nodes without incoming edges; children sit one past
     their deepest parent."""
@@ -66,9 +66,10 @@ def omega_weights(g, c):
     """The weighting (c+1) ** |descendants|, admissible for every c >= 2."""
     if c < 2:
         raise ValidationError("admissibility constant must be at least 2")
-    counts = descendant_counts(g)
+    ids = list(g.node_ids())
+    masks = descendant_masks(ids, g.out_neighbors())
     return WeightAssignment(
-        weights={nid: (c + 1) ** counts[nid] for nid in counts}, c=c
+        weights={nid: (c + 1) ** masks[nid].bit_count() for nid in ids}, c=c
     )
 
 

@@ -38,7 +38,7 @@ from querydag import (
     search_budget,
     total_weight,
 )
-from querydag.cli import BenchConfig, gen_instance, run_bench
+from querydag.cli import gen_instance, run_bench
 from querydag.weighting import descendant_masks
 
 from conftest import brute_two_t
@@ -82,14 +82,14 @@ def corpus():
         n = 1 + seed % 8
         g = gen_instance("random-sep", n, seed, sep_bound=2)
         oracle = ProofOracle()
-        direct = evaluate(g, oracle).answer
+        direct = evaluate(g, oracle)[g.output]
         rc = decide_compress(g)
         rd = decide_depth(g)
         tree = build_separator_tree(g)
         gpp = add_conductor(expand_to_gprime(g, tree))
         gstar, fstar = build_compressed(g, tree)
         pre_masks = descendant_masks(list(gpp.node_ids()), gpp.out_neighbors())
-        xstar = evaluate(gstar, oracle).bits
+        xstar = evaluate(gstar, oracle)
         lifted = lift_query_string(g, gstar, xstar)
         audit = audit_weak_compression(g)
         records.append(
@@ -148,11 +148,11 @@ def test_criterion_02_query_budget(corpus):
             assert row["rc"].queries == row["rc"].budget == want_c, row["seed"]
             assert row["rd"].queries == row["rd"].budget == want_d, row["seed"]
         for family in ("star", "chain", "layered"):
-            config = BenchConfig(
+            rows = run_bench(
                 family=family, sizes=(4, 8, 16, 32), sep_bound=2,
-                repetitions=1, seed=0,
+                repetitions=1, seed=0, method="compress",
             )
-            for bench_row in run_bench(config, method="compress"):
+            for bench_row in rows:
                 assert bench_row["s"] <= 2
                 bound = 4 * (bench_row["s"] * bench_row["D"] + math.log2(bench_row["n"])) + 8
                 assert bench_row["queries"] <= bound, bench_row
@@ -300,8 +300,8 @@ def test_criterion_10_degenerate_suite():
             4,
         )
         # Evaluation of the degenerate nodes.
-        assert evaluate(single, oracle).answer == 1
-        assert evaluate(contradictory, oracle).answer == 0
+        assert evaluate(single, oracle)[single.output] == 1
+        assert evaluate(contradictory, oracle)[contradictory.output] == 0
         assert star.topo_order() == [1, 2, 3, 4]
         # Separator structure.
         tree = build_separator_tree(single)
@@ -318,7 +318,7 @@ def test_criterion_10_degenerate_suite():
         # Depth pipeline on the parallel-query star: W = 3*8 + 1 = 25,
         # so ceil(log2(51)) + 1 = 7 queries.
         report = decide_depth(star)
-        assert report.answer == evaluate(star, oracle).answer
+        assert report.answer == evaluate(star, oracle)[star.output]
         assert report.w_total == 25 and report.queries == 7
         # Single-node counts: the depth pipeline needs 3 queries; the
         # compressed graph carries total weight 7 (copies 3 + 3 merged, the

@@ -267,11 +267,9 @@ def test_audit_chain3(chain3):
 
 
 def test_common_padding_invariant(chain2):
-    cnf = three_cnf_for_dag(chain2)
-    assert cnf.n_common == 2
-    assert cnf.m_common == 2
-    for nid in cnf.order:
-        assert len(cnf.clauses_by_node[nid]) == cnf.m_common
-        assert all(
-            abs(l) <= cnf.n_common for cl in cnf.clauses_by_node[nid] for l in cl
-        )
+    clauses_by_node, n_common = three_cnf_for_dag(chain2)
+    assert n_common == 2
+    assert list(clauses_by_node) == chain2.topo_order()
+    for nid in clauses_by_node:
+        assert len(clauses_by_node[nid]) == 2
+        assert all(abs(l) <= n_common for cl in clauses_by_node[nid] for l in cl)

@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
-from querydag import parse_dag, serialize_dag, verify_separator_tree
-from querydag.cli import BenchConfig, gen_instance, main, run_bench
+from querydag import decide_direct, parse_dag, serialize_dag, verify_separator_tree
+from querydag.cli import gen_instance, main, run_bench
+
+from conftest import enum_evaluate
 
 CHAIN2_TEXT = serialize_dag(
     parse_dag(
@@ -109,6 +111,33 @@ def test_cli_evaluate(tmp_path):
     assert doc["bits"] == {"1": 1, "2": 1}
 
 
+def test_cli_evaluate_reports_topological_order_of_unordered_document(tmp_path):
+    # Listed 3, 1, 4, 2; sources 2 and 4 come first by ascending id, then 1.
+    text = json.dumps(
+        {
+            "nodes": [
+                {"id": 3, "inputs": [1, 2], "proof_vars": 0, "clauses": [[-1], [-2]]},
+                {"id": 1, "inputs": [4], "proof_vars": 1, "clauses": [[-1]]},
+                {"id": 4, "inputs": [], "proof_vars": 1, "clauses": [[1]]},
+                {"id": 2, "inputs": [], "proof_vars": 1, "clauses": [[1], [-1]]},
+            ],
+            "output": 3,
+        }
+    )
+    inst = tmp_path / "unordered.json"
+    inst.write_text(text)
+    out = tmp_path / "trace.json"
+    assert main(["evaluate", "-i", str(inst), "-o", str(out)]) == 0
+    doc = read_json(out)
+    g = parse_dag(text)
+    assert doc["order"] == g.topo_order() == [2, 4, 1, 3]
+    bits, answer = enum_evaluate(g)
+    assert doc["bits"] == {str(k): v for k, v in bits.items()} == {
+        "1": 0, "2": 0, "3": 1, "4": 1
+    }
+    assert doc["answer"] == answer == 1
+
+
 def test_cli_septree(tmp_path):
     inst = write_chain2(tmp_path)
     out = tmp_path / "tree.json"
@@ -204,10 +233,27 @@ def test_bench_rows_and_query_growth(tmp_path, capsys):
 def test_run_bench_compress_within_paper_style_budget():
     import math
 
-    config = BenchConfig(family="chain", sizes=(4, 8), sep_bound=2, repetitions=1, seed=0)
-    for row in run_bench(config, method="compress"):
+    rows = run_bench(
+        family="chain", sizes=(4, 8), sep_bound=2, repetitions=1, seed=0, method="compress"
+    )
+    for row in rows:
         bound = 4 * (row["s"] * row["D"] + math.log2(row["n"])) + 8
         assert row["queries"] <= bound
+
+
+def test_run_bench_direct_counts_proof_calls():
+    rows = run_bench(
+        family="layered", sizes=(3, 6), sep_bound=2, repetitions=2, seed=4, method="direct"
+    )
+    assert [(row["n"], row["rep"], row["seed"]) for row in rows] == [
+        (3, 0, 7), (3, 1, 1007), (6, 0, 10), (6, 1, 1010)
+    ]
+    for row in rows:
+        report = decide_direct(gen_instance("layered", row["n"], row["seed"], 2))
+        # One proof call per node, and no threshold budget.
+        assert row["queries"] == report.proof_queries == row["n"]
+        assert row["budget"] is None and row["W"] is None
+        assert (row["method"], row["answer"]) == ("direct", report.answer)
 
 
 def test_solve_direct_on_deep_formula_has_no_recursion_error(tmp_path, capsys):

@@ -275,8 +275,8 @@ def test_evaluate_compressed_equals_evaluate(chain2, chain2_v2_unsat):
     oracle = ProofOracle()
     for g in (chain2, chain2_v2_unsat):
         tree, gp, gpp, gstar, fstar = compress_all(g)
-        bits = evaluate(gstar, oracle).bits
-        assert bits[gstar.conductor_id] == evaluate(g, oracle).answer
+        bits = evaluate(gstar, oracle)
+        assert bits[gstar.conductor_id] == evaluate(g, oracle)[g.output]
 
 
 def test_compression_equivalence_on_random_instances():
@@ -285,8 +285,8 @@ def test_compression_equivalence_on_random_instances():
         g = random_instance(seed)
         tree = build_separator_tree(g)
         gstar, fstar = build_compressed(g, tree)
-        bits = evaluate(gstar, oracle).bits
-        assert bits[gstar.conductor_id] == evaluate(g, oracle).answer
+        bits = evaluate(gstar, oracle)
+        assert bits[gstar.conductor_id] == evaluate(g, oracle)[g.output]
         assert is_correct_query_string(gstar, bits, oracle)
 
 
@@ -304,7 +304,7 @@ def test_lift_chain2_example(chain2):
 
 def test_lift_single_vacuous(single_vacuous):
     tree, gp, gpp, gstar, fstar = compress_all(single_vacuous)
-    bits = evaluate(gstar, ProofOracle()).bits
+    bits = evaluate(gstar, ProofOracle())
     assert lift_query_string(single_vacuous, gstar, bits) == {1: 1}
 
 
@@ -314,7 +314,7 @@ def test_lift_is_correct_on_random_instances():
         g = random_instance(seed)
         tree = build_separator_tree(g)
         gstar, fstar = build_compressed(g, tree)
-        xstar = evaluate(gstar, oracle).bits
+        xstar = evaluate(gstar, oracle)
         lifted = lift_query_string(g, gstar, xstar)
         assert is_correct_query_string(g, lifted, oracle)
 
@@ -340,7 +340,7 @@ def test_dummy_copies_merge_to_single_reps():
         assert len(reps) == 1
     fixed = gstar.fixed_bits()
     assert all(bit == 1 for bit in fixed.values())
-    bits = evaluate(gstar, ProofOracle()).bits
+    bits = evaluate(gstar, ProofOracle())
     assert all(bits[cid] == 1 for cid in fixed)
 
 
@@ -426,7 +426,7 @@ def test_node_count_and_lookups_build_no_record(monkeypatch):
     assert len(gstar.nodes) == len(gstar.node_ids()) == 220
     assert gstar.conductor_id in gstar.nodes and gstar.topo_order()[0] in gstar.nodes
     assert -1 not in gstar.nodes
-    bits = evaluate(gstar, ProofOracle()).bits
+    bits = evaluate(gstar, ProofOracle())
     assert is_correct_query_string(gstar, bits, ProofOracle())
     monkeypatch.undo()
     assert gstar.nodes[gstar.topo_order()[0]].origin is not None

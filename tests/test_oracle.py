@@ -256,9 +256,9 @@ def test_proof_memo_keeps_graphs_with_colliding_ids_apart():
     sat = build_dag([(1, "verifier", [], 1, [[1]])], 1)
     unsat = build_dag([(1, "verifier", [], 1, [[1], [-1]])], 1)
     oracle = ProofOracle()
-    assert evaluate(sat, oracle).answer == 1
-    assert evaluate(unsat, oracle).answer == 0
-    assert evaluate(sat, oracle).answer == 1
+    assert evaluate(sat, oracle)[sat.output] == 1
+    assert evaluate(unsat, oracle)[unsat.output] == 0
+    assert evaluate(sat, oracle)[sat.output] == 1
     stats = oracle.stats
     assert (stats.proof_queries, stats.proof_distinct) == (3, 2)
 
@@ -408,7 +408,7 @@ def test_backends_agree_under_pins_on_compressed_instances():
         if len(gstar.nodes) > 12:
             continue
         oracle = ProofOracle()
-        correct = evaluate(gstar, oracle).bits
+        correct = evaluate(gstar, oracle)
         brute = BruteForceBackend()
         smart = EvaluationBackend()
         two_t = max_t_for_assignment(
@@ -487,7 +487,7 @@ def test_evaluation_backend_decides_a_flipped_pin_on_a_30_chain():
     backend = EvaluationBackend()
     two_t = binary_search_T(g, weights, oracle, backend)
     first = g.topo_order()[0]
-    flipped = {first: evaluate(g, ProofOracle()).bits[first] ^ 1}
+    flipped = {first: evaluate(g, ProofOracle())[first] ^ 1}
     before = oracle.stats.proof_queries
     inst = ThresholdInstance(g, weights, two_t - 1, flipped)
     assert threshold_query(inst, oracle, backend) is False
@@ -505,7 +505,7 @@ def test_positioned_queries_agree_with_brute_force():
         assert len(g.nodes) <= 8
         weights = rho_weights(g, 2)
         oracle = ProofOracle()
-        correct = evaluate(g, oracle).bits
+        correct = evaluate(g, oracle)
         two_t = max_t_for_assignment(
             ThresholdInstance(g, weights, 0, {}), correct, oracle
         )
@@ -551,7 +551,7 @@ def test_profiled_queries_import_and_recompute_nothing(monkeypatch):
     # Once (dag, weights) is profiled, a threshold query is a lookup: no
     # import statement runs, and neither the admissibility check nor the
     # objective is evaluated again.
-    from querydag import solver, weighting
+    from querydag import weighting
 
     g = random_instance(7)
     weights = rho_weights(g, 2)
@@ -569,7 +569,8 @@ def test_profiled_queries_import_and_recompute_nothing(monkeypatch):
         imports.append(args[0])
         return real_import(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "max_t_for_assignment", forbidden)
+    # The backends look the objective up in oracle, where it is defined.
+    monkeypatch.setattr("querydag.oracle.max_t_for_assignment", forbidden)
     monkeypatch.setattr(weighting, "check_admissible", forbidden)
     monkeypatch.setattr(builtins, "__import__", counting_import)
     again = binary_search_T(g, weights, oracle, backend)
@@ -577,7 +578,7 @@ def test_profiled_queries_import_and_recompute_nothing(monkeypatch):
     monkeypatch.undo()
     assert imports == []
     assert again == two_t
-    assert bits == evaluate(g, ProofOracle()).bits
+    assert bits == evaluate(g, ProofOracle())
 
 
 def _reaches(root, target):
@@ -626,7 +627,7 @@ def test_evaluation_backend_keeps_only_the_current_profile(monkeypatch):
     assert built[0]() is None and built[1]() is not None
     assert len(pins_seen) > 2
     assert not any(_reaches(backend, pins) for pins in pins_seen)
-    assert first.answer == second.answer == evaluate(g, ProofOracle()).answer
+    assert first.answer == second.answer == evaluate(g, ProofOracle())[g.output]
     witness_doc = first.stats.to_doc()
     assert witness_doc[: len(second.stats.to_doc())] == second.stats.to_doc()
 

@@ -25,13 +25,13 @@ def test_gpp_evaluates_like_g_and_gstar():
         gpp = add_conductor(expand_to_gprime(g, tree))
         gstar, _ = build_compressed(g, tree)
         direct = evaluate(g, oracle)
-        through_gpp = evaluate(gpp, oracle).bits
-        through_gstar = evaluate(gstar, oracle).bits
-        assert through_gpp[gpp.output] == direct.answer
+        through_gpp = evaluate(gpp, oracle)
+        through_gstar = evaluate(gstar, oracle)
+        assert through_gpp[gpp.output] == direct[g.output]
         for v in g.by_id:
             exact = staged_compute_output(gpp, v, (), through_gpp)
             assert exact == compute_output(gstar, v, {}, through_gstar)
-            assert exact == direct.bits[v]
+            assert exact == direct[v]
 
 
 def test_string_and_signature_lookups_agree_on_arbitrary_strings():

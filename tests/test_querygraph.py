@@ -110,15 +110,14 @@ def test_topological_order(chain2, star4, single_vacuous):
 
 
 def test_evaluate_chain2(chain2):
-    trace = evaluate(chain2, ProofOracle())
-    assert trace.bits == {1: 1, 2: 1}
-    assert trace.answer == 1
-    assert trace.answer == trace.bits[chain2.output]
+    bits = evaluate(chain2, ProofOracle())
+    assert bits == {1: 1, 2: 1}
+    assert bits[chain2.output] == 1
 
 
 def test_evaluate_degenerates(single_vacuous, single_contradictory):
-    assert evaluate(single_vacuous, ProofOracle()).answer == 1
-    assert evaluate(single_contradictory, ProofOracle()).answer == 0
+    assert evaluate(single_vacuous, ProofOracle())[single_vacuous.output] == 1
+    assert evaluate(single_contradictory, ProofOracle())[single_contradictory.output] == 0
 
 
 def test_evaluate_is_deterministic(chain2):
@@ -163,19 +162,19 @@ def wide_random_instance(seed, n=10, max_proof_vars=3):
 def test_evaluate_matches_enumeration_on_random_instances():
     for seed in range(60):
         g = random_instance(seed)
-        trace = evaluate(g, ProofOracle())
+        got = evaluate(g, ProofOracle())
         bits, answer = enum_evaluate(g)
-        assert trace.bits == bits
-        assert trace.answer == answer
+        assert got == bits
+        assert got[g.output] == answer
 
 
 def test_evaluate_matches_enumeration_up_to_ten_nodes_three_proof_vars():
     for seed in range(25):
         g = wide_random_instance(seed)
-        trace = evaluate(g, ProofOracle())
+        got = evaluate(g, ProofOracle())
         bits, answer = enum_evaluate(g)
-        assert trace.bits == bits
-        assert trace.answer == answer
+        assert got == bits
+        assert got[g.output] == answer
 
 
 def test_is_correct_query_string(chain2, single_vacuous):
@@ -189,8 +188,7 @@ def test_evaluate_produces_correct_string_on_random_instances():
     oracle = ProofOracle()
     for seed in range(40):
         g = random_instance(seed)
-        trace = evaluate(g, oracle)
-        assert is_correct_query_string(g, trace.bits, oracle)
+        assert is_correct_query_string(g, evaluate(g, oracle), oracle)
 
 
 def test_nodes_of_two_parses_are_equal_and_hash_alike():
