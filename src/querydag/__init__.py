@@ -3,19 +3,10 @@
 The library compresses a query graph along a balanced separator tree,
 weights the result with an admissible weighting function, and recovers the
 answer through a short binary search of threshold oracle queries; an
-arithmetization pipeline cross-checks everything against exact polynomial
-maximization.
+arithmetization pipeline, imported on its own as querydag.arithmetize,
+cross-checks everything against exact polynomial maximization.
 """
 
-from .arithmetize import (
-    arithmetize_clause,
-    audit_weak_compression,
-    brute_force_max,
-    build_p,
-    extract_from_optimum,
-    multilinear_eval,
-    to_three_cnf,
-)
 from .compress import (
     build_compressed,
     compute_output,
@@ -66,7 +57,6 @@ from .solver import (
     search_budget,
 )
 from .weighting import (
-    WeightAssignment,
     check_admissible,
     dag_depth,
     levels,

@@ -24,7 +24,7 @@ from .errors import CapacityError, PipelineError
 from .oracle import EvaluationBackend, ProofOracle
 from .querygraph import is_correct_query_string
 from .solver import binary_search_T
-from .weighting import ADMISSIBILITY_C, omega_weights
+from .weighting import omega_weights
 
 VAR = "var"
 CONST = "const"
@@ -268,7 +268,7 @@ def build_p(g, weights):
         sat_part = builder.mul((x, q))
         miss_part = builder.mul((builder.literal(x_coord[nid], False), half))
         inner = builder.add((sat_part, miss_part))
-        terms.append(builder.mul((builder.const(weights.weights[nid]), inner)))
+        terms.append(builder.mul((builder.const(weights[nid]), inner)))
     circuit = builder.finish(builder.add(tuple(terms)))
     return BuiltPolynomial(circuit=circuit, var_count=cursor, x_coord=x_coord)
 
@@ -341,7 +341,7 @@ def audit_weak_compression(g, backend=None):
     """
     proof_oracle = ProofOracle()
     backend = backend if backend is not None else EvaluationBackend()
-    weights = omega_weights(g, ADMISSIBILITY_C)
+    weights = omega_weights(g)
     t_tilde = binary_search_T(g, weights, proof_oracle, backend)
     return CompressionAudit(
         bits=t_tilde.bit_length(), queries_used=proof_oracle.stats.threshold_queries

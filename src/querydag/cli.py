@@ -12,7 +12,6 @@ import json
 import random
 import sys
 
-from . import arithmetize
 from .compress import build_compressed, expected_expanded_size
 from .errors import GenerationError, ParseError, QueryDagError
 from .oracle import BruteForceBackend, EvaluationBackend, ProofOracle
@@ -26,7 +25,7 @@ from .querygraph import (
 )
 from .separator import build_depth_bounded_tree, build_separator_tree
 from .solver import decide_compress, decide_depth, decide_direct
-from .weighting import ADMISSIBILITY_C, omega_weights, weight_report
+from .weighting import omega_weights, weight_report
 
 FAMILIES = ("chain", "star", "layered", "random-sep")
 
@@ -59,16 +58,17 @@ def gen_instance(family, n, seed, sep_bound=2):
     """Deterministic instance of the requested family and size.
 
     chain: a directed path.  star: all leaves feed the output.  layered: a
-    two-level in-tree (bounded depth, separator size 1).  random-sep: random
-    forward edges, resampled until the balanced separator tree the builder
-    finds has supervertices of size at most sep_bound.
+    two-level in-tree (bounded depth, separator size 1), a chain for
+    n <= 2.  random-sep: random forward edges, resampled until the balanced
+    separator tree the builder finds has supervertices of size at most
+    sep_bound.
     """
     if family not in FAMILIES:
         raise GenerationError(f"unknown family {family!r}")
     if n < 1:
         raise GenerationError("n must be at least 1")
     rng = random.Random(seed)
-    if family == "chain":
+    if family == "chain" or (family == "layered" and n <= 2):
         specs = [_node(rng, i, [i - 1] if i > 1 else []) for i in range(1, n + 1)]
         return build_dag(specs, n)
     if family == "star":
@@ -76,9 +76,6 @@ def gen_instance(family, n, seed, sep_bound=2):
         specs.append(_node(rng, n, list(range(1, n))))
         return build_dag(specs, n)
     if family == "layered":
-        if n <= 2:
-            specs = [_node(rng, i, [i - 1] if i > 1 else []) for i in range(1, n + 1)]
-            return build_dag(specs, n)
         mid_count = max(1, round((n - 1) ** 0.5))
         source_count = n - 1 - mid_count
         sources = list(range(1, source_count + 1))
@@ -195,8 +192,11 @@ def _cmd_solve(args):
 
 
 def _cmd_arith(args):
+    # Imported here, so that the other subcommands never load it.
+    from . import arithmetize
+
     g = _read_instance(args.input)
-    weights = omega_weights(g, ADMISSIBILITY_C)
+    weights = omega_weights(g)
     built = arithmetize.build_p(g, weights)
     best, vertex = arithmetize.brute_force_max(
         built.circuit, built.var_count, cap=args.cap

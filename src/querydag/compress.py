@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import WireValueError
 from .querygraph import VERIFIER, QueryNode, decimal_str
-from .weighting import ADMISSIBILITY_C, WeightAssignment, descendant_masks
+from .weighting import ADMISSIBILITY_C, descendant_masks
 
 CONDUCTOR_ID = 0
 
@@ -213,7 +213,7 @@ class CompressedDag:
         }
         if weights is not None:
             doc["weights"] = {
-                str(cid): decimal_str(w) for cid, w in sorted(weights.weights.items())
+                str(cid): decimal_str(w) for cid, w in sorted(weights.items())
             }
         return doc
 
@@ -356,7 +356,7 @@ def build_compressed(g, tree):
             edges[cid] = tuple(targets)
         weights.update(dict.fromkeys(copies, weight))
     gstar = CompressedDag(g, tree, first, visible, shifts, edges)
-    return gstar, WeightAssignment(weights=weights, c=ADMISSIBILITY_C)
+    return gstar, weights
 
 
 def compute_output(gd, u, known, wire_values):

@@ -268,21 +268,25 @@ class ProofOracle:
         return answer
 
 
-def max_t_for_assignment(inst, x, proof_oracle):
+def max_t_for_assignment(inst, x, proof_oracle, check=None):
     """Scaled objective 2t of the string x, proofs chosen best per node.
 
     Proofs enter as a cross product, so each node maximizes independently:
     a node claimed 1 contributes 2w when its forced answer under x is 1, a
-    node claimed 0 contributes w.
+    node claimed 0 contributes w.  Only the 1s in `check` (every node when
+    it is None) are looked up; any other node is taken to hold its forced
+    bit and scores w(1 + x) without a proof call.  With check=() that is
+    2T of the correct string, whose every forced bit equals its bit.
     """
     dag = inst.dag
-    weights = inst.weights.weights
+    weights = inst.weights
     total = 0
     for nid in dag.node_ids():
-        if x[nid]:
+        bit = x[nid]
+        if bit and (check is None or nid in check):
             total += 2 * weights[nid] * dag.forced_bit(nid, x, proof_oracle)
         else:
-            total += weights[nid]
+            total += (1 + bit) * weights[nid]
     return total
 
 
@@ -333,15 +337,17 @@ class EvaluationBackend:
     one evaluation keeping the pinned bits finds (see querygraph.evaluate).
 
     The profile is one evaluation, one proof call per node that has a
-    query, and 2T in closed form: on the correct string every forced bit
-    equals its bit, so the objective is the sum of w(1 + x) over the nodes.
+    query, and 2T from max_t_for_assignment checking no node: on the
+    correct string every forced bit equals its bit, so the objective is the
+    sum of w(1 + x) over the nodes.
     Once (dag, weights) is profiled, a query answered against 2T costs
     O(1): an identity check of the profile, then for a query without pins
     or with a position (see ThresholdInstance) a look at its newest pins
     only.  For that the backend keeps the pins dict of the last query, if
     it had a position, and whether its settled entries agree; a new profile
     drops both.  A query whose pins disagree, below 2T, costs one pass of
-    forced bits, scored in place: at most |V| proof calls.
+    forced bits, scored checking only its pinned or fixed 1s: at most |V|
+    proof calls.
     """
 
     def __init__(self):
@@ -353,20 +359,16 @@ class EvaluationBackend:
     def _profile(self, inst, proof_oracle):
         """(maximizer, 2T) of inst's (dag, weights), kept until another pair
         is profiled.  Checks that the weighting is integer and admissible
-        with c >= 2 and that the maximizer keeps the fixed bits; 2T is read
-        off the maximizer without a proof call."""
+        and that the maximizer keeps the fixed bits; 2T is read off the
+        maximizer without a proof call."""
         hit = self._current
         if hit is not None and hit[0] is inst.dag and hit[1] is inst.weights:
             return hit[2:]
         self._current = self._pinned = None
         # The one-unit gap below the maximum only exists for integer
-        # weightings that are admissible with constant 2 or more.
-        if inst.weights.c < 2 or not all(
-            isinstance(w, int) for w in inst.weights.weights.values()
-        ):
-            raise ValidationError(
-                "evaluation backend needs an integer weighting with c >= 2"
-            )
+        # weightings that are admissible.
+        if not all(isinstance(w, int) for w in inst.weights.values()):
+            raise ValidationError("evaluation backend needs an integer weighting")
         # Looked up on the module at call time, so callers that swap the
         # function there are still heard.
         ok, bad = weighting.check_admissible(inst.dag, inst.weights)
@@ -375,10 +377,7 @@ class EvaluationBackend:
         bits = evaluate(inst.dag, proof_oracle)
         if not inst.dag.fixed_bits().items() <= bits.items():
             raise ValidationError("the correct query string contradicts a fixed bit")
-        # Every forced bit of the correct string equals its bit, so it
-        # scores w(1 + x) per node, and 2T needs no further proof call.
-        weights = inst.weights.weights
-        two_t = sum((1 + bit) * weights[nid] for nid, bit in bits.items())
+        two_t = max_t_for_assignment(inst, bits, proof_oracle, check=())
         self._current = (inst.dag, inst.weights, bits, two_t)
         return bits, two_t
 
@@ -415,16 +414,10 @@ class EvaluationBackend:
         merged = _merge_pins(inst)
         if merged is None:
             return False
-        # Score the best string in place: an unpinned node holds its forced
-        # bit already, so only a pinned or fixed 1 needs a proof call.
+        # Score the best string: an unpinned node holds its forced bit
+        # already, so only a pinned or fixed 1 needs a proof call.
         best = evaluate(inst.dag, proof_oracle, merged)
-        weights = inst.weights.weights
-        score = 0
-        for nid, bit in best.items():
-            if bit and nid in merged:
-                score += 2 * weights[nid] * inst.dag.forced_bit(nid, best, proof_oracle)
-            else:
-                score += (1 + bit) * weights[nid]
+        score = max_t_for_assignment(inst, best, proof_oracle, check=merged)
         return inst.threshold <= score
 
 

@@ -25,7 +25,7 @@ from .oracle import EvaluationBackend, ProofOracle, threshold_query
 from .oracle import max_t_for_assignment  # noqa: F401
 from .querygraph import decimal_str, evaluate, is_correct_query_string
 from .separator import build_separator_tree
-from .weighting import ADMISSIBILITY_C, rho_weights, total_weight
+from .weighting import rho_weights, total_weight
 
 
 class ThresholdInstance(NamedTuple):
@@ -45,7 +45,7 @@ class ThresholdInstance(NamedTuple):
     """
 
     dag: object
-    weights: object
+    weights: dict
     threshold: int
     pins: dict
     position: int | None = None
@@ -142,7 +142,7 @@ def _decide(method, g, witness, backend):
     if method == "compress":
         dag, weights = build_compressed(g, build_separator_tree(g))
     else:
-        dag, weights = g, rho_weights(g, ADMISSIBILITY_C)
+        dag, weights = g, rho_weights(g)
     t_tilde = binary_search_T(dag, weights, proof_oracle, backend)
     final = ThresholdInstance(dag, weights, t_tilde, {dag.output: 1})
     answer = threshold_query(final, proof_oracle, backend)

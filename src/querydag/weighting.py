@@ -1,10 +1,11 @@
 """Admissible weighting functions over DAGs, in exact integer arithmetic.
 
-A weighting f is c-admissible when f(v) >= 1 + c * sum of f over v's
-out-neighbors.  Such weightings make earlier queries dominate later ones in
-the total-solution-weight objective; c is ADMISSIBILITY_C = 2 throughout the
-NP pipeline, defined here for the solver, the compression and the
-arithmetization alike.
+A weighting is a plain {node id: int} dict.  It is admissible when
+f(v) >= 1 + c * sum of f over v's out-neighbors, with the one constant
+c = ADMISSIBILITY_C = 2 of the NP pipeline: the weightings here and the
+compression's are built for it, and check_admissible tests against it.
+Such weightings make earlier queries dominate later ones in the
+total-solution-weight objective.
 
 Any graph object exposing node_ids(), out_neighbors() and topo_order()
 works here, so the same functions serve plain query graphs and compressed
@@ -16,22 +17,11 @@ backends are written against them alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import ValidationError
 from .querygraph import decimal_str, topo_sort
 
 # eta = (alpha - beta) / 2 = 1/2 for NP, so the pipeline needs a weighting
 # admissible for the constant 1/eta.
 ADMISSIBILITY_C = 2
-
-
-@dataclass(frozen=True)
-class WeightAssignment:
-    """Positive integer weight per node, with its admissibility constant."""
-
-    weights: dict
-    c: int
 
 
 def descendant_masks(ids, out):
@@ -62,30 +52,22 @@ def dag_depth(g):
     return max(levels(g).values())
 
 
-def omega_weights(g, c):
-    """The weighting (c+1) ** |descendants|, admissible for every c >= 2."""
-    if c < 2:
-        raise ValidationError("admissibility constant must be at least 2")
+def omega_weights(g):
+    """The weighting (c+1) ** |descendants|."""
     ids = list(g.node_ids())
     masks = descendant_masks(ids, g.out_neighbors())
-    return WeightAssignment(
-        weights={nid: (c + 1) ** masks[nid].bit_count() for nid in ids}, c=c
-    )
+    return {nid: (ADMISSIBILITY_C + 1) ** masks[nid].bit_count() for nid in ids}
 
 
-def rho_weights(g, c):
+def rho_weights(g):
     """The depth-based weighting (c*|V|) ** (depth - level)."""
-    if c < 2:
-        raise ValidationError("admissibility constant must be at least 2")
     lv = levels(g)
     depth = max(lv.values())
-    base = c * len(lv)
-    return WeightAssignment(
-        weights={nid: base ** (depth - level) for nid, level in lv.items()}, c=c
-    )
+    base = ADMISSIBILITY_C * len(lv)
+    return {nid: base ** (depth - level) for nid, level in lv.items()}
 
 
-def check_admissible(g, w):
+def check_admissible(g, weights):
     """Verify the defining inequality node by node.
 
     Returns (True, None) on success, otherwise (False, first offending node
@@ -93,22 +75,20 @@ def check_admissible(g, w):
     """
     out = g.out_neighbors()
     for nid in sorted(g.node_ids()):
-        need = 1 + w.c * sum(w.weights[child] for child in out[nid])
-        if w.weights[nid] < need:
+        need = 1 + ADMISSIBILITY_C * sum(weights[child] for child in out[nid])
+        if weights[nid] < need:
             return False, nid
     return True, None
 
 
-def total_weight(w):
-    return sum(w.weights.values())
+def total_weight(weights):
+    return sum(weights.values())
 
 
-def weight_report(w):
+def weight_report(weights):
     """Weights as decimal strings; arbitrary precision survives text round-trip."""
     return {
-        "c": w.c,
-        "weights": {
-            str(nid): decimal_str(val) for nid, val in sorted(w.weights.items())
-        },
-        "total": decimal_str(total_weight(w)),
+        "c": ADMISSIBILITY_C,
+        "weights": {str(nid): decimal_str(val) for nid, val in sorted(weights.items())},
+        "total": decimal_str(total_weight(weights)),
     }

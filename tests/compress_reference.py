@@ -32,7 +32,7 @@ from querydag.compress import (
 )
 from querydag.errors import WireValueError
 from querydag.querygraph import decimal_str
-from querydag.weighting import WeightAssignment, descendant_masks
+from querydag.weighting import descendant_masks
 
 
 def _relatives_on_branch(g, tree, edges, own_level):
@@ -180,7 +180,7 @@ class CompressedDag:
         }
         if weights is not None:
             doc["weights"] = {
-                str(cid): decimal_str(w) for cid, w in sorted(weights.weights.items())
+                str(cid): decimal_str(w) for cid, w in sorted(weights.items())
             }
         return doc
 
@@ -249,4 +249,4 @@ def build_compressed(g, tree):
             edges[cid] = targets
             weights[cid] = weight
     gstar = CompressedDag(g, tree, nodes, edges, visible, _origin_queries(g, tree))
-    return gstar, WeightAssignment(weights=weights, c=2)
+    return gstar, weights

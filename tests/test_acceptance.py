@@ -16,11 +16,8 @@ import pytest
 from querydag import (
     ProofOracle,
     ThresholdInstance,
-    audit_weak_compression,
-    brute_force_max,
     build_compressed,
     build_dag,
-    build_p,
     build_separator_tree,
     check_admissible,
     decide_compress,
@@ -28,15 +25,20 @@ from querydag import (
     decide_direct,
     evaluate,
     expected_expanded_size,
-    extract_from_optimum,
     is_correct_query_string,
     lift_query_string,
     max_t_for_assignment,
-    multilinear_eval,
     omega_weights,
     rho_weights,
     search_budget,
     total_weight,
+)
+from querydag.arithmetize import (
+    audit_weak_compression,
+    brute_force_max,
+    build_p,
+    extract_from_optimum,
+    multilinear_eval,
 )
 from querydag.cli import gen_instance, run_bench
 from querydag.weighting import descendant_masks
@@ -104,7 +106,7 @@ def corpus():
                 "D": tree.depth(),
                 "vpp_actual": len(gpp.nodes),
                 "vpp_formula": expected_expanded_size(tree),
-                "w_gpp": total_weight(omega_weights(gpp, 2)),
+                "w_gpp": total_weight(omega_weights(gpp)),
                 "w_star": total_weight(fstar),
                 "vstar": len(gstar.nodes),
                 "admissible": check_admissible(gstar, fstar),
@@ -112,7 +114,7 @@ def corpus():
                 "max_desc_origins": _origin_descendant_count(gstar),
                 "lift_ok": is_correct_query_string(g, lifted, oracle),
                 "audit": audit,
-                "w_rho": total_weight(rho_weights(g, 2)),
+                "w_rho": total_weight(rho_weights(g)),
             }
         )
     records.append({"elapsed": time.time() - started})
@@ -190,7 +192,7 @@ def test_criterion_05_correct_string_gap():
         instances.append(build_dag([(1, "verifier", [], 1, [[1], [-1]])], 1))
         instances.append(build_dag([(1, "verifier", [], 0, [])], 1))
         for g in instances:
-            weights = omega_weights(g, 2)
+            weights = omega_weights(g)
             inst = ThresholdInstance(g, weights, 0, {})
             ids = sorted(g.by_id)
             scored = {}
@@ -229,7 +231,7 @@ def _arith_suite():
     randoms = [gen_instance("random-sep", 1 + seed % 4, seed, 2) for seed in range(10)]
     suite = []
     for g in fixtures + randoms:
-        built = build_p(g, omega_weights(g, 2))
+        built = build_p(g, omega_weights(g))
         if built.var_count <= 16:
             suite.append((g, built))
     return suite
@@ -243,7 +245,7 @@ def test_criterion_07_arithmetization_equivalence():
         assert len(suite) >= 10
         for g, built in suite:
             assert built.var_count <= 24
-            weights = omega_weights(g, 2)
+            weights = omega_weights(g)
             best, witness = brute_force_max(built.circuit, built.var_count)
             assert 2 * best == brute_two_t(g, weights)
             x = extract_from_optimum(g, built, witness)
@@ -327,7 +329,7 @@ def test_criterion_10_degenerate_suite():
         rc = decide_compress(single)
         assert rc.w_total == 7 and rc.queries == rc.budget == 5
         # Arithmetization degenerates.
-        built = build_p(single, omega_weights(single, 2))
+        built = build_p(single, omega_weights(single))
         best, witness = brute_force_max(built.circuit, built.var_count)
         assert best == 1 and extract_from_optimum(single, built, witness) == {1: 1}
         audit = audit_weak_compression(single)

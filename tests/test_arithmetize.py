@@ -10,17 +10,20 @@ from querydag import (
     ProofOracle,
     QueryNode,
     ThresholdInstance,
+    max_t_for_assignment,
+    omega_weights,
+)
+from querydag.arithmetize import (
+    CircuitBuilder,
     arithmetize_clause,
     audit_weak_compression,
     brute_force_max,
     build_p,
     extract_from_optimum,
-    max_t_for_assignment,
     multilinear_eval,
-    omega_weights,
+    three_cnf_for_dag,
     to_three_cnf,
 )
-from querydag.arithmetize import CircuitBuilder, three_cnf_for_dag
 
 from conftest import brute_two_t, random_instance
 
@@ -91,7 +94,7 @@ def test_arithmetize_repeated_literal_boolean_agreement():
 
 
 def test_build_p_chain2_boolean_points(chain2):
-    built = build_p(chain2, omega_weights(chain2, 2))
+    built = build_p(chain2, omega_weights(chain2))
     # Layout: x1, x2, then v1's block (proof + padding), then v2's proof.
     assert built.var_count == 5
     point = [1, 1, 1, 0, 1]
@@ -102,13 +105,13 @@ def test_build_p_chain2_boolean_points(chain2):
 
 
 def test_build_p_single_vacuous(single_vacuous):
-    built = build_p(single_vacuous, omega_weights(single_vacuous, 2))
+    built = build_p(single_vacuous, omega_weights(single_vacuous))
     assert built.circuit.eval([1]) == 1
     assert built.circuit.eval([0]) == Fraction(1, 2)
 
 
 def test_multilinear_eval_equals_circuit_on_vertices(chain2):
-    built = build_p(chain2, omega_weights(chain2, 2))
+    built = build_p(chain2, omega_weights(chain2))
     rng = random.Random(1)
     for _ in range(200):
         point = [rng.randint(0, 1) for _ in range(built.var_count)]
@@ -116,7 +119,7 @@ def test_multilinear_eval_equals_circuit_on_vertices(chain2):
 
 
 def test_multilinear_eval_single_vacuous_midpoint(single_vacuous):
-    built = build_p(single_vacuous, omega_weights(single_vacuous, 2))
+    built = build_p(single_vacuous, omega_weights(single_vacuous))
     assert multilinear_eval(built.circuit, [Fraction(1, 2)]) == Fraction(3, 4)
 
 
@@ -132,7 +135,7 @@ def build_p_for_capacity():
     g = build_dag(
         [(1, "verifier", [], 2, [[1], [2]]), (2, "verifier", [1], 2, [[1]])], 2
     )
-    return build_p(g, omega_weights(g, 2))
+    return build_p(g, omega_weights(g))
 
 
 def test_unsatisfiable_two_sat_shows_why_linearization_matters():
@@ -161,7 +164,7 @@ def test_unsatisfiable_two_sat_shows_why_linearization_matters():
 
 
 def test_multilinearity_affine_in_each_coordinate(chain2):
-    built = build_p(chain2, omega_weights(chain2, 2))
+    built = build_p(chain2, omega_weights(chain2))
     rng = random.Random(3)
     points = (Fraction(0), Fraction(1, 2), Fraction(1))
     for _ in range(100):
@@ -176,8 +179,8 @@ def test_multilinearity_affine_in_each_coordinate(chain2):
 
 
 def test_range_of_multilinear_extension(chain3):
-    built = build_p(chain3, omega_weights(chain3, 2))
-    top = sum(omega_weights(chain3, 2).weights.values())
+    built = build_p(chain3, omega_weights(chain3))
+    top = sum(omega_weights(chain3).values())
     rng = random.Random(9)
     for _ in range(40):
         point = [Fraction(rng.randint(0, 4), 4) for _ in range(built.var_count)]
@@ -186,7 +189,7 @@ def test_range_of_multilinear_extension(chain3):
 
 
 def test_interior_points_never_beat_the_vertex_maximum(chain2):
-    built = build_p(chain2, omega_weights(chain2, 2))
+    built = build_p(chain2, omega_weights(chain2))
     best, _ = brute_force_max(built.circuit, built.var_count)
     rng = random.Random(11)
     for _ in range(100):
@@ -195,7 +198,7 @@ def test_interior_points_never_beat_the_vertex_maximum(chain2):
 
 
 def test_brute_force_max_chain2(chain2):
-    built = build_p(chain2, omega_weights(chain2, 2))
+    built = build_p(chain2, omega_weights(chain2))
     best, witness = brute_force_max(built.circuit, built.var_count)
     assert best == 4
     assert witness[:2] == (1, 1)
@@ -206,7 +209,7 @@ def test_brute_force_max_chain2(chain2):
 def test_brute_force_max_v1_unsat(chain2_v1_unsat):
     # Best is the x1 = 0 branch; computed exactly by enumeration the maximum
     # is 3/2 + 1/2 = 2 at x = 00.
-    built = build_p(chain2_v1_unsat, omega_weights(chain2_v1_unsat, 2))
+    built = build_p(chain2_v1_unsat, omega_weights(chain2_v1_unsat))
     best, witness = brute_force_max(built.circuit, built.var_count)
     assert best == 2
     x = extract_from_optimum(chain2_v1_unsat, built, witness)
@@ -214,7 +217,7 @@ def test_brute_force_max_v1_unsat(chain2_v1_unsat):
 
 
 def test_brute_force_max_single_vacuous(single_vacuous):
-    built = build_p(single_vacuous, omega_weights(single_vacuous, 2))
+    built = build_p(single_vacuous, omega_weights(single_vacuous))
     best, witness = brute_force_max(built.circuit, built.var_count)
     assert best == 1
     assert witness == (1,)
@@ -222,13 +225,13 @@ def test_brute_force_max_single_vacuous(single_vacuous):
 
 
 def test_brute_force_max_capacity(chain2):
-    built = build_p(chain2, omega_weights(chain2, 2))
+    built = build_p(chain2, omega_weights(chain2))
     with pytest.raises(CapacityError):
         brute_force_max(built.circuit, built.var_count, cap=3)
 
 
 def test_extract_from_optimum_rejects_bad_vertex(chain2):
-    built = build_p(chain2, omega_weights(chain2, 2))
+    built = build_p(chain2, omega_weights(chain2))
     with pytest.raises(PipelineError):
         extract_from_optimum(chain2, built, (0, 1, 0, 0, 0))
 
@@ -236,7 +239,7 @@ def test_extract_from_optimum_rejects_bad_vertex(chain2):
 def test_maximum_equivalence_with_objective_on_random_instances():
     for seed in range(8):
         g = random_instance(seed, max_n=4)
-        weights = omega_weights(g, 2)
+        weights = omega_weights(g)
         built = build_p(g, weights)
         if built.var_count > 14:
             continue

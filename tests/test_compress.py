@@ -138,10 +138,10 @@ def test_merge_chain2(chain2):
     tree, gp, gpp, gstar, fstar = compress_all(chain2)
     labels = by_label(gstar)
     assert set(labels) == {"t", "v1^{*}", "v2^{0,*}", "v2^{1,*}"}
-    assert fstar.weights[labels["v1^{*}"]] == 6
-    assert fstar.weights[labels["v2^{0,*}"]] == 6
-    assert fstar.weights[labels["v2^{1,*}"]] == 6
-    assert fstar.weights[labels["t"]] == 1
+    assert fstar[labels["v1^{*}"]] == 6
+    assert fstar[labels["v2^{0,*}"]] == 6
+    assert fstar[labels["v2^{1,*}"]] == 6
+    assert fstar[labels["t"]] == 1
     assert total_weight(fstar) == 19
 
 
@@ -155,7 +155,7 @@ def test_gstar_is_gpp_grouped_by_signature():
     for g in instances:
         tree = build_separator_tree(g)
         gpp = add_conductor(expand_to_gprime(g, tree))
-        omega = omega_weights(gpp, 2).weights
+        omega = omega_weights(gpp)
         groups = {}
         for node in gpp.nodes.values():
             if not node.is_conductor:
@@ -168,7 +168,7 @@ def test_gstar_is_gpp_grouped_by_signature():
             key = (node.origin, node.signature)
             assert key in groups and all(c not in rep for c in groups[key])
             rep.update((c, node.cid) for c in groups[key])
-            assert fstar.weights[node.cid] == sum(omega[c] for c in groups[key])
+            assert fstar[node.cid] == sum(omega[c] for c in groups[key])
             visible = gstar.visible_ancestors(node.origin)
             shown = {(lvl, pos): bit for (_, lvl, pos), (_, bit) in zip(visible, node.signature)}
             depth = tree.depth_of(node.supervertex)
@@ -177,7 +177,7 @@ def test_gstar_is_gpp_grouped_by_signature():
                 for pos, ch in enumerate(part):
                     assert ch == (str(shown[lvl, pos]) if (lvl, pos) in shown else "*")
         assert len(gstar.nodes) == len(groups) + 1
-        assert fstar.weights[gstar.conductor_id] == omega[gpp.conductor_id]
+        assert fstar[gstar.conductor_id] == omega[gpp.conductor_id]
         image = {
             (rep[a], rep[b]) for a, targets in gpp.edges_out.items() for b in targets
         }
@@ -203,7 +203,7 @@ def test_weight_conservation_and_admissibility_on_random_instances():
         g = random_instance(seed, max_n=6)
         tree = build_separator_tree(g)
         gpp = add_conductor(expand_to_gprime(g, tree))
-        w_before = total_weight(omega_weights(gpp, 2))
+        w_before = total_weight(omega_weights(gpp))
         gstar, fstar = build_compressed(g, tree)
         assert total_weight(fstar) == w_before
         assert len(gstar.nodes) <= len(gpp.nodes)
@@ -367,7 +367,7 @@ def test_blocks_match_the_record_based_build():
         gstar, fstar = build_compressed(g, tree)
         ref, ref_weights = record_based_build(g, tree)
         assert gstar.serialize(fstar) == ref.serialize(ref_weights), name
-        assert list(fstar.weights.items()) == list(ref_weights.weights.items()), name
+        assert list(fstar.items()) == list(ref_weights.items()), name
         assert list(gstar.out_neighbors().items()) == list(ref.out_neighbors().items()), name
         assert list(gstar.fixed_bits().items()) == list(ref.fixed_bits().items()), name
         assert gstar.topo_order() == ref.topo_order(), name

@@ -27,7 +27,6 @@ from querydag import (
     BruteForceBackend,
     EvaluationBackend,
     build_compressed,
-    build_p,
     build_separator_tree,
     decide_compress,
     decide_depth,
@@ -35,6 +34,7 @@ from querydag import (
     omega_weights,
     serialize_dag,
 )
+from querydag.arithmetize import build_p
 from querydag.cli import gen_instance, main
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden.jsonl"
@@ -99,7 +99,7 @@ def planned_runs(family, n, seed):
         ("cli", "septree", "--depth", str(tree.depth()), "--size", str(tree.uniform_size))
     )
     runs.append(("cli", "septree", "--depth", "1", "--size", "1"))
-    if build_p(g, omega_weights(g, 2)).var_count <= ARITH_VARS:
+    if build_p(g, omega_weights(g)).var_count <= ARITH_VARS:
         runs.append(("cli", "arith"))
     return runs
 

@@ -14,7 +14,6 @@ from querydag import (
     ProofOracle,
     QueryNode,
     ThresholdInstance,
-    WeightAssignment,
     build_compressed,
     build_dag,
     build_separator_tree,
@@ -308,7 +307,7 @@ def test_profile_takes_two_t_in_closed_form():
         g = random_instance(seed)
         gstar, fstar = build_compressed(g, build_separator_tree(g))
         for dag, weights, calls in (
-            (g, rho_weights(g, 2), len(g.nodes)),
+            (g, rho_weights(g), len(g.nodes)),
             (gstar, fstar, len(gstar.nodes) - 1),
         ):
             inst = ThresholdInstance(dag, weights, 0, {})
@@ -334,7 +333,7 @@ def test_threshold_examples_chain2(chain2):
     oracle = ProofOracle()
     stats = oracle.stats
     backend = BruteForceBackend()
-    weights = omega_weights(chain2, 2)
+    weights = omega_weights(chain2)
     answers = {}
     for theta in (8, 9, 0):
         inst = ThresholdInstance(chain2, weights, theta, {})
@@ -346,7 +345,7 @@ def test_threshold_examples_chain2(chain2):
 def test_threshold_is_monotone(chain2):
     oracle = ProofOracle()
     backend = BruteForceBackend()
-    weights = omega_weights(chain2, 2)
+    weights = omega_weights(chain2)
     results = [
         threshold_query(
             ThresholdInstance(chain2, weights, theta, {}), oracle, backend
@@ -367,7 +366,7 @@ def test_brute_backend_capacity_error(chain2):
 def test_backends_agree_on_plain_and_compressed_instances():
     for seed in range(12):
         g = random_instance(seed, max_n=4)
-        weights = omega_weights(g, 2)
+        weights = omega_weights(g)
         oracle = ProofOracle()
         brute = BruteForceBackend()
         smart = EvaluationBackend()
@@ -386,7 +385,7 @@ def test_backends_agree_on_plain_and_compressed_instances():
 
 
 def test_backends_agree_under_pins(chain2):
-    weights = omega_weights(chain2, 2)
+    weights = omega_weights(chain2)
     oracle = ProofOracle()
     brute = BruteForceBackend()
     smart = EvaluationBackend()
@@ -433,12 +432,12 @@ def _tightest_weights(g):
     weights = {}
     for nid in reversed(g.topo_order()):
         weights[nid] = 1 + 2 * sum(weights[child] for child in out[nid])
-    return WeightAssignment(weights, 2)
+    return weights
 
 
 WEIGHTED_GRAPHS = {
-    "omega": lambda g: (g, omega_weights(g, 2)),
-    "rho": lambda g: (g, rho_weights(g, 2)),
+    "omega": lambda g: (g, omega_weights(g)),
+    "rho": lambda g: (g, rho_weights(g)),
     "tightest": lambda g: (g, _tightest_weights(g)),
     "gstar": lambda g: build_compressed(g, build_separator_tree(g)),
 }
@@ -482,7 +481,7 @@ def test_evaluation_backend_decides_a_flipped_pin_on_a_30_chain():
     # 29 free bits: more than enumeration can take, one evaluation for the
     # evaluation backend.
     g = gen_instance("chain", 30, 0)
-    weights = rho_weights(g, 2)
+    weights = rho_weights(g)
     oracle = ProofOracle()
     backend = EvaluationBackend()
     two_t = binary_search_T(g, weights, oracle, backend)
@@ -503,7 +502,7 @@ def test_positioned_queries_agree_with_brute_force():
     for seed in range(32):
         g = random_instance(seed)
         assert len(g.nodes) <= 8
-        weights = rho_weights(g, 2)
+        weights = rho_weights(g)
         oracle = ProofOracle()
         correct = evaluate(g, oracle)
         two_t = max_t_for_assignment(
@@ -554,7 +553,7 @@ def test_profiled_queries_import_and_recompute_nothing(monkeypatch):
     from querydag import weighting
 
     g = random_instance(7)
-    weights = rho_weights(g, 2)
+    weights = rho_weights(g)
     oracle = ProofOracle()
     backend = EvaluationBackend()
     two_t = binary_search_T(g, weights, oracle, backend)
@@ -633,10 +632,21 @@ def test_evaluation_backend_keeps_only_the_current_profile(monkeypatch):
 
 
 def test_evaluation_backend_rejects_inadmissible_weights(chain2):
-    from querydag import ValidationError, WeightAssignment
+    from querydag import ValidationError
 
-    inst = ThresholdInstance(chain2, WeightAssignment({1: 1, 2: 1}, 2), 1, {})
+    inst = ThresholdInstance(chain2, {1: 1, 2: 1}, 1, {})
     with pytest.raises(ValidationError, match="admissible"):
+        EvaluationBackend().decide(inst, ProofOracle())
+
+
+def test_evaluation_backend_rejects_non_integer_weights(chain2):
+    from fractions import Fraction
+
+    from querydag import ValidationError
+
+    # Admissible, but a fractional weight leaves no one-unit gap below 2T.
+    inst = ThresholdInstance(chain2, {1: Fraction(7, 2), 2: 1}, 1, {})
+    with pytest.raises(ValidationError, match="integer"):
         EvaluationBackend().decide(inst, ProofOracle())
 
 
@@ -644,7 +654,7 @@ def test_evaluation_backend_rejects_fixed_bits_off_the_maximizer(chain2, monkeyp
     from querydag import ValidationError
 
     monkeypatch.setattr(chain2, "fixed_bits", lambda: {1: 0})
-    inst = ThresholdInstance(chain2, omega_weights(chain2, 2), 1, {})
+    inst = ThresholdInstance(chain2, omega_weights(chain2), 1, {})
     with pytest.raises(ValidationError, match="fixed bit"):
         EvaluationBackend().decide(inst, ProofOracle())
 
@@ -659,7 +669,7 @@ def test_transcript_replays_identically(chain2):
 def test_transcript_export_fields(chain2):
     oracle = ProofOracle()
     stats = oracle.stats
-    weights = omega_weights(chain2, 2)
+    weights = omega_weights(chain2)
     threshold_query(
         ThresholdInstance(chain2, weights, 8, {2: 1}),
         oracle,

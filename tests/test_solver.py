@@ -30,7 +30,7 @@ from conftest import brute_two_t, random_instance
 
 def test_max_t_chain2_values(chain2):
     oracle = ProofOracle()
-    inst = ThresholdInstance(chain2, omega_weights(chain2, 2), 0, {})
+    inst = ThresholdInstance(chain2, omega_weights(chain2), 0, {})
     assert max_t_for_assignment(inst, {1: 1, 2: 1}, oracle) == 8
     assert max_t_for_assignment(inst, {1: 0, 2: 0}, oracle) == 4
     assert max_t_for_assignment(inst, {1: 1, 2: 0}, oracle) == 7
@@ -38,7 +38,7 @@ def test_max_t_chain2_values(chain2):
 
 def test_binary_search_chain2(chain2):
     oracle = ProofOracle()
-    weights = omega_weights(chain2, 2)
+    weights = omega_weights(chain2)
     t = binary_search_T(chain2, weights, oracle, BruteForceBackend())
     assert t == 8
     assert oracle.stats.threshold_queries == 4  # ceil(log2(2W+1)) with W = 4
@@ -46,7 +46,7 @@ def test_binary_search_chain2(chain2):
 
 def test_binary_search_single_vacuous(single_vacuous):
     oracle = ProofOracle()
-    weights = omega_weights(single_vacuous, 2)
+    weights = omega_weights(single_vacuous)
     t = binary_search_T(single_vacuous, weights, oracle, BruteForceBackend())
     assert total_weight(weights) == 1
     assert t == 2
@@ -65,7 +65,7 @@ def test_binary_search_compressed_chain2(chain2):
 def test_binary_search_matches_brute_force_on_random_instances():
     for seed in range(15):
         g = random_instance(seed, max_n=5)
-        weights = omega_weights(g, 2)
+        weights = omega_weights(g)
         oracle = ProofOracle()
         t = binary_search_T(g, weights, oracle, EvaluationBackend())
         assert t == brute_two_t(g, weights)
@@ -124,7 +124,7 @@ def test_decide_direct_counts_one_proof_query_per_node(star4):
 def test_extract_query_string_chain2(chain2):
     oracle = ProofOracle()
     stats = oracle.stats
-    weights = omega_weights(chain2, 2)
+    weights = omega_weights(chain2)
     backend = BruteForceBackend()
     t = binary_search_T(chain2, weights, oracle, backend)
     before = stats.threshold_queries
@@ -137,7 +137,7 @@ def test_extract_query_string_chain2(chain2):
 
 def test_extract_query_string_v1_unsat(chain2_v1_unsat):
     oracle = ProofOracle()
-    weights = omega_weights(chain2_v1_unsat, 2)
+    weights = omega_weights(chain2_v1_unsat)
     backend = BruteForceBackend()
     t = binary_search_T(chain2_v1_unsat, weights, oracle, backend)
     assert t == 4  # both answers 0: weights 3 and 1 each contribute once
@@ -150,7 +150,7 @@ def test_extract_query_string_v1_unsat(chain2_v1_unsat):
 
 def test_extract_single_vacuous(single_vacuous):
     oracle = ProofOracle()
-    weights = omega_weights(single_vacuous, 2)
+    weights = omega_weights(single_vacuous)
     backend = BruteForceBackend()
     t = binary_search_T(single_vacuous, weights, oracle, backend)
     x = extract_query_string(
@@ -176,7 +176,7 @@ def test_correct_string_gap_property_on_tiny_instances():
     oracle = ProofOracle()
     cases = [random_instance(seed, max_n=3) for seed in range(30)]
     for g in cases:
-        weights = omega_weights(g, 2)
+        weights = omega_weights(g)
         inst = ThresholdInstance(g, weights, 0, {})
         ids = sorted(g.by_id)
         scores = {}
@@ -196,7 +196,7 @@ def test_query_budget_formula_on_random_instances():
         rd = decide_depth(g)
         assert rc.queries == rc.budget
         assert rd.queries == rd.budget
-        assert rd.budget == search_budget(rho_weights(g, 2)) + 1
+        assert rd.budget == search_budget(rho_weights(g)) + 1
 
 
 def test_methods_agree_with_direct_evaluation():

@@ -1,5 +1,4 @@
 from querydag import (
-    WeightAssignment,
     build_compressed,
     build_dag,
     build_separator_tree,
@@ -16,30 +15,30 @@ from conftest import random_instance
 
 
 def test_omega_chain2(chain2):
-    w = omega_weights(chain2, 2)
-    assert w.weights == {1: 3, 2: 1}
+    w = omega_weights(chain2)
+    assert w == {1: 3, 2: 1}
     assert total_weight(w) == 4
 
 
 def test_omega_chain3(chain3):
-    assert omega_weights(chain3, 2).weights == {1: 9, 2: 3, 3: 1}
+    assert omega_weights(chain3) == {1: 9, 2: 3, 3: 1}
 
 
 def test_omega_sink_weight_is_one(star4):
-    assert omega_weights(star4, 2).weights[4] == 1
+    assert omega_weights(star4)[4] == 1
 
 
 def test_omega_single_node(single_vacuous):
-    assert total_weight(omega_weights(single_vacuous, 2)) == 1
+    assert total_weight(omega_weights(single_vacuous)) == 1
 
 
 def test_rho_chain2(chain2):
-    assert rho_weights(chain2, 2).weights == {1: 4, 2: 1}
+    assert rho_weights(chain2) == {1: 4, 2: 1}
 
 
 def test_rho_star(star4):
-    w = rho_weights(star4, 2)
-    assert w.weights == {1: 8, 2: 8, 3: 8, 4: 1}
+    w = rho_weights(star4)
+    assert w == {1: 8, 2: 8, 3: 8, 4: 1}
     assert total_weight(w) == 25
 
 
@@ -49,11 +48,9 @@ def test_levels(star4, chain3):
 
 
 def test_check_admissible(chain2):
-    ok, bad = check_admissible(chain2, omega_weights(chain2, 2))
+    ok, bad = check_admissible(chain2, omega_weights(chain2))
     assert ok and bad is None
-    from querydag import WeightAssignment
-
-    ok, bad = check_admissible(chain2, WeightAssignment({1: 1, 2: 1}, 2))
+    ok, bad = check_admissible(chain2, {1: 1, 2: 1})
     assert not ok
     assert bad == 1
 
@@ -67,23 +64,20 @@ def test_merged_weighting_is_admissible(chain2):
 
 
 def test_admissibility_on_random_dags_all_constants():
+    # The pipeline has the one constant c = ADMISSIBILITY_C = 2.
     for seed in range(25):
         g = random_instance(seed)
-        for c in (2, 3, 6):
-            assert check_admissible(g, omega_weights(g, c))[0]
-            assert check_admissible(g, rho_weights(g, c))[0]
+        assert check_admissible(g, omega_weights(g))[0]
+        assert check_admissible(g, rho_weights(g))[0]
 
 
 def test_weight_divisibility():
     for seed in range(20):
         g = random_instance(seed)
         n = len(g.nodes)
-        for c in (2, 3):
-            om = omega_weights(g, c)
-            assert all((c + 1) ** (n - 1) % w == 0 for w in om.weights.values())
-            rho = rho_weights(g, c)
-            top = (c * n) ** dag_depth(g)
-            assert all(top % w == 0 for w in rho.weights.values())
+        assert all(3 ** (n - 1) % w == 0 for w in omega_weights(g).values())
+        top = (2 * n) ** dag_depth(g)
+        assert all(top % w == 0 for w in rho_weights(g).values())
 
 
 def test_omega_monotone_under_edge_insertion():
@@ -91,7 +85,7 @@ def test_omega_monotone_under_edge_insertion():
         g = random_instance(seed, max_n=7)
         if len(g.nodes) < 3:
             continue
-        before = omega_weights(g, 2).weights
+        before = omega_weights(g)
         ids = sorted(g.by_id)
         added = None
         for u in ids:
@@ -125,18 +119,19 @@ def test_omega_monotone_under_edge_insertion():
                 shifted = [list(cl) for cl in node.clauses]
             specs.append((node.id, node.kind, inputs, node.proof_var_count, shifted))
         g2 = build_dag(specs, g.output)
-        after = omega_weights(g2, 2).weights
+        after = omega_weights(g2)
         assert all(after[nid] >= before[nid] for nid in before)
 
 
 def test_weight_report_round_trips_big_integers(chain3):
-    report = weight_report(omega_weights(chain3, 6))
-    assert report["weights"]["1"] == str(7 ** 2)
-    assert int(report["total"]) == 49 + 7 + 1
+    report = weight_report(omega_weights(chain3))
+    assert report["c"] == 2
+    assert report["weights"]["1"] == str(3**2)
+    assert int(report["total"]) == 9 + 3 + 1
     # Past the 4,300 digits str() of an int allows by default, in the
     # report and in the weights of a G* document.
     gstar, fstar = build_compressed(chain3, build_separator_tree(chain3))
-    huge = WeightAssignment({nid: 10**5000 + w for nid, w in fstar.weights.items()}, 2)
-    expected = {str(nid): "1" + f"{w:05000d}" for nid, w in fstar.weights.items()}
+    huge = {nid: 10**5000 + w for nid, w in fstar.items()}
+    expected = {str(nid): "1" + f"{w:05000d}" for nid, w in fstar.items()}
     assert weight_report(huge)["weights"] == expected
     assert gstar.to_doc(huge)["weights"] == expected
