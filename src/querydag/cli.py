@@ -29,11 +29,14 @@ from .weighting import omega_weights, weight_report
 
 FAMILIES = ("chain", "star", "layered", "random-sep")
 
-# Every decision method, called as decide(g, witness=..., backend=...).
+# Every decision method, called as decide(g, witness=..., backend=...,
+# transcript=...).
 DECIDERS = {
     "compress": decide_compress,
     "depth": decide_depth,
-    "direct": lambda g, witness=False, backend=None: decide_direct(g, witness=witness),
+    "direct": lambda g, witness=False, backend=None, transcript=False: decide_direct(
+        g, witness=witness, transcript=transcript
+    ),
 }
 
 
@@ -186,8 +189,10 @@ def _cmd_compress(args):
 
 def _cmd_solve(args):
     g = _read_instance(args.input)
-    report = DECIDERS[args.method](g, witness=args.witness, backend=_backend(args))
-    _emit(report.to_doc(include_transcript=args.transcript), args.output)
+    report = DECIDERS[args.method](
+        g, witness=args.witness, backend=_backend(args), transcript=args.transcript
+    )
+    _emit(report.to_doc(), args.output)
     return 0
 
 
@@ -343,7 +348,9 @@ def _build_parser():
     common(p)
 
     p = sub.add_parser("arith", help="polynomial build, brute-force max, audit")
-    p.add_argument("--cap", type=int, default=24)
+    # One circuit evaluation per point: 16 variables take seconds, 24 about
+    # twenty minutes.
+    p.add_argument("--cap", type=int, default=16)
     p.add_argument("--dump-circuit", action="store_true")
     common(p)
 

@@ -14,8 +14,9 @@ and those per-variable clause lists are the node's compiled form
 (CompiledCnf), linear in its clauses, built on its first decision and kept
 on the node for later ones; parsing compiles nothing, and a clause-free
 node is never compiled.  A ProofOracle lasts one solve and memoizes its
-answers per (query, input bits); every issued call is still counted and
-recorded, and `proof_distinct` is the memo's size.
+answers per (query, input bits); every issued call is still counted, and
+recorded when the solve keeps a transcript, and `proof_distinct` is the
+memo's size.
 
 Two threshold backends are provided.  BruteForceBackend is the reference: it
 enumerates answer strings outright and is capped.  EvaluationBackend answers
@@ -36,7 +37,13 @@ from .querygraph import decimal_str, evaluate
 
 
 class OracleStats:
-    """Counters and an ordered transcript of every oracle interaction.
+    """Counters of every oracle interaction, and on request their transcript.
+
+    The counters and the `decisions` memo always run; the ordered
+    transcript is kept only when asked for (`transcript=True`), and is
+    otherwise None, so a solve that prints no transcript does not hold one.
+    `decisions` holds each distinct proof decision once, keyed on (query,
+    input bits); the proof oracle reads it as its memo.
 
     Entries are kept raw, as tuples holding the pins mapping the query was
     given, not a copy; to_doc renders them, so each query costs an append
@@ -46,15 +53,15 @@ class OracleStats:
     the first k entries as they end up, then the node at index k pinned at
     1.  Rendering reads the live dicts, so it is right only while callers
     keep the pins contract of ThresholdInstance: a dict cleared and reused
-    from position 0 would rewrite the earlier queries' pins.  `decisions`
-    holds each distinct proof decision once, keyed on (query, input bits);
-    the proof oracle reads it as its memo.
+    from position 0 would rewrite the earlier queries' pins.  That contract
+    binds whether or not a transcript is kept, since the evaluation backend
+    relies on it too; only this rendering depends on the transcript.
     """
 
-    def __init__(self):
+    def __init__(self, transcript=False):
         self.proof_queries = 0
         self.threshold_queries = 0
-        self.transcript = []
+        self.transcript = [] if transcript else None
         self.decisions = {}
 
     @property
@@ -63,15 +70,20 @@ class OracleStats:
 
     def record_proof(self, node_id, input_bits, answer):
         self.proof_queries += 1
-        self.transcript.append(("proof", node_id, input_bits, answer))
+        if self.transcript is not None:
+            self.transcript.append(("proof", node_id, input_bits, answer))
 
     def record_threshold(self, inst, answer):
         self.threshold_queries += 1
-        self.transcript.append(
-            ("threshold", inst.threshold, inst.pins, answer, inst.position)
-        )
+        if self.transcript is not None:
+            self.transcript.append(
+                ("threshold", inst.threshold, inst.pins, answer, inst.position)
+            )
 
     def to_doc(self):
+        # An empty list would read as a solve that made no query.
+        if self.transcript is None:
+            raise ValueError("these stats kept no transcript")
         doc = []
         for entry in self.transcript:
             if entry[0] == "proof":
@@ -240,16 +252,17 @@ def sat_exists_proof(node, input_bits):
 
 
 class ProofOracle:
-    """Per-node proof-existence decisions, each one recorded in `stats`, the
-    oracle's own record of every proof and threshold query of a solve.
+    """Per-node proof-existence decisions, each one counted in `stats`, the
+    oracle's own record of every proof and threshold query of a solve,
+    which keeps a transcript only when `transcript` is set.
 
     Answers are memoized for the oracle's lifetime, one solve, on the query
-    itself and its input bits: a repeated call is still recorded, but only
+    itself and its input bits: a repeated call is still counted, but only
     a new pair reaches `sat_exists_proof`.
     """
 
-    def __init__(self):
-        self.stats = OracleStats()
+    def __init__(self, transcript=False):
+        self.stats = OracleStats(transcript)
 
     def exists(self, node, input_bits):
         # A '0'/'1' string is its own key; other inputs are normalised to one.
@@ -425,10 +438,11 @@ def threshold_query(inst, proof_oracle, backend):
     """One counted oracle call, recorded in the proof oracle's stats: does
     some pinned answer string reach the scaled threshold?
 
-    The transcript keeps `inst.pins` itself, not a copy, so the caller may
-    change the mapping afterwards only as ThresholdInstance allows.  A
-    witness extraction, which goes on to extend it, sets `inst.position`,
-    and the transcript rebuilds the query's pins from that.
+    The caller may change `inst.pins` afterwards only as ThresholdInstance
+    allows, transcript or not: the backend may compare later queries with
+    it.  A transcript keeps the mapping itself, not a copy; a witness
+    extraction, which goes on to extend it, sets `inst.position`, and the
+    transcript rebuilds the query's pins from that.
     """
     answer = backend.decide(inst, proof_oracle)
     proof_oracle.stats.record_threshold(inst, answer)

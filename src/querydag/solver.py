@@ -31,17 +31,18 @@ from .weighting import rho_weights, total_weight
 class ThresholdInstance(NamedTuple):
     """One threshold question: dag, weighting, scaled threshold, pinned bits.
 
-    The transcript keeps the pins mapping itself, not a copy, and reads it
-    again whenever it is rendered, so a mapping may change after its query
-    only as far as the stats that recorded the query allow.  Without a
-    position it must not change at all while they are alive.  A witness
-    extraction hands every query the same dict and extends it between
-    queries; such a query carries its `position` k: the pins are k + 1
-    entries, the last one the node this query pins at 1.  While the stats
-    are alive the dict is only extended: its entry at k may be settled and
-    entries added after it, but the k entries before it never change, and
-    the dict is not cleared or reused.  A backend may then check only what
-    is new since position k - 1.
+    Nothing copies the pins mapping: the backend that answered a query may
+    compare later ones with it, and a transcript, when the solve keeps one,
+    reads it again whenever it is rendered.  So, transcript or not, a
+    mapping may change after its query only as follows; without a position
+    it must not change at all.  A witness extraction hands every query the
+    same dict and extends it between queries; such a query carries its
+    `position` k: the pins are k + 1 entries, the last one the node this
+    query pins at 1.  The dict is then only extended: its entry at k may be
+    settled and entries added after it, but the k entries before it never
+    change, and the dict is not cleared or reused.  A backend may then
+    check only what is new since position k - 1, and a transcript rebuilds
+    the query's pins from k.
     """
 
     dag: object
@@ -58,7 +59,11 @@ _NO_PINS = MappingProxyType({})
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one decision pipeline, with exact query accounting."""
+    """Outcome of one decision pipeline, with exact query accounting.
+
+    Its document holds the oracle transcript exactly when the solve kept
+    one.
+    """
 
     answer: int
     method: str
@@ -70,7 +75,7 @@ class SolveReport:
     proof_queries: int
     stats: object
 
-    def to_doc(self, include_transcript=False):
+    def to_doc(self):
         doc = {
             "answer": self.answer,
             "method": self.method,
@@ -83,12 +88,12 @@ class SolveReport:
             if self.query_string is None
             else {str(k): v for k, v in sorted(self.query_string.items())},
         }
-        if include_transcript:
+        if self.stats.transcript is not None:
             doc["transcript"] = self.stats.to_doc()
         return doc
 
-    def serialize(self, include_transcript=False):
-        return json.dumps(self.to_doc(include_transcript), sort_keys=True) + "\n"
+    def serialize(self):
+        return json.dumps(self.to_doc(), sort_keys=True) + "\n"
 
 
 def search_budget(weights):
@@ -118,9 +123,10 @@ def extract_query_string(dag, weights, t_tilde, proof_oracle, backend, order):
     Bits are pinned in the given order; a prefix extends to the maximizer as
     long as every pinned bit matches it, and at threshold 2T the maximizer is
     unique and correct.  Every query is handed the one pins dict, holding the
-    bits fixed so far and the next node at 1, and its position in it; the
-    transcript records that position rather than a copy, so memory stays
-    linear, and the evaluation backend checks only the newest pins.
+    bits fixed so far and the next node at 1, and its position in it, as
+    ThresholdInstance allows: the evaluation backend checks only the newest
+    pins, and a transcript, if the solve keeps one, records that position
+    rather than a copy, so its memory stays linear.
     """
     pins = {}
     for k, nid in enumerate(order):
@@ -128,15 +134,17 @@ def extract_query_string(dag, weights, t_tilde, proof_oracle, backend, order):
         inst = ThresholdInstance(dag, weights, t_tilde, pins, k)
         if not threshold_query(inst, proof_oracle, backend):
             pins[nid] = 0
-    # A copy, so a caller changing the string cannot rewrite the transcript.
+    # A copy, so a caller changing the string cannot rewrite the pins that
+    # the backend and a transcript may still hold.
     return dict(pins)
 
 
-def _decide(method, g, witness, backend):
+def _decide(method, g, witness, backend, transcript):
     """Weighted graph for the method, binary search, one pinned query on its
     output; in witness mode one pinned query per node, checked, and pulled
-    back to g when the graph was compressed."""
-    proof_oracle = ProofOracle()
+    back to g when the graph was compressed.  The oracle keeps a transcript
+    only if `transcript` is set."""
+    proof_oracle = ProofOracle(transcript)
     stats = proof_oracle.stats
     backend = backend if backend is not None else EvaluationBackend()
     if method == "compress":
@@ -171,25 +179,26 @@ def _decide(method, g, witness, backend):
     )
 
 
-def decide_compress(g, witness=False, backend=None):
+def decide_compress(g, witness=False, backend=None, transcript=False):
     """Full compression pipeline: separator tree, compressed graph, binary
     search, one pinned query on the conductor.
 
     Witness mode spends |V*| extra pinned queries (outside the budget) to
-    recover the compressed query string, then lifts it back to g.
+    recover the compressed query string, then lifts it back to g.  With
+    `transcript` the report also keeps every oracle query in order.
     """
-    return _decide("compress", g, witness, backend)
+    return _decide("compress", g, witness, backend, transcript)
 
 
-def decide_depth(g, witness=False, backend=None):
+def decide_depth(g, witness=False, backend=None, transcript=False):
     """Bounded-depth pipeline: no graph transformation, the depth-based
     weighting directly on g, then the same search and final pinned query."""
-    return _decide("depth", g, witness, backend)
+    return _decide("depth", g, witness, backend, transcript)
 
 
-def decide_direct(g, witness=False):
+def decide_direct(g, witness=False, transcript=False):
     """Baseline: straight evaluation, one proof query per node, no thresholds."""
-    proof_oracle = ProofOracle()
+    proof_oracle = ProofOracle(transcript)
     bits = evaluate(g, proof_oracle)
     return SolveReport(
         answer=bits[g.output],

@@ -203,6 +203,32 @@ def test_cli_arith(tmp_path):
     assert doc["audit"]["queries_used"] <= doc["audit"]["B"] + 1
 
 
+def test_cli_arith_default_cap_refuses_more_than_16_variables(tmp_path, capsys):
+    # One circuit evaluation per point makes 2^19 points minutes of work;
+    # the default cap of 16 refuses the instance before evaluating any.
+    inst = tmp_path / "chain6.json"
+    inst.write_text(serialize_dag(gen_instance("chain", 6, 2)))
+    rc = main(["arith", "-i", str(inst)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: 19 variables exceed the cap of 16\n"
+
+
+def test_cli_solve_prints_a_transcript_only_when_asked(tmp_path):
+    inst = write_chain2(tmp_path)
+    out = tmp_path / "r.json"
+    for method in ("compress", "depth", "direct"):
+        command = ["solve", "--method", method, "--witness", "-i", inst, "-o", str(out)]
+        assert main(command) == 0
+        plain = read_json(out)
+        assert "transcript" not in plain
+        assert main(command + ["--transcript"]) == 0
+        full = read_json(out)
+        assert full.pop("transcript")
+        assert full == plain
+
+
 def test_cli_solve_witness_and_brute_backend(tmp_path):
     inst = write_chain2(tmp_path)
     out = tmp_path / "r.json"

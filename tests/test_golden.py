@@ -65,12 +65,12 @@ def run_case(family, n, seed, run):
     if run[0] == "solve":
         _, method, backend = run
         if method == "direct":
-            report = decide_direct(g, witness=True)
+            report = decide_direct(g, witness=True, transcript=True)
         else:
             decide = decide_compress if method == "compress" else decide_depth
             chosen = BruteForceBackend() if backend == "brute" else EvaluationBackend()
-            report = decide(g, witness=True, backend=chosen)
-        return report.serialize(include_transcript=True)
+            report = decide(g, witness=True, backend=chosen, transcript=True)
+        return report.serialize()
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(serialize_dag(g))

@@ -263,7 +263,7 @@ def test_proof_memo_keeps_graphs_with_colliding_ids_apart():
 
 
 def test_proof_memo_records_every_issued_call(chain2):
-    oracle = ProofOracle()
+    oracle = ProofOracle(transcript=True)
     v1, v2 = chain2.nodes
     answers = [oracle.exists(v2, "0") for _ in range(3)] + [oracle.exists(v2, [1])]
     assert answers == [False, False, False, True]
@@ -281,7 +281,7 @@ def test_proof_oracle_keys_bit_strings_as_given():
          (3, "verifier", [1, 2], 1, [[1], [-2], [3]])],
         3,
     ).by_id[3]
-    oracle = ProofOracle()
+    oracle = ProofOracle(transcript=True)
     given = "".join(["1", "0"])
     answers = [
         oracle.exists(node, given),
@@ -324,9 +324,9 @@ def test_proof_distinct_counts_decisions_not_calls():
         g = random_instance(seed)
         direct = decide_direct(g).stats
         assert direct.proof_distinct == direct.proof_queries == len(g.nodes)
-        report = decide_compress(g, witness=True)
+        report = decide_compress(g, witness=True, transcript=True)
         assert 0 < report.stats.proof_distinct <= report.stats.proof_queries
-        assert "proof_distinct" not in report.to_doc(include_transcript=True)
+        assert "proof_distinct" not in report.to_doc()
 
 
 def test_threshold_examples_chain2(chain2):
@@ -618,9 +618,9 @@ def test_evaluation_backend_keeps_only_the_current_profile(monkeypatch):
     monkeypatch.setattr(solver, "threshold_query", recording_query)
     backend = EvaluationBackend()
     g = random_instance(3)
-    first = decide_compress(g, witness=True, backend=backend)
+    first = decide_compress(g, witness=True, backend=backend, transcript=True)
     assert any(_reaches(backend, pins) for pins in pins_seen)
-    second = decide_compress(g, backend=backend)
+    second = decide_compress(g, backend=backend, transcript=True)
     gc.collect()
     assert len(built) == 2
     assert built[0]() is None and built[1]() is not None
@@ -660,14 +660,14 @@ def test_evaluation_backend_rejects_fixed_bits_off_the_maximizer(chain2, monkeyp
 
 
 def test_transcript_replays_identically(chain2):
-    first = decide_compress(chain2).stats.to_doc()
-    second = decide_compress(chain2).stats.to_doc()
+    first = decide_compress(chain2, transcript=True).stats.to_doc()
+    second = decide_compress(chain2, transcript=True).stats.to_doc()
     assert first == second
     assert any(entry["kind"] == "threshold" for entry in first)
 
 
 def test_transcript_export_fields(chain2):
-    oracle = ProofOracle()
+    oracle = ProofOracle(transcript=True)
     stats = oracle.stats
     weights = omega_weights(chain2)
     threshold_query(

@@ -1,6 +1,9 @@
 import gc
 import itertools
+import json
 import tracemalloc
+
+import pytest
 
 from querydag import (
     BruteForceBackend,
@@ -208,7 +211,7 @@ def test_methods_agree_with_direct_evaluation():
 
 
 def test_report_serialization(chain2):
-    doc = decide_compress(chain2, witness=True).to_doc(include_transcript=True)
+    doc = decide_compress(chain2, witness=True, transcript=True).to_doc()
     assert doc["answer"] == 1
     assert doc["W"] == "19"
     assert doc["witness"] == {"1": 1, "2": 1}
@@ -251,7 +254,7 @@ def test_transcript_pins_are_what_the_backend_saw():
                 backends.append(("brute", BruteForceBackend()))
             for name, inner in backends:
                 backend = SnapshotBackend(inner)
-                report = decide(g, witness=True, backend=backend)
+                report = decide(g, witness=True, backend=backend, transcript=True)
                 assert transcript_pins(report.stats) == backend.seen, (seed, method, name)
                 assert len(backend.seen) == report.stats.threshold_queries
                 brute_solves += name == "brute"
@@ -266,10 +269,50 @@ def test_witness_extraction_memory_is_linear():
     gc.collect()
     tracemalloc.start()
     try:
-        report = decide_compress(g, witness=True)
+        report = decide_compress(g, witness=True, transcript=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(report.query_string) == 96
     assert report.stats.threshold_queries > 800
     assert peak < 5 * 10**6
+
+
+def test_depth_witness_without_transcript_keeps_no_log():
+    # Counters only: on chain-256 the rho weights reach 2,295 bits, and a
+    # transcript holding one threshold per binary-search probe and pinned
+    # query is most of a solve's peak.
+    g = gen_instance("chain", 256, 0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = decide_depth(g, witness=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.stats.transcript is None
+    assert report.stats.threshold_queries > 2000
+    assert peak < 10**6
+
+
+def test_transcript_does_not_change_the_solve():
+    solved = 0
+    for seed in range(40):
+        g = random_instance(seed)
+        for decide in (decide_compress, decide_depth, decide_direct):
+            for witness in (False, True):
+                kept = decide(g, witness=witness, transcript=True)
+                plain = decide(g, witness=witness)
+                doc = kept.to_doc()
+                assert isinstance(doc.pop("transcript"), list)
+                assert plain.serialize() == json.dumps(doc, sort_keys=True) + "\n"
+                counts = [
+                    (r.stats.threshold_queries, r.stats.proof_queries, r.stats.proof_distinct)
+                    for r in (kept, plain)
+                ]
+                assert counts[0] == counts[1], (seed, decide.__name__, witness)
+                assert plain.stats.transcript is None
+                with pytest.raises(ValueError):
+                    plain.stats.to_doc()
+                solved += 1
+    assert solved == 240
