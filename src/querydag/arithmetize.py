@@ -167,7 +167,6 @@ class NodeCnf:
 
     clauses: tuple
     var_count: int
-    aux_count: int
 
 
 def to_three_cnf(node):
@@ -201,7 +200,7 @@ def to_three_cnf(node):
             for t in range(k - 4):
                 out.append((-fresh[t], lits[2 + t], fresh[t + 1]))
             out.append((-fresh[-1], lits[k - 2], lits[k - 1]))
-    return NodeCnf(clauses=tuple(out), var_count=base + aux, aux_count=aux)
+    return NodeCnf(clauses=tuple(out), var_count=base + aux)
 
 
 def three_cnf_for_dag(g):
@@ -333,16 +332,16 @@ class CompressionAudit:
     queries_used: int
 
 
-def audit_weak_compression(g, backend=None):
+def audit_weak_compression(g):
     """Binary-search the scaled optimum and compare queries to its bit-length.
 
     The optimum of p equals T, so locating it pins down every query answer;
-    the search spends at most bit_length(2T) + 1 threshold queries.
+    the search, on a fresh evaluation backend, spends at most
+    bit_length(2T) + 1 threshold queries.
     """
     proof_oracle = ProofOracle()
-    backend = backend if backend is not None else EvaluationBackend()
     weights = omega_weights(g)
-    t_tilde = binary_search_T(g, weights, proof_oracle, backend)
+    t_tilde = binary_search_T(g, weights, proof_oracle, EvaluationBackend())
     return CompressionAudit(
         bits=t_tilde.bit_length(), queries_used=proof_oracle.stats.threshold_queries
     )

@@ -253,7 +253,7 @@ def run_bench(*, family, sizes, sep_bound, repetitions, seed, method="compress")
                     else decimal_str(report.w_total),
                     "queries": report.queries
                     if report.method != "direct"
-                    else report.proof_queries,
+                    else report.stats.proof_queries,
                     "budget": report.budget,
                     "answer": report.answer,
                     "method": report.method,

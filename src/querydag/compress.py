@@ -160,9 +160,10 @@ class CompressedDag:
 
     def forced_bit(self, cid, x, sat):
         """Answer of copy `cid` when every wire lookup reads its bit in x: the
-        origin's query on wires resolved through compute_output from the
-        copy's signature, or for the conductor the replayed original
-        output."""
+        origin's query on wires resolved through compute_output into one
+        dict seeded with the copy's signature (a bit depends only on the
+        bits that select its copy), or for the conductor the replayed
+        original output."""
         if cid == CONDUCTOR_ID:
             return compute_output(self, self.origin_dag.output, {}, x)
         origin = self._origin[cid]
@@ -190,8 +191,9 @@ class CompressedDag:
             signature=signature,
         )
 
-    def to_doc(self, weights=None):
-        doc = {
+    def to_doc(self, weights):
+        """G*'s nodes, edges and `weights`, a weighting of its ids."""
+        return {
             "merged": True,
             "uniform_size": self.septree.uniform_size,
             "origin_output": self.origin_dag.output,
@@ -210,14 +212,10 @@ class CompressedDag:
             "edges": sorted(
                 [a, b] for a, targets in self.edges_out.items() for b in targets
             ),
+            "weights": {str(cid): decimal_str(w) for cid, w in sorted(weights.items())},
         }
-        if weights is not None:
-            doc["weights"] = {
-                str(cid): decimal_str(w) for cid, w in sorted(weights.items())
-            }
-        return doc
 
-    def serialize(self, weights=None):
+    def serialize(self, weights):
         return json.dumps(self.to_doc(weights), sort_keys=True) + "\n"
 
 
@@ -361,7 +359,7 @@ def build_compressed(g, tree):
 
 def compute_output(gd, u, known, wire_values):
     """Answer bit of original vertex u, given the bits in `known` (a dict
-    from original id to bit).
+    from original id to bit), which it fills with every bit it reads.
 
     The visible ancestors of u, then u itself, are read top-down: each one
     not yet known is the answer of the copy that the bits found so far
@@ -370,22 +368,21 @@ def compute_output(gd, u, known, wire_values):
     node ids of this compressed graph to answer bits; a missing entry is a
     construction bug and raises immediately.
     """
-    if u in known:
-        return known[u]
-    bits = dict(known)
-    for v in [anc for anc, _, _ in gd.visible_ancestors(u)] + [u]:
-        if v not in bits:
-            cid = gd.copy_of(v, bits)
-            if cid not in wire_values:
-                raise WireValueError(f"no wire value for node {gd.label(cid)}")
-            bits[v] = 1 if wire_values[cid] else 0
-    return bits[u]
+    if u not in known:
+        for v in [anc for anc, _, _ in gd.visible_ancestors(u)] + [u]:
+            if v not in known:
+                cid = gd.copy_of(v, known)
+                if cid not in wire_values:
+                    raise WireValueError(f"no wire value for node {gd.label(cid)}")
+                known[v] = 1 if wire_values[cid] else 0
+    return known[u]
 
 
 def lift_query_string(g, gstar, xstar):
     """Pull a correct query string for the compressed graph back to G.
 
     Each original vertex's bit is what compute_output returns when every
-    wire lookup reads the corresponding bit of xstar.
+    wire lookup reads the corresponding bit of xstar, in one shared dict.
     """
-    return {nid: compute_output(gstar, nid, {}, xstar) for nid in g.by_id}
+    known = {}
+    return {nid: compute_output(gstar, nid, known, xstar) for nid in g.by_id}

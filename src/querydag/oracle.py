@@ -265,19 +265,16 @@ class ProofOracle:
         self.stats = OracleStats(transcript)
 
     def exists(self, node, input_bits):
-        # A '0'/'1' string is its own key; other inputs are normalised to one.
-        if isinstance(input_bits, str) and not input_bits.strip("01"):
-            bits = input_bits
-        else:
-            bits = "".join(str(int(b)) for b in input_bits)
+        """Does `node` have a proof on `input_bits`, the '0'/'1' string a
+        forced_bit builds?  It is the memo key and transcript entry as given."""
         # Keyed on the node's value, not its id: one oracle may serve
         # several graphs whose ids collide.
-        key = (node, bits)
+        key = (node, input_bits)
         memo = self.stats.decisions
         answer = memo.get(key)
         if answer is None:
             answer = memo[key] = sat_exists_proof(node, input_bits)
-        self.stats.record_proof(node.id, bits, answer)
+        self.stats.record_proof(node.id, input_bits, answer)
         return answer
 
 

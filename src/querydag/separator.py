@@ -52,12 +52,6 @@ class SeparatorTree:
                 self._home[member] = (sv.id, pos)
         self._branch = {}
 
-    def root_id(self):
-        roots = [sv.id for sv in self.supervertices if sv.parent is None]
-        if len(roots) != 1:
-            raise ValidationError("separator tree must have exactly one root")
-        return roots[0]
-
     def children_of(self, svid):
         return tuple(self._children[svid])
 
@@ -305,7 +299,7 @@ def _search_tree(g, depth_bound, size_bound):
             if budget == 1 and sep.components:
                 continue
             kids = []
-            for comp in sorted(sep.components, key=min):
+            for comp in sep.components:
                 sub = search(comp, budget - 1)
                 if sub is None:
                     break

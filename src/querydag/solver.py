@@ -1,11 +1,11 @@
-"""Total-solution-weight objective, binary search, and decision pipelines.
+"""Binary search and decision pipelines over the scaled objective.
 
-All arithmetic is scaled by 2 so the NP midpoint gamma = 1/2 disappears: a
-string x scores sum over nodes of w * (2 * x_i * sat_i + (1 - x_i)), always
-an integer.  Binary search over [0, 2W] recovers the exact maximum 2T with
-ceil(log2(2W + 1)) threshold queries; one more pinned query at 2T decides
-the instance, because at that threshold only the correct query string is
-available.
+The objective, oracle.max_t_for_assignment, is scaled by 2 so the NP
+midpoint gamma = 1/2 disappears: a string x scores sum over nodes of
+w * (2 * x_i * sat_i + (1 - x_i)), always an integer.  Binary search over
+[0, 2W] recovers the exact maximum 2T with ceil(log2(2W + 1)) threshold
+queries; one more pinned query at 2T decides the instance, because at that
+threshold only the correct query string is available.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ _NO_PINS = MappingProxyType({})
 class SolveReport:
     """Outcome of one decision pipeline, with exact query accounting.
 
-    Its document holds the oracle transcript exactly when the solve kept
+    The proof queries are counted once, in `stats`, the oracle's own
+    record; the document holds its transcript exactly when the solve kept
     one.
     """
 
@@ -72,8 +73,7 @@ class SolveReport:
     queries: int  # threshold queries spent on the decision itself
     budget: object  # ceil(log2(2W+1)) + 1, or None for the direct method
     query_string: object
-    proof_queries: int
-    stats: object
+    stats: object  # the oracle's OracleStats
 
     def to_doc(self):
         doc = {
@@ -83,7 +83,7 @@ class SolveReport:
             "W": None if self.w_total is None else decimal_str(self.w_total),
             "queries": self.queries,
             "budget": self.budget,
-            "proof_queries": self.proof_queries,
+            "proof_queries": self.stats.proof_queries,
             "witness": None
             if self.query_string is None
             else {str(k): v for k, v in sorted(self.query_string.items())},
@@ -174,7 +174,6 @@ def _decide(method, g, witness, backend, transcript):
         queries=used,
         budget=search_budget(weights) + 1,
         query_string=query_string,
-        proof_queries=stats.proof_queries,
         stats=stats,
     )
 
@@ -208,6 +207,5 @@ def decide_direct(g, witness=False, transcript=False):
         queries=0,
         budget=None,
         query_string=bits if witness else None,
-        proof_queries=proof_oracle.stats.proof_queries,
         stats=proof_oracle.stats,
     )

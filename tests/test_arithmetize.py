@@ -33,9 +33,10 @@ def node_with(clauses, proof_vars=1, inputs=()):
 
 
 def test_three_cnf_long_clause_split():
-    nc = to_three_cnf(node_with([(1, 2, 3, 4)], proof_vars=4))
+    node = node_with([(1, 2, 3, 4)], proof_vars=4)
+    nc = to_three_cnf(node)
     assert len(nc.clauses) == 2
-    assert nc.aux_count == 1
+    assert nc.var_count - node.var_count == 1
     a = 5
     assert nc.clauses == ((1, 2, a), (-a, 3, 4))
 

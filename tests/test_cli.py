@@ -277,7 +277,7 @@ def test_run_bench_direct_counts_proof_calls():
     for row in rows:
         report = decide_direct(gen_instance("layered", row["n"], row["seed"], 2))
         # One proof call per node, and no threshold budget.
-        assert row["queries"] == report.proof_queries == row["n"]
+        assert row["queries"] == report.stats.proof_queries == row["n"]
         assert row["budget"] is None and row["W"] is None
         assert (row["method"], row["answer"]) == ("direct", report.answer)
 

@@ -1,3 +1,4 @@
+import random
 from collections import deque
 
 import pytest
@@ -381,6 +382,23 @@ def test_blocks_match_the_record_based_build():
             assert gstar.copy_of(node.origin, sig) == ref.copy_of(node.origin, sig) == node.cid
             copies += 1
     assert copies > 15_000  # 17,551 at the time of writing
+
+
+def test_compute_output_fills_the_dict_it_is_given():
+    # One dict shared by a whole lift gives the bits fresh dicts give, and a
+    # call leaves u and each of its visible ancestors in the dict it was
+    # given, so a second call answers from it without reading a wire.
+    rng = random.Random(20)
+    for name, g in record_build_cases():
+        gstar, _ = build_compressed(g, build_separator_tree(g))
+        x = {cid: rng.randint(0, 1) for cid in gstar.node_ids()}
+        fresh = {v: compute_output(gstar, v, {}, x) for v in g.by_id}
+        assert lift_query_string(g, gstar, x) == fresh, name
+        for u in g.by_id:
+            bits = {}
+            bit = compute_output(gstar, u, bits, x)
+            assert bits.keys() >= {u, *(a for a, _, _ in gstar.visible_ancestors(u))}, name
+            assert compute_output(gstar, u, bits, {}) == bit == fresh[u], name
 
 
 def test_total_weight_is_exact():

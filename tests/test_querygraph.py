@@ -89,6 +89,73 @@ def test_parse_errors_name_the_node():
         )
 
 
+def _node(nid, inputs=(), proof_vars=0, clauses=(), **fields):
+    return {"id": nid, "inputs": list(inputs), "proof_vars": proof_vars,
+            "clauses": [list(cl) for cl in clauses], **fields}
+
+
+# Documents with two faults each, and the first error parse_dag reports:
+# the output's type, then every type fault (ParseError), then duplicate ids,
+# dangling inputs, the per-node checks in node order (kind, proof_vars,
+# repeated input, literal range), the missing output, a cycle, an output
+# with out-edges and an extra sink.
+FIRST_ERRORS = [
+    ("output type before node types",
+     {"nodes": [_node("x")], "output": "a"},
+     ParseError, "'output' must be an integer node id"),
+    ("type fault on node 2 before dangling input on node 1",
+     {"nodes": [_node(1, inputs=[7]), _node(2, proof_vars=1, clauses=[[True]])], "output": 2},
+     ParseError, "node 2: clauses must be lists of literals"),
+    ("duplicate id on a later node before dangling input",
+     {"nodes": [_node(1, inputs=[7]), _node(2), _node(2)], "output": 2},
+     ValidationError, "node 2: duplicate id"),
+    ("dangling input before unknown kind",
+     {"nodes": [_node(1, kind="oracle"), _node(2, inputs=[9])], "output": 2},
+     ValidationError, "node 2: dangling input 9"),
+    ("node 1's literal range before node 2's kind",
+     {"nodes": [_node(1, proof_vars=1, clauses=[[5]]), _node(2, inputs=[1], kind="gate")],
+      "output": 2},
+     ValidationError, "node 1: literal 5 out of range"),
+    ("unknown kind before negative proof_vars",
+     {"nodes": [_node(1, proof_vars=-1, kind="x")], "output": 1},
+     ValidationError, "node 1: unknown kind 'x'"),
+    ("negative proof_vars before repeated input",
+     {"nodes": [_node(1), _node(2, inputs=[1, 1], proof_vars=-1)], "output": 2},
+     ValidationError, "node 2: negative proof_vars"),
+    ("repeated input before literal range",
+     {"nodes": [_node(1), _node(2, inputs=[1, 1], clauses=[[9]])], "output": 2},
+     ValidationError, "node 2: repeated input"),
+    ("per-node checks before missing output",
+     {"nodes": [_node(1, proof_vars=1, clauses=[[0]])], "output": 5},
+     ValidationError, "node 1: literal 0 out of range"),
+    ("missing output before cycle",
+     {"nodes": [_node(1, inputs=[2]), _node(2, inputs=[1])], "output": 5},
+     ValidationError, "node 5: missing output node"),
+    ("cycle before output with out-edges",
+     {"nodes": [_node(1, inputs=[2]), _node(2, inputs=[1]), _node(3), _node(4, inputs=[3])],
+      "output": 3},
+     ValidationError, "node 1: cycle detected"),
+    ("output with out-edges before extra sink",
+     {"nodes": [_node(1), _node(2, inputs=[1]), _node(3)], "output": 1},
+     ValidationError, "node 1: output node has outgoing edges"),
+    ("no nodes before missing output",
+     {"nodes": [], "output": 1},
+     ValidationError, "graph has no nodes"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, error, message",
+    [case[1:] for case in FIRST_ERRORS],
+    ids=[case[0] for case in FIRST_ERRORS],
+)
+def test_parse_reports_the_first_error_in_a_fixed_order(doc, error, message):
+    with pytest.raises(error) as caught:
+        parse_dag(json.dumps(doc))
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
 def test_parse_syntax_errors():
     with pytest.raises(ParseError, match="malformed"):
         parse_dag("{not json")

@@ -117,7 +117,7 @@ def test_ten_node_path_admits_depth3_size2_tree():
 def test_depth_bounded_star(star4):
     tree = build_depth_bounded_tree(star4, 2, 1)
     assert tree is not None
-    root = tree.by_id[tree.root_id()]
+    (root,) = [sv for sv in tree.supervertices if sv.parent is None]
     assert root.members == (4,)
     assert len(tree.children_of(root.id)) == 3
     assert verify_separator_tree(star4, tree)

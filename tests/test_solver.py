@@ -120,7 +120,7 @@ def test_decide_depth_single_vacuous(single_vacuous):
 def test_decide_direct_counts_one_proof_query_per_node(star4):
     report = decide_direct(star4)
     assert report.answer == 1
-    assert report.proof_queries == 4
+    assert report.stats.proof_queries == 4
     assert report.queries == 0
 
 
