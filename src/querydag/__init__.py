@@ -44,8 +44,6 @@ from .separator import (
     Supervertex,
     build_depth_bounded_tree,
     build_separator_tree,
-    find_balanced_separator,
-    verify_separator_tree,
 )
 from .solver import (
     ThresholdInstance,
@@ -58,7 +56,6 @@ from .solver import (
 )
 from .weighting import (
     check_admissible,
-    dag_depth,
     levels,
     omega_weights,
     rho_weights,

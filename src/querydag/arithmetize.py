@@ -148,19 +148,6 @@ class CircuitBuilder:
         return ArithCircuit(self.gates, output)
 
 
-def arithmetize_clause(literals):
-    """Standalone circuit for one 3-literal clause over variables 0..2.
-
-    Literals are signed 1-based positions, e.g. (1, -2, 3) for the clause
-    z1 or not-z2 or z3.
-    """
-    if len(literals) != 3:
-        raise ValueError("clause must have exactly 3 literals")
-    builder = CircuitBuilder()
-    coords = tuple((abs(l) - 1, l > 0) for l in literals)
-    return builder.finish(builder.clause(coords))
-
-
 @dataclass(frozen=True)
 class NodeCnf:
     """Per-node 3-CNF over local variables: wires, proofs, then auxiliaries."""

@@ -159,9 +159,7 @@ def _cmd_evaluate(args):
 
 def _cmd_septree(args):
     g = _read_instance(args.input)
-    if args.depth is not None or args.size is not None:
-        if args.depth is None or args.size is None:
-            raise QueryDagError("depth-bounded trees need both --depth and --size")
+    if args.depth is not None:
         tree = build_depth_bounded_tree(g, args.depth, args.size)
         if tree is None:
             raise QueryDagError(
@@ -283,15 +281,15 @@ def _sizes(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _reps(text):
-    """The --reps argument: a positive integer."""
+def _positive_int(text):
+    """The --reps, --depth and --size arguments: a positive integer."""
     try:
-        reps = int(text)
+        value = int(text)
     except ValueError:
-        reps = 0
-    if reps < 1:
+        value = 0
+    if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return reps
+    return value
 
 
 def _cmd_bench(args):
@@ -330,8 +328,8 @@ def _build_parser():
     common(p)
 
     p = sub.add_parser("septree", help="balanced or depth-bounded separator tree")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--size", type=int, default=None)
+    p.add_argument("--depth", type=_positive_int, default=None)
+    p.add_argument("--size", type=_positive_int, default=None)
     common(p)
 
     p = sub.add_parser("compress", help="compressed graph dump and weight report")
@@ -357,7 +355,7 @@ def _build_parser():
     p = sub.add_parser("bench", help="family sweep with query counts")
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--sizes", type=_sizes, required=True, help="comma-separated sizes")
-    p.add_argument("--reps", type=_reps, default=1)
+    p.add_argument("--reps", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sep-bound", type=int, default=2)
     p.add_argument("--method", choices=tuple(DECIDERS), default="compress")
@@ -381,6 +379,8 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "septree" and (args.depth is None) != (args.size is None):
+            parser.error("septree: --depth and --size go together")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -123,9 +123,6 @@ class CompressedDag:
     def out_neighbors(self):
         return self.edges_out
 
-    def edge_count(self):
-        return sum(len(t) for t in self.edges_out.values())
-
     def visible_ancestors(self, origin):
         """Ancestors of `origin` lying on its own branch, with bit coordinates."""
         return self._visible[origin]

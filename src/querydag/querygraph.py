@@ -114,14 +114,6 @@ class QueryDag:
         z = "".join("1" if x[p] else "0" for p in node.inputs)
         return 1 if sat.exists(node, z) else 0
 
-    def undirected_edges(self):
-        """Edge set of the undirected skeleton, as (min, max) pairs."""
-        edges = set()
-        for node in self.nodes:
-            for parent in node.inputs:
-                edges.add((min(parent, node.id), max(parent, node.id)))
-        return sorted(edges)
-
     def __repr__(self):
         return f"QueryDag(n={len(self.nodes)}, output={self.output})"
 

@@ -48,10 +48,6 @@ def levels(g):
     return lv
 
 
-def dag_depth(g):
-    return max(levels(g).values())
-
-
 def omega_weights(g):
     """The weighting (c+1) ** |descendants|."""
     ids = list(g.node_ids())

@@ -15,7 +15,6 @@ from querydag import (
 )
 from querydag.arithmetize import (
     CircuitBuilder,
-    arithmetize_clause,
     audit_weak_compression,
     brute_force_max,
     build_p,
@@ -76,7 +75,8 @@ def test_three_cnf_preserves_satisfiability_under_fixed_inputs():
 
 def test_arithmetize_clause_matches_paper_form():
     # (z1 or not-z2 or z3) becomes 1 - (1 - z1) z2 (1 - z3).
-    circuit = arithmetize_clause((1, -2, 3))
+    builder = CircuitBuilder()
+    circuit = builder.finish(builder.clause(((0, True), (1, False), (2, True))))
     for z in itertools.product((0, 1), repeat=3):
         truth = int(z[0] or (not z[1]) or z[2])
         assert circuit.eval(z) == truth
@@ -84,12 +84,14 @@ def test_arithmetize_clause_matches_paper_form():
 
 
 def test_arithmetize_clause_interior_value():
-    circuit = arithmetize_clause((1, 2, 3))
+    builder = CircuitBuilder()
+    circuit = builder.finish(builder.clause(((0, True), (1, True), (2, True))))
     assert circuit.eval((Fraction(1, 2),) * 3) == Fraction(7, 8)
 
 
 def test_arithmetize_repeated_literal_boolean_agreement():
-    circuit = arithmetize_clause((1, 1, 1))
+    builder = CircuitBuilder()
+    circuit = builder.finish(builder.clause(((0, True), (0, True), (0, True))))
     assert circuit.eval((1, 0, 0)) == 1
     assert circuit.eval((0, 1, 1)) == 0
 

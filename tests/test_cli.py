@@ -4,10 +4,11 @@ import sys
 
 import pytest
 
-from querydag import decide_direct, parse_dag, serialize_dag, verify_separator_tree
+from querydag import decide_direct, levels, parse_dag, serialize_dag
 from querydag.cli import gen_instance, main, run_bench
 
 from conftest import enum_evaluate
+from separator_reference import verify_separator_tree
 
 CHAIN2_TEXT = serialize_dag(
     parse_dag(
@@ -58,11 +59,11 @@ def test_gen_random_sep_respects_bound():
 
 
 def test_gen_layered_has_bounded_depth():
-    from querydag import build_separator_tree, dag_depth
+    from querydag import build_separator_tree
 
     for n in (4, 8, 16):
         g = gen_instance("layered", n, seed=3)
-        assert dag_depth(g) <= 2
+        assert max(levels(g).values()) <= 2
         tree = build_separator_tree(g)
         assert tree.uniform_size == 1
         assert verify_separator_tree(g, tree)
@@ -181,6 +182,24 @@ def test_cli_septree_size_above_vertex_count_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "size bound 4" in err and "3 vertices" in err
     assert main(["septree", "-i", str(path), "--depth", "2", "--size", "3"]) == 0
+
+
+def test_cli_septree_lone_bound_is_usage_error(tmp_path, capsys):
+    # A depth-bounded tree needs both bounds; one alone is refused by the
+    # argument parser, like any malformed command line.
+    inst = write_chain2(tmp_path)
+    for flags in (["--depth", "2"], ["--size", "1"]):
+        assert main(["septree", "-i", inst, *flags]) == 2
+        err = capsys.readouterr().err
+        assert "--depth and --size" in err and "Traceback" not in err
+
+
+def test_cli_septree_nonpositive_bound_is_usage_error(tmp_path, capsys):
+    inst = write_chain2(tmp_path)
+    for flags in (["--depth", "0", "--size", "1"], ["--depth", "2", "--size", "0"]):
+        assert main(["septree", "-i", inst, *flags]) == 2
+        err = capsys.readouterr().err
+        assert "expected a positive integer, got '0'" in err and "Traceback" not in err
 
 
 def test_cli_compress(tmp_path):

@@ -8,14 +8,18 @@ from querydag import (
     build_dag,
     build_depth_bounded_tree,
     build_separator_tree,
-    find_balanced_separator,
-    verify_separator_tree,
 )
 from querydag import separator
-from querydag.separator import _adjacency
 
 from conftest import random_instance
-from separator_reference import balanced_separators
+from separator_reference import (
+    adjacency,
+    balanced_separators,
+    children,
+    skeleton,
+    verify_separator_tree,
+)
+from test_septree_digest import corpus
 
 
 def path(n):
@@ -25,29 +29,57 @@ def path(n):
     )
 
 
+def mask_ids(mask, ids):
+    return tuple(ids[i] for i in range(len(ids)) if mask >> i & 1)
+
+
+def mask_separators(vertices, adj, max_size):
+    """separator._balanced_separators run on the vertex set `vertices` of the
+    graph `adj` (bit i is the i-th smallest id of adj), with every yield
+    read back as the (members, components) ids of the reference."""
+    ids = sorted(adj)
+    index = {v: i for i, v in enumerate(ids)}
+    nbrs = [sum(1 << index[w] for w in adj[v]) for v in ids]
+    subset = sum(1 << index[v] for v in vertices)
+    for members, parts in separator._balanced_separators(subset, nbrs, max_size):
+        yield mask_ids(sum(members), ids), tuple(mask_ids(part, ids) for part in parts)
+
+
+def reference_on_masks(subset, nbrs, max_size):
+    """The reference enumerator behind the mask interface of
+    separator._balanced_separators."""
+    vertices = [i for i in range(len(nbrs)) if subset >> i & 1]
+    adj = {i: {j for j in range(len(nbrs)) if nbrs[i] >> j & 1} for i in vertices}
+    for members, comps in balanced_separators(vertices, adj, max_size):
+        yield tuple(1 << v for v in members), [sum(1 << v for v in comp) for comp in comps]
+
+
+def first_separator(vertices, adj, max_size):
+    return next(mask_separators(vertices, adj, max_size), None)
+
+
 def test_find_separator_star(star4):
-    sep = find_balanced_separator([1, 2, 3, 4], star4.undirected_edges(), 1)
-    assert sep.members == (4,)
-    assert sep.components == ((1,), (2,), (3,))
+    members, comps = first_separator([1, 2, 3, 4], skeleton(star4), 1)
+    assert members == (4,)
+    assert comps == ((1,), (2,), (3,))
 
 
 def test_find_separator_single_vertex():
-    sep = find_balanced_separator([1], [], 1)
-    assert sep.members == (1,)
-    assert sep.components == ()
+    members, comps = first_separator([1], adjacency([1], []), 1)
+    assert members == (1,)
+    assert comps == ()
 
 
 def test_find_separator_path3_only_middle_works():
     g = path(3)
-    edges = g.undirected_edges()
     # Exhaustive check over singletons: the endpoints leave one connected
     # 2-vertex component, which exceeds ceil((3 - 1) / 2) = 1.
     for v in (1, 3):
         rest = {1, 2, 3} - {v}
         assert len(rest) == 2  # connected, too large to be balanced
-    sep = find_balanced_separator([1, 2, 3], edges, 1)
-    assert sep.members == (2,)
-    assert sep.components == ((1,), (3,))
+    members, comps = first_separator([1, 2, 3], skeleton(g), 1)
+    assert members == (2,)
+    assert comps == ((1,), (3,))
 
 
 def test_find_separator_none_when_bound_too_small():
@@ -61,9 +93,9 @@ def test_find_separator_none_when_bound_too_small():
         ],
         4,
     )
-    assert find_balanced_separator([1, 2, 3, 4], g.undirected_edges(), 2) is None
-    sep = find_balanced_separator([1, 2, 3, 4], g.undirected_edges(), 3)
-    assert sep.members == (1, 2, 3)
+    assert first_separator([1, 2, 3, 4], skeleton(g), 2) is None
+    members, _ = first_separator([1, 2, 3, 4], skeleton(g), 3)
+    assert members == (1, 2, 3)
 
 
 def test_build_tree_chain2(chain2):
@@ -119,7 +151,7 @@ def test_depth_bounded_star(star4):
     assert tree is not None
     (root,) = [sv for sv in tree.supervertices if sv.parent is None]
     assert root.members == (4,)
-    assert len(tree.children_of(root.id)) == 3
+    assert len(children(tree)[root.id]) == 3
     assert verify_separator_tree(star4, tree)
 
 
@@ -214,7 +246,7 @@ def random_adjacency(rng):
     p = rng.choice((0.0, 0.1, 0.2, 0.35, 0.6, 0.9))
     edges = [(a, b) for a, b in itertools.combinations(ids, 2) if rng.random() < p]
     subset = [v for v in ids if rng.random() < 0.8]
-    return subset, _adjacency(ids, edges)
+    return subset, adjacency(ids, edges)
 
 
 def test_enumerator_matches_reference_sequence(monkeypatch):
@@ -228,11 +260,11 @@ def test_enumerator_matches_reference_sequence(monkeypatch):
         small += len(subset) <= 2
         expected = list(balanced_separators(subset, adj, len(subset)))
         for max_size in range(1, len(subset) + 1):
-            got = list(separator._balanced_separators(subset, adj, max_size))
-            assert got == [s for s in expected if len(s.members) <= max_size]
+            got = list(mask_separators(subset, adj, max_size))
+            assert got == [s for s in expected if len(s[0]) <= max_size]
         for few in (0, len(subset)):
             monkeypatch.setattr(separator, "_FEW_CANDIDATES", few)
-            assert list(separator._balanced_separators(subset, adj, len(subset))) == expected
+            assert list(mask_separators(subset, adj, len(subset))) == expected
         monkeypatch.undo()
     assert small >= 50
 
@@ -247,7 +279,7 @@ def test_depth_bounded_trees_match_reference_enumerator(monkeypatch):
             for size in range(1, min(balanced.uniform_size + 1, len(g.nodes)) + 1):
                 tree = build_depth_bounded_tree(g, depth, size)
                 cases.append((g, depth, size, tree and tree.to_doc()))
-    monkeypatch.setattr(separator, "_balanced_separators", balanced_separators)
+    monkeypatch.setattr(separator, "_balanced_separators", reference_on_masks)
     for g, depth, size, doc in cases:
         tree = build_depth_bounded_tree(g, depth, size)
         assert (tree and tree.to_doc()) == doc
@@ -258,3 +290,14 @@ def test_long_chain_builds_without_recursion():
     tree = build_separator_tree(g)
     assert tree.uniform_size == 1
     assert verify_separator_tree(g, tree)
+
+
+def test_builders_pass_verifier_on_septree_digest_corpus():
+    # Larger and denser graphs than the random corpus: the dense, band-3,
+    # in-tree and band-2 shapes of test_septree_digest.
+    for g in corpus():
+        tree = build_separator_tree(g)
+        assert verify_separator_tree(g, tree)
+        bounded = build_depth_bounded_tree(g, tree.depth(), tree.uniform_size)
+        assert bounded is not None
+        assert verify_separator_tree(g, bounded)

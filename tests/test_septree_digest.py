@@ -10,17 +10,23 @@ decides which tree is built:
 - the complete binary in-tree of 31 nodes;
 - the four band-2 shapes of the band2-compress workload (n = 20, 24, 26, 28).
 
-The SHA-256 of all trees is compared with data/septree.sha256.  Record it
-again only for an intended, documented change of the trees:
+The SHA-256 of all trees is compared with data/septree.sha256.  Run
+directly, the module prints the digest; --check compares it with the
+recorded one, and only --write records it, for an intended, documented
+change of the trees:
 
-    PYTHONPATH=src python tests/test_septree_digest.py
+    PYTHONPATH=src python tests/test_septree_digest.py            # print the digest
+    PYTHONPATH=src python tests/test_septree_digest.py --check    # exit 1 unless it matches
+    PYTHONPATH=src python tests/test_septree_digest.py --write    # record an intended change
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import pathlib
 import random
+import sys
 
 from querydag import build_dag, build_separator_tree
 
@@ -72,5 +78,24 @@ def test_septree_documents_are_byte_identical():
     assert septree_digest() == RECORDED.read_text().strip()
 
 
+def cli(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true", help="compare with the recorded digest")
+    mode.add_argument("--write", action="store_true", help="record the digest")
+    args = parser.parse_args(argv)
+    digest = septree_digest()
+    failed = False
+    if args.write:
+        RECORDED.write_text(digest + "\n")
+    elif args.check:
+        recorded = RECORDED.read_text().strip()
+        if digest != recorded:
+            print(f"{RECORDED.name}: digest {digest} != recorded {recorded}", file=sys.stderr)
+            failed = True
+    print(digest)
+    return 1 if failed else 0
+
+
 if __name__ == "__main__":
-    RECORDED.write_text(septree_digest() + "\n")
+    sys.exit(cli())

@@ -3,7 +3,6 @@ from querydag import (
     build_dag,
     build_separator_tree,
     check_admissible,
-    dag_depth,
     levels,
     omega_weights,
     rho_weights,
@@ -44,7 +43,7 @@ def test_rho_star(star4):
 
 def test_levels(star4, chain3):
     assert levels(star4) == {1: 0, 2: 0, 3: 0, 4: 1}
-    assert dag_depth(chain3) == 2
+    assert max(levels(chain3).values()) == 2
 
 
 def test_check_admissible(chain2):
@@ -76,7 +75,7 @@ def test_weight_divisibility():
         g = random_instance(seed)
         n = len(g.nodes)
         assert all(3 ** (n - 1) % w == 0 for w in omega_weights(g).values())
-        top = (2 * n) ** dag_depth(g)
+        top = (2 * n) ** max(levels(g).values())
         assert all(top % w == 0 for w in rho_weights(g).values())
 
 
