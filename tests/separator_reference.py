@@ -139,24 +139,25 @@ def verify_separator_tree(g, tree):
         ranks = [ext[m] for m in sv.members]
         if ranks != sorted(ranks):
             return False
-    # Recursive separation: each supervertex is a balanced separator of the
-    # subgraph induced on its subtree, and children carry exactly one real
-    # connected component each.
+    # Recursive separation: the real members of each supervertex are a
+    # balanced separator of the real vertices of its subtree, and children
+    # carry exactly one connected component each.  Dummies are left out:
+    # as isolated vertices they would count towards the balance threshold
+    # and let an unbalanced separator pass.
     adj = skeleton(g)
     stack = [roots[0]]
     while stack:
         svid = stack.pop()
-        subtree = subtree_members(tree, kids, svid)
-        members = set(tree.by_id[svid].members)
+        subtree = subtree_members(tree, kids, svid) & real
+        members = set(tree.by_id[svid].members) & real
         comps = balanced_components(subtree, adj, members)
         if comps is None:
             return False
-        real_comps = {comp for comp in comps if set(comp) & real}
         child_real = []
         for child in kids[svid]:
             part = tuple(sorted(subtree_members(tree, kids, child) & real))
             child_real.append(part)
-        if sorted(child_real) != sorted(real_comps):
+        if sorted(child_real) != sorted(comps):
             return False
         stack.extend(kids[svid])
     return True

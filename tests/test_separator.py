@@ -202,6 +202,23 @@ def test_verify_rejects_non_separator_root():
     assert not verify_separator_tree(g, bad)
 
 
+def test_verify_rejects_balance_reached_only_through_dummies():
+    # The endpoint 1 of a 3-path leaves the connected pair {2, 3}, which no
+    # balanced separator may do.  Counting the four dummies below the root
+    # as isolated vertices would lift the threshold from 1 to 3.
+    g = path(3)
+    bad = SeparatorTree(
+        [
+            Supervertex(id=1, members=(1, 4, 5), parent=None),
+            Supervertex(id=2, members=(2, 6, 7), parent=1),
+            Supervertex(id=3, members=(3, 8, 9), parent=2),
+        ],
+        3,
+        (4, 5, 6, 7, 8, 9),
+    )
+    assert not verify_separator_tree(g, bad)
+
+
 def test_verify_rejects_wrong_sizes(chain2):
     bad = SeparatorTree(
         [
