@@ -6,12 +6,10 @@ verifier's clauses multiply into q_V, and the weighted combination
 
     p = sum over nodes of  w * (x * q_V + (1 - x) / 2)
 
-agrees with the unscaled objective t on Boolean points.  The multilinear
-extension of p is never materialized; points with fractional coordinates are
-evaluated through the convex-combination identity over both fixings of each
-fractional coordinate, which only ever consults p at hypercube vertices.
+agrees with the unscaled objective t on Boolean points.  p is only ever
+evaluated at hypercube vertices.
 
-All arithmetic is exact: integers at vertices, Fractions elsewhere.
+All arithmetic is exact: integers until the constant 1/2 brings in Fractions.
 """
 
 from __future__ import annotations
@@ -257,34 +255,6 @@ def build_p(g, weights):
         terms.append(builder.mul((builder.const(weights[nid]), inner)))
     circuit = builder.finish(builder.add(tuple(terms)))
     return BuiltPolynomial(circuit=circuit, var_count=cursor, x_coord=x_coord)
-
-
-def multilinear_eval(circuit, point, cap=20):
-    """The multilinear extension of the circuit's vertex values, at `point`.
-
-    Coordinates already in {0, 1} are substituted directly; every strictly
-    fractional coordinate branches into its two fixings, so the cost is one
-    circuit evaluation per completion.  Agrees with the circuit on vertices.
-    """
-    point = [Fraction(c) for c in point]
-    for c in point:
-        if c < 0 or c > 1:
-            raise ValueError("point coordinates must lie in [0, 1]")
-    fractional = [i for i, c in enumerate(point) if c != 0 and c != 1]
-    if len(fractional) > cap:
-        raise CapacityError(
-            f"{len(fractional)} fractional coordinates exceed the cap of {cap}"
-        )
-    base = [int(c) if c in (0, 1) else 0 for c in point]
-    total = Fraction(0)
-    for mask in range(1 << len(fractional)):
-        weight = Fraction(1)
-        for j, i in enumerate(fractional):
-            bit = (mask >> j) & 1
-            base[i] = bit
-            weight *= point[i] if bit else 1 - point[i]
-        total += weight * circuit.eval(base)
-    return total
 
 
 def brute_force_max(circuit, var_count, cap=24):

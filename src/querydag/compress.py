@@ -7,18 +7,21 @@ every vertex per conditioning tuple of hardcoded answer strings for the
 supervertices on its branch, G'' adds the conductor t that replays
 compute_output on the original output, and G* merges the copies of an
 origin that agree on its visible ancestors (those on its own branch),
-summing their omega weights so the total is conserved and admissibility
-survives.
+summing their omega weights.
 
-build_compressed enumerates G* and its weighting straight from the
-signatures, in closed form, without building a copy: the nodes of one
-origin are a block of consecutive ids whose index bits are their
-signatures, so edges and lookups are index arithmetic, and a node's record
-(CompressedNode) is made only when something reads it.  G' and G'' live in
+build_compressed enumerates G* straight from the signatures, without
+building a copy: the nodes of one origin are a block of consecutive ids
+whose index bits are their signatures, so edges and lookups are index
+arithmetic, and a node's record (CompressedNode) is made only when
+something reads it.  It gives G* the least admissible weighting,
+f(v) = 1 + c * (sum of f over v's children), in closed form per origin.
+That weighting lies below the paper's merged one at every node, so the
+total W, and with it the threshold search, is smaller.  G' and G'' live in
 tests/paper_stages.py as the reference the tests check G* against, together
 with the paper's compute_output over answer strings; the record-based build
 this replaced is kept as tests/compress_reference.py, with the two-pass
-relatives helpers that _relatives replaced.
+relatives helpers that _relatives replaced and the paper's merged
+weighting.
 
 A node's query resolves each original input wire through compute_output,
 which reads the answers of the input's visible ancestors top-down, each off
@@ -302,23 +305,27 @@ def build_compressed(g, tree):
     """Enumerate G* from signatures: one node per origin u and assignment of
     bits to visible(u), with no conditioned copy built.
 
-    Node u^sigma stands for the 2^(s*d_u - |visible(u)|) copies of u that
-    agree with sigma on u's visible ancestors, d_u being the depth of u's
-    supervertex.  Each such copy has the same omega weight 3^(1 + a_u) in
-    G'': its descendants are the conductor and one copy of each of the a_u
-    descendants of u in supervertices strictly above u's on its branch.  So
-    u^sigma weighs their sum, and it points to the conductor and to every
-    v^sigma' of such a descendant v whose sigma' agrees with sigma on the
-    ancestors both can see.  Ids are the conductor 0, then one block per
-    origin, consecutive from expected_expanded_size(tree) by decreasing
-    depth and origin id, with sigma in itertools.product order (see
-    CompressedDag).  Per origin only its first id, weight, visible
-    ancestors and descendants above are worked out, the last two from one
-    descendant-mask pass (_relatives); per copy only its edges and weight,
-    by index arithmetic.  Returns G* and its weighting, which conserves the
-    total omega weight of G''.
+    Node u^sigma stands for the copies of u in G'' that agree with sigma on
+    u's visible ancestors.  It points to the conductor and, for each
+    descendant v of u in the supervertices strictly above u's on its
+    branch, to every v^sigma' whose sigma' agrees with sigma on the
+    ancestors both can see: 2^|visible(v) - visible(u)| copies of v.  Ids
+    are the conductor 0, then one block per origin, consecutive from
+    expected_expanded_size(tree) by decreasing depth and origin id, with
+    sigma in itertools.product order (see CompressedDag).  Per origin only
+    its first id, weight, visible ancestors and descendants above are
+    worked out, the last two from one descendant-mask pass (_relatives);
+    per copy only its edges, by index arithmetic.
+
+    Returns G* and its least admissible weighting.  Every copy of u has
+    the same children's weights, so all get one weight, shallowest origins
+    first:
+
+        f(u) = 1 + c * (1 + sum over v above u of 2^|visible(v) - visible(u)| * f(v))
+
+    with c = ADMISSIBILITY_C and f(t) = 1, so W = 1 + sum over origins u
+    of f(u) * 2^|visible(u)|.
     """
-    s = tree.uniform_size
     visible, above = _relatives(g, tree)
     origins = sorted(visible, key=lambda u: (-tree.depth_of(tree.supervertex_of(u)), u))
     shifts = {u: _bit_shifts(visible[u]) for u in origins}
@@ -327,13 +334,16 @@ def build_compressed(g, tree):
     for u in origins:
         first[u] = cid
         cid += 1 << len(visible[u])
+    least = {}
+    for u in reversed(origins):
+        least[u] = 1 + ADMISSIBILITY_C * (1 + sum(
+            least[v] << len(shifts[v].keys() - shifts[u].keys()) for v in above[u]
+        ))
     edges = {CONDUCTOR_ID: ()}
     weights = {CONDUCTOR_ID: 1}
     for u in origins:
         vis = visible[u]
         copies = range(first[u], first[u] + (1 << len(vis)))
-        depth = tree.depth_of(tree.supervertex_of(u))
-        weight = (ADMISSIBILITY_C + 1) ** (1 + len(above[u])) * 2 ** (s * depth - len(vis))
         # Per descendant v above, in id order: the first id of v's copies
         # for each copy of u, from the ancestors both see, and the offsets
         # spanned by the ancestors only v sees.
@@ -349,7 +359,7 @@ def build_compressed(g, tree):
                 base = bases[k]
                 targets.extend([base + o for o in spread])
             edges[cid] = tuple(targets)
-        weights.update(dict.fromkeys(copies, weight))
+        weights.update(dict.fromkeys(copies, least[u]))
     gstar = CompressedDag(g, tree, first, visible, shifts, edges)
     return gstar, weights
 

@@ -1,4 +1,5 @@
-"""The record-based G* builder, kept as a test reference.
+"""The record-based G* builder and the paper's merged weighting, kept as a
+test reference.
 
 build_compressed enumerates G* from signatures the way the package did
 before it stored G* as blocks of consecutive ids: it makes a CompressedNode
@@ -8,6 +9,12 @@ so copy_of looks a signature tuple up in a dict.  querydag.compress.
 build_compressed must produce the same graph: the same documents, edges,
 fixed bits, orders and copy lookups.  tests/paper_stages.py builds the
 paper's G' and G'' on this class, with its explicit records.
+
+The weighting this build returns is the paper's: each copy of G* weighs
+the omega weights of the G'' copies it merges, so the total is W(G'').
+The package gives G* the least admissible weighting instead, in closed
+form; least_weights finds that weighting on any graph by walking it node
+by node, and it lies below the paper's at every node.
 
 The relatives of each origin come from two reachability passes, as the
 package found them before querydag.compress._relatives read both off one
@@ -32,7 +39,7 @@ from querydag.compress import (
 )
 from querydag.errors import WireValueError
 from querydag.querygraph import decimal_str
-from querydag.weighting import descendant_masks
+from querydag.weighting import ADMISSIBILITY_C, descendant_masks
 
 
 def _relatives_on_branch(g, tree, edges, own_level):
@@ -67,6 +74,16 @@ def _descendants_above(g, tree):
     """Descendants of each origin in supervertices strictly above its own on
     its branch: the copies every copy of the origin points to."""
     return _relatives_on_branch(g, tree, g.out_neighbors(), own_level=False)
+
+
+def least_weights(g):
+    """The least weighting admissible with c = ADMISSIBILITY_C, node by
+    node: one more than c times the children's total."""
+    out = g.out_neighbors()
+    weights = {}
+    for nid in reversed(g.topo_order()):
+        weights[nid] = 1 + ADMISSIBILITY_C * sum(weights[child] for child in out[nid])
+    return weights
 
 
 class CompressedDag:
@@ -201,8 +218,8 @@ def build_compressed(g, tree):
     v^sigma' of such a descendant v whose sigma' agrees with sigma on the
     ancestors both can see.  Ids are the conductor 0, then consecutive from
     expected_expanded_size(tree) by decreasing depth, origin id and sigma in
-    itertools.product order.  Returns G* and its weighting, which conserves
-    the total omega weight of G''.
+    itertools.product order.  Returns G* and the paper's merged weighting,
+    which conserves the total omega weight of G''.
     """
     s = tree.uniform_size
     visible = _visible_ancestors(g, tree)

@@ -19,11 +19,11 @@ from querydag.arithmetize import (
     brute_force_max,
     build_p,
     extract_from_optimum,
-    multilinear_eval,
     three_cnf_for_dag,
     to_three_cnf,
 )
 
+from arithmetize_reference import multilinear_eval
 from conftest import brute_two_t, random_instance
 
 

@@ -85,8 +85,8 @@ def test_cli_solve_chain2_fixture(tmp_path):
     assert main(["solve", "--method", "compress", "-i", inst, "-o", str(report)]) == 0
     doc = read_json(report)
     assert doc["answer"] == 1
-    assert doc["queries"] == 7
-    assert doc["W"] == "19"
+    assert doc["queries"] == 6
+    assert doc["W"] == "10"
 
 
 def test_cli_solve_cyclic_exits_1(tmp_path, capsys):
@@ -208,7 +208,7 @@ def test_cli_compress(tmp_path):
     assert main(["compress", "-i", inst, "-o", str(out)]) == 0
     doc = read_json(out)
     assert doc["expanded_size"] == 7
-    assert doc["weight_report"]["total"] == "19"
+    assert doc["weight_report"]["total"] == "10"
     assert len(doc["compressed"]["nodes"]) == 4
 
 

@@ -7,13 +7,18 @@ standard output and standard error of one `qw` subcommand.  Any change to an
 answer, a weight, a query count, the order of oracle calls or a document
 layout shows up here.
 
-Regenerate the data only for an intended, documented output change:
+Run directly, the module prints the recorded cases whose output differs;
+--check exits 1 if any does, and only --write records the data, for an
+intended, documented output change:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py            # print the cases that differ
+    PYTHONPATH=src python tests/test_golden.py --check    # exit 1 unless all match
+    PYTHONPATH=src python tests/test_golden.py --write    # record an intended change
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -122,26 +127,52 @@ def test_golden_data_is_present():
     assert {(c["family"], c["n"], c["seed"]) for c in CASES} == set(INSTANCES)
 
 
-@pytest.mark.parametrize(
-    "case", CASES, ids=[f"{c['family']}-{c['n']}-{c['seed']}:{'/'.join(str(p) for p in c['run'])}" for c in CASES]
-)
+def _case_id(case):
+    return f"{case['family']}-{case['n']}-{case['seed']}:{'/'.join(str(p) for p in case['run'])}"
+
+
+def _digest_of(case):
+    return case["sha256"], case["bytes"]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[_case_id(c) for c in CASES])
 def test_output_is_byte_identical(case):
     text = run_case(case["family"], case["n"], case["seed"], case["run"])
-    assert _digest(text) == (case["sha256"], case["bytes"])
+    assert _digest(text) == _digest_of(case)
 
 
-def regenerate():
-    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    with open(GOLDEN, "w") as fh:
-        for family, n, seed in INSTANCES:
-            for run in planned_runs(family, n, seed):
-                sha, size = _digest(run_case(family, n, seed, run))
-                row = {
-                    "family": family, "n": n, "seed": seed, "run": list(run),
-                    "sha256": sha, "bytes": size,
-                }
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+def current_rows():
+    """The rows golden.jsonl would hold for today's output."""
+    for family, n, seed in INSTANCES:
+        for run in planned_runs(family, n, seed):
+            sha, size = _digest(run_case(family, n, seed, run))
+            yield {
+                "family": family, "n": n, "seed": seed, "run": list(run),
+                "sha256": sha, "bytes": size,
+            }
+
+
+def cli(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true", help="exit 1 if any case differs")
+    mode.add_argument("--write", action="store_true", help="record the data")
+    args = parser.parse_args(argv)
+    rows = list(current_rows())
+    if args.write:
+        GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+        GOLDEN.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+        return 0
+    recorded = {_case_id(row): _digest_of(row) for row in CASES}
+    current = {_case_id(row): _digest_of(row) for row in rows}
+    differ = [
+        f"{case}: recorded {recorded.get(case)}, now {current.get(case)}"
+        for case in {**recorded, **current}
+        if recorded.get(case) != current.get(case)
+    ]
+    print("\n".join(differ) if differ else f"all {len(rows)} cases match")
+    return 1 if args.check and differ else 0
 
 
 if __name__ == "__main__":
-    regenerate()
+    sys.exit(cli())

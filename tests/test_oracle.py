@@ -32,6 +32,7 @@ from querydag import (
 
 from querydag.cli import gen_instance
 
+from compress_reference import least_weights
 from conftest import brute_two_t, enum_sat, random_instance
 
 
@@ -424,20 +425,10 @@ def test_backends_agree_under_pins_on_compressed_instances():
                     assert brute.decide(inst, oracle) == smart.decide(inst, oracle)
 
 
-def _tightest_weights(g):
-    """The least weighting admissible with c = 2: one more than twice the
-    children's total."""
-    out = g.out_neighbors()
-    weights = {}
-    for nid in reversed(g.topo_order()):
-        weights[nid] = 1 + 2 * sum(weights[child] for child in out[nid])
-    return weights
-
-
 WEIGHTED_GRAPHS = {
     "omega": lambda g: (g, omega_weights(g)),
     "rho": lambda g: (g, rho_weights(g)),
-    "tightest": lambda g: (g, _tightest_weights(g)),
+    "tightest": lambda g: (g, least_weights(g)),
     "gstar": lambda g: build_compressed(g, build_separator_tree(g)),
 }
 

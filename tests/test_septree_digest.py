@@ -57,6 +57,19 @@ def binary_in_tree(n):
     return dag_from_inputs({h: [c for c in (2 * h, 2 * h + 1) if c <= n] for h in range(1, n + 1)}, 1)
 
 
+def grid_dag(rows, cols):
+    """Row-major numbering from 1: each node reads its left and upper
+    neighbours; the last node is the output."""
+    return dag_from_inputs(
+        {
+            r * cols + c + 1: [r * cols + c] * (c > 0) + [(r - 1) * cols + c + 1] * (r > 0)
+            for r in range(rows)
+            for c in range(cols)
+        },
+        rows * cols,
+    )
+
+
 def corpus():
     for seed, n in enumerate(range(8, 15)):
         yield dense_dag(n, seed)

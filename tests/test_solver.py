@@ -19,15 +19,18 @@ from querydag import (
     evaluate,
     extract_query_string,
     is_correct_query_string,
+    lift_query_string,
     max_t_for_assignment,
     omega_weights,
     rho_weights,
     search_budget,
+    threshold_query,
     total_weight,
 )
 
 from querydag.cli import gen_instance
 
+from compress_reference import build_compressed as paper_build
 from conftest import brute_two_t, random_instance
 
 
@@ -61,7 +64,7 @@ def test_binary_search_compressed_chain2(chain2):
     gstar, fstar = build_compressed(chain2, tree)
     oracle = ProofOracle()
     t = binary_search_T(gstar, fstar, oracle, BruteForceBackend())
-    assert oracle.stats.threshold_queries == 6  # ceil(log2(39))
+    assert oracle.stats.threshold_queries == 5  # ceil(log2(21))
     assert t == brute_two_t(gstar, fstar)
 
 
@@ -78,9 +81,10 @@ def test_binary_search_matches_brute_force_on_random_instances():
 def test_decide_compress_chain2(chain2):
     report = decide_compress(chain2)
     assert report.answer == 1
-    assert report.w_total == 19
-    assert report.queries == 7  # 6 search queries plus the final pinned one
-    assert report.budget == 7
+    # Three copies of least weight 1 + 2 * 1 over the conductor's 1.
+    assert report.w_total == 10
+    assert report.queries == 6  # 5 search queries plus the final pinned one
+    assert report.budget == 6
     assert report.queries <= report.budget
 
 
@@ -89,11 +93,11 @@ def test_decide_compress_unsat_variant(chain2_v2_unsat):
 
 
 def test_decide_compress_single_vacuous(single_vacuous):
-    # The compressed graph keeps weight 7 (two copies of weight 3 merge to 6,
-    # the conductor adds 1), so the exact count is ceil(log2(15)) + 1 = 5.
+    # The compressed graph weighs 4 (one copy of least weight 3 over the
+    # conductor's 1), so the exact count is ceil(log2(9)) + 1 = 5.
     report = decide_compress(single_vacuous)
     assert report.answer == 1
-    assert report.w_total == 7
+    assert report.w_total == 4
     assert report.queries == report.budget == 5
 
 
@@ -213,7 +217,7 @@ def test_methods_agree_with_direct_evaluation():
 def test_report_serialization(chain2):
     doc = decide_compress(chain2, witness=True, transcript=True).to_doc()
     assert doc["answer"] == 1
-    assert doc["W"] == "19"
+    assert doc["W"] == "10"
     assert doc["witness"] == {"1": 1, "2": 1}
     assert isinstance(doc["transcript"], list)
 
@@ -316,3 +320,34 @@ def test_transcript_does_not_change_the_solve():
                     plain.stats.to_doc()
                 solved += 1
     assert solved == 240
+
+
+def solve_on(g, gstar, weights):
+    """Compress with witness on a built G* under `weights`: the answer, the
+    witness lifted back to g and the threshold queries of the decision."""
+    oracle, backend = ProofOracle(), EvaluationBackend()
+    t_tilde = binary_search_T(gstar, weights, oracle, backend)
+    final = ThresholdInstance(gstar, weights, t_tilde, {gstar.output: 1})
+    answer = threshold_query(final, oracle, backend)
+    queries = oracle.stats.threshold_queries
+    xstar = extract_query_string(gstar, weights, t_tilde, oracle, backend, gstar.topo_order())
+    assert is_correct_query_string(gstar, xstar, oracle)
+    return answer, lift_query_string(g, gstar, xstar), queries
+
+
+def test_least_weights_keep_the_corpus_answers_and_witnesses():
+    # On the same G*, the least weighting and the paper's merged weighting
+    # must give the same answer and the same lifted witness over the whole
+    # corpus, and the least one never more threshold queries.
+    saved = 0
+    for seed in range(1000):
+        g = random_instance(seed)
+        tree = build_separator_tree(g)
+        gstar, least = build_compressed(g, tree)
+        _, paper = paper_build(g, tree)
+        answer, witness, queries = solve_on(g, gstar, least)
+        paper_answer, paper_witness, paper_queries = solve_on(g, gstar, paper)
+        assert (answer, witness) == (paper_answer, paper_witness), seed
+        assert queries <= paper_queries, seed
+        saved += paper_queries - queries
+    assert saved == 2160

@@ -10,6 +10,7 @@ from querydag import (
     weight_report,
 )
 
+from compress_reference import build_compressed as paper_build
 from conftest import random_instance
 
 
@@ -55,11 +56,18 @@ def test_check_admissible(chain2):
 
 
 def test_merged_weighting_is_admissible(chain2):
+    # The paper's merged weighting, kept by the reference build, and the
+    # least weighting the package gives G*, which lies below it.
     tree = build_separator_tree(chain2)
+    ref, paper = paper_build(chain2, tree)
+    ok, bad = check_admissible(ref, paper)
+    assert ok and bad is None
+    assert total_weight(paper) == 19
     gstar, fstar = build_compressed(chain2, tree)
     ok, bad = check_admissible(gstar, fstar)
     assert ok and bad is None
-    assert total_weight(fstar) == 19
+    assert total_weight(fstar) == 10
+    assert all(fstar[cid] <= paper[cid] for cid in paper)
 
 
 def test_admissibility_on_random_dags_all_constants():
