@@ -7,21 +7,22 @@ every vertex per conditioning tuple of hardcoded answer strings for the
 supervertices on its branch, G'' adds the conductor t that replays
 compute_output on the original output, and G* merges the copies of an
 origin that agree on its visible ancestors (those on its own branch),
-summing their omega weights.
+summing their omega weights.  The paper also copies the dummies that pad
+every supervertex to one size; no query reads such a copy.
 
-build_compressed enumerates G* straight from the signatures, without
-building a copy: the nodes of one origin are a block of consecutive ids
-whose index bits are their signatures, so edges and lookups are index
-arithmetic, and a node's record (CompressedNode) is made only when
-something reads it.  It gives G* the least admissible weighting,
-f(v) = 1 + c * (sum of f over v's children), in closed form per origin.
-That weighting lies below the paper's merged one at every node, so the
-total W, and with it the threshold search, is smaller.  G' and G'' live in
+build_compressed enumerates G* straight from the signatures, over the real
+vertices only, without building a copy: the nodes of one origin are a
+block of consecutive ids whose index bits are their signatures, so edges
+and lookups are index arithmetic, and a node's record (CompressedNode) is
+made only when something reads it.  It gives G* the least admissible
+weighting, f(v) = 1 + c * (sum of f over v's children), in closed form per
+origin.  That weighting lies below the paper's merged one at every node,
+so the total W, and with it the threshold search, is smaller.  G' and G'' live in
 tests/paper_stages.py as the reference the tests check G* against, together
 with the paper's compute_output over answer strings; the record-based build
 this replaced is kept as tests/compress_reference.py, with the two-pass
 relatives helpers that _relatives replaced and the paper's merged
-weighting.
+weighting, on a G* that keeps the dummies' copies.
 
 A node's query resolves each original input wire through compute_output,
 which reads the answers of the input's visible ancestors top-down, each off
@@ -36,7 +37,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import WireValueError
-from .querygraph import VERIFIER, QueryNode, decimal_str
+from .querygraph import decimal_str
 from .weighting import ADMISSIBILITY_C, descendant_masks
 
 CONDUCTOR_ID = 0
@@ -94,8 +95,8 @@ class CompressedDag:
     topological order.  So copy_of is index arithmetic, and a copy's known
     bits are read off its index.  Besides the blocks, G* keeps each copy's
     origin and its sorted out-edges; `nodes` makes a copy's CompressedNode
-    record only when it is read.  `visible` and `origin_query` depend only
-    on the original graph and its separator tree.
+    record only when it is read.  `visible` depends only on the original
+    graph and its separator tree.
     """
 
     conductor_id = output = CONDUCTOR_ID
@@ -103,7 +104,6 @@ class CompressedDag:
     def __init__(self, origin_dag, septree, first, visible, shifts, edges_out):
         self.origin_dag = origin_dag
         self.septree = septree
-        self.origin_query = _origin_queries(origin_dag, septree)
         self.edges_out = edges_out
         self._first = first
         self._visible = visible
@@ -112,8 +112,6 @@ class CompressedDag:
         self._origin = {}
         for u, start in first.items():
             self._origin.update(dict.fromkeys(range(start, start + (1 << len(visible[u]))), u))
-        # Dummy origins see no ancestor, so each has a single copy.
-        self._fixed = {first[d]: 1 for d in sorted(septree.dummies, key=first.get)}
 
     @property
     def nodes(self):
@@ -147,11 +145,6 @@ class CompressedDag:
         conductor last: the plain ids ascending."""
         return [*self._origin, CONDUCTOR_ID]
 
-    def fixed_bits(self):
-        """Dummy-origin copies are vacuously satisfiable, so their bits are
-        fixed to 1; a fresh dict per call."""
-        return dict(self._fixed)
-
     def _known(self, cid, origin):
         """The bits of the visible ancestors of `origin` in copy `cid`, read
         off its index, in signature order."""
@@ -167,7 +160,7 @@ class CompressedDag:
         if cid == CONDUCTOR_ID:
             return compute_output(self, self.origin_dag.output, {}, x)
         origin = self._origin[cid]
-        query = self.origin_query[origin]
+        query = self.origin_dag.by_id[origin]
         known = self._known(cid, origin)
         z = "".join([str(compute_output(self, p, known, x)) for p in query.inputs])
         return 1 if sat.exists(query, z) else 0
@@ -259,37 +252,31 @@ def _offsets(places, start=0):
 
 
 def _relatives(g, tree):
-    """Per origin, read off one set of descendant masks of g: its visible
+    """Per vertex of g, read off one set of descendant masks: its visible
     ancestors, those in the supervertices on its branch, as (id, branch
     level index, position) in branch order; and its descendants above, those
-    in supervertices strictly above its own on its branch, as ids.  Dummies
-    have no relatives, and no real vertex reaches them."""
+    in supervertices strictly above its own on its branch, as ids.  The
+    dummies, which pad each supervertex after its real members, are left
+    out, and every position kept."""
     ids = g.node_ids()
     bit = {nid: 1 << i for i, nid in enumerate(ids)}
     desc = descendant_masks(ids, g.out_neighbors())
+    real = {sv.id: [m for m in sv.members if m in bit] for sv in tree.supervertices}
     visible, above = {}, {}
     for sv in tree.supervertices:
-        branch = [tree.by_id[svid].members for svid in tree.branch(sv.id)]
-        for member in sv.members:
-            below, me = desc.get(member, 0), bit.get(member, 0)
+        branch = [real[svid] for svid in tree.branch(sv.id)]
+        for member in real[sv.id]:
+            below, me = desc[member], bit[member]
             visible[member] = tuple(
                 (other, lvl, pos)
                 for lvl, members in enumerate(branch)
                 for pos, other in enumerate(members)
-                if desc.get(other, 0) & me
+                if desc[other] & me
             )
             above[member] = tuple(
-                other for members in branch[:-1] for other in members if below & bit.get(other, 0)
+                other for members in branch[:-1] for other in members if below & bit[other]
             )
     return visible, above
-
-
-def _origin_queries(g, tree):
-    """Query per origin id; vacuous verifiers stand in for dummy vertices."""
-    out = dict(g.by_id)
-    for d in tree.dummies:
-        out[d] = QueryNode(id=d, kind=VERIFIER, inputs=(), proof_var_count=0, clauses=())
-    return out
 
 
 def expected_expanded_size(tree):
@@ -302,8 +289,9 @@ def expected_expanded_size(tree):
 
 
 def build_compressed(g, tree):
-    """Enumerate G* from signatures: one node per origin u and assignment of
-    bits to visible(u), with no conditioned copy built.
+    """Enumerate G* from signatures: one node per vertex u of g and
+    assignment of bits to visible(u), with no conditioned copy built and
+    none for the tree's dummies.
 
     Node u^sigma stands for the copies of u in G'' that agree with sigma on
     u's visible ancestors.  It points to the conductor and, for each

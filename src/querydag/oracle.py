@@ -237,8 +237,7 @@ def sat_exists_proof(node, input_bits):
             f"node {node.id}: expected {len(node.inputs)} input bits, "
             f"got {len(input_bits)}"
         )
-    # A clause-free verifier, such as a compressed graph's dummy, always
-    # holds and is never compiled.
+    # A clause-free verifier always holds and is never compiled.
     if not node.clauses:
         return True
     cnf = node.cnf
@@ -300,16 +299,6 @@ def max_t_for_assignment(inst, x, proof_oracle, check=None):
     return total
 
 
-def _merge_pins(inst):
-    """Fixed bits plus pins; a pin contradicting a fixed bit admits no string."""
-    merged = inst.dag.fixed_bits()
-    for nid, bit in inst.pins.items():
-        if nid in merged and merged[nid] != bit:
-            return None
-        merged[nid] = bit
-    return merged
-
-
 class BruteForceBackend:
     """Reference threshold decision: enumerate every unpinned answer string."""
 
@@ -317,18 +306,15 @@ class BruteForceBackend:
         self.cap = cap
 
     def decide(self, inst, proof_oracle):
-        fixed = _merge_pins(inst)
-        if fixed is None:
-            return False
-        ids = list(inst.dag.node_ids())
-        free = [nid for nid in ids if nid not in fixed]
+        pins = inst.pins
+        free = [nid for nid in inst.dag.node_ids() if nid not in pins]
         if len(free) > self.cap:
             raise CapacityError(
                 f"brute-force threshold backend: {len(free)} free bits exceed "
                 f"the cap of {self.cap}"
             )
         for combo in itertools.product((0, 1), repeat=len(free)):
-            x = dict(fixed)
+            x = dict(pins)
             x.update(zip(free, combo))
             if max_t_for_assignment(inst, x, proof_oracle) >= inst.threshold:
                 return True
@@ -339,12 +325,12 @@ class EvaluationBackend:
     """Exact threshold decisions via the unique maximizer of the objective.
 
     The correct query string attains the maximum 2T, and any other string
-    scores at most 2T - 1 (integer scaling plus the admissibility gap).  It
-    agrees with the graph's fixed bits, so a query whose pins agree with it
-    is just a comparison against 2T.  Any other query admits only other
-    strings: it is false at a threshold of at least 2T, and below that it
-    is compared with the score of the best string under its pins, which
-    one evaluation keeping the pinned bits finds (see querygraph.evaluate).
+    scores at most 2T - 1 (integer scaling plus the admissibility gap), so
+    a query whose pins agree with it is just a comparison against 2T.  Any
+    other query admits only other strings: it is false at a threshold of at
+    least 2T, and below that it is compared with the score of the best
+    string under its pins, which one evaluation keeping the pinned bits
+    finds (see querygraph.evaluate).
 
     The profile is one evaluation, one proof call per node that has a
     query, and 2T from max_t_for_assignment checking no node: on the
@@ -356,8 +342,8 @@ class EvaluationBackend:
     only.  For that the backend keeps the pins dict of the last query, if
     it had a position, and whether its settled entries agree; a new profile
     drops both.  A query whose pins disagree, below 2T, costs one pass of
-    forced bits, scored checking only its pinned or fixed 1s: at most |V|
-    proof calls.
+    forced bits, scored checking only its pinned 1s: at most |V| proof
+    calls.
     """
 
     def __init__(self):
@@ -368,9 +354,8 @@ class EvaluationBackend:
 
     def _profile(self, inst, proof_oracle):
         """(maximizer, 2T) of inst's (dag, weights), kept until another pair
-        is profiled.  Checks that the weighting is integer and admissible
-        and that the maximizer keeps the fixed bits; 2T is read off the
-        maximizer without a proof call."""
+        is profiled.  Checks that the weighting is integer and admissible;
+        2T is read off the maximizer without a proof call."""
         hit = self._current
         if hit is not None and hit[0] is inst.dag and hit[1] is inst.weights:
             return hit[2:]
@@ -385,8 +370,6 @@ class EvaluationBackend:
         if not ok:
             raise ValidationError(f"weighting is not admissible at node {bad}")
         bits = evaluate(inst.dag, proof_oracle)
-        if not inst.dag.fixed_bits().items() <= bits.items():
-            raise ValidationError("the correct query string contradicts a fixed bit")
         two_t = max_t_for_assignment(inst, bits, proof_oracle, check=())
         self._current = (inst.dag, inst.weights, bits, two_t)
         return bits, two_t
@@ -421,13 +404,10 @@ class EvaluationBackend:
             return inst.threshold <= two_t
         if inst.threshold >= two_t:
             return False
-        merged = _merge_pins(inst)
-        if merged is None:
-            return False
         # Score the best string: an unpinned node holds its forced bit
-        # already, so only a pinned or fixed 1 needs a proof call.
-        best = evaluate(inst.dag, proof_oracle, merged)
-        score = max_t_for_assignment(inst, best, proof_oracle, check=merged)
+        # already, so only a pinned 1 needs a proof call.
+        best = evaluate(inst.dag, proof_oracle, inst.pins)
+        score = max_t_for_assignment(inst, best, proof_oracle, check=inst.pins)
         return inst.threshold <= score
 
 

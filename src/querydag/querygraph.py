@@ -48,12 +48,8 @@ class QueryNode:
         return len(self.inputs) + self.proof_var_count
 
     # The proof memo keys on nodes, and a tuple of clauses does not keep
-    # its hash, so a node keeps the one the dataclass would compute.  A
-    # clause-free node, as compression's throwaway dummies are, hashes as
-    # fast without and keeps nothing.
+    # its hash, so a node keeps the one the dataclass would compute.
     def __hash__(self):
-        if not self.clauses:
-            return hash((self.id, self.kind, self.inputs, self.proof_var_count, ()))
         return self._hash
 
     @cached_property
@@ -103,10 +99,6 @@ class QueryDag:
     def topo_order(self):
         """Parents first, ties by ascending id; computed once by validation."""
         return list(self._order)
-
-    def fixed_bits(self):
-        """Every answer bit of a plain query graph is free."""
-        return {}
 
     def forced_bit(self, nid, x, sat):
         """Answer of query `nid` when its input wires read their bits in x."""

@@ -10,9 +10,9 @@ total-solution-weight objective.
 Any graph object exposing node_ids(), out_neighbors() and topo_order()
 works here, so the same functions serve plain query graphs and compressed
 graphs.  Those three methods are the structural half of the graph protocol
-that QueryDag and CompressedDag share; fixed_bits(), forced_bit(id, x, sat)
-and `output` complete it, and evaluation, the objective and the threshold
-backends are written against them alone.
+that QueryDag and CompressedDag share; forced_bit(id, x, sat) and
+`output` complete it, and evaluation, the objective and the threshold
+backends are written against those five alone.
 """
 
 from __future__ import annotations

@@ -5,10 +5,13 @@ build_compressed enumerates G* from signatures the way the package did
 before it stored G* as blocks of consecutive ids: it makes a CompressedNode
 for every copy, with its conditioning strings and signature, sorts each
 copy's edges, and CompressedDag indexes the copies by (origin, signature),
-so copy_of looks a signature tuple up in a dict.  querydag.compress.
-build_compressed must produce the same graph: the same documents, edges,
-fixed bits, orders and copy lookups.  tests/paper_stages.py builds the
-paper's G' and G'' on this class, with its explicit records.
+so copy_of looks a signature tuple up in a dict.  Like the paper, it
+keeps a copy of every dummy vertex the separator tree pads with: a vacuous
+verifier that reads no wire and points only to the conductor.
+querydag.compress.build_compressed leaves those copies out and must
+produce the graph without_dummies makes of this one: the same documents,
+edges, orders and copy lookups.  tests/paper_stages.py builds the paper's
+G' and G'' on this class, with its explicit records.
 
 The weighting this build returns is the paper's: each copy of G* weighs
 the omega weights of the G'' copies it merges, so the total is W(G'').
@@ -26,6 +29,7 @@ one-pass relatives against a separate computation.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 
@@ -33,13 +37,20 @@ from querydag.compress import (
     CONDUCTOR_ID,
     CONDUCTOR_NODE,
     CompressedNode,
-    _origin_queries,
     compute_output,
     expected_expanded_size,
 )
 from querydag.errors import WireValueError
-from querydag.querygraph import decimal_str
+from querydag.querygraph import VERIFIER, QueryNode, decimal_str
 from querydag.weighting import ADMISSIBILITY_C, descendant_masks
+
+
+def _origin_queries(g, tree):
+    """Query per origin id; vacuous verifiers stand in for dummy vertices."""
+    out = dict(g.by_id)
+    for d in tree.dummies:
+        out[d] = QueryNode(id=d, kind=VERIFIER, inputs=(), proof_var_count=0, clauses=())
+    return out
 
 
 def _relatives_on_branch(g, tree, edges, own_level):
@@ -110,12 +121,6 @@ class CompressedDag:
             for n in self.nodes.values()
             if not n.is_conductor
         }
-        dummies = set(septree.dummies)
-        self._fixed = {
-            cid: 1
-            for cid, n in self.nodes.items()
-            if not n.is_conductor and n.origin in dummies
-        }
 
     def node_ids(self):
         return list(self.nodes)
@@ -155,11 +160,6 @@ class CompressedDag:
         plain.sort(key=lambda cid: (-depth[self.nodes[cid].supervertex], cid))
         plain.append(CONDUCTOR_ID)
         return plain
-
-    def fixed_bits(self):
-        """Dummy-origin copies are vacuously satisfiable, so their bits are
-        fixed to 1; a fresh dict per call."""
-        return dict(self._fixed)
 
     def forced_bit(self, cid, x, sat):
         """Answer of copy `cid` when every wire lookup reads its bit in x: the
@@ -267,3 +267,29 @@ def build_compressed(g, tree):
             weights[cid] = weight
     gstar = CompressedDag(g, tree, nodes, edges, visible, _origin_queries(g, tree))
     return gstar, weights
+
+
+def without_dummies(gstar, weights):
+    """`gstar` and its `weights` with the dummies' copies left out and the
+    later ids closed up, as querydag.compress numbers G*.  A dummy's copy
+    must point only to the conductor, and no copy may point to it."""
+    dummies = set(gstar.septree.dummies)
+    renumber, dropped = {}, 0
+    for cid in sorted(gstar.nodes):
+        if gstar.nodes[cid].origin in dummies:
+            assert gstar.edges_out[cid] == (CONDUCTOR_ID,)
+            dropped += 1
+        else:
+            renumber[cid] = cid - dropped
+    nodes = {
+        new: dataclasses.replace(gstar.nodes[cid], cid=new) for cid, new in renumber.items()
+    }
+    # A copy pointing to a dummy's copy has no target here: a KeyError.
+    edges = {
+        renumber[cid]: [renumber[t] for t in gstar.edges_out[cid]] for cid in renumber
+    }
+    visible = {u: vis for u, vis in gstar._visible.items() if u not in dummies}
+    kept = CompressedDag(
+        gstar.origin_dag, gstar.septree, nodes, edges, visible, gstar.origin_query
+    )
+    return kept, {renumber[cid]: weights[cid] for cid in weights if cid in renumber}

@@ -122,18 +122,14 @@ def enum_evaluate(g):
 
 def brute_two_t(dag, weights, pins=None):
     """Exact maximum of the scaled objective by enumerating all strings that
-    agree with the fixed bits and `pins`; None if the two contradict."""
+    agree with `pins`."""
     oracle = ProofOracle()
     inst = ThresholdInstance(dag, weights, 0, {})
-    ids = list(dag.node_ids())
-    fixed = dag.fixed_bits()
-    for nid, bit in (pins or {}).items():
-        if fixed.setdefault(nid, bit) != bit:
-            return None
-    free = [nid for nid in ids if nid not in fixed]
+    pins = pins or {}
+    free = [nid for nid in dag.node_ids() if nid not in pins]
     best = None
     for combo in itertools.product((0, 1), repeat=len(free)):
-        x = dict(fixed)
+        x = dict(pins)
         x.update(zip(free, combo))
         value = max_t_for_assignment(inst, x, oracle)
         if best is None or value > best:

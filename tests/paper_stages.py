@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import itertools
 
-from compress_reference import CompressedDag, _descendants_above, _visible_ancestors
-from querydag import WireValueError
-from querydag.compress import (
-    CONDUCTOR_ID,
-    CONDUCTOR_NODE,
-    CompressedNode,
+from compress_reference import (
+    CompressedDag,
+    _descendants_above,
     _origin_queries,
+    _visible_ancestors,
 )
+from querydag import WireValueError
+from querydag.compress import CONDUCTOR_ID, CONDUCTOR_NODE, CompressedNode
 
 
 class StagedDag(CompressedDag):

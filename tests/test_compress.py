@@ -4,7 +4,10 @@ from collections import deque
 import pytest
 
 from querydag import (
+    BruteForceBackend,
+    EvaluationBackend,
     ProofOracle,
+    ThresholdInstance,
     WireValueError,
     build_compressed,
     build_separator_tree,
@@ -13,14 +16,19 @@ from querydag import (
     expected_expanded_size,
     is_correct_query_string,
     lift_query_string,
+    max_t_for_assignment,
     omega_weights,
     search_budget,
     total_weight,
 )
-from querydag.weighting import descendant_masks
+from querydag.weighting import ADMISSIBILITY_C, descendant_masks
 
-from compress_reference import build_compressed as record_based_build, least_weights
-from conftest import random_instance
+from compress_reference import (
+    build_compressed as record_based_build,
+    least_weights,
+    without_dummies,
+)
+from conftest import brute_two_t, random_instance
 from paper_stages import add_conductor, expand_to_gprime, staged_compute_output
 from test_septree_digest import band_dag, binary_in_tree, grid_dag
 
@@ -152,8 +160,9 @@ def test_gstar_is_gpp_grouped_by_signature():
     # The paper's definition of G* is the materialized route: build every
     # copy (G''), weight it with omega, and collapse the copies of an origin
     # that agree on its visible ancestors.  build_compressed must produce
-    # exactly that graph without building G'', and the reference build the
-    # paper's merged weighting on it.
+    # exactly that graph, less the dummies' copies, without building G'',
+    # and the reference build the paper's merged weighting on it.  A dummy's
+    # copies in G'' point only to the conductor.
     instances = [random_instance(seed, max_n=6) for seed in range(25)]
     instances.append(random_instance(94))  # reaches depth 3
     for g in instances:
@@ -162,10 +171,12 @@ def test_gstar_is_gpp_grouped_by_signature():
         omega = omega_weights(gpp)
         groups = {}
         for node in gpp.nodes.values():
-            if not node.is_conductor:
+            if node.origin in g.by_id:
                 groups.setdefault((node.origin, node.signature), []).append(node.cid)
+            elif not node.is_conductor:
+                assert gpp.edges_out[node.cid] == (gpp.conductor_id,)
         gstar, _ = build_compressed(g, tree)
-        _, paper = record_based_build(g, tree)
+        _, paper = without_dummies(*record_based_build(g, tree))
         rep = {gpp.conductor_id: gstar.conductor_id}
         for node in gstar.nodes.values():
             if node.is_conductor:
@@ -184,7 +195,7 @@ def test_gstar_is_gpp_grouped_by_signature():
         assert len(gstar.nodes) == len(groups) + 1
         assert paper[gstar.conductor_id] == omega[gpp.conductor_id]
         image = {
-            (rep[a], rep[b]) for a, targets in gpp.edges_out.items() for b in targets
+            (rep[a], rep[b]) for a, targets in gpp.edges_out.items() if a in rep for b in targets
         }
         edges = {(a, b) for a, targets in gstar.edges_out.items() for b in targets}
         assert edges == image
@@ -331,8 +342,51 @@ def test_lift_is_correct_on_random_instances():
         assert is_correct_query_string(g, lifted, oracle)
 
 
-def test_dummy_copies_merge_to_single_reps():
-    # K4 forces dummy padding; each dummy keeps exactly one merged copy.
+def two_t_of(gd, weights, oracle):
+    """The correct query string of gd and its scaled objective 2T."""
+    bits = evaluate(gd, oracle)
+    inst = ThresholdInstance(gd, weights, 0, {})
+    return bits, max_t_for_assignment(inst, bits, oracle, check=())
+
+
+def test_padding_costs_nothing():
+    # The paper's G* keeps one copy per dummy the separator tree pads with:
+    # it reads no wire, answers 1 and points only to the conductor, so the
+    # least weighting gives it 1 + c.  G* leaves those copies out, so
+    # against that graph under the same weighting it has |dummies| fewer
+    # nodes, W is lower by (1 + c) |dummies| and 2T by twice that, the
+    # budget never rises, and the answer and the lifted witness stay.
+    oracle = ProofOracle()
+    step = 1 + ADMISSIBILITY_C
+    padded = dummy_total = 0
+    cases = [(f"corpus {seed}", random_instance(seed)) for seed in range(1000)]
+    cases += [(name, make()) for name, (make, _, _) in BUDGETS.items()]
+    for name, g in cases:
+        tree = build_separator_tree(g)
+        gstar, fstar = build_compressed(g, tree)
+        ref, _ = record_based_build(g, tree)
+        least = least_weights(ref)
+        dummies = len(tree.dummies)
+        assert len(ref.nodes) - len(gstar.nodes) == dummies, name
+        assert total_weight(least) - total_weight(fstar) == step * dummies, name
+        assert search_budget(fstar) <= search_budget(least), name
+        x, two_t = two_t_of(gstar, fstar, oracle)
+        x_ref, two_t_ref = two_t_of(ref, least, oracle)
+        assert two_t_ref - two_t == 2 * step * dummies, name
+        assert x[gstar.output] == x_ref[ref.output], name
+        assert lift_query_string(g, gstar, x) == lift_query_string(g, ref, x_ref), name
+        origins = {gstar.nodes[cid].origin for cid in gstar.node_ids()}
+        assert origins == {None, *g.by_id}, name
+        if name.startswith("corpus"):
+            padded += dummies > 0
+            dummy_total += dummies
+    assert (padded, dummy_total) == (320, 1251)
+
+
+def test_backends_agree_on_a_padded_graph():
+    # K4 forces dummy padding, which leaves G*; enumeration and evaluation
+    # must still agree under random pins, at thresholds around 2T and
+    # around the best score the pins allow.
     from querydag import build_dag
 
     g = build_dag(
@@ -347,13 +401,23 @@ def test_dummy_copies_merge_to_single_reps():
     tree = build_separator_tree(g)
     assert tree.dummies
     gstar, fstar = build_compressed(g, tree)
-    for d in tree.dummies:
-        reps = [n for n in gstar.nodes.values() if n.origin == d]
-        assert len(reps) == 1
-    fixed = gstar.fixed_bits()
-    assert all(bit == 1 for bit in fixed.values())
-    bits = evaluate(gstar, ProofOracle())
-    assert all(bits[cid] == 1 for cid in fixed)
+    assert len(gstar.nodes) == 16
+    oracle = ProofOracle()
+    brute, smart = BruteForceBackend(), EvaluationBackend()
+    _, two_t = two_t_of(gstar, fstar, oracle)
+    ids = gstar.node_ids()
+    rng = random.Random(4)
+    below = 0
+    for _ in range(30):
+        # At most 10 unpinned bits, for the enumeration.
+        pinned = rng.sample(ids, rng.randint(len(ids) - 10, len(ids)))
+        pins = {nid: rng.randint(0, 1) for nid in pinned}
+        best = brute_two_t(gstar, fstar, pins)
+        below += best < two_t
+        for theta in sorted({two_t - 1, two_t, two_t + 1, best, best + 1}):
+            inst = ThresholdInstance(gstar, fstar, theta, pins)
+            assert brute.decide(inst, oracle) == smart.decide(inst, oracle), (theta, pins)
+    assert below >= 20
 
 
 def record_build_cases():
@@ -370,24 +434,23 @@ def record_build_cases():
 
 
 def test_blocks_match_the_record_based_build():
-    # The block build must be the graph the record-based reference builds:
-    # the same document byte for byte, the same edges, orders and fixed
-    # bits in the same order, and every signature must find the same copy.
-    # Its closed-form weights must be the least admissible weighting, found
-    # node by node on the reference graph, keyed like the paper's merged
-    # weighting and below it at every node.
+    # The block build must be the graph the record-based reference builds,
+    # less the dummies' copies: the same document byte for byte, the same
+    # edges and orders in the same order, and every signature must find the
+    # same copy.  Its closed-form weights must be the least admissible
+    # weighting, found node by node on the reference graph, keyed like the
+    # paper's merged weighting and below it at every node.
     copies = 0
     for name, g in record_build_cases():
         tree = build_separator_tree(g)
         gstar, fstar = build_compressed(g, tree)
-        ref, ref_weights = record_based_build(g, tree)
+        ref, ref_weights = without_dummies(*record_based_build(g, tree))
         least = least_weights(ref)
         assert gstar.serialize(fstar) == ref.serialize(least), name
         assert fstar == least, name
         assert list(fstar) == list(ref_weights), name
         assert all(fstar[cid] <= w for cid, w in ref_weights.items()), name
         assert list(gstar.out_neighbors().items()) == list(ref.out_neighbors().items()), name
-        assert list(gstar.fixed_bits().items()) == list(ref.fixed_bits().items()), name
         assert gstar.topo_order() == ref.topo_order(), name
         assert gstar.node_ids() == ref.node_ids(), name
         assert len(gstar.nodes) == len(ref.nodes), name
@@ -398,7 +461,7 @@ def test_blocks_match_the_record_based_build():
             sig = dict(node.signature)
             assert gstar.copy_of(node.origin, sig) == ref.copy_of(node.origin, sig) == node.cid
             copies += 1
-    assert copies > 15_000  # 17,551 at the time of writing
+    assert copies > 15_000  # 16,174 at the time of writing
 
 
 def test_compute_output_fills_the_dict_it_is_given():
@@ -442,8 +505,9 @@ def test_closed_form_is_the_least_weighting():
         tree = build_separator_tree(g)
         gstar, fstar = build_compressed(g, tree)
         assert fstar == least_weights(gstar), name
-        _, paper = record_based_build(g, tree)
-        assert all(fstar[cid] <= w for cid, w in paper.items()), name
+        ref, paper = record_based_build(g, tree)
+        _, paper_real = without_dummies(ref, paper)
+        assert all(fstar[cid] <= w for cid, w in paper_real.items()), name
         assert (search_budget(paper) + 1, search_budget(fstar) + 1) == (paper_budget, budget), name
 
 
@@ -487,7 +551,7 @@ def test_node_count_and_lookups_build_no_record(monkeypatch):
         raise AssertionError("a record was made")
 
     monkeypatch.setattr(CompressedDag, "_record", forbidden)
-    assert len(gstar.nodes) == len(gstar.node_ids()) == 220
+    assert len(gstar.nodes) == len(gstar.node_ids()) == 214
     assert gstar.conductor_id in gstar.nodes and gstar.topo_order()[0] in gstar.nodes
     assert -1 not in gstar.nodes
     bits = evaluate(gstar, ProofOracle())

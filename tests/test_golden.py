@@ -94,7 +94,7 @@ def planned_runs(family, n, seed):
     runs = [("solve", "direct", None)]
     for method in ("compress", "depth"):
         runs.append(("solve", method, "eval"))
-    if len(gstar.nodes) - len(gstar.fixed_bits()) <= BRUTE_FREE_BITS:
+    if len(gstar.nodes) <= BRUTE_FREE_BITS:
         runs.append(("solve", "compress", "brute"))
     if len(g.nodes) <= BRUTE_FREE_BITS:
         runs.append(("solve", "depth", "brute"))

@@ -443,7 +443,7 @@ def test_backends_agree_under_random_pins(kind):
     below = 0
     for seed in range(36):
         dag, weights = WEIGHTED_GRAPHS[kind](random_instance(seed, max_n=12))
-        if len(dag.nodes) - len(dag.fixed_bits()) > 12:
+        if len(dag.nodes) > 12:
             continue
         oracle = ProofOracle()
         brute = BruteForceBackend()
@@ -454,11 +454,9 @@ def test_backends_agree_under_random_pins(kind):
             pinned = rng.sample(ids, rng.randint(1, len(ids)))
             pins = {nid: rng.randint(0, 1) for nid in pinned}
             best = brute_two_t(dag, weights, pins)
-            thetas = {two_t - 1, two_t, two_t + 1}
+            thetas = {two_t - 1, two_t, two_t + 1, best, best + 1}
             thetas.update(rng.sample(range(two_t), min(3, two_t)))
-            if best is not None:
-                thetas.update((best, best + 1))
-                below += best < two_t
+            below += best < two_t
             for theta in sorted(thetas):
                 inst = ThresholdInstance(dag, weights, theta, pins)
                 assert smart.decide(inst, oracle) == brute.decide(inst, oracle), (
@@ -637,15 +635,6 @@ def test_evaluation_backend_rejects_non_integer_weights(chain2):
     # Admissible, but a fractional weight leaves no one-unit gap below 2T.
     inst = ThresholdInstance(chain2, {1: Fraction(7, 2), 2: 1}, 1, {})
     with pytest.raises(ValidationError, match="integer"):
-        EvaluationBackend().decide(inst, ProofOracle())
-
-
-def test_evaluation_backend_rejects_fixed_bits_off_the_maximizer(chain2, monkeypatch):
-    from querydag import ValidationError
-
-    monkeypatch.setattr(chain2, "fixed_bits", lambda: {1: 0})
-    inst = ThresholdInstance(chain2, omega_weights(chain2), 1, {})
-    with pytest.raises(ValidationError, match="fixed bit"):
         EvaluationBackend().decide(inst, ProofOracle())
 
 

@@ -277,8 +277,8 @@ def test_nodes_of_two_parses_are_equal_and_hash_alike():
     bare = dataclasses.replace(node, clauses=())
     assert hash(bare) == hash(dataclasses.replace(node, clauses=()))
     assert hash(bare) == hash((node.id, node.kind, node.inputs, node.proof_var_count, ()))
-    # A node with clauses keeps its hash; a clause-free one keeps nothing.
-    assert "_hash" in node.__dict__ and "_hash" not in bare.__dict__
+    # Every node keeps its hash once computed, clause-free or not.
+    assert "_hash" in node.__dict__ and "_hash" in bare.__dict__
 
 
 def test_node_copies_carry_fields_only():
