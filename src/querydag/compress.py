@@ -24,10 +24,11 @@ this replaced is kept as tests/compress_reference.py, with the two-pass
 relatives helpers that _relatives replaced and the paper's merged
 weighting, on a G* that keeps the dummies' copies.
 
-A node's query resolves each original input wire through compute_output,
-which reads the answers of the input's visible ancestors top-down, each off
-the copy their bits select, so a node's answer is a deterministic function
-of its signature and the answer bits of deeper nodes.
+A node's query reads each original input wire its origin can see off the
+node's index, and resolves any other through compute_output, which reads
+the answers of the input's visible ancestors top-down, each off the copy
+their bits select, so a node's answer is a deterministic function of its
+signature and the answer bits of deeper nodes.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import WireValueError
 from .querygraph import decimal_str
@@ -153,17 +155,28 @@ class CompressedDag:
 
     def forced_bit(self, cid, x, sat):
         """Answer of copy `cid` when every wire lookup reads its bit in x: the
-        origin's query on wires resolved through compute_output into one
-        dict seeded with the copy's signature (a bit depends only on the
-        bits that select its copy), or for the conductor the replayed
-        original output."""
+        origin's query on its input wires, or for the conductor the replayed
+        original output.  A visible input's bit is read off the copy's
+        index.  Any other input is resolved through compute_output into one
+        dict, seeded with the copy's signature when the first such input is
+        met, so later inputs reuse the bits earlier ones read (a bit depends
+        only on the bits that select its copy)."""
         if cid == CONDUCTOR_ID:
             return compute_output(self, self.origin_dag.output, {}, x)
         origin = self._origin[cid]
         query = self.origin_dag.by_id[origin]
-        known = self._known(cid, origin)
-        z = "".join([str(compute_output(self, p, known, x)) for p in query.inputs])
-        return 1 if sat.exists(query, z) else 0
+        shifts = self._shifts[origin]
+        k = cid - self._first[origin]
+        known = None
+        z = []
+        for p in query.inputs:
+            if p in shifts:
+                z.append("01"[k >> shifts[p] & 1])
+                continue
+            if known is None:
+                known = self._known(cid, origin)
+            z.append("01"[compute_output(self, p, known, x)])
+        return 1 if sat.exists(query, "".join(z)) else 0
 
     def _record(self, cid):
         if cid == CONDUCTOR_ID:
@@ -303,7 +316,8 @@ def build_compressed(g, tree):
     sigma in itertools.product order (see CompressedDag).  Per origin only
     its first id, weight, visible ancestors and descendants above are
     worked out, the last two from one descendant-mask pass (_relatives);
-    per copy only its edges, by index arithmetic.
+    per block only its edges, by index arithmetic, one column of targets
+    over the block per descendant above and offset it spans.
 
     Returns G* and its least admissible weighting.  Every copy of u has
     the same children's weights, so all get one weight, shallowest origins
@@ -332,21 +346,17 @@ def build_compressed(g, tree):
     for u in origins:
         vis = visible[u]
         copies = range(first[u], first[u] + (1 << len(vis)))
-        # Per descendant v above, in id order: the first id of v's copies
-        # for each copy of u, from the ancestors both see, and the offsets
-        # spanned by the ancestors only v sees.
-        blocks = []
+        # One column of targets over the block per descendant v above, in id
+        # order, and per offset spanned by the ancestors only v sees: the
+        # first id of v's copies for each copy of u, from the ancestors both
+        # see, plus that offset.
+        columns = []
         for v in sorted(above[u], key=first.get):
             at = shifts[v]
             bases = _offsets([1 << at[a] if a in at else 0 for a, _, _ in vis], first[v])
-            spread = _offsets([1 << sh for a, sh in at.items() if a not in shifts[u]])
-            blocks.append((bases, spread))
-        for k, cid in enumerate(copies):
-            targets = [CONDUCTOR_ID]
-            for bases, spread in blocks:
-                base = bases[k]
-                targets.extend([base + o for o in spread])
-            edges[cid] = tuple(targets)
+            for o in _offsets([1 << sh for a, sh in at.items() if a not in shifts[u]]):
+                columns.append([b + o for b in bases])
+        edges.update(zip(copies, zip(repeat(CONDUCTOR_ID), *columns)))
         weights.update(dict.fromkeys(copies, least[u]))
     gstar = CompressedDag(g, tree, first, visible, shifts, edges)
     return gstar, weights

@@ -17,7 +17,8 @@ from querydag import (
     build_dag,
     max_t_for_assignment,
 )
-from querydag.cli import gen_instance
+
+from instances import random_instance  # noqa: F401  (re-exported for the tests)
 
 
 @pytest.fixture
@@ -135,8 +136,3 @@ def brute_two_t(dag, weights, pins=None):
         if best is None or value > best:
             best = value
     return best
-
-
-def random_instance(seed, max_n=8, sep_bound=2):
-    n = 1 + seed % max_n
-    return gen_instance("random-sep", n, seed, sep_bound)

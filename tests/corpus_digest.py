@@ -31,7 +31,7 @@ import sys
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
-from conftest import random_instance  # noqa: E402
+from instances import random_instance  # noqa: E402
 from querydag import serialize_dag  # noqa: E402
 from querydag.cli import main  # noqa: E402
 

@@ -420,11 +420,11 @@ def test_backends_agree_on_a_padded_graph():
     assert below >= 20
 
 
-def record_build_cases():
-    """The 1000-instance corpus, then larger shapes it lacks: band-2 at the
-    sizes of the band2-compress workload, band-3 up to 30 nodes and the
-    31-node binary in-tree."""
-    for seed in range(1000):
+def record_build_cases(corpus=1000):
+    """The first `corpus` instances of the 1000-instance corpus, then larger
+    shapes it lacks: band-2 at the sizes of the band2-compress workload,
+    band-3 up to 30 nodes and the 31-node binary in-tree."""
+    for seed in range(corpus):
         yield f"corpus {seed}", random_instance(seed)
     for n in (20, 24, 26, 28):
         yield f"band-2 n={n}", band_dag(n, 2)
@@ -462,6 +462,53 @@ def test_blocks_match_the_record_based_build():
             assert gstar.copy_of(node.origin, sig) == ref.copy_of(node.origin, sig) == node.cid
             copies += 1
     assert copies > 15_000  # 16,174 at the time of writing
+
+
+def test_forced_bit_matches_the_record_based_reference():
+    # A visible input read off the copy's index, and the rest resolved
+    # through compute_output, must give every copy the answer the reference
+    # gives by resolving every input through compute_output, with the same
+    # proof calls in the same order.  Besides the correct string, three
+    # random strings per graph, whose bits are mostly not the forced ones,
+    # stand for the strings the evaluation backend's pinned path evaluates.
+    rng = random.Random(24)
+    checks = 0
+    for name, g in record_build_cases(corpus=200):
+        tree = build_separator_tree(g)
+        gstar, _ = build_compressed(g, tree)
+        ref, _ = without_dummies(*record_based_build(g, tree))
+        ids = gstar.node_ids()
+        strings = [evaluate(gstar, ProofOracle())]
+        strings += [{cid: rng.randint(0, 1) for cid in ids} for _ in range(3)]
+        for x in strings:
+            mine, theirs = ProofOracle(transcript=True), ProofOracle(transcript=True)
+            for cid in gstar.topo_order():
+                assert gstar.forced_bit(cid, x, mine) == ref.forced_bit(cid, x, theirs), (name, cid)
+                checks += 1
+            assert mine.stats.transcript == theirs.stats.transcript, name
+    assert checks > 35_000  # 39,932 at the time of writing
+
+
+def test_forced_bit_missing_wire_names_node(chain3):
+    # v2 sits at the root and v1 below it, so v2's one copy cannot see its
+    # input v1: the bit is read off v1's copy, and a string without it
+    # names that copy.
+    tree, gp, gpp, gstar, fstar = compress_all(chain3)
+    labels = by_label(gstar)
+    with pytest.raises(WireValueError, match=r"v1\^\{\*,\*\}"):
+        gstar.forced_bit(labels["v2^{*}"], {}, ProofOracle())
+    assert gstar.forced_bit(labels["v2^{*}"], {labels["v1^{*,*}"]: 1}, ProofOracle()) == 1
+
+
+def test_forced_bit_with_visible_inputs_reads_no_wire(chain2):
+    # v2's one input v1 is visible, so each copy of v2 reads it off its own
+    # index: an empty string, which would fail any wire lookup, suffices.
+    tree, gp, gpp, gstar, fstar = compress_all(chain2)
+    labels = by_label(gstar)
+    oracle = ProofOracle(transcript=True)
+    assert gstar.forced_bit(labels["v2^{1,*}"], {}, oracle) == 1
+    assert gstar.forced_bit(labels["v2^{0,*}"], {}, oracle) == 0
+    assert oracle.stats.transcript == [("proof", 2, "1", True), ("proof", 2, "0", False)]
 
 
 def test_compute_output_fills_the_dict_it_is_given():
