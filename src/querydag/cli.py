@@ -281,15 +281,25 @@ def _sizes(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _positive_int(text):
-    """The --reps, --depth and --size arguments: a positive integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_from(least, described):
+    """An argparse type: an integer of at least `least`."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected {described} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+# --reps, --depth and --size; and --cap, which a negative value would turn
+# into a refusal of every solve.
+_positive_int = _int_from(1, "a positive")
+_non_negative_int = _int_from(0, "a non-negative")
 
 
 def _cmd_bench(args):
@@ -341,14 +351,14 @@ def _build_parser():
     p.add_argument("--transcript", action="store_true")
     p.add_argument("--backend", choices=("eval", "brute"), default="eval")
     p.add_argument(
-        "--cap", type=int, default=20, help="free-bit cap, brute backend only"
+        "--cap", type=_non_negative_int, default=20, help="free-bit cap, brute backend only"
     )
     common(p)
 
     p = sub.add_parser("arith", help="polynomial build, brute-force max, audit")
     # One circuit evaluation per point: 16 variables take seconds, 24 about
     # twenty minutes.
-    p.add_argument("--cap", type=int, default=16)
+    p.add_argument("--cap", type=_non_negative_int, default=16)
     p.add_argument("--dump-circuit", action="store_true")
     common(p)
 

@@ -35,18 +35,16 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import WireValueError
-from .querygraph import decimal_str
+from .querygraph import Record, decimal_str
 from .weighting import ADMISSIBILITY_C, descendant_masks
 
 CONDUCTOR_ID = 0
 
 
-@dataclass(frozen=True)
-class CompressedNode:
+class CompressedNode(Record):
     """One conditioned copy: origin vertex plus hardcoded answer strings.
 
     `conditioning` holds one s-bit string per supervertex on the branch from
@@ -56,12 +54,15 @@ class CompressedNode:
     is exactly what identifies a node of G*.
     """
 
-    cid: int
-    origin: object  # node id in the original graph, or None for the conductor
-    supervertex: object
-    position: object  # 1-based slot inside the supervertex
-    conditioning: tuple
-    signature: tuple
+    __slots__ = _FIELDS = ("cid", "origin", "supervertex", "position", "conditioning", "signature")
+
+    def __init__(self, cid, origin, supervertex, position, conditioning, signature):
+        self.cid = cid
+        self.origin = origin  # node id in the original graph, or None for the conductor
+        self.supervertex = supervertex
+        self.position = position  # 1-based slot inside the supervertex
+        self.conditioning = conditioning
+        self.signature = signature
 
     @property
     def is_conductor(self):

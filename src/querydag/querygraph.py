@@ -13,8 +13,8 @@ from __future__ import annotations
 import decimal
 import heapq
 import json
-from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .errors import ParseError, ValidationError
 
@@ -28,33 +28,61 @@ def decimal_str(n):
     return str(decimal.Decimal(n))
 
 
-@dataclass(frozen=True)
-class QueryNode:
+class Record:
+    """A plain record of the fields its class names in `_FIELDS`: equal,
+    hashed and shown by their values, like a frozen dataclass, but with no
+    code generated when the class is defined."""
+
+    __slots__ = ()
+    _FIELDS = ()
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._FIELDS])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__name__}({fields})"
+
+
+class QueryNode(Record):
     """One query node: a CNF over input wires and private proof variables.
 
     Variables 1..indeg are the input wires (in `inputs` order); variables
     indeg+1..indeg+proof_var_count are the proof block.  The only kind is
     "verifier"; a compressed graph's conductor lives in the compress module.
+    A node is a value, never changed once built.  It has a `__dict__` for
+    its cached hash and compiled clauses.
     """
 
-    id: int
-    kind: str
-    inputs: tuple
-    proof_var_count: int
-    clauses: tuple
+    _FIELDS = ("id", "kind", "inputs", "proof_var_count", "clauses")
+
+    def __init__(self, id, kind, inputs, proof_var_count, clauses):
+        self.id = id
+        self.kind = kind
+        self.inputs = inputs
+        self.proof_var_count = proof_var_count
+        self.clauses = clauses
 
     @property
     def var_count(self):
         return len(self.inputs) + self.proof_var_count
 
     # The proof memo keys on nodes, and a tuple of clauses does not keep
-    # its hash, so a node keeps the one the dataclass would compute.
+    # its hash, so a node keeps the hash of its fields once computed.
     def __hash__(self):
         return self._hash
 
     @cached_property
     def _hash(self):
-        return hash((self.id, self.kind, self.inputs, self.proof_var_count, self.clauses))
+        return hash(self._values())
 
     @cached_property
     def cnf(self):
@@ -67,7 +95,7 @@ class QueryNode:
     def __reduce__(self):
         # Pickle and copy the fields alone: a string's hash differs between
         # processes, and the compiled form is rebuilt on use.
-        return type(self), (self.id, self.kind, self.inputs, self.proof_var_count, self.clauses)
+        return type(self), self._values()
 
 
 class QueryDag:
@@ -120,11 +148,15 @@ def _validate(g):
             raise ValidationError(f"node {node.id}: negative proof_vars")
         if len(set(node.inputs)) != len(node.inputs):
             raise ValidationError(f"node {node.id}: repeated input")
+        # The least and greatest literal, and 0, settle the range; the node
+        # is walked in order only to name its first bad literal.
         limit = node.var_count
-        for clause in node.clauses:
-            for lit in clause:
-                if lit == 0 or abs(lit) > limit:
-                    raise ValidationError(f"node {node.id}: literal {lit} out of range")
+        values = set(chain.from_iterable(node.clauses))
+        if values and (0 in values or min(values) < -limit or max(values) > limit):
+            lit = next(
+                lit for lit in chain.from_iterable(node.clauses) if lit == 0 or abs(lit) > limit
+            )
+            raise ValidationError(f"node {node.id}: literal {lit} out of range")
     if g.output not in g.by_id:
         raise ValidationError(f"node {g.output}: missing output node")
     g._order = tuple(topo_sort(g.node_ids(), g._children))
@@ -138,18 +170,19 @@ def _validate(g):
 
 def build_dag(node_specs, output):
     """Construct a QueryDag from (id, kind, inputs, proof_vars, clauses) tuples."""
-    nodes = []
-    for nid, kind, inputs, proof_vars, clauses in node_specs:
-        nodes.append(
-            QueryNode(
-                id=nid,
-                kind=kind,
-                inputs=tuple(inputs),
-                proof_var_count=proof_vars,
-                clauses=tuple(tuple(cl) for cl in clauses),
-            )
-        )
-    return QueryDag(nodes, output)
+    return QueryDag(
+        [
+            QueryNode(nid, kind, tuple(inputs), proof_vars, tuple(map(tuple, clauses)))
+            for nid, kind, inputs, proof_vars, clauses in node_specs
+        ],
+        output,
+    )
+
+
+def _all_of_type(values, kind):
+    """True when every value is exactly of type `kind`: JSON yields no
+    subclasses, and bool, though a subclass of int, is not int."""
+    return set(map(type, values)) <= {kind}
 
 
 def parse_dag(text):
@@ -158,7 +191,8 @@ def parse_dag(text):
     Schema: {"nodes": [{"id", "kind", "inputs", "proof_vars", "clauses"}, ...],
     "output": int}.  Malformed documents raise ParseError; semantic violations
     (cycles, dangling ids, out-of-range literals, ...) raise ValidationError
-    naming the offending node.
+    naming the offending node.  Every type fault of the document is found
+    before any semantic one; README.md gives the order of the checks.
     """
     try:
         doc = json.loads(text)
@@ -167,38 +201,36 @@ def parse_dag(text):
         raise ParseError(f"malformed document: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("malformed document: nested too deeply") from exc
-    if not isinstance(doc, dict) or "nodes" not in doc or "output" not in doc:
+    if type(doc) is not dict or "nodes" not in doc or "output" not in doc:
         raise ParseError("document must be an object with 'nodes' and 'output'")
-    if not isinstance(doc["output"], int) or isinstance(doc["output"], bool):
+    if type(doc["output"]) is not int:
         raise ParseError("'output' must be an integer node id")
-    if not isinstance(doc["nodes"], list):
+    if type(doc["nodes"]) is not list:
         raise ParseError("'nodes' must be a list")
     specs = []
     for i, raw in enumerate(doc["nodes"]):
-        if not isinstance(raw, dict):
+        if type(raw) is not dict:
             raise ParseError(f"node at index {i}: not an object")
         try:
             nid = raw["id"]
-            kind = raw.get("kind", VERIFIER)
-            inputs = raw.get("inputs", [])
-            proof_vars = raw.get("proof_vars", 0)
-            clauses = raw.get("clauses", [])
         except KeyError as exc:
             raise ParseError(f"node at index {i}: missing field {exc}") from exc
-        if not isinstance(nid, int) or isinstance(nid, bool):
+        kind = raw.get("kind", VERIFIER)
+        inputs = raw.get("inputs", [])
+        proof_vars = raw.get("proof_vars", 0)
+        clauses = raw.get("clauses", [])
+        if type(nid) is not int:
             raise ParseError(f"node at index {i}: id must be an integer")
-        if not isinstance(kind, str):
+        if type(kind) is not str:
             raise ParseError(f"node {nid}: kind must be a string")
-        if not isinstance(inputs, list) or not all(
-            isinstance(p, int) and not isinstance(p, bool) for p in inputs
-        ):
+        if type(inputs) is not list or not _all_of_type(inputs, int):
             raise ParseError(f"node {nid}: inputs must be a list of node ids")
-        if not isinstance(proof_vars, int) or isinstance(proof_vars, bool):
+        if type(proof_vars) is not int:
             raise ParseError(f"node {nid}: proof_vars must be an integer")
-        if not isinstance(clauses, list) or not all(
-            isinstance(cl, list)
-            and all(isinstance(l, int) and not isinstance(l, bool) for l in cl)
-            for cl in clauses
+        if (
+            type(clauses) is not list
+            or not _all_of_type(clauses, list)
+            or not _all_of_type(chain.from_iterable(clauses), int)
         ):
             raise ParseError(f"node {nid}: clauses must be lists of literals")
         specs.append((nid, kind, inputs, proof_vars, clauses))

@@ -15,18 +15,20 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 
 from .errors import ValidationError
+from .querygraph import Record
 
 _FEW_CANDIDATES = 8  # see _balanced_separators
 
 
-@dataclass(frozen=True)
-class Supervertex:
-    id: int
-    members: tuple
-    parent: object  # int or None for the root
+class Supervertex(Record):
+    __slots__ = _FIELDS = ("id", "members", "parent")
+
+    def __init__(self, id, members, parent):
+        self.id = id
+        self.members = members
+        self.parent = parent  # int or None for the root
 
 
 class SeparatorTree:

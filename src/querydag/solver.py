@@ -11,7 +11,6 @@ threshold only the correct query string is available.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -23,7 +22,7 @@ from .oracle import EvaluationBackend, ProofOracle, threshold_query
 # objective, which lives in oracle, is imported back here until ROADMAP item
 # 1a retargets the tracer.
 from .oracle import max_t_for_assignment  # noqa: F401
-from .querygraph import decimal_str, evaluate, is_correct_query_string
+from .querygraph import Record, decimal_str, evaluate, is_correct_query_string
 from .separator import build_separator_tree
 from .weighting import rho_weights, total_weight
 
@@ -57,8 +56,7 @@ class ThresholdInstance(NamedTuple):
 _NO_PINS = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(Record):
     """Outcome of one decision pipeline, with exact query accounting.
 
     The proof queries are counted once, in `stats`, the oracle's own
@@ -66,14 +64,19 @@ class SolveReport:
     one.
     """
 
-    answer: int
-    method: str
-    t_scaled: object  # 2T, or None for the direct method
-    w_total: object
-    queries: int  # threshold queries spent on the decision itself
-    budget: object  # ceil(log2(2W+1)) + 1, or None for the direct method
-    query_string: object
-    stats: object  # the oracle's OracleStats
+    __slots__ = _FIELDS = (
+        "answer", "method", "t_scaled", "w_total", "queries", "budget", "query_string", "stats"
+    )
+
+    def __init__(self, answer, method, t_scaled, w_total, queries, budget, query_string, stats):
+        self.answer = answer
+        self.method = method
+        self.t_scaled = t_scaled  # 2T, or None for the direct method
+        self.w_total = w_total
+        self.queries = queries  # threshold queries spent on the decision itself
+        self.budget = budget  # ceil(log2(2W+1)) + 1, or None for the direct method
+        self.query_string = query_string
+        self.stats = stats  # the oracle's OracleStats
 
     def to_doc(self):
         doc = {

@@ -29,7 +29,6 @@ one-pass relatives against a separate computation.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 
@@ -281,9 +280,17 @@ def without_dummies(gstar, weights):
             dropped += 1
         else:
             renumber[cid] = cid - dropped
-    nodes = {
-        new: dataclasses.replace(gstar.nodes[cid], cid=new) for cid, new in renumber.items()
-    }
+    nodes = {}
+    for cid, new in renumber.items():
+        node = gstar.nodes[cid]
+        nodes[new] = CompressedNode(
+            cid=new,
+            origin=node.origin,
+            supervertex=node.supervertex,
+            position=node.position,
+            conditioning=node.conditioning,
+            signature=node.signature,
+        )
     # A copy pointing to a dummy's copy has no target here: a KeyError.
     edges = {
         renumber[cid]: [renumber[t] for t in gstar.edges_out[cid]] for cid in renumber

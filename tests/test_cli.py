@@ -234,6 +234,23 @@ def test_cli_arith_default_cap_refuses_more_than_16_variables(tmp_path, capsys):
     assert captured.err == "error: 19 variables exceed the cap of 16\n"
 
 
+@pytest.mark.parametrize("command", [["solve", "--backend", "brute"], ["arith"]])
+@pytest.mark.parametrize("cap", ["-1", "a"])
+def test_negative_cap_is_usage_error(tmp_path, capsys, command, cap):
+    # A negative cap would refuse every solve with exit 1.
+    inst = write_chain2(tmp_path)
+    assert main(command + ["--cap", cap, "-i", inst]) == 2
+    err = capsys.readouterr().err
+    assert "argument --cap" in err
+    assert "Traceback" not in err
+
+
+def test_zero_cap_is_a_valid_argument(tmp_path, capsys):
+    # Cap 0 refuses the arithmetization of chain2: exit 1, not a usage error.
+    assert main(["arith", "--cap", "0", "-i", write_chain2(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: 5 variables exceed the cap of 0\n"
+
+
 def test_cli_solve_prints_a_transcript_only_when_asked(tmp_path):
     inst = write_chain2(tmp_path)
     out = tmp_path / "r.json"
