@@ -336,13 +336,14 @@ class EvaluationBackend:
     query, and 2T from max_t_for_assignment checking no node: on the
     correct string every forced bit equals its bit, so the objective is the
     sum of w(1 + x) over the nodes.
-    Once (dag, weights) is profiled, a query answered against 2T costs
-    O(1): an identity check of the profile, then for a query without pins
-    or with a position (see ThresholdInstance) a look at its newest pins
-    only.  For that the backend keeps the pins dict of the last query, if
-    it had a position, and whether its settled entries agree; a new profile
-    drops both.  A query whose pins disagree, below 2T, costs one pass of
-    forced bits, scored checking only its pinned 1s: at most |V| proof
+    Once (dag, weights) is profiled, a query costs an identity check of
+    both against the profile and, without pins (every binary-search probe),
+    one comparison with 2T.  A query with a position (see
+    ThresholdInstance) looks at its newest pins only.  For that the backend
+    keeps the pins dict of the last query, if it had a position, and
+    whether its settled entries agree; a new profile, or a query without
+    pins, drops it.  A query whose pins disagree, below 2T, costs one pass
+    of forced bits, scored checking only its pinned 1s: at most |V| proof
     calls.
     """
 
@@ -353,12 +354,11 @@ class EvaluationBackend:
         self._pinned = None
 
     def _profile(self, inst, proof_oracle):
-        """(maximizer, 2T) of inst's (dag, weights), kept until another pair
-        is profiled.  Checks that the weighting is integer and admissible;
-        2T is read off the maximizer without a proof call."""
-        hit = self._current
-        if hit is not None and hit[0] is inst.dag and hit[1] is inst.weights:
-            return hit[2:]
+        """Profile inst's (dag, weights) and keep it as the current one,
+        dropping the last: return (maximizer, 2T).  Checks that the
+        weighting is integer and admissible; 2T is read off the maximizer
+        without a proof call.  decide calls it only when the pair is not
+        the current one."""
         self._current = self._pinned = None
         # The one-unit gap below the maximum only exists for integer
         # weightings that are admissible.
@@ -399,7 +399,17 @@ class EvaluationBackend:
         return before and entry in agreed
 
     def decide(self, inst, proof_oracle):
-        correct, two_t = self._profile(inst, proof_oracle)
+        """Does some string under inst's pins reach its threshold?  The
+        (dag, weights) pair is profiled unless it is the current one, by
+        identity; a query without pins is then one comparison with 2T."""
+        current = self._current
+        if current is None or current[0] is not inst.dag or current[1] is not inst.weights:
+            self._profile(inst, proof_oracle)
+            current = self._current
+        _, _, correct, two_t = current
+        if not inst.pins:
+            self._pinned = None
+            return inst.threshold <= two_t
         if self._pins_agree(inst, correct):
             return inst.threshold <= two_t
         if inst.threshold >= two_t:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .compress import build_compressed, lift_query_string
 from .errors import PipelineError
@@ -27,8 +26,11 @@ from .separator import build_separator_tree
 from .weighting import rho_weights, total_weight
 
 
-class ThresholdInstance(NamedTuple):
+class ThresholdInstance(Record):
     """One threshold question: dag, weighting, scaled threshold, pinned bits.
+
+    A slots record, not a tuple: it has no unpacking, indexing or
+    `_replace`, and nothing writes to its fields after construction.
 
     Nothing copies the pins mapping: the backend that answered a query may
     compare later ones with it, and a transcript, when the solve keeps one,
@@ -44,11 +46,14 @@ class ThresholdInstance(NamedTuple):
     the query's pins from k.
     """
 
-    dag: object
-    weights: dict
-    threshold: int
-    pins: dict
-    position: int | None = None
+    __slots__ = _FIELDS = ("dag", "weights", "threshold", "pins", "position")
+
+    def __init__(self, dag, weights, threshold, pins, position=None):
+        self.dag = dag
+        self.weights = weights
+        self.threshold = threshold
+        self.pins = pins
+        self.position = position
 
 
 # The pins of every binary-search probe: one read-only empty mapping shared

@@ -60,7 +60,13 @@ def rho_weights(g):
     lv = levels(g)
     depth = max(lv.values())
     base = ADMISSIBILITY_C * len(lv)
-    return {nid: base ** (depth - level) for nid, level in lv.items()}
+    # weight[level] = base ** (depth - level): one power per level, each
+    # the next smaller one times base.
+    weight = [1]
+    for _ in range(depth):
+        weight.append(weight[-1] * base)
+    weight.reverse()
+    return {nid: weight[level] for nid, level in lv.items()}
 
 
 def check_admissible(g, weights):
@@ -71,7 +77,7 @@ def check_admissible(g, weights):
     """
     out = g.out_neighbors()
     for nid in sorted(g.node_ids()):
-        need = 1 + ADMISSIBILITY_C * sum(weights[child] for child in out[nid])
+        need = 1 + ADMISSIBILITY_C * sum(map(weights.__getitem__, out[nid]))
         if weights[nid] < need:
             return False, nid
     return True, None

@@ -534,6 +534,44 @@ def test_positioned_queries_agree_with_brute_force():
     assert off_settled > 100
 
 
+def test_one_backend_serves_interleaved_profiles():
+    # One evaluation backend goes back and forth between three profiles: one
+    # graph under rho and under omega, the very same graph object, then a
+    # second graph.  An extraction's positioned queries on one of them are
+    # separated by pin-free probes on all three, so a profile is found again
+    # only by the identity of both the graph and the weighting.
+    differ = 0
+    for seed in range(16):
+        g, h = random_instance(seed), random_instance(seed + 3)
+        profiles = [(g, rho_weights(g)), (g, omega_weights(g)), (h, rho_weights(h))]
+        two_ts = [brute_two_t(dag, weights) for dag, weights in profiles]
+        differ += two_ts[0] != two_ts[1]
+        oracle = ProofOracle()
+        brute = BruteForceBackend()
+        smart = EvaluationBackend()
+
+        def ask(inst):
+            answer = smart.decide(inst, oracle)
+            assert answer == brute.decide(inst, oracle), (seed, inst)
+            return answer
+
+        def probe():
+            for (dag, weights), two_t in zip(profiles, two_ts):
+                for theta in (two_t, two_t + 1):
+                    ask(ThresholdInstance(dag, weights, theta, {}))
+
+        for (dag, weights), two_t in zip(profiles, two_ts):
+            for theta in (two_t, two_t - 1):
+                pins = {}
+                for k, nid in enumerate(dag.topo_order()):
+                    probe()
+                    pins[nid] = 1
+                    if not ask(ThresholdInstance(dag, weights, theta, pins, k)):
+                        pins[nid] = 0
+                probe()
+    assert differ >= 8
+
+
 def test_profiled_queries_import_and_recompute_nothing(monkeypatch):
     # Once (dag, weights) is profiled, a threshold query is a lookup: no
     # import statement runs, and neither the admissibility check nor the

@@ -10,6 +10,9 @@ from querydag import (
     weight_report,
 )
 
+from querydag.cli import gen_instance
+from querydag.weighting import ADMISSIBILITY_C
+
 from compress_reference import build_compressed as paper_build
 from conftest import random_instance
 
@@ -40,6 +43,24 @@ def test_rho_star(star4):
     w = rho_weights(star4)
     assert w == {1: 8, 2: 8, 3: 8, 4: 1}
     assert total_weight(w) == 25
+
+
+def test_rho_is_the_closed_form_per_level(single_vacuous):
+    # rho(v) = (c|V|) ** (depth - level(v)), the level being the longest
+    # path from a node without inputs, both worked out here from the inputs.
+    graphs = [random_instance(seed) for seed in range(200)]
+    graphs += [single_vacuous, gen_instance("chain", 256, 0)]
+    for g in graphs:
+        level = {}
+        for nid in g.topo_order():
+            level[nid] = 1 + max((level[u] for u in g.by_id[nid].inputs), default=-1)
+        depth = max(level.values())
+        base = ADMISSIBILITY_C * len(g.nodes)
+        closed = {nid: base ** (depth - level[nid]) for nid in g.node_ids()}
+        assert rho_weights(g) == closed
+    assert rho_weights(single_vacuous) == {1: 1}
+    chain = graphs[-1]
+    assert rho_weights(chain)[chain.topo_order()[0]] == 512**255
 
 
 def test_levels(star4, chain3):
