@@ -15,51 +15,52 @@ All arithmetic is exact: integers until the constant 1/2 brings in Fractions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapacityError, PipelineError
 from .oracle import EvaluationBackend, ProofOracle
 from .querygraph import is_correct_query_string
 from .solver import binary_search_T
-from .weighting import omega_weights
 
 VAR = "var"
 CONST = "const"
 SUM = "sum"
 PROD = "prod"
 
-
-@dataclass(frozen=True)
-class Gate:
-    kind: str
-    value: object  # variable index for VAR, exact constant for CONST
-    children: tuple
+# The default variable cap of exhaustive search, which evaluates the circuit
+# once per point: 16 variables take seconds, 24 about twenty minutes.
+EXHAUSTIVE_CAP = 16
 
 
 class ArithCircuit:
-    """A DAG of +/x gates over exact rationals; children precede parents."""
+    """A DAG of +/x gates over exact rationals; children precede parents.
 
-    def __init__(self, gates, output):
+    Each gate is a (kind, value, children) tuple, whose value is the
+    variable index of a VAR gate and the exact constant of a CONST gate.
+    Its points have var_count coordinates, some of which no gate may read.
+    """
+
+    def __init__(self, gates, output, var_count):
         self.gates = tuple(gates)
         self.output = output
+        self.var_count = var_count
 
     def eval(self, point):
         """Value at a point; stays in int arithmetic until a Fraction appears."""
         values = [0] * len(self.gates)
-        for i, gate in enumerate(self.gates):
-            if gate.kind == VAR:
-                values[i] = point[gate.value]
-            elif gate.kind == CONST:
-                values[i] = gate.value
-            elif gate.kind == SUM:
+        for i, (kind, value, children) in enumerate(self.gates):
+            if kind == VAR:
+                values[i] = point[value]
+            elif kind == CONST:
+                values[i] = value
+            elif kind == SUM:
                 acc = 0
-                for child in gate.children:
+                for child in children:
                     acc += values[child]
                 values[i] = acc
             else:
                 acc = 1
-                for child in gate.children:
+                for child in children:
                     acc *= values[child]
                     if acc == 0:
                         break
@@ -71,12 +72,12 @@ class ArithCircuit:
 
     def to_doc(self):
         out = []
-        for i, gate in enumerate(self.gates):
-            entry = {"id": i, "kind": gate.kind, "children": list(gate.children)}
-            if gate.kind == VAR:
-                entry["var"] = gate.value
-            elif gate.kind == CONST:
-                frac = Fraction(gate.value)
+        for i, (kind, value, children) in enumerate(self.gates):
+            entry = {"id": i, "kind": kind, "children": list(children)}
+            if kind == VAR:
+                entry["var"] = value
+            elif kind == CONST:
+                frac = Fraction(value)
                 entry["value"] = f"{frac.numerator}/{frac.denominator}"
             out.append(entry)
         return {"gates": out, "output": self.output}
@@ -97,7 +98,7 @@ class CircuitBuilder:
 
     def var(self, index):
         if index not in self._vars:
-            self._vars[index] = self._push(Gate(VAR, index, ()))
+            self._vars[index] = self._push((VAR, index, ()))
         return self._vars[index]
 
     def const(self, value):
@@ -105,7 +106,7 @@ class CircuitBuilder:
         stored = int(frac) if frac.denominator == 1 else frac
         key = (frac.numerator, frac.denominator)
         if key not in self._consts:
-            self._consts[key] = self._push(Gate(CONST, stored, ()))
+            self._consts[key] = self._push((CONST, stored, ()))
         return self._consts[key]
 
     def add(self, children):
@@ -114,7 +115,7 @@ class CircuitBuilder:
             return self.const(0)
         if len(children) == 1:
             return children[0]
-        return self._push(Gate(SUM, None, children))
+        return self._push((SUM, None, children))
 
     def mul(self, children):
         children = tuple(children)
@@ -122,7 +123,7 @@ class CircuitBuilder:
             return self.const(1)
         if len(children) == 1:
             return children[0]
-        return self._push(Gate(PROD, None, children))
+        return self._push((PROD, None, children))
 
     def literal(self, index, positive):
         """Gate for v or 1 - v over variable `index`."""
@@ -142,24 +143,18 @@ class CircuitBuilder:
         neg = self.mul((self.const(-1), prod))
         return self.add((self.const(1), neg))
 
-    def finish(self, output):
-        return ArithCircuit(self.gates, output)
-
-
-@dataclass(frozen=True)
-class NodeCnf:
-    """Per-node 3-CNF over local variables: wires, proofs, then auxiliaries."""
-
-    clauses: tuple
-    var_count: int
+    def finish(self, output, var_count):
+        return ArithCircuit(self.gates, output, var_count)
 
 
 def to_three_cnf(node):
-    """Split clauses to width exactly 3; input-wire variables stay free.
+    """(clauses, var_count): the node's clauses split to width exactly 3,
+    over its local variables, wires, proofs, then auxiliaries; input-wire
+    variables stay free.
 
     Clauses longer than 3 chain through fresh auxiliary variables; shorter
-    clauses repeat a literal.  An empty clause stays unsatisfiable via a
-    fresh contradictory pair.
+    ones repeat their last literal.  An empty clause stays unsatisfiable via
+    a fresh contradictory pair.
     """
     base = node.var_count
     aux = 0
@@ -172,12 +167,8 @@ def to_three_cnf(node):
             a = base + aux
             out.append((a, a, a))
             out.append((-a, -a, -a))
-        elif k == 1:
-            out.append((lits[0], lits[0], lits[0]))
-        elif k == 2:
-            out.append((lits[0], lits[1], lits[1]))
-        elif k == 3:
-            out.append(tuple(lits))
+        elif k <= 3:
+            out.append(tuple(lits + lits[-1:] * (3 - k)))
         else:
             fresh = [base + aux + i + 1 for i in range(k - 3)]
             aux += k - 3
@@ -185,7 +176,7 @@ def to_three_cnf(node):
             for t in range(k - 4):
                 out.append((-fresh[t], lits[2 + t], fresh[t + 1]))
             out.append((-fresh[-1], lits[k - 2], lits[k - 1]))
-    return NodeCnf(clauses=tuple(out), var_count=base + aux)
+    return tuple(out), base + aux
 
 
 def three_cnf_for_dag(g):
@@ -197,55 +188,39 @@ def three_cnf_for_dag(g):
     than n_common variables leaves the rest of its block unused.
     """
     per = {nid: to_three_cnf(g.by_id[nid]) for nid in g.topo_order()}
-    n_common = max(nc.var_count for nc in per.values())
-    m_common = max(len(nc.clauses) for nc in per.values())
+    n_common = max(var_count for _, var_count in per.values())
+    m_common = max(len(clauses) for clauses, _ in per.values())
     padded = {
-        nid: nc.clauses + ((1, -1, 1),) * (m_common - len(nc.clauses))
-        for nid, nc in per.items()
+        nid: clauses + ((1, -1, 1),) * (m_common - len(clauses))
+        for nid, (clauses, _) in per.items()
     }
     return padded, n_common
 
 
-@dataclass(frozen=True)
-class BuiltPolynomial:
-    """The weighted polynomial with its variable layout.
+def build_p(g, weights):
+    """(circuit, x_coord): the circuit for p = sum of w * (x * q_V + (1 - x)/2),
+    subcircuits shared, and its variable layout.
 
     Coordinates 0..m-1 are the answer bits x in topological order, and
     x_coord maps each node id to its coordinate in that order; each node
     then owns a block of (n_common - indeg) free coordinates for its proof,
     auxiliary, and padding variables.
     """
-
-    circuit: ArithCircuit
-    var_count: int
-    x_coord: dict
-
-
-def build_p(g, weights):
-    """Circuit for p = sum of w * (x * q_V + (1 - x)/2), subcircuits shared."""
     clauses_by_node, n_common = three_cnf_for_dag(g)
-    order = list(clauses_by_node)
-    x_coord = {nid: i for i, nid in enumerate(order)}
-    block_start = {}
-    cursor = len(order)
-    for nid in order:
-        block_start[nid] = cursor
-        cursor += n_common - len(g.by_id[nid].inputs)
+    x_coord = {nid: i for i, nid in enumerate(clauses_by_node)}
+    cursor = len(x_coord)
     builder = CircuitBuilder()
     half = builder.const(Fraction(1, 2))
     terms = []
-    for nid in order:
-        node = g.by_id[nid]
-        indeg = len(node.inputs)
-
-        def coord(local, _node=node, _indeg=indeg, _start=block_start[nid]):
-            if local <= _indeg:
-                return x_coord[_node.inputs[local - 1]]
-            return _start + (local - _indeg - 1)
-
+    for nid, clauses in clauses_by_node.items():
+        inputs = g.by_id[nid].inputs
+        # Local variable j is input wire j, then the node's block in order.
+        block = n_common - len(inputs)
+        coords = [x_coord[i] for i in inputs] + list(range(cursor, cursor + block))
+        cursor += block
         clause_gates = [
-            builder.clause(tuple((coord(abs(l)), l > 0) for l in cl))
-            for cl in clauses_by_node[nid]
+            builder.clause(tuple((coords[abs(l) - 1], l > 0) for l in cl))
+            for cl in clauses
         ]
         q = builder.mul(tuple(clause_gates))
         x = builder.var(x_coord[nid])
@@ -253,12 +228,12 @@ def build_p(g, weights):
         miss_part = builder.mul((builder.literal(x_coord[nid], False), half))
         inner = builder.add((sat_part, miss_part))
         terms.append(builder.mul((builder.const(weights[nid]), inner)))
-    circuit = builder.finish(builder.add(tuple(terms)))
-    return BuiltPolynomial(circuit=circuit, var_count=cursor, x_coord=x_coord)
+    return builder.finish(builder.add(tuple(terms)), cursor), x_coord
 
 
-def brute_force_max(circuit, var_count, cap=24):
+def brute_force_max(circuit, cap=EXHAUSTIVE_CAP):
     """Exhaustive maximum over all Boolean points, with lex-least witness."""
+    var_count = circuit.var_count
     if var_count > cap:
         raise CapacityError(f"{var_count} variables exceed the cap of {cap}")
     best = None
@@ -273,32 +248,23 @@ def brute_force_max(circuit, var_count, cap=24):
     return Fraction(best), witness
 
 
-def extract_from_optimum(g, built, witness):
+def extract_from_optimum(g, x_coord, vertex):
     """Read the query string off an optimal vertex and insist it is correct."""
-    x = {nid: witness[coord] for nid, coord in built.x_coord.items()}
+    x = {nid: vertex[coord] for nid, coord in x_coord.items()}
     if not is_correct_query_string(g, x, ProofOracle()):
         raise PipelineError("optimum vertex does not encode a correct query string")
     return x
 
 
-@dataclass(frozen=True)
-class CompressionAudit:
-    """How many oracle queries the optimum's bit-length actually demanded."""
-
-    bits: int  # bit-length of the scaled optimum 2T
-    queries_used: int
-
-
-def audit_weak_compression(g):
-    """Binary-search the scaled optimum and compare queries to its bit-length.
+def audit_weak_compression(g, weights):
+    """(bits, queries_used): the bit-length of the scaled optimum 2T under
+    `weights`, the weighting p was built with, and the threshold queries
+    the binary search spent to find it.
 
     The optimum of p equals T, so locating it pins down every query answer;
     the search, on a fresh evaluation backend, spends at most
     bit_length(2T) + 1 threshold queries.
     """
     proof_oracle = ProofOracle()
-    weights = omega_weights(g)
     t_tilde = binary_search_T(g, weights, proof_oracle, EvaluationBackend())
-    return CompressionAudit(
-        bits=t_tilde.bit_length(), queries_used=proof_oracle.stats.threshold_queries
-    )
+    return t_tilde.bit_length(), proof_oracle.stats.threshold_queries

@@ -200,29 +200,28 @@ def _cmd_arith(args):
 
     g = _read_instance(args.input)
     weights = omega_weights(g)
-    built = arithmetize.build_p(g, weights)
-    best, vertex = arithmetize.brute_force_max(
-        built.circuit, built.var_count, cap=args.cap
-    )
-    x = arithmetize.extract_from_optimum(g, built, vertex)
-    audit = arithmetize.audit_weak_compression(g)
+    circuit, x_coord = arithmetize.build_p(g, weights)
+    cap = arithmetize.EXHAUSTIVE_CAP if args.cap is None else args.cap
+    best, vertex = arithmetize.brute_force_max(circuit, cap=cap)
+    x = arithmetize.extract_from_optimum(g, x_coord, vertex)
+    bits, queries_used = arithmetize.audit_weak_compression(g, weights)
     doc = {
-        "var_count": built.var_count,
-        "circuit_size": built.circuit.size(),
+        "var_count": circuit.var_count,
+        "circuit_size": circuit.size(),
         "max": f"{decimal_str(best.numerator)}/{decimal_str(best.denominator)}",
         # 2p is an integer at every vertex.
         "max_scaled": decimal_str(int(2 * best)),
         "witness_vertex": "".join(str(b) for b in vertex),
         "query_string": {str(k): v for k, v in sorted(x.items())},
         "audit": {
-            "B": audit.bits,
-            "h_target": audit.bits,
-            "queries_used": audit.queries_used,
-            "budget": audit.bits + 1,
+            "B": bits,
+            "h_target": bits,
+            "queries_used": queries_used,
+            "budget": bits + 1,
         },
     }
     if args.dump_circuit:
-        doc["circuit"] = built.circuit.to_doc()
+        doc["circuit"] = circuit.to_doc()
     _emit(doc, args.output)
     return 0
 
@@ -273,14 +272,6 @@ def _format_table(rows):
     return "\n".join(out) + "\n"
 
 
-def _sizes(text):
-    """The --sizes argument: comma-separated integers."""
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
 def _int_from(least, described):
     """An argparse type: an integer of at least `least`."""
 
@@ -296,10 +287,21 @@ def _int_from(least, described):
     return parse
 
 
-# --reps, --depth and --size; and --cap, which a negative value would turn
-# into a refusal of every solve.
+# --n, --sizes, --sep-bound, --reps, --depth and --size, refused before any
+# generation or search; and --cap, which a negative value would turn into a
+# refusal of every solve.
 _positive_int = _int_from(1, "a positive")
 _non_negative_int = _int_from(0, "a non-negative")
+
+
+def _sizes(text):
+    """The --sizes argument: comma-separated positive integers."""
+    try:
+        return tuple(_positive_int(part) for part in text.split(","))
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}"
+        ) from None
 
 
 def _cmd_bench(args):
@@ -329,9 +331,9 @@ def _build_parser():
 
     p = sub.add_parser("gen", help="generate a seeded instance")
     p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sep-bound", type=int, default=2)
+    p.add_argument("--sep-bound", type=_positive_int, default=2)
     common(p, needs_input=False)
 
     p = sub.add_parser("evaluate", help="reference evaluation trace")
@@ -356,9 +358,9 @@ def _build_parser():
     common(p)
 
     p = sub.add_parser("arith", help="polynomial build, brute-force max, audit")
-    # One circuit evaluation per point: 16 variables take seconds, 24 about
-    # twenty minutes.
-    p.add_argument("--cap", type=_non_negative_int, default=16)
+    # Unset, the cap is arithmetize.EXHAUSTIVE_CAP, read only when `qw arith`
+    # loads that module.
+    p.add_argument("--cap", type=_non_negative_int, default=None)
     p.add_argument("--dump-circuit", action="store_true")
     common(p)
 
@@ -367,7 +369,7 @@ def _build_parser():
     p.add_argument("--sizes", type=_sizes, required=True, help="comma-separated sizes")
     p.add_argument("--reps", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sep-bound", type=int, default=2)
+    p.add_argument("--sep-bound", type=_positive_int, default=2)
     p.add_argument("--method", choices=tuple(DECIDERS), default="compress")
     common(p, needs_input=False)
 

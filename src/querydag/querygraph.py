@@ -30,8 +30,8 @@ def decimal_str(n):
 
 class Record:
     """A plain record of the fields its class names in `_FIELDS`: equal,
-    hashed and shown by their values, like a frozen dataclass, but with no
-    code generated when the class is defined."""
+    hashed and shown by their values, with no code generated when the class
+    is defined."""
 
     __slots__ = ()
     _FIELDS = ()

@@ -125,10 +125,10 @@ def binary_search_T(dag, weights, proof_oracle, backend):
     return result
 
 
-def extract_query_string(dag, weights, t_tilde, proof_oracle, backend, order):
+def extract_query_string(dag, weights, t_tilde, proof_oracle, backend):
     """Recover the string attaining 2t >= t_tilde, one pinned query per node.
 
-    Bits are pinned in the given order; a prefix extends to the maximizer as
+    Bits are pinned in dag.topo_order(); a prefix extends to the maximizer as
     long as every pinned bit matches it, and at threshold 2T the maximizer is
     unique and correct.  Every query is handed the one pins dict, holding the
     bits fixed so far and the next node at 1, and its position in it, as
@@ -137,7 +137,7 @@ def extract_query_string(dag, weights, t_tilde, proof_oracle, backend, order):
     rather than a copy, so its memory stays linear.
     """
     pins = {}
-    for k, nid in enumerate(order):
+    for k, nid in enumerate(dag.topo_order()):
         pins[nid] = 1
         inst = ThresholdInstance(dag, weights, t_tilde, pins, k)
         if not threshold_query(inst, proof_oracle, backend):
@@ -165,9 +165,7 @@ def _decide(method, g, witness, backend, transcript):
     used = stats.threshold_queries
     query_string = None
     if witness:
-        query_string = extract_query_string(
-            dag, weights, t_tilde, proof_oracle, backend, dag.topo_order()
-        )
+        query_string = extract_query_string(dag, weights, t_tilde, proof_oracle, backend)
         if not is_correct_query_string(dag, query_string, proof_oracle):
             raise PipelineError("extracted query string is not correct")
         if dag is not g:

@@ -96,7 +96,7 @@ def corpus():
         pre_masks = descendant_masks(list(gpp.node_ids()), gpp.out_neighbors())
         xstar = evaluate(gstar, oracle)
         lifted = lift_query_string(g, gstar, xstar)
-        audit = audit_weak_compression(g)
+        audit = audit_weak_compression(g, omega_weights(g))
         records.append(
             {
                 "seed": seed,
@@ -243,9 +243,9 @@ def _arith_suite():
     randoms = [gen_instance("random-sep", 1 + seed % 4, seed, 2) for seed in range(10)]
     suite = []
     for g in fixtures + randoms:
-        built = build_p(g, omega_weights(g))
-        if built.var_count <= 16:
-            suite.append((g, built))
+        circuit, x_coord = build_p(g, omega_weights(g))
+        if circuit.var_count <= 16:
+            suite.append((g, circuit, x_coord))
     return suite
 
 
@@ -255,18 +255,18 @@ def test_criterion_07_arithmetization_equivalence():
         started = time.time()
         suite = _arith_suite()
         assert len(suite) >= 10
-        for g, built in suite:
-            assert built.var_count <= 24
+        for g, circuit, x_coord in suite:
+            assert circuit.var_count <= 24
             weights = omega_weights(g)
-            best, witness = brute_force_max(built.circuit, built.var_count)
+            best, witness = brute_force_max(circuit)
             assert 2 * best == brute_two_t(g, weights)
-            x = extract_from_optimum(g, built, witness)
+            x = extract_from_optimum(g, x_coord, witness)
             assert is_correct_query_string(g, x, ProofOracle())
         # Worked fixture: CHAIN2 has T = 4 attained at x = 11.
-        chain2, built2 = suite[0]
-        best, witness = brute_force_max(built2.circuit, built2.var_count)
+        chain2, circuit2, x_coord2 = suite[0]
+        best, witness = brute_force_max(circuit2)
         assert best == Fraction(4)
-        assert extract_from_optimum(chain2, built2, witness) == {1: 1, 2: 1}
+        assert extract_from_optimum(chain2, x_coord2, witness) == {1: 1, 2: 1}
         assert time.time() - started < 300
 
 
@@ -275,18 +275,18 @@ def test_criterion_08_multilinearity_and_vertex_agreement():
     def body():
         suite = _arith_suite()[:3]
         rng = random.Random(2024)
-        for g, built in suite:
+        for _, circuit, _ in suite:
             for _ in range(10**4):
-                vertex = [rng.randint(0, 1) for _ in range(built.var_count)]
-                assert multilinear_eval(built.circuit, vertex) == built.circuit.eval(vertex)
+                vertex = [rng.randint(0, 1) for _ in range(circuit.var_count)]
+                assert multilinear_eval(circuit, vertex) == circuit.eval(vertex)
             for _ in range(100):
-                k = rng.randrange(built.var_count)
-                base = [rng.randint(0, 1) for _ in range(built.var_count)]
+                k = rng.randrange(circuit.var_count)
+                base = [rng.randint(0, 1) for _ in range(circuit.var_count)]
                 values = []
                 for s in (Fraction(0), Fraction(1, 2), Fraction(1)):
                     point = list(base)
                     point[k] = s
-                    values.append(multilinear_eval(built.circuit, point))
+                    values.append(multilinear_eval(circuit, point))
                 assert values[1] - values[0] == values[2] - values[1]
 
 
@@ -294,8 +294,8 @@ def test_criterion_09_weak_compression_audit(corpus):
     @_criterion(9, "binary search spends at most bit_length(2T) + 1 queries")
     def body():
         for row in _rows(corpus):
-            audit = row["audit"]
-            assert audit.queries_used <= audit.bits + 1, row["seed"]
+            bits, queries_used = row["audit"]
+            assert queries_used <= bits + 1, row["seed"]
 
 
 def test_criterion_10_degenerate_suite():
@@ -341,8 +341,8 @@ def test_criterion_10_degenerate_suite():
         rc = decide_compress(single)
         assert rc.w_total == 4 and rc.queries == rc.budget == 5
         # Arithmetization degenerates.
-        built = build_p(single, omega_weights(single))
-        best, witness = brute_force_max(built.circuit, built.var_count)
-        assert best == 1 and extract_from_optimum(single, built, witness) == {1: 1}
-        audit = audit_weak_compression(single)
-        assert audit.bits == 2 and audit.queries_used <= 3
+        circuit, x_coord = build_p(single, omega_weights(single))
+        best, witness = brute_force_max(circuit)
+        assert best == 1 and extract_from_optimum(single, x_coord, witness) == {1: 1}
+        bits, queries_used = audit_weak_compression(single, omega_weights(single))
+        assert bits == 2 and queries_used <= 3

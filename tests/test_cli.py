@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from querydag import decide_direct, levels, parse_dag, serialize_dag
+from querydag import GenerationError, decide_direct, levels, parse_dag, serialize_dag
 from querydag.cli import gen_instance, main, run_bench
 
 from conftest import enum_evaluate
@@ -222,6 +222,61 @@ def test_cli_arith(tmp_path):
     assert doc["audit"]["queries_used"] <= doc["audit"]["B"] + 1
 
 
+def test_cli_arith_dump_circuit(tmp_path):
+    inst = write_chain2(tmp_path)
+    out = tmp_path / "arith.json"
+    assert main(["arith", "-i", inst, "-o", str(out)]) == 0
+    plain = read_json(out)
+    assert main(["arith", "--dump-circuit", "-i", inst, "-o", str(out)]) == 0
+    doc = read_json(out)
+    circuit = doc.pop("circuit")
+    assert doc == plain
+    gates = circuit["gates"]
+    assert len(gates) == doc["circuit_size"]
+    assert circuit["output"] == len(gates) - 1
+    assert [gate["id"] for gate in gates] == list(range(len(gates)))
+    for gate in gates:
+        # Children precede their parents; leaves carry a variable or a value.
+        assert all(child < gate["id"] for child in gate["children"])
+        if gate["kind"] == "var":
+            assert gate["children"] == [] and 0 <= gate["var"] < doc["var_count"]
+        elif gate["kind"] == "const":
+            assert gate["children"] == [] and "var" not in gate
+        else:
+            assert gate["kind"] in ("sum", "prod") and len(gate["children"]) >= 2
+            assert "var" not in gate and "value" not in gate
+    values = {gate["value"] for gate in gates if gate["kind"] == "const"}
+    assert {"1/2", "1/1", "-1/1"} <= values
+    # Coordinate 3 pads v1's block to v2's two local variables: no gate reads
+    # it, yet it counts in var_count.
+    assert sorted(g["var"] for g in gates if g["kind"] == "var") == [0, 1, 2, 4]
+
+
+def test_cli_arith_on_an_empty_clause(tmp_path):
+    # An empty clause makes the node unsatisfiable: p is w/2 at x = 0 and 0
+    # at x = 1, whatever the proof and auxiliary bits.
+    inst = tmp_path / "empty.json"
+    inst.write_text(
+        json.dumps(
+            {
+                "nodes": [
+                    {"id": 1, "kind": "verifier", "inputs": [], "proof_vars": 1, "clauses": [[1], []]}
+                ],
+                "output": 1,
+            }
+        )
+    )
+    out = tmp_path / "arith.json"
+    assert main(["arith", "-i", str(inst), "-o", str(out)]) == 0
+    doc = read_json(out)
+    assert doc["var_count"] == 3  # x, the proof bit and the auxiliary
+    assert doc["max"] == "1/2" and doc["max_scaled"] == "1"
+    assert doc["witness_vertex"] == "000"
+    assert doc["query_string"] == {"1": 0}
+    assert doc["audit"]["B"] == 1
+    assert doc["audit"]["queries_used"] <= doc["audit"]["budget"] == 2
+
+
 def test_cli_arith_default_cap_refuses_more_than_16_variables(tmp_path, capsys):
     # One circuit evaluation per point makes 2^19 points minutes of work;
     # the default cap of 16 refuses the instance before evaluating any.
@@ -379,6 +434,44 @@ def test_undecodable_instance_exits_1(tmp_path, capsys, monkeypatch):
     assert err.count("error: ") == 2
     assert "error: instance is not text" in err
     assert "Traceback" not in err
+
+
+def test_missing_instance_file_exits_1(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["solve", "-i", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and str(missing) in lines[0]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gen", "--family", "chain", "--n", "{}"], "--n"),
+        (["gen", "--family", "random-sep", "--n", "4", "--sep-bound", "{}"], "--sep-bound"),
+        (["bench", "--family", "chain", "--sizes", "3,{}"], "--sizes"),
+        (["bench", "--family", "random-sep", "--sizes", "4", "--sep-bound", "{}"], "--sep-bound"),
+    ],
+)
+def test_non_positive_size_or_bound_is_usage_error(argv, flag, value, capsys):
+    # Before any generation: --sep-bound 0 would otherwise run 200 separator
+    # searches and then fail.
+    assert main([arg.format(value) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_gen_instance_keeps_its_own_checks():
+    # The CLI refuses these values before generating; API callers reach the
+    # generator's checks.
+    for family, n, sep_bound in (("tree", 4, 2), ("chain", 0, 2), ("random-sep", 4, 0)):
+        with pytest.raises(GenerationError):
+            gen_instance(family, n, 0, sep_bound)
 
 
 def test_bench_non_integer_sizes_is_usage_error(capsys):

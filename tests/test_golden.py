@@ -104,7 +104,7 @@ def planned_runs(family, n, seed):
         ("cli", "septree", "--depth", str(tree.depth()), "--size", str(tree.uniform_size))
     )
     runs.append(("cli", "septree", "--depth", "1", "--size", "1"))
-    if build_p(g, omega_weights(g)).var_count <= ARITH_VARS:
+    if build_p(g, omega_weights(g))[0].var_count <= ARITH_VARS:
         runs.append(("cli", "arith"))
     return runs
 

@@ -53,6 +53,12 @@ def test_sat_empty_clause_is_unsat():
     assert not sat_exists_proof(node, "")
 
 
+@pytest.mark.parametrize("bits", ["", "01"])
+def test_sat_rejects_the_wrong_number_of_input_bits(chain2, bits):
+    with pytest.raises(ValueError, match="node 2: expected 1 input bits"):
+        sat_exists_proof(chain2.by_id[2], bits)
+
+
 def _near_threshold_cnf(rng, proof_vars, wires):
     """A random 3-CNF over the proof block at clause ratio 4.2, plus a clause
     (-wire, l1, l2) per input wire, as the benchmark's SAT-heavy nodes are."""
@@ -599,7 +605,7 @@ def test_profiled_queries_import_and_recompute_nothing(monkeypatch):
     monkeypatch.setattr(weighting, "check_admissible", forbidden)
     monkeypatch.setattr(builtins, "__import__", counting_import)
     again = binary_search_T(g, weights, oracle, backend)
-    bits = extract_query_string(g, weights, two_t, oracle, backend, g.topo_order())
+    bits = extract_query_string(g, weights, two_t, oracle, backend)
     monkeypatch.undo()
     assert imports == []
     assert again == two_t

@@ -271,6 +271,11 @@ def test_is_correct_query_string(chain2, single_vacuous):
     assert is_correct_query_string(single_vacuous, {1: 1}, oracle)
 
 
+def test_is_correct_query_string_rejects_a_string_missing_a_node(chain2):
+    with pytest.raises(ValidationError, match="does not cover the node set"):
+        is_correct_query_string(chain2, {1: 1}, ProofOracle())
+
+
 def test_evaluate_produces_correct_string_on_random_instances():
     oracle = ProofOracle()
     for seed in range(40):

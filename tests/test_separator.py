@@ -2,9 +2,12 @@ import itertools
 import math
 import random
 
+import pytest
+
 from querydag import (
     SeparatorTree,
     Supervertex,
+    ValidationError,
     build_dag,
     build_depth_bounded_tree,
     build_separator_tree,
@@ -144,6 +147,18 @@ def test_ten_node_path_admits_depth3_size2_tree():
     assert tree.depth() <= 3
     assert tree.uniform_size == 2
     assert verify_separator_tree(g, tree)
+
+
+def test_branch_rejects_parent_pointers_that_form_a_cycle():
+    tree = SeparatorTree([Supervertex(1, (1,), 2), Supervertex(2, (2,), 1)], 1, ())
+    with pytest.raises(ValidationError, match="do not reach a root"):
+        tree.branch(1)
+
+
+@pytest.mark.parametrize("depth, size", [(0, 1), (1, 0), (-1, 1)])
+def test_depth_bounded_rejects_bounds_below_one(chain2, depth, size):
+    with pytest.raises(ValidationError, match="at least 1"):
+        build_depth_bounded_tree(chain2, depth, size)
 
 
 def test_depth_bounded_star(star4):

@@ -8,6 +8,7 @@ import pytest
 from querydag import (
     BruteForceBackend,
     EvaluationBackend,
+    PipelineError,
     ProofOracle,
     ThresholdInstance,
     binary_search_T,
@@ -27,7 +28,7 @@ from querydag import (
     threshold_query,
     total_weight,
 )
-
+from querydag import solver
 from querydag.cli import gen_instance
 
 from compress_reference import build_compressed as paper_build
@@ -135,9 +136,7 @@ def test_extract_query_string_chain2(chain2):
     backend = BruteForceBackend()
     t = binary_search_T(chain2, weights, oracle, backend)
     before = stats.threshold_queries
-    x = extract_query_string(
-        chain2, weights, t, oracle, backend, chain2.topo_order()
-    )
+    x = extract_query_string(chain2, weights, t, oracle, backend)
     assert x == {1: 1, 2: 1}
     assert stats.threshold_queries - before == 2  # one pinned query per node
 
@@ -148,10 +147,7 @@ def test_extract_query_string_v1_unsat(chain2_v1_unsat):
     backend = BruteForceBackend()
     t = binary_search_T(chain2_v1_unsat, weights, oracle, backend)
     assert t == 4  # both answers 0: weights 3 and 1 each contribute once
-    x = extract_query_string(
-        chain2_v1_unsat, weights, t, oracle, backend,
-        chain2_v1_unsat.topo_order(),
-    )
+    x = extract_query_string(chain2_v1_unsat, weights, t, oracle, backend)
     assert x == {1: 0, 2: 0}
 
 
@@ -160,9 +156,7 @@ def test_extract_single_vacuous(single_vacuous):
     weights = omega_weights(single_vacuous)
     backend = BruteForceBackend()
     t = binary_search_T(single_vacuous, weights, oracle, backend)
-    x = extract_query_string(
-        single_vacuous, weights, t, oracle, backend, [1]
-    )
+    x = extract_query_string(single_vacuous, weights, t, oracle, backend)
     assert x == {1: 1}
 
 
@@ -176,6 +170,39 @@ def test_witness_modes_produce_correct_strings(chain2):
         assert rc.query_string == expected
         assert rd.query_string == expected
         assert is_correct_query_string(g, rc.query_string, oracle)
+
+
+class FirstPinLiesBackend(EvaluationBackend):
+    """Answers the first pinned query of a witness extraction wrongly."""
+
+    def decide(self, inst, proof_oracle):
+        answer = super().decide(inst, proof_oracle)
+        return not answer if inst.position == 0 else answer
+
+
+@pytest.mark.parametrize("decide", [decide_compress, decide_depth])
+def test_witness_from_a_wrong_pinned_answer_is_refused(chain2, decide):
+    # The flipped first bit leaves every later pinned query below the
+    # maximizer, so the extracted string cannot be the correct one.
+    with pytest.raises(PipelineError, match="extracted query string is not correct"):
+        decide(chain2, witness=True, backend=FirstPinLiesBackend())
+    # Without a witness no pinned query is asked, so the answer stands.
+    assert decide(chain2, backend=FirstPinLiesBackend()).answer == 1
+
+
+def test_witness_from_a_wrong_lift_is_refused(chain2, monkeypatch):
+    # A correct string on G* lifts to the correct one on g, so only a fault
+    # in the lift itself reaches the second check.
+    lift = solver.lift_query_string
+
+    def flipped_lift(g, gstar, xstar):
+        return {nid: 1 - bit for nid, bit in lift(g, gstar, xstar).items()}
+
+    monkeypatch.setattr(solver, "lift_query_string", flipped_lift)
+    with pytest.raises(PipelineError, match="lifted query string is not correct"):
+        decide_compress(chain2, witness=True)
+    # The depth pipeline lifts nothing.
+    assert decide_depth(chain2, witness=True).query_string == {1: 1, 2: 1}
 
 
 def test_correct_string_gap_property_on_tiny_instances():
@@ -330,7 +357,7 @@ def solve_on(g, gstar, weights):
     final = ThresholdInstance(gstar, weights, t_tilde, {gstar.output: 1})
     answer = threshold_query(final, oracle, backend)
     queries = oracle.stats.threshold_queries
-    xstar = extract_query_string(gstar, weights, t_tilde, oracle, backend, gstar.topo_order())
+    xstar = extract_query_string(gstar, weights, t_tilde, oracle, backend)
     assert is_correct_query_string(gstar, xstar, oracle)
     return answer, lift_query_string(g, gstar, xstar), queries
 
