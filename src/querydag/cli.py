@@ -111,12 +111,15 @@ def gen_instance(family, n, seed, sep_bound=2):
 
 
 def _emit(doc, out_path):
-    text = doc if isinstance(doc, str) else json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Write doc: a document, JSON text, or an iterable of pieces of text."""
+    if isinstance(doc, dict):
+        doc = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    pieces = [doc] if isinstance(doc, str) else doc
     if out_path is None or out_path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _read_instance(path):
@@ -190,7 +193,7 @@ def _cmd_solve(args):
     report = DECIDERS[args.method](
         g, witness=args.witness, backend=_backend(args), transcript=args.transcript
     )
-    _emit(report.to_doc(), args.output)
+    _emit(report.chunks(indent=2), args.output)
     return 0
 
 

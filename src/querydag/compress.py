@@ -11,31 +11,20 @@ summing their omega weights.  The paper also copies the dummies that pad
 every supervertex to one size; no query reads such a copy.
 
 build_compressed enumerates G* straight from the signatures, over the real
-vertices only, without building a copy: the nodes of one origin are a
-block of consecutive ids whose index bits are their signatures, so edges
-and lookups are index arithmetic, and a node's record (CompressedNode) is
-made only when something reads it.  It gives G* the least admissible
-weighting, f(v) = 1 + c * (sum of f over v's children), in closed form per
-origin.  That weighting lies below the paper's merged one at every node,
-so the total W, and with it the threshold search, is smaller.  G' and G'' live in
-tests/paper_stages.py as the reference the tests check G* against, together
-with the paper's compute_output over answer strings; the record-based build
-this replaced is kept as tests/compress_reference.py, with the two-pass
-relatives helpers that _relatives replaced and the paper's merged
-weighting, on a G* that keeps the dummies' copies.
-
-A node's query reads each original input wire its origin can see off the
-node's index, and resolves any other through compute_output, which reads
-the answers of the input's visible ancestors top-down, each off the copy
-their bits select, so a node's answer is a deterministic function of its
-signature and the answer bits of deeper nodes.
+vertices only, in closed form (CompressedDag), with the least admissible
+weighting, which lies below the paper's merged one at every node, so the
+total W, and with it the threshold search, is smaller.  The tests check G*
+against G', G'' and the paper's compute_output (tests/paper_stages.py), and
+against the record-based build with the paper's merged weighting, on a G*
+that keeps the dummies' copies (tests/compress_reference.py).
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections.abc import Mapping
-from itertools import repeat
+from itertools import chain, islice, repeat
 
 from .errors import WireValueError
 from .querygraph import Record, decimal_str
@@ -76,12 +65,7 @@ class CompressedNode(Record):
 
 
 CONDUCTOR_NODE = CompressedNode(
-    cid=CONDUCTOR_ID,
-    origin=None,
-    supervertex=None,
-    position=None,
-    conditioning=(),
-    signature=(),
+    cid=CONDUCTOR_ID, origin=None, supervertex=None, position=None, conditioning=(), signature=()
 )
 
 
@@ -93,39 +77,40 @@ class CompressedDag:
     first[u] + 2^|visible(u)| - 1, in itertools.product order over the bits
     of u's visible ancestors: a copy's index in its block, read as a binary
     number with the first visible ancestor most significant, is its
-    signature (see _bit_shifts).  Blocks follow one another by decreasing
-    depth of the origin's supervertex, then origin id, which is a
-    topological order.  So copy_of is index arithmetic, and a copy's known
-    bits are read off its index.  Besides the blocks, G* keeps each copy's
-    origin and its sorted out-edges; `nodes` makes a copy's CompressedNode
-    record only when it is read.  `visible` depends only on the original
-    graph and its separator tree.
+    signature (see _bit_shifts).  Blocks follow one another, with no gap,
+    by decreasing depth of the origin's supervertex, then origin id, which
+    is a topological order.  So G* keeps no table per copy, only first,
+    visible, shifts and `above` per origin and one list of ids, whose int
+    objects the solve's id-keyed dicts share: a copy's origin is the block
+    its id falls in, and its bits, edges and record are made off its index
+    when read.  `visible` depends only on the original graph and its tree.
     """
 
     conductor_id = output = CONDUCTOR_ID
 
-    def __init__(self, origin_dag, septree, first, visible, shifts, edges_out):
+    def __init__(self, origin_dag, septree, first, visible, shifts, above, copies):
         self.origin_dag = origin_dag
         self.septree = septree
-        self.edges_out = edges_out
         self._first = first
         self._visible = visible
         self._shifts = shifts
-        # Plain ids ascending, each with its origin.
-        self._origin = {}
-        for u, start in first.items():
-            self._origin.update(dict.fromkeys(range(start, start + (1 << len(visible[u]))), u))
+        self._above = above  # descendants above, in id order
+        self._copies = copies  # the range of every copy's id
+        self._origins, self._starts = list(first), list(first.values())
+        self._ids = [CONDUCTOR_ID, *copies]
 
     @property
     def nodes(self):
         """G*'s nodes by id as CompressedNode records, made when read."""
-        return _Records(self)
+        return _Lazy(self, self._record)
 
     def node_ids(self):
-        return [CONDUCTOR_ID, *self._origin]
+        return self._ids[:]
 
     def out_neighbors(self):
-        return self.edges_out
+        """Each node's out-edges in id order, a tuple made when read; items()
+        makes them a block at a time."""
+        return _Lazy(self, self._row, self._rows)
 
     def visible_ancestors(self, origin):
         """Ancestors of `origin` lying on its own branch, with bit coordinates."""
@@ -146,13 +131,49 @@ class CompressedDag:
     def topo_order(self):
         """Deepest supervertices first (their copies feed shallower ones),
         conductor last: the plain ids ascending."""
-        return [*self._origin, CONDUCTOR_ID]
+        return [*self._ids[1:], CONDUCTOR_ID]
+
+    def _origin_of(self, cid):
+        """The origin whose block holds copy `cid`; KeyError for any other id."""
+        if cid not in self._copies:
+            raise KeyError(cid)
+        return self._origins[bisect_right(self._starts, cid) - 1]
 
     def _known(self, cid, origin):
         """The bits of the visible ancestors of `origin` in copy `cid`, read
         off its index, in signature order."""
         k = cid - self._first[origin]
         return {anc: k >> shift & 1 for anc, shift in self._shifts[origin].items()}
+
+    def _row(self, cid):
+        """Copy `cid`'s out-edges: the conductor, then per descendant v above
+        its origin, v's copies agreeing with it on the ancestors both see."""
+        if cid == CONDUCTOR_ID:
+            return ()
+        u = self._origin_of(cid)
+        known, row = self._known(cid, u), [CONDUCTOR_ID]
+        for v in self._above[u]:
+            at = self._shifts[v]
+            base = self._first[v] + sum(known[a] << sh for a, sh in at.items() if a in known)
+            row += _offsets([1 << sh for a, sh in at.items() if a not in known], base)
+        return tuple(row)
+
+    def _rows(self):
+        """(id, _row(id)) for every id in order, a block at a time: per
+        descendant v above and offset spanned by the ancestors only v sees,
+        one column of targets, the first id of v's copies for each copy of
+        the block, from the ancestors both see, plus that offset."""
+        ids = iter(self._ids)
+        yield next(ids), ()
+        for u in self._origins:
+            vis, mine = self._visible[u], self._shifts[u]
+            columns = []
+            for v in self._above[u]:
+                at = self._shifts[v]
+                bases = _offsets([1 << at[a] if a in at else 0 for a, _, _ in vis], self._first[v])
+                for o in _offsets([1 << sh for a, sh in at.items() if a not in mine]):
+                    columns.append([b + o for b in bases])
+            yield from zip(islice(ids, 1 << len(vis)), zip(repeat(CONDUCTOR_ID), *columns))
 
     def forced_bit(self, cid, x, sat):
         """Answer of copy `cid` when every wire lookup reads its bit in x: the
@@ -164,7 +185,7 @@ class CompressedDag:
         only on the bits that select its copy)."""
         if cid == CONDUCTOR_ID:
             return compute_output(self, self.origin_dag.output, {}, x)
-        origin = self._origin[cid]
+        origin = self._origin_of(cid)
         query = self.origin_dag.by_id[origin]
         shifts = self._shifts[origin]
         k = cid - self._first[origin]
@@ -182,24 +203,20 @@ class CompressedDag:
     def _record(self, cid):
         if cid == CONDUCTOR_ID:
             return CONDUCTOR_NODE
-        origin = self._origin[cid]
+        origin = self._origin_of(cid)
         tree = self.septree
         svid = tree.supervertex_of(origin)
         signature = tuple(self._known(cid, origin).items())
         cond = [["*"] * tree.uniform_size for _ in tree.branch(svid)]
         for (_, lvl, pos), (_, bit) in zip(self._visible[origin], signature):
             cond[lvl][pos] = str(bit)
-        return CompressedNode(
-            cid=cid,
-            origin=origin,
-            supervertex=svid,
-            position=tree.position_of(origin) + 1,
-            conditioning=tuple("".join(part) for part in cond),
-            signature=signature,
-        )
+        conditioning = tuple("".join(part) for part in cond)
+        position = tree.position_of(origin) + 1
+        return CompressedNode(cid, origin, svid, position, conditioning, signature)
 
     def to_doc(self, weights):
-        """G*'s nodes, edges and `weights`, a weighting of its ids."""
+        """G*'s nodes, edges and `weights`, a weighting of its ids.  The
+        edges come out of out_neighbors().items() already sorted."""
         return {
             "merged": True,
             "uniform_size": self.septree.uniform_size,
@@ -216,9 +233,7 @@ class CompressedDag:
                 }
                 for n in self.nodes.values()
             ],
-            "edges": sorted(
-                [a, b] for a, targets in self.edges_out.items() for b in targets
-            ),
+            "edges": [[a, b] for a, targets in self.out_neighbors().items() for b in targets],
             "weights": {str(cid): decimal_str(w) for cid, w in sorted(weights.items())},
         }
 
@@ -226,32 +241,36 @@ class CompressedDag:
         return json.dumps(self.to_doc(weights), sort_keys=True) + "\n"
 
 
-class _Records(Mapping):
-    """G*'s nodes by id, in ascending id order, as CompressedNode records
-    made when they are read; read-only, and its length builds no record."""
+class _Lazy(Mapping):
+    """G*'s nodes or edges by id, in ascending id order, each value made by
+    `read` when it is read; read-only, and its length and membership make
+    none.  `rows`, if given, yields every (id, value) pair for items()."""
 
-    def __init__(self, gd):
-        self._gd = gd
+    def __init__(self, gd, read, rows=None):
+        self._gd, self._read, self._rows = gd, read, rows
 
     def __len__(self):
-        return 1 + len(self._gd._origin)
+        return len(self._gd._ids)
 
     def __iter__(self):
-        return iter(self._gd.node_ids())
+        return iter(self._gd._ids)
 
     def __contains__(self, cid):
-        return cid == CONDUCTOR_ID or cid in self._gd._origin
+        return cid == CONDUCTOR_ID or cid in self._gd._copies
 
     def __getitem__(self, cid):
-        return self._gd._record(cid)
+        return self._read(cid)
+
+    def items(self):
+        return self._rows() if self._rows else super().items()
 
 
 def _bit_shifts(visible):
     """Where each visible ancestor's bit sits in the index of a copy within
     its origin's block: the index is the bits read as a binary number, the
     first visible ancestor most significant, which is itertools.product
-    order.  copy_of, the copies' signatures and build_compressed's edges
-    all read the numbering from here."""
+    order.  copy_of, the copies' signatures and their edges all read the
+    numbering from here."""
     n = len(visible)
     return {anc: n - 1 - i for i, (anc, _, _) in enumerate(visible)}
 
@@ -297,9 +316,7 @@ def expected_expanded_size(tree):
     """Node count of the paper's conductor stage G'', which G*'s ids start
     from: 1 + sum over supervertices of s * 2^(s * depth)."""
     s = tree.uniform_size
-    return 1 + sum(
-        s * 2 ** (s * tree.depth_of(sv.id)) for sv in tree.supervertices
-    )
+    return 1 + sum(s * 2 ** (s * tree.depth_of(sv.id)) for sv in tree.supervertices)
 
 
 def build_compressed(g, tree):
@@ -311,18 +328,15 @@ def build_compressed(g, tree):
     u's visible ancestors.  It points to the conductor and, for each
     descendant v of u in the supervertices strictly above u's on its
     branch, to every v^sigma' whose sigma' agrees with sigma on the
-    ancestors both can see: 2^|visible(v) - visible(u)| copies of v.  Ids
-    are the conductor 0, then one block per origin, consecutive from
-    expected_expanded_size(tree) by decreasing depth and origin id, with
-    sigma in itertools.product order (see CompressedDag).  Per origin only
-    its first id, weight, visible ancestors and descendants above are
-    worked out, the last two from one descendant-mask pass (_relatives);
-    per block only its edges, by index arithmetic, one column of targets
-    over the block per descendant above and offset it spans.
+    ancestors both can see: 2^|visible(v) - visible(u)| copies of v.  The
+    blocks of ids (see CompressedDag) start at expected_expanded_size(tree).
+    Only per origin are its first id, weight, visible ancestors and
+    descendants above worked out, the last two from one descendant-mask
+    pass (_relatives).
 
-    Returns G* and its least admissible weighting.  Every copy of u has
-    the same children's weights, so all get one weight, shallowest origins
-    first:
+    Returns G* and its least admissible weighting, keyed by G*'s own id
+    objects.  Every copy of u has the same children's weights, so all get
+    one weight, shallowest origins first:
 
         f(u) = 1 + c * (1 + sum over v above u of 2^|visible(v) - visible(u)| * f(v))
 
@@ -333,7 +347,7 @@ def build_compressed(g, tree):
     origins = sorted(visible, key=lambda u: (-tree.depth_of(tree.supervertex_of(u)), u))
     shifts = {u: _bit_shifts(visible[u]) for u in origins}
     first = {}
-    cid = expected_expanded_size(tree)
+    start = cid = expected_expanded_size(tree)
     for u in origins:
         first[u] = cid
         cid += 1 << len(visible[u])
@@ -342,25 +356,10 @@ def build_compressed(g, tree):
         least[u] = 1 + ADMISSIBILITY_C * (1 + sum(
             least[v] << len(shifts[v].keys() - shifts[u].keys()) for v in above[u]
         ))
-    edges = {CONDUCTOR_ID: ()}
-    weights = {CONDUCTOR_ID: 1}
-    for u in origins:
-        vis = visible[u]
-        copies = range(first[u], first[u] + (1 << len(vis)))
-        # One column of targets over the block per descendant v above, in id
-        # order, and per offset spanned by the ancestors only v sees: the
-        # first id of v's copies for each copy of u, from the ancestors both
-        # see, plus that offset.
-        columns = []
-        for v in sorted(above[u], key=first.get):
-            at = shifts[v]
-            bases = _offsets([1 << at[a] if a in at else 0 for a, _, _ in vis], first[v])
-            for o in _offsets([1 << sh for a, sh in at.items() if a not in shifts[u]]):
-                columns.append([b + o for b in bases])
-        edges.update(zip(copies, zip(repeat(CONDUCTOR_ID), *columns)))
-        weights.update(dict.fromkeys(copies, least[u]))
-    gstar = CompressedDag(g, tree, first, visible, shifts, edges)
-    return gstar, weights
+    above = {u: sorted(above[u], key=first.get) for u in origins}
+    gstar = CompressedDag(g, tree, first, visible, shifts, above, range(start, cid))
+    per_copy = chain.from_iterable(repeat(least[u], 1 << len(visible[u])) for u in origins)
+    return gstar, dict(zip(gstar._ids, chain([1], per_copy)))  # the conductor weighs 1
 
 
 def compute_output(gd, u, known, wire_values):

@@ -304,6 +304,7 @@ def evaluate(g, sat, pins=None):
 
 def is_correct_query_string(g, x, sat):
     """True iff every bit of x matches the forced answer of its query."""
-    if set(x) != set(g.node_ids()):
+    ids = g.node_ids()
+    if len(x) != len(ids) or not all(map(x.__contains__, ids)):
         raise ValidationError("query string does not cover the node set")
-    return all(x[nid] == g.forced_bit(nid, x, sat) for nid in g.node_ids())
+    return all(x[nid] == g.forced_bit(nid, x, sat) for nid in ids)

@@ -15,7 +15,7 @@ from types import MappingProxyType
 
 from .compress import build_compressed, lift_query_string
 from .errors import PipelineError
-from .oracle import EvaluationBackend, ProofOracle, threshold_query
+from .oracle import EvaluationBackend, ProofOracle, entry_doc, threshold_query
 
 # The benchmark tracer wraps solver.max_t_for_assignment by name, so the
 # objective, which lives in oracle, is imported back here until ROADMAP item
@@ -83,7 +83,7 @@ class SolveReport(Record):
         self.query_string = query_string
         self.stats = stats  # the oracle's OracleStats
 
-    def to_doc(self):
+    def to_doc(self, transcript=True):
         doc = {
             "answer": self.answer,
             "method": self.method,
@@ -96,12 +96,33 @@ class SolveReport(Record):
             if self.query_string is None
             else {str(k): v for k, v in sorted(self.query_string.items())},
         }
-        if self.stats.transcript is not None:
+        if transcript and self.stats.transcript is not None:
             doc["transcript"] = self.stats.to_doc()
         return doc
 
-    def serialize(self):
-        return json.dumps(self.to_doc(), sort_keys=True) + "\n"
+    def serialize(self, indent=None):
+        if self.stats.transcript is None:  # one piece, with no generator to hold
+            return json.dumps(self.to_doc(), sort_keys=True, indent=indent) + "\n"
+        return "".join(self.chunks(indent))
+
+    def chunks(self, indent=None):
+        """json.dumps(self.to_doc(), sort_keys=True, indent=indent) plus a
+        newline, in pieces: the transcript, which holds every pinned query's
+        pins, one entry at a time, so writing them out holds one at once."""
+        entries = self.stats.transcript
+        doc = self.to_doc(transcript=False)
+        if entries is None:
+            yield json.dumps(doc, sort_keys=True, indent=indent) + "\n"
+            return
+        doc["transcript"] = []
+        head, _, tail = json.dumps(doc, sort_keys=True, indent=indent).partition('"transcript": []')
+        # Indented, an entry's lines sit two levels deep, the closing bracket one.
+        pad = "" if indent is None else "\n" + " " * 2 * indent
+        yield head + '"transcript": ['
+        for i, entry in enumerate(entries):
+            text = json.dumps(entry_doc(entry), sort_keys=True, indent=indent)
+            yield ("," + (pad or " ") if i else pad) + text.replace("\n", pad)
+        yield (pad[: indent + 1] if pad and entries else "") + "]" + tail + "\n"
 
 
 def search_budget(weights):

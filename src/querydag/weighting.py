@@ -9,10 +9,11 @@ total-solution-weight objective.
 
 Any graph object exposing node_ids(), out_neighbors() and topo_order()
 works here, so the same functions serve plain query graphs and compressed
-graphs.  Those three methods are the structural half of the graph protocol
-that QueryDag and CompressedDag share; forced_bit(id, x, sat) and
-`output` complete it, and evaluation, the objective and the threshold
-backends are written against those five alone.
+graphs; out_neighbors() may be a read-only Mapping that makes each row
+when read, as a compressed graph's does.  Those three methods are the
+structural half of the graph protocol that QueryDag and CompressedDag
+share; forced_bit(id, x, sat) and `output` complete it, and evaluation,
+the objective and the threshold backends are written against those five.
 """
 
 from __future__ import annotations
@@ -72,15 +73,12 @@ def rho_weights(g):
 def check_admissible(g, weights):
     """Verify the defining inequality node by node.
 
-    Returns (True, None) on success, otherwise (False, first offending node
-    in ascending id order).
+    One pass over out_neighbors().items(); returns (True, None) on success,
+    otherwise (False, first offending node in ascending id order).
     """
-    out = g.out_neighbors()
-    for nid in sorted(g.node_ids()):
-        need = 1 + ADMISSIBILITY_C * sum(map(weights.__getitem__, out[nid]))
-        if weights[nid] < need:
-            return False, nid
-    return True, None
+    w, c = weights.__getitem__, ADMISSIBILITY_C
+    bad = [v for v, kids in g.out_neighbors().items() if w(v) < 1 + c * sum(map(w, kids))]
+    return (False, min(bad)) if bad else (True, None)
 
 
 def total_weight(weights):

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -197,7 +199,7 @@ def test_gstar_is_gpp_grouped_by_signature():
         image = {
             (rep[a], rep[b]) for a, targets in gpp.edges_out.items() if a in rep for b in targets
         }
-        edges = {(a, b) for a, targets in gstar.edges_out.items() for b in targets}
+        edges = {(a, b) for a, targets in gstar.out_neighbors().items() for b in targets}
         assert edges == image
 
 
@@ -584,6 +586,47 @@ def test_total_weight_is_exact():
                 assert a_u <= s * (depth - 1), name
                 expected += 3 ** (1 + a_u) * 2 ** (s * depth)
         assert total_weight(paper) == expected, name
+
+
+def test_row_lookups_match_the_block_rows():
+    # out_neighbors() makes its rows a block at a time in items(), and one
+    # copy's row by index arithmetic of its own on a lookup: the two must
+    # agree on every node.  An id that is no node raises KeyError, as a
+    # dict would: below the conductor, in the gap before the first block,
+    # and past the last.
+    for name, g in record_build_cases():
+        gstar, _ = build_compressed(g, build_separator_tree(g))
+        out = gstar.out_neighbors()
+        rows = list(out.items())
+        assert [cid for cid, _ in rows] == list(out) == gstar.node_ids(), name
+        assert len(out) == len(rows), name
+        for cid, row in rows:
+            assert out[cid] == row, (name, cid)
+        for bad in (-1, 1, max(gstar.node_ids()) + 1):
+            assert bad not in out and bad not in gstar.nodes, (name, bad)
+            with pytest.raises(KeyError):
+                out[bad]
+            with pytest.raises(KeyError):
+                gstar.nodes[bad]
+
+
+def test_build_keeps_no_table_per_copy():
+    # G* keeps its blocks and one list of ids, which the weights share: the
+    # build retained 304 bytes per node of band-3 n=48 (10,861 nodes) when
+    # it also kept an edge tuple and an origin entry per copy, 72 without.
+    g = band_dag(48, 3)
+    tree = build_separator_tree(g)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gstar, fstar = build_compressed(g, tree)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(gstar.nodes) == len(fstar) == 10861
+    assert kept / len(gstar.nodes) < 150
 
 
 def test_node_count_and_lookups_build_no_record(monkeypatch):

@@ -276,6 +276,14 @@ def test_is_correct_query_string_rejects_a_string_missing_a_node(chain2):
         is_correct_query_string(chain2, {1: 1}, ProofOracle())
 
 
+@pytest.mark.parametrize("x", [{1: 1, 2: 1, 3: 1}, {1: 1, 3: 1}, {}])
+def test_is_correct_query_string_rejects_a_string_off_the_node_set(chain2, x):
+    # An extra key, or one node swapped for a stranger, fails the cover
+    # check as a missing node does.
+    with pytest.raises(ValidationError, match="does not cover the node set"):
+        is_correct_query_string(chain2, x, ProofOracle())
+
+
 def test_evaluate_produces_correct_string_on_random_instances():
     oracle = ProofOracle()
     for seed in range(40):

@@ -309,6 +309,43 @@ def test_witness_extraction_memory_is_linear():
     assert peak < 5 * 10**6
 
 
+def test_transcript_renders_one_entry_at_a_time():
+    # Every pinned query's pins are written out: the 48-node chain's
+    # compress witness transcript is a 0.56 MB document, which peaked at
+    # 7.9 MB when every entry's pins were built before one json.dumps.
+    # Its pieces, written out as they come, hold one entry at a time.
+    g = gen_instance("chain", 48, 0)
+    report = decide_compress(g, witness=True, transcript=True)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        written = sum(map(len, report.chunks()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written > 5 * 10**5
+    assert peak < 2 * 10**5
+
+
+def test_rendered_text_is_what_json_dumps_makes_of_the_document():
+    for seed in range(12):
+        g = random_instance(seed)
+        for decide in (decide_compress, decide_depth, decide_direct):
+            for transcript in (False, True):
+                report = decide(g, witness=True, transcript=transcript)
+                doc = report.to_doc()
+                for indent in (None, 0, 2):
+                    text = json.dumps(doc, sort_keys=True, indent=indent) + "\n"
+                    assert "".join(report.chunks(indent)) == text, (seed, indent)
+                assert report.serialize() == json.dumps(doc, sort_keys=True) + "\n"
+    # A transcript with no entry still renders as an empty list.
+    report.stats.transcript.clear()
+    for indent in (None, 2):
+        doc = report.to_doc()
+        assert doc["transcript"] == []
+        assert report.serialize(indent) == json.dumps(doc, sort_keys=True, indent=indent) + "\n"
+
+
 def test_depth_witness_without_transcript_keeps_no_log():
     # Counters only: on chain-256 the rho weights reach 2,295 bits, and a
     # transcript holding one threshold per binary-search probe and pinned
