@@ -11,12 +11,24 @@ summing their omega weights.  The paper also copies the dummies that pad
 every supervertex to one size; no query reads such a copy.
 
 build_compressed enumerates G* straight from the signatures, over the real
-vertices only, in closed form (CompressedDag), with the least admissible
-weighting, which lies below the paper's merged one at every node, so the
-total W, and with it the threshold search, is smaller.  The tests check G*
-against G', G'' and the paper's compute_output (tests/paper_stages.py), and
-against the record-based build with the paper's merged weighting, on a G*
-that keeps the dummies' copies (tests/compress_reference.py).
+vertices only, without building a copy: the nodes of one origin are a
+block of consecutive ids whose index bits are their signatures, so edges,
+origins and lookups are index arithmetic, and a node's edges and record
+(CompressedNode) are made only when something reads them.  It gives G*
+the least admissible weighting, f(v) = 1 + c * (sum of f over v's
+children), in closed form per origin.  That weighting lies below the paper's merged one at every node,
+so the total W, and with it the threshold search, is smaller.  G' and G'' live in
+tests/paper_stages.py as the reference the tests check G* against, together
+with the paper's compute_output over answer strings; the record-based build
+this replaced is kept as tests/compress_reference.py, with the two-pass
+relatives helpers that _relatives replaced and the paper's merged
+weighting, on a G* that keeps the dummies' copies.
+
+A node's query reads each original input wire its origin can see off the
+node's index, and resolves any other through compute_output, which reads
+the answers of the input's visible ancestors top-down, each off the copy
+their bits select, so a node's answer is a deterministic function of its
+signature and the answer bits of deeper nodes.
 """
 
 from __future__ import annotations
@@ -65,7 +77,12 @@ class CompressedNode(Record):
 
 
 CONDUCTOR_NODE = CompressedNode(
-    cid=CONDUCTOR_ID, origin=None, supervertex=None, position=None, conditioning=(), signature=()
+    cid=CONDUCTOR_ID,
+    origin=None,
+    supervertex=None,
+    position=None,
+    conditioning=(),
+    signature=(),
 )
 
 
@@ -108,8 +125,8 @@ class CompressedDag:
         return self._ids[:]
 
     def out_neighbors(self):
-        """Each node's out-edges in id order, a tuple made when read; items()
-        makes them a block at a time."""
+        """Each node's out-edges in id order, a tuple made off its origin's
+        block (_block_rows) when read; items() makes one block at a time."""
         return _Lazy(self, self._row, self._rows)
 
     def visible_ancestors(self, origin):
@@ -145,35 +162,31 @@ class CompressedDag:
         k = cid - self._first[origin]
         return {anc: k >> shift & 1 for anc, shift in self._shifts[origin].items()}
 
+    def _block_rows(self, u):
+        """The out-edges of origin u's copies in id order: the conductor,
+        then per descendant v above u and offset spanned by the ancestors
+        only v sees, one column of targets, the first id of v's copies for
+        each copy of the block, from the ancestors both see, plus that
+        offset."""
+        vis, mine = self._visible[u], self._shifts[u]
+        columns = []
+        for v in self._above[u]:
+            at = self._shifts[v]
+            bases = _offsets([1 << at[a] if a in at else 0 for a, _, _ in vis], self._first[v])
+            for o in _offsets([1 << sh for a, sh in at.items() if a not in mine]):
+                columns.append([b + o for b in bases])
+        return zip(repeat(CONDUCTOR_ID, 1 << len(vis)), *columns)
+
     def _row(self, cid):
-        """Copy `cid`'s out-edges: the conductor, then per descendant v above
-        its origin, v's copies agreeing with it on the ancestors both see."""
         if cid == CONDUCTOR_ID:
             return ()
         u = self._origin_of(cid)
-        known, row = self._known(cid, u), [CONDUCTOR_ID]
-        for v in self._above[u]:
-            at = self._shifts[v]
-            base = self._first[v] + sum(known[a] << sh for a, sh in at.items() if a in known)
-            row += _offsets([1 << sh for a, sh in at.items() if a not in known], base)
-        return tuple(row)
+        return next(islice(self._block_rows(u), cid - self._first[u], None))
 
     def _rows(self):
-        """(id, _row(id)) for every id in order, a block at a time: per
-        descendant v above and offset spanned by the ancestors only v sees,
-        one column of targets, the first id of v's copies for each copy of
-        the block, from the ancestors both see, plus that offset."""
-        ids = iter(self._ids)
-        yield next(ids), ()
-        for u in self._origins:
-            vis, mine = self._visible[u], self._shifts[u]
-            columns = []
-            for v in self._above[u]:
-                at = self._shifts[v]
-                bases = _offsets([1 << at[a] if a in at else 0 for a, _, _ in vis], self._first[v])
-                for o in _offsets([1 << sh for a, sh in at.items() if a not in mine]):
-                    columns.append([b + o for b in bases])
-            yield from zip(islice(ids, 1 << len(vis)), zip(repeat(CONDUCTOR_ID), *columns))
+        """(id, out-edges) for every id in order, a block at a time."""
+        blocks = chain.from_iterable(map(self._block_rows, self._origins))
+        return zip(self._ids, chain([()], blocks))
 
     def forced_bit(self, cid, x, sat):
         """Answer of copy `cid` when every wire lookup reads its bit in x: the
@@ -210,9 +223,14 @@ class CompressedDag:
         cond = [["*"] * tree.uniform_size for _ in tree.branch(svid)]
         for (_, lvl, pos), (_, bit) in zip(self._visible[origin], signature):
             cond[lvl][pos] = str(bit)
-        conditioning = tuple("".join(part) for part in cond)
-        position = tree.position_of(origin) + 1
-        return CompressedNode(cid, origin, svid, position, conditioning, signature)
+        return CompressedNode(
+            cid=cid,
+            origin=origin,
+            supervertex=svid,
+            position=tree.position_of(origin) + 1,
+            conditioning=tuple("".join(part) for part in cond),
+            signature=signature,
+        )
 
     def to_doc(self, weights):
         """G*'s nodes, edges and `weights`, a weighting of its ids.  The
@@ -316,7 +334,9 @@ def expected_expanded_size(tree):
     """Node count of the paper's conductor stage G'', which G*'s ids start
     from: 1 + sum over supervertices of s * 2^(s * depth)."""
     s = tree.uniform_size
-    return 1 + sum(s * 2 ** (s * tree.depth_of(sv.id)) for sv in tree.supervertices)
+    return 1 + sum(
+        s * 2 ** (s * tree.depth_of(sv.id)) for sv in tree.supervertices
+    )
 
 
 def build_compressed(g, tree):
@@ -328,11 +348,13 @@ def build_compressed(g, tree):
     u's visible ancestors.  It points to the conductor and, for each
     descendant v of u in the supervertices strictly above u's on its
     branch, to every v^sigma' whose sigma' agrees with sigma on the
-    ancestors both can see: 2^|visible(v) - visible(u)| copies of v.  The
-    blocks of ids (see CompressedDag) start at expected_expanded_size(tree).
-    Only per origin are its first id, weight, visible ancestors and
-    descendants above worked out, the last two from one descendant-mask
-    pass (_relatives).
+    ancestors both can see: 2^|visible(v) - visible(u)| copies of v.  Ids
+    are the conductor 0, then one block per origin, consecutive from
+    expected_expanded_size(tree) by decreasing depth and origin id, with
+    sigma in itertools.product order (see CompressedDag).  Per origin only
+    its first id, weight, visible ancestors and descendants above are
+    worked out, the last two from one descendant-mask pass (_relatives);
+    no copy's edges are built (see CompressedDag.out_neighbors).
 
     Returns G* and its least admissible weighting, keyed by G*'s own id
     objects.  Every copy of u has the same children's weights, so all get

@@ -3,12 +3,20 @@
 Only threshold queries are compared against the paper-style budgets; proof
 queries are internal to the oracle's own decision procedure, the way an NP
 oracle does unbounded work behind one answer.  That work is a DPLL search
-over integer bitmasks (_dpll) on the node's compiled form (CompiledCnf),
-built on its first decision and kept on the node for later ones; parsing
-compiles nothing, and a clause-free node is never compiled.  A ProofOracle
-lasts one solve and memoizes its answers per (query, input bits); every
-issued call is still counted, and recorded when the solve keeps a
-transcript, and `proof_distinct` is the memo's size.
+over integer bitmasks, one bit per variable that occurs in the clauses: each
+clause is a (positive, negative) pair of variable masks and the assignment a
+(true, false) pair.  The search branches on the smallest variable of the
+first unsatisfied clause with two free literals, or failing that of the
+first unsatisfied clause.  Its root propagates unit clauses to a fixpoint
+over every clause; each search node below propagates only from the variable
+it branched on, through the clauses that lose a literal to it.  The masks
+and those per-variable clause lists are the node's compiled form
+(CompiledCnf), linear in its clauses, built on its first decision and kept
+on the node for later ones; parsing compiles nothing, and a clause-free
+node is never compiled.  A ProofOracle lasts one solve and memoizes its
+answers per (query, input bits); every issued call is still counted, and
+recorded when the solve keeps a transcript, and `proof_distinct` is the
+memo's size.
 
 Two threshold backends are provided.  BruteForceBackend is the reference: it
 enumerates answer strings outright and is capped.  EvaluationBackend answers
@@ -35,11 +43,19 @@ class OracleStats:
     transcript is kept only when asked for (`transcript=True`), and is
     otherwise None, so a solve that prints no transcript does not hold one.
     `decisions` holds each distinct proof decision once, keyed on (query,
-    input bits); the proof oracle reads it as its memo.  Entries are kept
-    raw, as tuples holding the pins mapping the query was given, not a
-    copy, so each query costs an append and nothing more; entry_doc
-    renders one from the live dicts, which is right only while callers keep
-    the pins contract of ThresholdInstance.
+    input bits); the proof oracle reads it as its memo.
+
+    Entries are kept raw, as tuples holding the pins mapping the query was
+    given, not a copy; entry_doc renders one, so each query costs an append
+    and nothing more.  The queries of a witness extraction all hold its one
+    pins dict plus their position k in it, which each carries as
+    `ThresholdInstance.position`, and entry_doc rebuilds what query k pinned:
+    the first k entries as they end up, then the node at index k pinned at
+    1.  Rendering reads the live dicts, so it is right only while callers
+    keep the pins contract of ThresholdInstance: a dict cleared and reused
+    from position 0 would rewrite the earlier queries' pins.  That contract
+    binds whether or not a transcript is kept, since the evaluation backend
+    relies on it too; only this rendering depends on the transcript.
     """
 
     def __init__(self, transcript=False):
@@ -60,7 +76,9 @@ class OracleStats:
     def record_threshold(self, inst, answer):
         self.threshold_queries += 1
         if self.transcript is not None:
-            self.transcript.append(("threshold", inst.threshold, inst.pins, answer, inst.position))
+            self.transcript.append(
+                ("threshold", inst.threshold, inst.pins, answer, inst.position)
+            )
 
     def to_doc(self):
         # An empty list would read as a solve that made no query.
@@ -70,10 +88,7 @@ class OracleStats:
 
 
 def entry_doc(entry):
-    """One transcript entry as its document.  The queries of a witness
-    extraction share one pins dict, each with its position k in it
-    (`ThresholdInstance.position`): query k pinned the first k entries as
-    they end up, then the node at index k at 1."""
+    """One transcript entry as its document (see OracleStats)."""
     if entry[0] == "proof":
         _, node, inputs, answer = entry
         return {"kind": "proof", "node": node, "inputs": inputs, "answer": answer}
@@ -321,8 +336,10 @@ class EvaluationBackend:
     Once (dag, weights) is profiled, a query costs an identity check of
     both against the profile and, without pins (every binary-search probe),
     one comparison with 2T.  A query with a position (see
-    ThresholdInstance) looks at its newest pins only (_pins_agree).  A
-    query whose pins disagree, below 2T, costs one pass
+    ThresholdInstance) looks at its newest pins only.  For that the backend
+    keeps the pins dict of the last query, if it had a position, and
+    whether its settled entries agree; a new profile, or a query without
+    pins, drops it.  A query whose pins disagree, below 2T, costs one pass
     of forced bits, scored checking only its pinned 1s: at most |V| proof
     calls.
     """
@@ -407,7 +424,9 @@ def threshold_query(inst, proof_oracle, backend):
 
     The caller may change `inst.pins` afterwards only as ThresholdInstance
     allows, transcript or not: the backend may compare later queries with
-    it, and a transcript keeps the mapping itself, not a copy.
+    it.  A transcript keeps the mapping itself, not a copy; a witness
+    extraction, which goes on to extend it, sets `inst.position`, and the
+    transcript rebuilds the query's pins from that.
     """
     answer = backend.decide(inst, proof_oracle)
     proof_oracle.stats.record_threshold(inst, answer)

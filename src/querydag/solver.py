@@ -100,10 +100,8 @@ class SolveReport(Record):
             doc["transcript"] = self.stats.to_doc()
         return doc
 
-    def serialize(self, indent=None):
-        if self.stats.transcript is None:  # one piece, with no generator to hold
-            return json.dumps(self.to_doc(), sort_keys=True, indent=indent) + "\n"
-        return "".join(self.chunks(indent))
+    def serialize(self):
+        return "".join(self.chunks())
 
     def chunks(self, indent=None):
         """json.dumps(self.to_doc(), sort_keys=True, indent=indent) plus a

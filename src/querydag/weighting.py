@@ -9,11 +9,12 @@ total-solution-weight objective.
 
 Any graph object exposing node_ids(), out_neighbors() and topo_order()
 works here, so the same functions serve plain query graphs and compressed
-graphs; out_neighbors() may be a read-only Mapping that makes each row
-when read, as a compressed graph's does.  Those three methods are the
-structural half of the graph protocol that QueryDag and CompressedDag
-share; forced_bit(id, x, sat) and `output` complete it, and evaluation,
-the objective and the threshold backends are written against those five.
+graphs.  Those three methods are the structural half of the graph protocol
+that QueryDag and CompressedDag share; forced_bit(id, x, sat) and
+`output` complete it, and evaluation, the objective and the threshold
+backends are written against those five alone.  out_neighbors() may
+be a read-only Mapping that makes each row when read, as a compressed
+graph's does.
 """
 
 from __future__ import annotations
