@@ -29,7 +29,7 @@ from .oracle import (
     ProofOracle,
     max_t_for_assignment,
     sat_exists_proof,
-    threshold_query,
+    threshold_oracle,
 )
 from .querygraph import (
     QueryNode,
@@ -46,7 +46,6 @@ from .separator import (
     build_separator_tree,
 )
 from .solver import (
-    ThresholdInstance,
     binary_search_T,
     decide_compress,
     decide_depth,

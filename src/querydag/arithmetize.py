@@ -18,9 +18,9 @@ import itertools
 from fractions import Fraction
 
 from .errors import CapacityError, PipelineError
-from .oracle import EvaluationBackend, ProofOracle
+from .oracle import EvaluationBackend, ProofOracle, threshold_oracle
 from .querygraph import is_correct_query_string
-from .solver import binary_search_T
+from .solver import binary_search_T, search_budget
 
 VAR = "var"
 CONST = "const"
@@ -232,19 +232,28 @@ def build_p(g, weights):
 
 
 def brute_force_max(circuit, cap=EXHAUSTIVE_CAP):
-    """Exhaustive maximum over all Boolean points, with lex-least witness."""
+    """Exhaustive maximum over all Boolean points, with lex-least witness.
+
+    Only the coordinates some var gate reads are enumerated: the others
+    cannot move the value, so the lex-least optimum holds them at 0.  The
+    cap still counts every coordinate.
+    """
     var_count = circuit.var_count
     if var_count > cap:
         raise CapacityError(f"{var_count} variables exceed the cap of {cap}")
+    read = sorted({value for kind, value, _ in circuit.gates if kind == VAR})
+    point = [0] * var_count
     best = None
     witness = None
-    # Ascending masks with coordinate 0 most significant, so the first
-    # strict maximum is the lex-least optimal vertex.
-    for point in itertools.product((0, 1), repeat=var_count):
+    # Ascending masks with the least read coordinate most significant, so
+    # the first strict maximum is the lex-least optimal vertex.
+    for bits in itertools.product((0, 1), repeat=len(read)):
+        for coord, bit in zip(read, bits):
+            point[coord] = bit
         value = circuit.eval(point)
         if best is None or value > best:
             best = value
-            witness = point
+            witness = tuple(point)
     return Fraction(best), witness
 
 
@@ -266,5 +275,6 @@ def audit_weak_compression(g, weights):
     bit_length(2T) + 1 threshold queries.
     """
     proof_oracle = ProofOracle()
-    t_tilde = binary_search_T(g, weights, proof_oracle, EvaluationBackend())
+    ask = threshold_oracle(g, weights, proof_oracle, EvaluationBackend())
+    t_tilde = binary_search_T(ask, search_budget(weights))
     return t_tilde.bit_length(), proof_oracle.stats.threshold_queries

@@ -18,21 +18,25 @@ answers per (query, input bits); every issued call is still counted, and
 recorded when the solve keeps a transcript, and `proof_distinct` is the
 memo's size.
 
-Two threshold backends are provided.  BruteForceBackend is the reference: it
-enumerates answer strings outright and is capped.  EvaluationBackend answers
-exactly at any size by computing the unique maximizer of the objective under
-the query's pins (without pins, the correct query string; every other string
-scores at least one scaled unit lower), so compressed instances with
-hundreds of nodes stay tractable.  The two are cross-checked against each
-other in the tests.
+Every threshold query of a solve asks about one weighted graph, so the
+solve binds its (dag, weights) to a threshold backend once
+(threshold_oracle), and each query then passes only its threshold, pins and
+position.  Two backends are provided.  BruteForceBackend is the reference:
+it enumerates answer strings outright and is capped.  EvaluationBackend
+answers exactly at any size by computing, when bound, the unique maximizer
+of the objective (the correct query string; every other string scores at
+least one scaled unit lower), and under pins that disagree with it the best
+string keeping them, so compressed instances with hundreds of nodes stay
+tractable.  The two are cross-checked against each other in the tests.
 """
 
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 
 from . import weighting
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, PipelineError, ValidationError
 from .querygraph import decimal_str, evaluate
 
 
@@ -48,14 +52,14 @@ class OracleStats:
     Entries are kept raw, as tuples holding the pins mapping the query was
     given, not a copy; entry_doc renders one, so each query costs an append
     and nothing more.  The queries of a witness extraction all hold its one
-    pins dict plus their position k in it, which each carries as
-    `ThresholdInstance.position`, and entry_doc rebuilds what query k pinned:
-    the first k entries as they end up, then the node at index k pinned at
-    1.  Rendering reads the live dicts, so it is right only while callers
-    keep the pins contract of ThresholdInstance: a dict cleared and reused
-    from position 0 would rewrite the earlier queries' pins.  That contract
-    binds whether or not a transcript is kept, since the evaluation backend
-    relies on it too; only this rendering depends on the transcript.
+    pins dict plus their position k in it, and entry_doc rebuilds what query
+    k pinned: the first k entries as they end up, then the node at index k
+    pinned at 1.  Rendering reads the live dicts, so it is right only while
+    callers keep the pins contract of threshold_oracle: a dict cleared and
+    reused from position 0 would rewrite the earlier queries' pins.  That
+    contract binds whether or not a transcript is kept, since the
+    evaluation backend relies on it too; only this rendering depends on the
+    transcript.
     """
 
     def __init__(self, transcript=False):
@@ -73,12 +77,10 @@ class OracleStats:
         if self.transcript is not None:
             self.transcript.append(("proof", node_id, input_bits, answer))
 
-    def record_threshold(self, inst, answer):
+    def record_threshold(self, threshold, pins, answer, position):
         self.threshold_queries += 1
         if self.transcript is not None:
-            self.transcript.append(
-                ("threshold", inst.threshold, inst.pins, answer, inst.position)
-            )
+            self.transcript.append(("threshold", threshold, pins, answer, position))
 
     def to_doc(self):
         # An empty list would read as a solve that made no query.
@@ -88,7 +90,8 @@ class OracleStats:
 
 
 def entry_doc(entry):
-    """One transcript entry as its document (see OracleStats)."""
+    """One transcript entry as its document (see OracleStats): a threshold
+    entry is (threshold, pins, answer, position) as the query recorded it."""
     if entry[0] == "proof":
         _, node, inputs, answer = entry
         return {"kind": "proof", "node": node, "inputs": inputs, "answer": answer}
@@ -274,7 +277,7 @@ class ProofOracle:
         return answer
 
 
-def max_t_for_assignment(inst, x, proof_oracle, check=None):
+def max_t_for_assignment(dag, weights, x, proof_oracle, check=None):
     """Scaled objective 2t of the string x, proofs chosen best per node.
 
     Proofs enter as a cross product, so each node maximizes independently:
@@ -284,8 +287,6 @@ def max_t_for_assignment(inst, x, proof_oracle, check=None):
     bit and scores w(1 + x) without a proof call.  With check=() that is
     2T of the correct string, whose every forced bit equals its bit.
     """
-    dag = inst.dag
-    weights = inst.weights
     total = 0
     for nid in dag.node_ids():
         bit = x[nid]
@@ -297,14 +298,21 @@ def max_t_for_assignment(inst, x, proof_oracle, check=None):
 
 
 class BruteForceBackend:
-    """Reference threshold decision: enumerate every unpinned answer string."""
+    """Reference threshold decision: enumerate every unpinned answer string
+    of the bound (dag, weights)."""
 
     def __init__(self, cap=20):
         self.cap = cap
+        self._bound = None
 
-    def decide(self, inst, proof_oracle):
-        pins = inst.pins
-        free = [nid for nid in inst.dag.node_ids() if nid not in pins]
+    def bind(self, dag, weights, proof_oracle):
+        self._bound = (dag, weights)
+
+    def decide(self, threshold, pins, position, proof_oracle):
+        if self._bound is None:
+            raise PipelineError("threshold backend queried before bind")
+        dag, weights = self._bound
+        free = [nid for nid in dag.node_ids() if nid not in pins]
         if len(free) > self.cap:
             raise CapacityError(
                 f"brute-force threshold backend: {len(free)} free bits exceed "
@@ -313,7 +321,7 @@ class BruteForceBackend:
         for combo in itertools.product((0, 1), repeat=len(free)):
             x = dict(pins)
             x.update(zip(free, combo))
-            if max_t_for_assignment(inst, x, proof_oracle) >= inst.threshold:
+            if max_t_for_assignment(dag, weights, x, proof_oracle) >= threshold:
                 return True
         return False
 
@@ -329,49 +337,48 @@ class EvaluationBackend:
     string under its pins, which one evaluation keeping the pinned bits
     finds (see querygraph.evaluate).
 
-    The profile is one evaluation, one proof call per node that has a
-    query, and 2T from max_t_for_assignment checking no node: on the
-    correct string every forced bit equals its bit, so the objective is the
-    sum of w(1 + x) over the nodes.
-    Once (dag, weights) is profiled, a query costs an identity check of
-    both against the profile and, without pins (every binary-search probe),
-    one comparison with 2T.  A query with a position (see
-    ThresholdInstance) looks at its newest pins only.  For that the backend
+    `bind` profiles (dag, weights): one evaluation, one proof call per node
+    that has a query, and 2T from max_t_for_assignment checking no node: on
+    the correct string every forced bit equals its bit, so the objective is
+    the sum of w(1 + x) over the nodes.  Binding the bound pair again, by
+    identity, keeps the profile.  A query without pins (every binary-search
+    probe) is then one comparison with 2T.  A query with a position (see
+    threshold_oracle) looks at its newest pins only.  For that the backend
     keeps the pins dict of the last query, if it had a position, and
-    whether its settled entries agree; a new profile, or a query without
-    pins, drops it.  A query whose pins disagree, below 2T, costs one pass
-    of forced bits, scored checking only its pinned 1s: at most |V| proof
-    calls.
+    whether its settled entries agree; a new profile drops it.  A query
+    whose pins disagree, below 2T, costs one pass of forced bits, scored
+    checking only its pinned 1s: at most |V| proof calls.
     """
 
     def __init__(self):
-        self._current = None  # (dag, weights, bits, 2T) of the last profile
+        # The bound (dag, weights), its maximizer and 2T.
+        self._dag = self._weights = self._correct = self._two_t = None
         # (pins, position, do the entries before position agree?) of the
-        # last query on the current profile, if it had a position.
+        # last query on the bound profile, if it had a position.
         self._pinned = None
 
-    def _profile(self, inst, proof_oracle):
-        """Profile inst's (dag, weights) and keep it as the current one,
-        dropping the last: return (maximizer, 2T).  Checks that the
+    def bind(self, dag, weights, proof_oracle):
+        """Profile (dag, weights) and keep it as the bound pair, dropping
+        the last, unless it already is the bound pair.  Checks that the
         weighting is integer and admissible; 2T is read off the maximizer
-        without a proof call.  decide calls it only when the pair is not
-        the current one."""
-        self._current = self._pinned = None
+        without a proof call."""
+        if dag is self._dag and weights is self._weights:
+            return
+        self._dag = self._weights = self._correct = self._two_t = self._pinned = None
         # The one-unit gap below the maximum only exists for integer
         # weightings that are admissible.
-        if not all(isinstance(w, int) for w in inst.weights.values()):
+        if not all(isinstance(w, int) for w in weights.values()):
             raise ValidationError("evaluation backend needs an integer weighting")
         # Looked up on the module at call time, so callers that swap the
         # function there are still heard.
-        ok, bad = weighting.check_admissible(inst.dag, inst.weights)
+        ok, bad = weighting.check_admissible(dag, weights)
         if not ok:
             raise ValidationError(f"weighting is not admissible at node {bad}")
-        bits = evaluate(inst.dag, proof_oracle)
-        two_t = max_t_for_assignment(inst, bits, proof_oracle, check=())
-        self._current = (inst.dag, inst.weights, bits, two_t)
-        return bits, two_t
+        correct = evaluate(dag, proof_oracle)
+        self._two_t = max_t_for_assignment(dag, weights, correct, proof_oracle, check=())
+        self._dag, self._weights, self._correct = dag, weights, correct
 
-    def _pins_agree(self, inst, correct):
+    def _pins_agree(self, pins, k):
         """Do all of the query's pins agree with the maximizer?
 
         A query at position k that continues the last one, on the same dict
@@ -380,8 +387,7 @@ class EvaluationBackend:
         positioned query scans the entries before it once; a query without
         a position, or whose pins do not end at it, is checked in full.
         """
-        pins, k = inst.pins, inst.position
-        agreed = correct.items()
+        agreed = self._correct.items()
         if k is None or len(pins) != k + 1:
             self._pinned = None
             return pins.items() <= agreed
@@ -395,39 +401,55 @@ class EvaluationBackend:
         self._pinned = (pins, k, before)
         return before and entry in agreed
 
-    def decide(self, inst, proof_oracle):
-        """Does some string under inst's pins reach its threshold?  The
-        (dag, weights) pair is profiled unless it is the current one, by
-        identity; a query without pins is then one comparison with 2T."""
-        current = self._current
-        if current is None or current[0] is not inst.dag or current[1] is not inst.weights:
-            self._profile(inst, proof_oracle)
-            current = self._current
-        _, _, correct, two_t = current
-        if not inst.pins:
-            self._pinned = None
-            return inst.threshold <= two_t
-        if self._pins_agree(inst, correct):
-            return inst.threshold <= two_t
-        if inst.threshold >= two_t:
+    def decide(self, threshold, pins, position, proof_oracle):
+        """Does some string of the bound pair under `pins` reach
+        `threshold`?  Without pins, one comparison with 2T."""
+        two_t = self._two_t
+        if two_t is None:
+            raise PipelineError("threshold backend queried before bind")
+        if not pins:
+            return threshold <= two_t
+        if self._pins_agree(pins, position):
+            return threshold <= two_t
+        if threshold >= two_t:
             return False
         # Score the best string: an unpinned node holds its forced bit
         # already, so only a pinned 1 needs a proof call.
-        best = evaluate(inst.dag, proof_oracle, inst.pins)
-        score = max_t_for_assignment(inst, best, proof_oracle, check=inst.pins)
-        return inst.threshold <= score
+        dag = self._dag
+        best = evaluate(dag, proof_oracle, pins)
+        return threshold <= max_t_for_assignment(dag, self._weights, best, proof_oracle, check=pins)
 
 
-def threshold_query(inst, proof_oracle, backend):
-    """One counted oracle call, recorded in the proof oracle's stats: does
-    some pinned answer string reach the scaled threshold?
+# The pins of every binary-search probe: one read-only empty mapping shared
+# by all of them, instead of a fresh dict per probe.
+_NO_PINS = MappingProxyType({})
 
-    The caller may change `inst.pins` afterwards only as ThresholdInstance
-    allows, transcript or not: the backend may compare later queries with
-    it.  A transcript keeps the mapping itself, not a copy; a witness
-    extraction, which goes on to extend it, sets `inst.position`, and the
-    transcript rebuilds the query's pins from that.
+
+def threshold_oracle(dag, weights, proof_oracle, backend):
+    """Bind (dag, weights) to `backend` and return the solve's threshold
+    query, ask(threshold, pins, position): one counted oracle call,
+    recorded in the proof oracle's stats, asking whether some answer string
+    under `pins` reaches the scaled threshold.
+
+    Nothing copies the pins mapping: the backend may compare later queries
+    with it, and a transcript, when the solve keeps one, reads it again
+    whenever it is rendered.  So, transcript or not, a mapping may change
+    after its query only as follows; without a position it must not change
+    at all.  A witness extraction hands every query the same dict and
+    extends it between queries; such a query carries its position k: the
+    pins are k + 1 entries, the last one the node this query pins at 1.
+    The dict is then only extended: its entry at k may be settled and
+    entries added after it, but the k entries before it never change, and
+    the dict is not cleared or reused.  A backend may then check only what
+    is new since position k - 1, and a transcript rebuilds the query's pins
+    from k.
     """
-    answer = backend.decide(inst, proof_oracle)
-    proof_oracle.stats.record_threshold(inst, answer)
-    return answer
+    backend.bind(dag, weights, proof_oracle)
+    stats = proof_oracle.stats
+
+    def ask(threshold, pins=_NO_PINS, position=None):
+        answer = backend.decide(threshold, pins, position, proof_oracle)
+        stats.record_threshold(threshold, pins, answer, position)
+        return answer
+
+    return ask

@@ -5,17 +5,18 @@ midpoint gamma = 1/2 disappears: a string x scores sum over nodes of
 w * (2 * x_i * sat_i + (1 - x_i)), always an integer.  Binary search over
 [0, 2W] recovers the exact maximum 2T with ceil(log2(2W + 1)) threshold
 queries; one more pinned query at 2T decides the instance, because at that
-threshold only the correct query string is available.
+threshold only the correct query string is available.  A solve binds its
+weighted graph to the threshold backend once (oracle.threshold_oracle), so
+each of these queries passes only its threshold, pins and position.
 """
 
 from __future__ import annotations
 
 import json
-from types import MappingProxyType
 
 from .compress import build_compressed, lift_query_string
 from .errors import PipelineError
-from .oracle import EvaluationBackend, ProofOracle, entry_doc, threshold_query
+from .oracle import EvaluationBackend, ProofOracle, entry_doc, threshold_oracle
 
 # The benchmark tracer wraps solver.max_t_for_assignment by name, so the
 # objective, which lives in oracle, is imported back here until ROADMAP item
@@ -24,41 +25,6 @@ from .oracle import max_t_for_assignment  # noqa: F401
 from .querygraph import Record, decimal_str, evaluate, is_correct_query_string
 from .separator import build_separator_tree
 from .weighting import rho_weights, total_weight
-
-
-class ThresholdInstance(Record):
-    """One threshold question: dag, weighting, scaled threshold, pinned bits.
-
-    A slots record, not a tuple: it has no unpacking, indexing or
-    `_replace`, and nothing writes to its fields after construction.
-
-    Nothing copies the pins mapping: the backend that answered a query may
-    compare later ones with it, and a transcript, when the solve keeps one,
-    reads it again whenever it is rendered.  So, transcript or not, a
-    mapping may change after its query only as follows; without a position
-    it must not change at all.  A witness extraction hands every query the
-    same dict and extends it between queries; such a query carries its
-    `position` k: the pins are k + 1 entries, the last one the node this
-    query pins at 1.  The dict is then only extended: its entry at k may be
-    settled and entries added after it, but the k entries before it never
-    change, and the dict is not cleared or reused.  A backend may then
-    check only what is new since position k - 1, and a transcript rebuilds
-    the query's pins from k.
-    """
-
-    __slots__ = _FIELDS = ("dag", "weights", "threshold", "pins", "position")
-
-    def __init__(self, dag, weights, threshold, pins, position=None):
-        self.dag = dag
-        self.weights = weights
-        self.threshold = threshold
-        self.pins = pins
-        self.position = position
-
-
-# The pins of every binary-search probe: one read-only empty mapping shared
-# by all of them, instead of a fresh dict per probe.
-_NO_PINS = MappingProxyType({})
 
 
 class SolveReport(Record):
@@ -132,38 +98,37 @@ def search_budget(weights):
     return (2 * total_weight(weights)).bit_length()
 
 
-def binary_search_T(dag, weights, proof_oracle, backend):
-    """Exact maximum 2T by bitwise descent over [0, 2^B - 1] covering [0, 2W].
+def binary_search_T(ask, bits):
+    """Exact maximum 2T by bitwise descent over [0, 2^bits - 1], which
+    covers [0, 2W] when bits is search_budget(weights).
 
-    Every probe is a real threshold query, so the count is exactly B; probes
-    beyond 2W simply answer no.
+    `ask` is the solve's threshold query (oracle.threshold_oracle).  Every
+    probe is a real threshold query without pins, so the count is exactly
+    `bits`; probes beyond 2W simply answer no.
     """
-    bits = search_budget(weights)
     result = 0
     for bit in range(bits - 1, -1, -1):
         candidate = result | (1 << bit)
-        inst = ThresholdInstance(dag, weights, candidate, _NO_PINS)
-        if threshold_query(inst, proof_oracle, backend):
+        if ask(candidate):
             result = candidate
     return result
 
 
-def extract_query_string(dag, weights, t_tilde, proof_oracle, backend):
+def extract_query_string(ask, dag, t_tilde):
     """Recover the string attaining 2t >= t_tilde, one pinned query per node.
 
     Bits are pinned in dag.topo_order(); a prefix extends to the maximizer as
     long as every pinned bit matches it, and at threshold 2T the maximizer is
     unique and correct.  Every query is handed the one pins dict, holding the
     bits fixed so far and the next node at 1, and its position in it, as
-    ThresholdInstance allows: the evaluation backend checks only the newest
+    threshold_oracle allows: the evaluation backend checks only the newest
     pins, and a transcript, if the solve keeps one, records that position
     rather than a copy, so its memory stays linear.
     """
     pins = {}
     for k, nid in enumerate(dag.topo_order()):
         pins[nid] = 1
-        inst = ThresholdInstance(dag, weights, t_tilde, pins, k)
-        if not threshold_query(inst, proof_oracle, backend):
+        if not ask(t_tilde, pins, k):
             pins[nid] = 0
     # A copy, so a caller changing the string cannot rewrite the pins that
     # the backend and a transcript may still hold.
@@ -171,10 +136,10 @@ def extract_query_string(dag, weights, t_tilde, proof_oracle, backend):
 
 
 def _decide(method, g, witness, backend, transcript):
-    """Weighted graph for the method, binary search, one pinned query on its
-    output; in witness mode one pinned query per node, checked, and pulled
-    back to g when the graph was compressed.  The oracle keeps a transcript
-    only if `transcript` is set."""
+    """Weighted graph for the method, bound once to the backend; binary
+    search, one pinned query on its output; in witness mode one pinned query
+    per node, checked, and pulled back to g when the graph was compressed.
+    The oracle keeps a transcript only if `transcript` is set."""
     proof_oracle = ProofOracle(transcript)
     stats = proof_oracle.stats
     backend = backend if backend is not None else EvaluationBackend()
@@ -182,13 +147,15 @@ def _decide(method, g, witness, backend, transcript):
         dag, weights = build_compressed(g, build_separator_tree(g))
     else:
         dag, weights = g, rho_weights(g)
-    t_tilde = binary_search_T(dag, weights, proof_oracle, backend)
-    final = ThresholdInstance(dag, weights, t_tilde, {dag.output: 1})
-    answer = threshold_query(final, proof_oracle, backend)
+    w_total = total_weight(weights)
+    bits = (2 * w_total).bit_length()  # search_budget(weights), W summed once
+    ask = threshold_oracle(dag, weights, proof_oracle, backend)
+    t_tilde = binary_search_T(ask, bits)
+    answer = ask(t_tilde, {dag.output: 1})
     used = stats.threshold_queries
     query_string = None
     if witness:
-        query_string = extract_query_string(dag, weights, t_tilde, proof_oracle, backend)
+        query_string = extract_query_string(ask, dag, t_tilde)
         if not is_correct_query_string(dag, query_string, proof_oracle):
             raise PipelineError("extracted query string is not correct")
         if dag is not g:
@@ -199,9 +166,9 @@ def _decide(method, g, witness, backend, transcript):
         answer=1 if answer else 0,
         method=method,
         t_scaled=t_tilde,
-        w_total=total_weight(weights),
+        w_total=w_total,
         queries=used,
-        budget=search_budget(weights) + 1,
+        budget=bits + 1,
         query_string=query_string,
         stats=stats,
     )

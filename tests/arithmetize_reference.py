@@ -1,5 +1,4 @@
-"""The multilinear extension of an arithmetized circuit, kept as a test
-reference.
+"""References for an arithmetized circuit, kept for the tests.
 
 querydag.arithmetize builds p and maximizes it at hypercube vertices only;
 no part of the pipeline reads p off the hypercube.  multilinear_eval
@@ -7,14 +6,35 @@ evaluates its multilinear extension at any point of [0, 1]^n through the
 convex-combination identity over both fixings of each fractional
 coordinate, which only ever consults the circuit at vertices, so the tests
 can check that the extension agrees with p on vertices and stays below the
-vertex optimum.
+vertex optimum.  brute_force_max_full maximizes p over every vertex,
+including the coordinates no gate reads, which brute_force_max leaves at 0.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
+from querydag.arithmetize import EXHAUSTIVE_CAP
 from querydag.errors import CapacityError
+
+
+def brute_force_max_full(circuit, cap=EXHAUSTIVE_CAP):
+    """Exhaustive maximum over all 2^var_count Boolean points, with the
+    lex-least witness."""
+    var_count = circuit.var_count
+    if var_count > cap:
+        raise CapacityError(f"{var_count} variables exceed the cap of {cap}")
+    best = None
+    witness = None
+    # Ascending masks with coordinate 0 most significant, so the first
+    # strict maximum is the lex-least optimal vertex.
+    for point in itertools.product((0, 1), repeat=var_count):
+        value = circuit.eval(point)
+        if best is None or value > best:
+            best = value
+            witness = point
+    return Fraction(best), witness
 
 
 def multilinear_eval(circuit, point, cap=20):

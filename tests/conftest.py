@@ -13,9 +13,11 @@ import pytest
 
 from querydag import (
     ProofOracle,
-    ThresholdInstance,
+    binary_search_T,
     build_dag,
     max_t_for_assignment,
+    search_budget,
+    threshold_oracle,
 )
 
 from instances import random_instance  # noqa: F401  (re-exported for the tests)
@@ -125,14 +127,20 @@ def brute_two_t(dag, weights, pins=None):
     """Exact maximum of the scaled objective by enumerating all strings that
     agree with `pins`."""
     oracle = ProofOracle()
-    inst = ThresholdInstance(dag, weights, 0, {})
     pins = pins or {}
     free = [nid for nid in dag.node_ids() if nid not in pins]
     best = None
     for combo in itertools.product((0, 1), repeat=len(free)):
         x = dict(pins)
         x.update(zip(free, combo))
-        value = max_t_for_assignment(inst, x, oracle)
+        value = max_t_for_assignment(dag, weights, x, oracle)
         if best is None or value > best:
             best = value
     return best
+
+
+def search(dag, weights, oracle, backend):
+    """(ask, 2T): the threshold query bound to (dag, weights) on `backend`
+    and the binary search's maximum through it, as a solve runs them."""
+    ask = threshold_oracle(dag, weights, oracle, backend)
+    return ask, binary_search_T(ask, search_budget(weights))

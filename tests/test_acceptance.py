@@ -15,7 +15,6 @@ import pytest
 
 from querydag import (
     ProofOracle,
-    ThresholdInstance,
     build_compressed,
     build_dag,
     build_separator_tree,
@@ -205,12 +204,11 @@ def test_criterion_05_correct_string_gap():
         instances.append(build_dag([(1, "verifier", [], 0, [])], 1))
         for g in instances:
             weights = omega_weights(g)
-            inst = ThresholdInstance(g, weights, 0, {})
             ids = sorted(g.by_id)
             scored = {}
             for combo in itertools.product((0, 1), repeat=len(ids)):
                 x = dict(zip(ids, combo))
-                scored[combo] = max_t_for_assignment(inst, x, oracle)
+                scored[combo] = max_t_for_assignment(g, weights, x, oracle)
             top = max(scored.values())
             for combo, value in scored.items():
                 if value == top:

@@ -9,7 +9,6 @@ from querydag import (
     PipelineError,
     ProofOracle,
     QueryNode,
-    ThresholdInstance,
     max_t_for_assignment,
     omega_weights,
 )
@@ -23,7 +22,7 @@ from querydag.arithmetize import (
     to_three_cnf,
 )
 
-from arithmetize_reference import multilinear_eval
+from arithmetize_reference import brute_force_max_full, multilinear_eval
 from conftest import brute_two_t, random_instance
 
 
@@ -240,6 +239,35 @@ def test_brute_force_max_capacity(chain2):
         brute_force_max(circuit, cap=3)
 
 
+def test_brute_force_max_enumerates_only_read_coordinates(chain2):
+    # Coordinate 3 pads v1's block to v2's two local variables and no gate
+    # reads it: 2^4 points are evaluated, not 2^5, and the maximum and the
+    # lex-least witness are those of enumerating every point.
+    circuit, _ = build_p(chain2, omega_weights(chain2))
+    assert circuit.var_count == 5
+    evaluated = []
+    full = brute_force_max_full(circuit)
+    circuit.eval = lambda point, eval=circuit.eval: evaluated.append(point[3]) or eval(point)
+    assert brute_force_max(circuit) == full == (4, (1, 1, 1, 0, 1))
+    assert evaluated == [0] * 16
+
+
+def test_brute_force_max_matches_full_enumeration_on_the_corpus():
+    # Every corpus instance whose circuit has at most 12 coordinates, 363 of
+    # the 1000; 138 of those circuits read every coordinate.
+    compared = skipping = 0
+    for seed in range(1000):
+        g = random_instance(seed)
+        circuit, _ = build_p(g, omega_weights(g))
+        if circuit.var_count > 12:
+            continue
+        read = {value for kind, value, _ in circuit.gates if kind == "var"}
+        skipping += len(read) < circuit.var_count
+        assert brute_force_max(circuit) == brute_force_max_full(circuit), seed
+        compared += 1
+    assert (compared, skipping) == (363, 225)
+
+
 def test_extract_from_optimum_rejects_bad_vertex(chain2):
     _, x_coord = build_p(chain2, omega_weights(chain2))
     with pytest.raises(PipelineError):
@@ -257,8 +285,7 @@ def test_maximum_equivalence_with_objective_on_random_instances():
         assert 2 * best == brute_two_t(g, weights)
         x = extract_from_optimum(g, x_coord, witness)
         oracle = ProofOracle()
-        inst = ThresholdInstance(g, weights, 0, {})
-        assert max_t_for_assignment(inst, x, oracle) == 2 * best
+        assert max_t_for_assignment(g, weights, x, oracle) == 2 * best
 
 
 def test_audit_chain2(chain2):

@@ -9,7 +9,6 @@ from querydag import (
     BruteForceBackend,
     EvaluationBackend,
     ProofOracle,
-    ThresholdInstance,
     WireValueError,
     build_compressed,
     build_separator_tree,
@@ -347,8 +346,7 @@ def test_lift_is_correct_on_random_instances():
 def two_t_of(gd, weights, oracle):
     """The correct query string of gd and its scaled objective 2T."""
     bits = evaluate(gd, oracle)
-    inst = ThresholdInstance(gd, weights, 0, {})
-    return bits, max_t_for_assignment(inst, bits, oracle, check=())
+    return bits, max_t_for_assignment(gd, weights, bits, oracle, check=())
 
 
 def test_padding_costs_nothing():
@@ -406,6 +404,8 @@ def test_backends_agree_on_a_padded_graph():
     assert len(gstar.nodes) == 16
     oracle = ProofOracle()
     brute, smart = BruteForceBackend(), EvaluationBackend()
+    brute.bind(gstar, fstar, oracle)
+    smart.bind(gstar, fstar, oracle)
     _, two_t = two_t_of(gstar, fstar, oracle)
     ids = gstar.node_ids()
     rng = random.Random(4)
@@ -417,8 +417,9 @@ def test_backends_agree_on_a_padded_graph():
         best = brute_two_t(gstar, fstar, pins)
         below += best < two_t
         for theta in sorted({two_t - 1, two_t, two_t + 1, best, best + 1}):
-            inst = ThresholdInstance(gstar, fstar, theta, pins)
-            assert brute.decide(inst, oracle) == smart.decide(inst, oracle), (theta, pins)
+            assert brute.decide(theta, pins, None, oracle) == smart.decide(
+                theta, pins, None, oracle
+            ), (theta, pins)
     assert below >= 20
 
 

@@ -2,6 +2,7 @@ import builtins
 import gc
 import itertools
 import random
+import sys
 import tracemalloc
 import weakref
 
@@ -11,14 +12,16 @@ from querydag import (
     BruteForceBackend,
     CapacityError,
     EvaluationBackend,
+    PipelineError,
     ProofOracle,
     QueryNode,
-    ThresholdInstance,
+    ValidationError,
     build_compressed,
     build_dag,
     build_separator_tree,
     binary_search_T,
     decide_compress,
+    decide_depth,
     decide_direct,
     evaluate,
     extract_query_string,
@@ -26,14 +29,15 @@ from querydag import (
     omega_weights,
     rho_weights,
     sat_exists_proof,
-    threshold_query,
+    search_budget,
+    threshold_oracle,
     total_weight,
 )
 
 from querydag.cli import gen_instance
 
 from compress_reference import least_weights
-from conftest import brute_two_t, enum_sat, random_instance
+from conftest import brute_two_t, enum_sat, random_instance, search
 
 
 def test_sat_chain2_nodes(chain2):
@@ -316,11 +320,12 @@ def test_profile_takes_two_t_in_closed_form():
             (g, rho_weights(g), len(g.nodes)),
             (gstar, fstar, len(gstar.nodes) - 1),
         ):
-            inst = ThresholdInstance(dag, weights, 0, {})
             oracle = ProofOracle()
-            bits, two_t = EvaluationBackend()._profile(inst, oracle)
+            backend = EvaluationBackend()
+            backend.bind(dag, weights, oracle)
+            bits, two_t = backend._correct, backend._two_t
             assert oracle.stats.proof_queries == calls, seed
-            assert two_t == max_t_for_assignment(inst, bits, ProofOracle()), seed
+            assert two_t == max_t_for_assignment(dag, weights, bits, ProofOracle()), seed
             checked += 1
     assert checked == 2000
 
@@ -338,35 +343,29 @@ def test_proof_distinct_counts_decisions_not_calls():
 def test_threshold_examples_chain2(chain2):
     oracle = ProofOracle()
     stats = oracle.stats
-    backend = BruteForceBackend()
-    weights = omega_weights(chain2)
+    ask = threshold_oracle(chain2, omega_weights(chain2), oracle, BruteForceBackend())
     answers = {}
     for theta in (8, 9, 0):
-        inst = ThresholdInstance(chain2, weights, theta, {})
-        answers[theta] = threshold_query(inst, oracle, backend)
+        answers[theta] = ask(theta, {})
     assert answers == {8: True, 9: False, 0: True}
     assert stats.threshold_queries == 3
 
 
 def test_threshold_is_monotone(chain2):
-    oracle = ProofOracle()
-    backend = BruteForceBackend()
     weights = omega_weights(chain2)
-    results = [
-        threshold_query(
-            ThresholdInstance(chain2, weights, theta, {}), oracle, backend
-        )
-        for theta in range(0, 2 * total_weight(weights) + 2)
-    ]
+    ask = threshold_oracle(chain2, weights, ProofOracle(), BruteForceBackend())
+    results = [ask(theta, {}) for theta in range(0, 2 * total_weight(weights) + 2)]
     assert results == sorted(results, reverse=True)
 
 
 def test_brute_backend_capacity_error(chain2):
     tree = build_separator_tree(chain2)
     gstar, fstar = build_compressed(chain2, tree)
-    inst = ThresholdInstance(gstar, fstar, 1, {})
+    oracle = ProofOracle()
+    brute = BruteForceBackend(cap=3)
+    brute.bind(gstar, fstar, oracle)
     with pytest.raises(CapacityError, match="exceed"):
-        BruteForceBackend(cap=3).decide(inst, ProofOracle())
+        brute.decide(1, {}, None, oracle)
 
 
 def test_backends_agree_on_plain_and_compressed_instances():
@@ -376,18 +375,20 @@ def test_backends_agree_on_plain_and_compressed_instances():
         oracle = ProofOracle()
         brute = BruteForceBackend()
         smart = EvaluationBackend()
+        brute.bind(g, weights, oracle)
+        smart.bind(g, weights, oracle)
         top = 2 * total_weight(weights)
         for theta in range(0, top + 2):
-            inst = ThresholdInstance(g, weights, theta, {})
-            assert brute.decide(inst, oracle) == smart.decide(inst, oracle)
+            assert brute.decide(theta, {}, None, oracle) == smart.decide(theta, {}, None, oracle)
         tree = build_separator_tree(g)
         gstar, fstar = build_compressed(g, tree)
         if len(gstar.nodes) > 16:
             continue
+        brute.bind(gstar, fstar, oracle)
+        smart.bind(gstar, fstar, oracle)
         top = 2 * total_weight(fstar)
         for theta in range(0, top + 2, max(1, top // 7)):
-            inst = ThresholdInstance(gstar, fstar, theta, {})
-            assert brute.decide(inst, oracle) == smart.decide(inst, oracle)
+            assert brute.decide(theta, {}, None, oracle) == smart.decide(theta, {}, None, oracle)
 
 
 def test_backends_agree_under_pins(chain2):
@@ -395,10 +396,13 @@ def test_backends_agree_under_pins(chain2):
     oracle = ProofOracle()
     brute = BruteForceBackend()
     smart = EvaluationBackend()
+    brute.bind(chain2, weights, oracle)
+    smart.bind(chain2, weights, oracle)
     for theta in range(0, 10):
         for pins in ({}, {1: 1}, {1: 0}, {2: 1}, {2: 0}, {1: 1, 2: 0}):
-            inst = ThresholdInstance(chain2, weights, theta, pins)
-            assert brute.decide(inst, oracle) == smart.decide(inst, oracle), (
+            assert brute.decide(theta, pins, None, oracle) == smart.decide(
+                theta, pins, None, oracle
+            ), (
                 theta,
                 pins,
             )
@@ -416,9 +420,9 @@ def test_backends_agree_under_pins_on_compressed_instances():
         correct = evaluate(gstar, oracle)
         brute = BruteForceBackend()
         smart = EvaluationBackend()
-        two_t = max_t_for_assignment(
-            ThresholdInstance(gstar, fstar, 0, {}), correct, oracle
-        )
+        brute.bind(gstar, fstar, oracle)
+        smart.bind(gstar, fstar, oracle)
+        two_t = max_t_for_assignment(gstar, fstar, correct, oracle)
         order = gstar.topo_order()
         for k in range(len(order) + 1):
             pins = {nid: correct[nid] for nid in order[:k]}
@@ -427,8 +431,9 @@ def test_backends_agree_under_pins_on_compressed_instances():
                 flipped[order[k - 1]] ^= 1
             for theta in (0, two_t - 1, two_t, two_t + 1):
                 for p in (pins, flipped):
-                    inst = ThresholdInstance(gstar, fstar, theta, p)
-                    assert brute.decide(inst, oracle) == smart.decide(inst, oracle)
+                    assert brute.decide(theta, p, None, oracle) == smart.decide(
+                        theta, p, None, oracle
+                    )
 
 
 WEIGHTED_GRAPHS = {
@@ -454,6 +459,8 @@ def test_backends_agree_under_random_pins(kind):
         oracle = ProofOracle()
         brute = BruteForceBackend()
         smart = EvaluationBackend()
+        brute.bind(dag, weights, oracle)
+        smart.bind(dag, weights, oracle)
         two_t = brute_two_t(dag, weights)
         ids = dag.node_ids()
         for _ in range(4):
@@ -464,8 +471,9 @@ def test_backends_agree_under_random_pins(kind):
             thetas.update(rng.sample(range(two_t), min(3, two_t)))
             below += best < two_t
             for theta in sorted(thetas):
-                inst = ThresholdInstance(dag, weights, theta, pins)
-                assert smart.decide(inst, oracle) == brute.decide(inst, oracle), (
+                assert smart.decide(theta, pins, None, oracle) == brute.decide(
+                    theta, pins, None, oracle
+                ), (
                     seed, theta, pins
                 )
     assert below >= 20
@@ -477,13 +485,11 @@ def test_evaluation_backend_decides_a_flipped_pin_on_a_30_chain():
     g = gen_instance("chain", 30, 0)
     weights = rho_weights(g)
     oracle = ProofOracle()
-    backend = EvaluationBackend()
-    two_t = binary_search_T(g, weights, oracle, backend)
+    ask, two_t = search(g, weights, oracle, EvaluationBackend())
     first = g.topo_order()[0]
     flipped = {first: evaluate(g, ProofOracle())[first] ^ 1}
     before = oracle.stats.proof_queries
-    inst = ThresholdInstance(g, weights, two_t - 1, flipped)
-    assert threshold_query(inst, oracle, backend) is False
+    assert ask(two_t - 1, flipped) is False
     assert oracle.stats.proof_queries - before <= len(g.nodes)
 
 
@@ -499,19 +505,20 @@ def test_positioned_queries_agree_with_brute_force():
         weights = rho_weights(g)
         oracle = ProofOracle()
         correct = evaluate(g, oracle)
-        two_t = max_t_for_assignment(
-            ThresholdInstance(g, weights, 0, {}), correct, oracle
-        )
+        two_t = max_t_for_assignment(g, weights, correct, oracle)
         brute = BruteForceBackend()
         smart = EvaluationBackend()
+        brute.bind(g, weights, oracle)
+        smart.bind(g, weights, oracle)
         order = g.topo_order()
 
         def ask(pins, k):
             nonlocal off_settled
             off_settled += any(correct[nid] != pins[nid] for nid in order[:k])
             for theta in (two_t - 1, two_t, two_t + 1):
-                inst = ThresholdInstance(g, weights, theta, pins, k)
-                assert smart.decide(inst, oracle) == brute.decide(inst, oracle), (
+                assert smart.decide(theta, pins, k, oracle) == brute.decide(
+                    theta, pins, k, oracle
+                ), (
                     seed, theta, dict(pins), k
                 )
 
@@ -556,15 +563,17 @@ def test_one_backend_serves_interleaved_profiles():
         brute = BruteForceBackend()
         smart = EvaluationBackend()
 
-        def ask(inst):
-            answer = smart.decide(inst, oracle)
-            assert answer == brute.decide(inst, oracle), (seed, inst)
+        def ask(dag, weights, theta, pins, k=None):
+            smart.bind(dag, weights, oracle)
+            brute.bind(dag, weights, oracle)
+            answer = smart.decide(theta, pins, k, oracle)
+            assert answer == brute.decide(theta, pins, k, oracle), (seed, theta, pins, k)
             return answer
 
         def probe():
             for (dag, weights), two_t in zip(profiles, two_ts):
                 for theta in (two_t, two_t + 1):
-                    ask(ThresholdInstance(dag, weights, theta, {}))
+                    ask(dag, weights, theta, {})
 
         for (dag, weights), two_t in zip(profiles, two_ts):
             for theta in (two_t, two_t - 1):
@@ -572,23 +581,23 @@ def test_one_backend_serves_interleaved_profiles():
                 for k, nid in enumerate(dag.topo_order()):
                     probe()
                     pins[nid] = 1
-                    if not ask(ThresholdInstance(dag, weights, theta, pins, k)):
+                    if not ask(dag, weights, theta, pins, k):
                         pins[nid] = 0
                 probe()
     assert differ >= 8
 
 
 def test_profiled_queries_import_and_recompute_nothing(monkeypatch):
-    # Once (dag, weights) is profiled, a threshold query is a lookup: no
-    # import statement runs, and neither the admissibility check nor the
-    # objective is evaluated again.
+    # Once (dag, weights) is profiled, binding it again keeps the profile
+    # and a threshold query is a lookup: no import statement runs, and
+    # neither the admissibility check nor the objective is evaluated again.
     from querydag import weighting
 
     g = random_instance(7)
     weights = rho_weights(g)
     oracle = ProofOracle()
     backend = EvaluationBackend()
-    two_t = binary_search_T(g, weights, oracle, backend)
+    ask, two_t = search(g, weights, oracle, backend)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a profiled query recomputed its profile")
@@ -604,8 +613,8 @@ def test_profiled_queries_import_and_recompute_nothing(monkeypatch):
     monkeypatch.setattr("querydag.oracle.max_t_for_assignment", forbidden)
     monkeypatch.setattr(weighting, "check_admissible", forbidden)
     monkeypatch.setattr(builtins, "__import__", counting_import)
-    again = binary_search_T(g, weights, oracle, backend)
-    bits = extract_query_string(g, weights, two_t, oracle, backend)
+    _, again = search(g, weights, oracle, backend)
+    bits = extract_query_string(ask, g, two_t)
     monkeypatch.undo()
     assert imports == []
     assert again == two_t
@@ -641,13 +650,18 @@ def test_evaluation_backend_keeps_only_the_current_profile(monkeypatch):
         built.append(weakref.ref(gstar))
         return gstar, fstar
 
-    def recording_query(inst, proof_oracle, backend):
-        if type(inst.pins) is dict and len(built) == 1:
-            pins_seen.append(inst.pins)
-        return threshold_query(inst, proof_oracle, backend)
+    def recording_oracle(dag, weights, proof_oracle, backend):
+        ask = threshold_oracle(dag, weights, proof_oracle, backend)
+
+        def recording_ask(threshold, *pins_and_position):
+            if pins_and_position and type(pins_and_position[0]) is dict and len(built) == 1:
+                pins_seen.append(pins_and_position[0])
+            return ask(threshold, *pins_and_position)
+
+        return recording_ask
 
     monkeypatch.setattr(solver, "build_compressed", recording_build)
-    monkeypatch.setattr(solver, "threshold_query", recording_query)
+    monkeypatch.setattr(solver, "threshold_oracle", recording_oracle)
     backend = EvaluationBackend()
     g = random_instance(3)
     first = decide_compress(g, witness=True, backend=backend, transcript=True)
@@ -666,9 +680,8 @@ def test_evaluation_backend_keeps_only_the_current_profile(monkeypatch):
 def test_evaluation_backend_rejects_inadmissible_weights(chain2):
     from querydag import ValidationError
 
-    inst = ThresholdInstance(chain2, {1: 1, 2: 1}, 1, {})
     with pytest.raises(ValidationError, match="admissible"):
-        EvaluationBackend().decide(inst, ProofOracle())
+        EvaluationBackend().bind(chain2, {1: 1, 2: 1}, ProofOracle())
 
 
 def test_evaluation_backend_rejects_non_integer_weights(chain2):
@@ -677,9 +690,8 @@ def test_evaluation_backend_rejects_non_integer_weights(chain2):
     from querydag import ValidationError
 
     # Admissible, but a fractional weight leaves no one-unit gap below 2T.
-    inst = ThresholdInstance(chain2, {1: Fraction(7, 2), 2: 1}, 1, {})
     with pytest.raises(ValidationError, match="integer"):
-        EvaluationBackend().decide(inst, ProofOracle())
+        EvaluationBackend().bind(chain2, {1: Fraction(7, 2), 2: 1}, ProofOracle())
 
 
 def test_transcript_replays_identically(chain2):
@@ -693,18 +705,79 @@ def test_transcript_export_fields(chain2):
     oracle = ProofOracle(transcript=True)
     stats = oracle.stats
     weights = omega_weights(chain2)
-    threshold_query(
-        ThresholdInstance(chain2, weights, 8, {2: 1}),
-        oracle,
-        BruteForceBackend(),
-    )
+    threshold_oracle(chain2, weights, oracle, BruteForceBackend())(8, {2: 1})
     entry = stats.to_doc()[-1]
     assert entry["kind"] == "threshold"
     assert entry["threshold"] == "8"
     assert entry["pins"] == {"2": 1}
     assert entry["answer"] is True
     # str() of an int refuses more than 4,300 digits by default.
-    threshold_query(
-        ThresholdInstance(chain2, weights, 10**5000, {}), oracle, EvaluationBackend()
-    )
+    threshold_oracle(chain2, weights, oracle, EvaluationBackend())(10**5000, {})
     assert stats.to_doc()[-1]["threshold"] == "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("decide", [decide_compress, decide_depth])
+def test_solve_profiles_once(decide, monkeypatch):
+    # The search, the final pinned query and the witness extraction share
+    # the one profile the solve binds: one admissibility check and one
+    # evaluation of the maximizer, transcript or not.
+    from querydag import oracle, weighting
+
+    calls = {"check_admissible": 0, "evaluate": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(weighting, "check_admissible", counted("check_admissible", weighting.check_admissible))
+    monkeypatch.setattr(oracle, "evaluate", counted("evaluate", oracle.evaluate))
+    for seed in range(6):
+        g = random_instance(seed)
+        calls.update(check_admissible=0, evaluate=0)
+        report = decide(g, witness=True, transcript=True)
+        assert report.query_string == evaluate(g, ProofOracle()), seed
+        assert calls == {"check_admissible": 1, "evaluate": 1}, seed
+
+
+def test_binary_search_probe_makes_three_python_calls():
+    # Bound once, a probe is the query function, the backend's decide and
+    # the stats' record_threshold: no record per query, no profile lookup.
+    g = gen_instance("chain", 64, 0)
+    weights = rho_weights(g)
+    ask = threshold_oracle(g, weights, ProofOracle(), EvaluationBackend())
+    bits = search_budget(weights)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        two_t = binary_search_T(ask, bits)
+    finally:
+        sys.setprofile(None)
+    assert two_t == max_t_for_assignment(g, weights, evaluate(g, ProofOracle()), ProofOracle())
+    assert bits > 400
+    assert calls[0] == "binary_search_T"
+    assert len(calls) - 1 <= 3 * bits, len(calls)
+
+
+@pytest.mark.parametrize("make", [BruteForceBackend, EvaluationBackend])
+def test_decide_before_bind_is_refused(make, chain2):
+    oracle = ProofOracle()
+    backend = make()
+    with pytest.raises(PipelineError, match="before bind"):
+        backend.decide(0, {}, None, oracle)
+    # A bind that fails validation leaves the backend unbound, not answering
+    # off the pair bound before it.
+    if make is EvaluationBackend:
+        backend.bind(chain2, omega_weights(chain2), oracle)
+        assert backend.decide(8, {}, None, oracle) is True
+        with pytest.raises(ValidationError):
+            backend.bind(chain2, {1: 1, 2: 1}, oracle)
+        with pytest.raises(PipelineError, match="before bind"):
+            backend.decide(0, {}, None, oracle)

@@ -10,7 +10,6 @@ from querydag import (
     EvaluationBackend,
     PipelineError,
     ProofOracle,
-    ThresholdInstance,
     binary_search_T,
     build_compressed,
     build_separator_tree,
@@ -25,28 +24,27 @@ from querydag import (
     omega_weights,
     rho_weights,
     search_budget,
-    threshold_query,
     total_weight,
 )
 from querydag import solver
 from querydag.cli import gen_instance
 
 from compress_reference import build_compressed as paper_build
-from conftest import brute_two_t, random_instance
+from conftest import brute_two_t, random_instance, search
 
 
 def test_max_t_chain2_values(chain2):
     oracle = ProofOracle()
-    inst = ThresholdInstance(chain2, omega_weights(chain2), 0, {})
-    assert max_t_for_assignment(inst, {1: 1, 2: 1}, oracle) == 8
-    assert max_t_for_assignment(inst, {1: 0, 2: 0}, oracle) == 4
-    assert max_t_for_assignment(inst, {1: 1, 2: 0}, oracle) == 7
+    weights = omega_weights(chain2)
+    assert max_t_for_assignment(chain2, weights, {1: 1, 2: 1}, oracle) == 8
+    assert max_t_for_assignment(chain2, weights, {1: 0, 2: 0}, oracle) == 4
+    assert max_t_for_assignment(chain2, weights, {1: 1, 2: 0}, oracle) == 7
 
 
 def test_binary_search_chain2(chain2):
     oracle = ProofOracle()
     weights = omega_weights(chain2)
-    t = binary_search_T(chain2, weights, oracle, BruteForceBackend())
+    _, t = search(chain2, weights, oracle, BruteForceBackend())
     assert t == 8
     assert oracle.stats.threshold_queries == 4  # ceil(log2(2W+1)) with W = 4
 
@@ -54,7 +52,7 @@ def test_binary_search_chain2(chain2):
 def test_binary_search_single_vacuous(single_vacuous):
     oracle = ProofOracle()
     weights = omega_weights(single_vacuous)
-    t = binary_search_T(single_vacuous, weights, oracle, BruteForceBackend())
+    _, t = search(single_vacuous, weights, oracle, BruteForceBackend())
     assert total_weight(weights) == 1
     assert t == 2
     assert oracle.stats.threshold_queries == 2
@@ -64,7 +62,7 @@ def test_binary_search_compressed_chain2(chain2):
     tree = build_separator_tree(chain2)
     gstar, fstar = build_compressed(chain2, tree)
     oracle = ProofOracle()
-    t = binary_search_T(gstar, fstar, oracle, BruteForceBackend())
+    _, t = search(gstar, fstar, oracle, BruteForceBackend())
     assert oracle.stats.threshold_queries == 5  # ceil(log2(21))
     assert t == brute_two_t(gstar, fstar)
 
@@ -74,7 +72,7 @@ def test_binary_search_matches_brute_force_on_random_instances():
         g = random_instance(seed, max_n=5)
         weights = omega_weights(g)
         oracle = ProofOracle()
-        t = binary_search_T(g, weights, oracle, EvaluationBackend())
+        _, t = search(g, weights, oracle, EvaluationBackend())
         assert t == brute_two_t(g, weights)
         assert oracle.stats.threshold_queries == search_budget(weights)
 
@@ -133,10 +131,9 @@ def test_extract_query_string_chain2(chain2):
     oracle = ProofOracle()
     stats = oracle.stats
     weights = omega_weights(chain2)
-    backend = BruteForceBackend()
-    t = binary_search_T(chain2, weights, oracle, backend)
+    ask, t = search(chain2, weights, oracle, BruteForceBackend())
     before = stats.threshold_queries
-    x = extract_query_string(chain2, weights, t, oracle, backend)
+    x = extract_query_string(ask, chain2, t)
     assert x == {1: 1, 2: 1}
     assert stats.threshold_queries - before == 2  # one pinned query per node
 
@@ -144,19 +141,17 @@ def test_extract_query_string_chain2(chain2):
 def test_extract_query_string_v1_unsat(chain2_v1_unsat):
     oracle = ProofOracle()
     weights = omega_weights(chain2_v1_unsat)
-    backend = BruteForceBackend()
-    t = binary_search_T(chain2_v1_unsat, weights, oracle, backend)
+    ask, t = search(chain2_v1_unsat, weights, oracle, BruteForceBackend())
     assert t == 4  # both answers 0: weights 3 and 1 each contribute once
-    x = extract_query_string(chain2_v1_unsat, weights, t, oracle, backend)
+    x = extract_query_string(ask, chain2_v1_unsat, t)
     assert x == {1: 0, 2: 0}
 
 
 def test_extract_single_vacuous(single_vacuous):
     oracle = ProofOracle()
     weights = omega_weights(single_vacuous)
-    backend = BruteForceBackend()
-    t = binary_search_T(single_vacuous, weights, oracle, backend)
-    x = extract_query_string(single_vacuous, weights, t, oracle, backend)
+    ask, t = search(single_vacuous, weights, oracle, BruteForceBackend())
+    x = extract_query_string(ask, single_vacuous, t)
     assert x == {1: 1}
 
 
@@ -175,9 +170,9 @@ def test_witness_modes_produce_correct_strings(chain2):
 class FirstPinLiesBackend(EvaluationBackend):
     """Answers the first pinned query of a witness extraction wrongly."""
 
-    def decide(self, inst, proof_oracle):
-        answer = super().decide(inst, proof_oracle)
-        return not answer if inst.position == 0 else answer
+    def decide(self, threshold, pins, position, proof_oracle):
+        answer = super().decide(threshold, pins, position, proof_oracle)
+        return not answer if position == 0 else answer
 
 
 @pytest.mark.parametrize("decide", [decide_compress, decide_depth])
@@ -211,12 +206,11 @@ def test_correct_string_gap_property_on_tiny_instances():
     cases = [random_instance(seed, max_n=3) for seed in range(30)]
     for g in cases:
         weights = omega_weights(g)
-        inst = ThresholdInstance(g, weights, 0, {})
         ids = sorted(g.by_id)
         scores = {}
         for combo in itertools.product((0, 1), repeat=len(ids)):
             x = dict(zip(ids, combo))
-            scores[combo] = max_t_for_assignment(inst, x, oracle)
+            scores[combo] = max_t_for_assignment(g, weights, x, oracle)
         top = max(scores.values())
         for combo, val in scores.items():
             if val == top:
@@ -256,9 +250,12 @@ class SnapshotBackend:
         self.inner = inner
         self.seen = []
 
-    def decide(self, inst, proof_oracle):
-        self.seen.append(dict(inst.pins))
-        return self.inner.decide(inst, proof_oracle)
+    def bind(self, dag, weights, proof_oracle):
+        self.inner.bind(dag, weights, proof_oracle)
+
+    def decide(self, threshold, pins, position, proof_oracle):
+        self.seen.append(dict(pins))
+        return self.inner.decide(threshold, pins, position, proof_oracle)
 
 
 def transcript_pins(stats):
@@ -390,12 +387,11 @@ def test_transcript_does_not_change_the_solve():
 def solve_on(g, gstar, weights):
     """Compress with witness on a built G* under `weights`: the answer, the
     witness lifted back to g and the threshold queries of the decision."""
-    oracle, backend = ProofOracle(), EvaluationBackend()
-    t_tilde = binary_search_T(gstar, weights, oracle, backend)
-    final = ThresholdInstance(gstar, weights, t_tilde, {gstar.output: 1})
-    answer = threshold_query(final, oracle, backend)
+    oracle = ProofOracle()
+    ask, t_tilde = search(gstar, weights, oracle, EvaluationBackend())
+    answer = ask(t_tilde, {gstar.output: 1})
     queries = oracle.stats.threshold_queries
-    xstar = extract_query_string(gstar, weights, t_tilde, oracle, backend)
+    xstar = extract_query_string(ask, gstar, t_tilde)
     assert is_correct_query_string(gstar, xstar, oracle)
     return answer, lift_query_string(g, gstar, xstar), queries
 
