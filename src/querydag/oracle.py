@@ -19,9 +19,9 @@ recorded when the solve keeps a transcript, and `proof_distinct` is the
 memo's size.
 
 Every threshold query of a solve asks about one weighted graph, so the
-solve binds its (dag, weights) to a threshold backend once
-(threshold_oracle), and each query then passes only its threshold, pins and
-position.  Two backends are provided.  BruteForceBackend is the reference:
+solve binds its (dag, weights) and its proof oracle to a threshold backend
+once (threshold_oracle), and each query then passes only its threshold and
+pins.  Two backends are provided.  BruteForceBackend is the reference:
 it enumerates answer strings outright and is capped.  EvaluationBackend
 answers exactly at any size by computing, when bound, the unique maximizer
 of the objective (the correct query string; every other string scores at
@@ -50,16 +50,12 @@ class OracleStats:
     input bits); the proof oracle reads it as its memo.
 
     Entries are kept raw, as tuples holding the pins mapping the query was
-    given, not a copy; entry_doc renders one, so each query costs an append
-    and nothing more.  The queries of a witness extraction all hold its one
-    pins dict plus their position k in it, and entry_doc rebuilds what query
-    k pinned: the first k entries as they end up, then the node at index k
-    pinned at 1.  Rendering reads the live dicts, so it is right only while
-    callers keep the pins contract of threshold_oracle: a dict cleared and
-    reused from position 0 would rewrite the earlier queries' pins.  That
-    contract binds whether or not a transcript is kept, since the
-    evaluation backend relies on it too; only this rendering depends on the
-    transcript.
+    given, not a copy, plus its length and its newest entry's bit at query
+    time; entry_doc renders one, so each query costs an append and nothing
+    more.  The queries of a witness extraction all hold its one pins dict,
+    which is right as long as callers keep the pins contract of
+    threshold_oracle: what a query pinned is then the first n entries of
+    its dict as they end up, the newest as recorded.
     """
 
     def __init__(self, transcript=False):
@@ -77,10 +73,12 @@ class OracleStats:
         if self.transcript is not None:
             self.transcript.append(("proof", node_id, input_bits, answer))
 
-    def record_threshold(self, threshold, pins, answer, position):
+    def record_threshold(self, threshold, pins, answer):
         self.threshold_queries += 1
         if self.transcript is not None:
-            self.transcript.append(("threshold", threshold, pins, answer, position))
+            n = len(pins)
+            newest = pins[next(reversed(pins))] if n else None
+            self.transcript.append(("threshold", threshold, pins, answer, n, newest))
 
     def to_doc(self):
         # An empty list would read as a solve that made no query.
@@ -91,14 +89,15 @@ class OracleStats:
 
 def entry_doc(entry):
     """One transcript entry as its document (see OracleStats): a threshold
-    entry is (threshold, pins, answer, position) as the query recorded it."""
+    entry is (threshold, pins, answer, n, newest) as the query recorded it,
+    and its pins are the first n entries of `pins`, the newest at `newest`."""
     if entry[0] == "proof":
         _, node, inputs, answer = entry
         return {"kind": "proof", "node": node, "inputs": inputs, "answer": answer}
-    _, threshold, pins, answer, k = entry
-    if k is not None:
-        pins = dict(itertools.islice(pins.items(), k + 1))
-        pins[next(reversed(pins))] = 1
+    _, threshold, pins, answer, n, newest = entry
+    pins = dict(itertools.islice(pins.items(), n))
+    if n:
+        pins[next(reversed(pins))] = newest
     return {
         "kind": "threshold",
         "threshold": decimal_str(threshold),
@@ -299,19 +298,19 @@ def max_t_for_assignment(dag, weights, x, proof_oracle, check=None):
 
 class BruteForceBackend:
     """Reference threshold decision: enumerate every unpinned answer string
-    of the bound (dag, weights)."""
+    of the bound (dag, weights), scored with the bound proof oracle."""
 
     def __init__(self, cap=20):
         self.cap = cap
         self._bound = None
 
     def bind(self, dag, weights, proof_oracle):
-        self._bound = (dag, weights)
+        self._bound = (dag, weights, proof_oracle)
 
-    def decide(self, threshold, pins, position, proof_oracle):
+    def decide(self, threshold, pins):
         if self._bound is None:
             raise PipelineError("threshold backend queried before bind")
-        dag, weights = self._bound
+        dag, weights, proof_oracle = self._bound
         free = [nid for nid in dag.node_ids() if nid not in pins]
         if len(free) > self.cap:
             raise CapacityError(
@@ -342,26 +341,29 @@ class EvaluationBackend:
     the correct string every forced bit equals its bit, so the objective is
     the sum of w(1 + x) over the nodes.  Binding the bound pair again, by
     identity, keeps the profile.  A query without pins (every binary-search
-    probe) is then one comparison with 2T.  A query with a position (see
-    threshold_oracle) looks at its newest pins only.  For that the backend
-    keeps the pins dict of the last query, if it had a position, and
-    whether its settled entries agree; a new profile drops it.  A query
-    whose pins disagree, below 2T, costs one pass of forced bits, scored
-    checking only its pinned 1s: at most |V| proof calls.
+    probe) is then one comparison with 2T.  A pinned query that extends the
+    last one's dict by one entry looks at its newest pins only (see
+    _pins_agree); for that the backend keeps the last pinned query's dict,
+    its length and whether the entries before its newest agree, and a new
+    profile drops them.  A query whose pins disagree, below 2T, costs one
+    pass of forced bits, scored checking only its pinned 1s: at most |V|
+    proof calls, on the proof oracle bound last.
     """
 
     def __init__(self):
-        # The bound (dag, weights), its maximizer and 2T.
-        self._dag = self._weights = self._correct = self._two_t = None
-        # (pins, position, do the entries before position agree?) of the
-        # last query on the bound profile, if it had a position.
+        # The bound (dag, weights), its maximizer and 2T, and the proof
+        # oracle of the current solve.
+        self._dag = self._weights = self._correct = self._two_t = self._proof_oracle = None
+        # (pins, len(pins), do the entries before its newest agree?) of the
+        # last pinned query on the bound profile.
         self._pinned = None
 
     def bind(self, dag, weights, proof_oracle):
-        """Profile (dag, weights) and keep it as the bound pair, dropping
-        the last, unless it already is the bound pair.  Checks that the
-        weighting is integer and admissible; 2T is read off the maximizer
-        without a proof call."""
+        """Keep `proof_oracle` for the queries to come, and profile (dag,
+        weights) and keep it as the bound pair, dropping the last, unless it
+        already is the bound pair.  Checks that the weighting is integer and
+        admissible; 2T is read off the maximizer without a proof call."""
+        self._proof_oracle = proof_oracle
         if dag is self._dag and weights is self._weights:
             return
         self._dag = self._weights = self._correct = self._two_t = self._pinned = None
@@ -378,44 +380,40 @@ class EvaluationBackend:
         self._two_t = max_t_for_assignment(dag, weights, correct, proof_oracle, check=())
         self._dag, self._weights, self._correct = dag, weights, correct
 
-    def _pins_agree(self, pins, k):
-        """Do all of the query's pins agree with the maximizer?
+    def _pins_agree(self, pins):
+        """Do all of the non-empty `pins` agree with the maximizer?
 
-        A query at position k that continues the last one, on the same dict
-        at k - 1, checks two entries read from the dict's end: the one at
-        k - 1, final since the last query, and the new one.  Any other
-        positioned query scans the entries before it once; a query without
-        a position, or whose pins do not end at it, is checked in full.
+        Under the pins contract of threshold_oracle, a query on the last
+        pinned query's dict, exactly one entry longer, checks two entries
+        read from the dict's end: the last query's newest, final since, and
+        its own.  Any other query checks the entries before its newest once.
         """
         agreed = self._correct.items()
-        if k is None or len(pins) != k + 1:
-            self._pinned = None
-            return pins.items() <= agreed
+        n = len(pins)
         last = self._pinned
         newest = reversed(pins.items())
         entry = next(newest)
-        if last is not None and last[0] is pins and last[1] == k - 1:
+        if last is not None and last[0] is pins and last[1] == n - 1:
             before = last[2] and next(newest) in agreed
         else:
-            before = all(e in agreed for e in itertools.islice(pins.items(), k))
-        self._pinned = (pins, k, before)
+            before = all(e in agreed for e in itertools.islice(pins.items(), n - 1))
+        self._pinned = (pins, n, before)
         return before and entry in agreed
 
-    def decide(self, threshold, pins, position, proof_oracle):
+    def decide(self, threshold, pins):
         """Does some string of the bound pair under `pins` reach
-        `threshold`?  Without pins, one comparison with 2T."""
+        `threshold`?  Without pins, or with pins that agree with the
+        maximizer, one comparison with 2T."""
         two_t = self._two_t
         if two_t is None:
             raise PipelineError("threshold backend queried before bind")
-        if not pins:
-            return threshold <= two_t
-        if self._pins_agree(pins, position):
+        if not pins or self._pins_agree(pins):
             return threshold <= two_t
         if threshold >= two_t:
             return False
         # Score the best string: an unpinned node holds its forced bit
         # already, so only a pinned 1 needs a proof call.
-        dag = self._dag
+        dag, proof_oracle = self._dag, self._proof_oracle
         best = evaluate(dag, proof_oracle, pins)
         return threshold <= max_t_for_assignment(dag, self._weights, best, proof_oracle, check=pins)
 
@@ -426,30 +424,27 @@ _NO_PINS = MappingProxyType({})
 
 
 def threshold_oracle(dag, weights, proof_oracle, backend):
-    """Bind (dag, weights) to `backend` and return the solve's threshold
-    query, ask(threshold, pins, position): one counted oracle call,
+    """Bind (dag, weights) and `proof_oracle` to `backend` and return the
+    solve's threshold query, ask(threshold, pins): one counted oracle call,
     recorded in the proof oracle's stats, asking whether some answer string
     under `pins` reaches the scaled threshold.
 
-    Nothing copies the pins mapping: the backend may compare later queries
-    with it, and a transcript, when the solve keeps one, reads it again
-    whenever it is rendered.  So, transcript or not, a mapping may change
-    after its query only as follows; without a position it must not change
-    at all.  A witness extraction hands every query the same dict and
-    extends it between queries; such a query carries its position k: the
-    pins are k + 1 entries, the last one the node this query pins at 1.
-    The dict is then only extended: its entry at k may be settled and
-    entries added after it, but the k entries before it never change, and
-    the dict is not cleared or reused.  A backend may then check only what
-    is new since position k - 1, and a transcript rebuilds the query's pins
-    from k.
+    The pins contract.  Nothing copies the pins mapping: the backend may
+    compare later queries with it, and a transcript, when the solve keeps
+    one, reads it again whenever it is rendered.  So, transcript or not,
+    after its query a pins dict may gain entries at its end, and its newest
+    entry may change; nothing else about it changes, and it is not cleared
+    or reused.  A witness extraction hands every query the same dict, one
+    entry longer each time; a backend may then check only what is new since
+    the last query, and a transcript rebuilds each query's pins from their
+    length and newest bit.
     """
     backend.bind(dag, weights, proof_oracle)
     stats = proof_oracle.stats
 
-    def ask(threshold, pins=_NO_PINS, position=None):
-        answer = backend.decide(threshold, pins, position, proof_oracle)
-        stats.record_threshold(threshold, pins, answer, position)
+    def ask(threshold, pins=_NO_PINS):
+        answer = backend.decide(threshold, pins)
+        stats.record_threshold(threshold, pins, answer)
         return answer
 
     return ask

@@ -6,8 +6,9 @@ w * (2 * x_i * sat_i + (1 - x_i)), always an integer.  Binary search over
 [0, 2W] recovers the exact maximum 2T with ceil(log2(2W + 1)) threshold
 queries; one more pinned query at 2T decides the instance, because at that
 threshold only the correct query string is available.  A solve binds its
-weighted graph to the threshold backend once (oracle.threshold_oracle), so
-each of these queries passes only its threshold, pins and position.
+weighted graph and proof oracle to the threshold backend once
+(oracle.threshold_oracle), so each of these queries passes only its
+threshold and pins.
 """
 
 from __future__ import annotations
@@ -120,15 +121,15 @@ def extract_query_string(ask, dag, t_tilde):
     Bits are pinned in dag.topo_order(); a prefix extends to the maximizer as
     long as every pinned bit matches it, and at threshold 2T the maximizer is
     unique and correct.  Every query is handed the one pins dict, holding the
-    bits fixed so far and the next node at 1, and its position in it, as
-    threshold_oracle allows: the evaluation backend checks only the newest
-    pins, and a transcript, if the solve keeps one, records that position
-    rather than a copy, so its memory stays linear.
+    bits fixed so far and the next node at 1, one entry longer each time, as
+    the pins contract of threshold_oracle allows: the evaluation backend
+    checks only the newest pins, and a transcript, if the solve keeps one,
+    holds the dict rather than a copy, so its memory stays linear.
     """
     pins = {}
-    for k, nid in enumerate(dag.topo_order()):
+    for nid in dag.topo_order():
         pins[nid] = 1
-        if not ask(t_tilde, pins, k):
+        if not ask(t_tilde, pins):
             pins[nid] = 0
     # A copy, so a caller changing the string cannot rewrite the pins that
     # the backend and a transcript may still hold.

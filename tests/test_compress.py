@@ -417,9 +417,7 @@ def test_backends_agree_on_a_padded_graph():
         best = brute_two_t(gstar, fstar, pins)
         below += best < two_t
         for theta in sorted({two_t - 1, two_t, two_t + 1, best, best + 1}):
-            assert brute.decide(theta, pins, None, oracle) == smart.decide(
-                theta, pins, None, oracle
-            ), (theta, pins)
+            assert brute.decide(theta, pins) == smart.decide(theta, pins), (theta, pins)
     assert below >= 20
 
 

@@ -365,7 +365,7 @@ def test_brute_backend_capacity_error(chain2):
     brute = BruteForceBackend(cap=3)
     brute.bind(gstar, fstar, oracle)
     with pytest.raises(CapacityError, match="exceed"):
-        brute.decide(1, {}, None, oracle)
+        brute.decide(1, {})
 
 
 def test_backends_agree_on_plain_and_compressed_instances():
@@ -379,7 +379,7 @@ def test_backends_agree_on_plain_and_compressed_instances():
         smart.bind(g, weights, oracle)
         top = 2 * total_weight(weights)
         for theta in range(0, top + 2):
-            assert brute.decide(theta, {}, None, oracle) == smart.decide(theta, {}, None, oracle)
+            assert brute.decide(theta, {}) == smart.decide(theta, {})
         tree = build_separator_tree(g)
         gstar, fstar = build_compressed(g, tree)
         if len(gstar.nodes) > 16:
@@ -388,7 +388,7 @@ def test_backends_agree_on_plain_and_compressed_instances():
         smart.bind(gstar, fstar, oracle)
         top = 2 * total_weight(fstar)
         for theta in range(0, top + 2, max(1, top // 7)):
-            assert brute.decide(theta, {}, None, oracle) == smart.decide(theta, {}, None, oracle)
+            assert brute.decide(theta, {}) == smart.decide(theta, {})
 
 
 def test_backends_agree_under_pins(chain2):
@@ -400,12 +400,7 @@ def test_backends_agree_under_pins(chain2):
     smart.bind(chain2, weights, oracle)
     for theta in range(0, 10):
         for pins in ({}, {1: 1}, {1: 0}, {2: 1}, {2: 0}, {1: 1, 2: 0}):
-            assert brute.decide(theta, pins, None, oracle) == smart.decide(
-                theta, pins, None, oracle
-            ), (
-                theta,
-                pins,
-            )
+            assert brute.decide(theta, pins) == smart.decide(theta, pins), (theta, pins)
 
 
 def test_backends_agree_under_pins_on_compressed_instances():
@@ -431,9 +426,7 @@ def test_backends_agree_under_pins_on_compressed_instances():
                 flipped[order[k - 1]] ^= 1
             for theta in (0, two_t - 1, two_t, two_t + 1):
                 for p in (pins, flipped):
-                    assert brute.decide(theta, p, None, oracle) == smart.decide(
-                        theta, p, None, oracle
-                    )
+                    assert brute.decide(theta, p) == smart.decide(theta, p)
 
 
 WEIGHTED_GRAPHS = {
@@ -471,11 +464,7 @@ def test_backends_agree_under_random_pins(kind):
             thetas.update(rng.sample(range(two_t), min(3, two_t)))
             below += best < two_t
             for theta in sorted(thetas):
-                assert smart.decide(theta, pins, None, oracle) == brute.decide(
-                    theta, pins, None, oracle
-                ), (
-                    seed, theta, pins
-                )
+                assert smart.decide(theta, pins) == brute.decide(theta, pins), (seed, theta, pins)
     assert below >= 20
 
 
@@ -494,9 +483,10 @@ def test_evaluation_backend_decides_a_flipped_pin_on_a_30_chain():
 
 
 def test_positioned_queries_agree_with_brute_force():
-    # Pins sequences driven by hand that keep the position contract, many of
-    # them with settled entries off the maximizer: the evaluation backend's
-    # check of the newest pins only must answer as enumeration does.
+    # Pins sequences driven by hand, each query one entry longer than the
+    # last, many of them with settled entries off the maximizer: the
+    # evaluation backend's check of the newest pins only must answer as
+    # enumeration does.
     rng = random.Random(5)
     off_settled = 0
     for seed in range(32):
@@ -512,45 +502,45 @@ def test_positioned_queries_agree_with_brute_force():
         smart.bind(g, weights, oracle)
         order = g.topo_order()
 
-        def ask(pins, k):
+        def ask(pins):
             nonlocal off_settled
-            off_settled += any(correct[nid] != pins[nid] for nid in order[:k])
+            off_settled += any(correct[nid] != pins[nid] for nid in order[: len(pins) - 1])
             for theta in (two_t - 1, two_t, two_t + 1):
-                assert smart.decide(theta, pins, k, oracle) == brute.decide(
-                    theta, pins, k, oracle
-                ), (
-                    seed, theta, dict(pins), k
+                assert smart.decide(theta, pins) == brute.decide(theta, pins), (
+                    seed, theta, dict(pins)
                 )
 
         def run(pins, settle, stop=len(order)):
             for k, nid in enumerate(order[:stop]):
                 pins[nid] = 1
-                ask(pins, k)
+                ask(pins)
                 pins[nid] = settle(k, nid)
 
         flip = rng.randrange(len(order))
         reused = {}
         run(reused, lambda k, nid: correct[nid] ^ (k == flip))
-        # The same dict again from position 0, now following the maximizer.
+        # The same dict again, cleared and refilled from its first entry, now
+        # following the maximizer.  The transcript's contract forbids this,
+        # but the backend must still answer right: the refilled dict is not
+        # one entry longer than the last query's.
         reused.clear()
         run(reused, lambda k, nid: correct[nid])
         run({}, lambda k, nid: 1)
         run({}, lambda k, nid: rng.randint(0, 1))
         if len(order) >= 3:
-            # A different dict at the position after the last query's: its
+            # A different dict one entry longer than the last query's: its
             # first entry is off, the entry the last query left final is not.
-            last = len(order) - 1
-            run({}, lambda k, nid: correct[nid], stop=last)
+            run({}, lambda k, nid: correct[nid], stop=len(order) - 1)
             other = {nid: correct[nid] for nid in order}
             other[order[0]] ^= 1
-            ask(other, last)
+            ask(other)
     assert off_settled > 100
 
 
 def test_one_backend_serves_interleaved_profiles():
     # One evaluation backend goes back and forth between three profiles: one
     # graph under rho and under omega, the very same graph object, then a
-    # second graph.  An extraction's positioned queries on one of them are
+    # second graph.  An extraction's pinned queries on one of them are
     # separated by pin-free probes on all three, so a profile is found again
     # only by the identity of both the graph and the weighting.
     differ = 0
@@ -563,11 +553,11 @@ def test_one_backend_serves_interleaved_profiles():
         brute = BruteForceBackend()
         smart = EvaluationBackend()
 
-        def ask(dag, weights, theta, pins, k=None):
+        def ask(dag, weights, theta, pins):
             smart.bind(dag, weights, oracle)
             brute.bind(dag, weights, oracle)
-            answer = smart.decide(theta, pins, k, oracle)
-            assert answer == brute.decide(theta, pins, k, oracle), (seed, theta, pins, k)
+            answer = smart.decide(theta, pins)
+            assert answer == brute.decide(theta, pins), (seed, theta, pins)
             return answer
 
         def probe():
@@ -578,10 +568,10 @@ def test_one_backend_serves_interleaved_profiles():
         for (dag, weights), two_t in zip(profiles, two_ts):
             for theta in (two_t, two_t - 1):
                 pins = {}
-                for k, nid in enumerate(dag.topo_order()):
+                for nid in dag.topo_order():
                     probe()
                     pins[nid] = 1
-                    if not ask(dag, weights, theta, pins, k):
+                    if not ask(dag, weights, theta, pins):
                         pins[nid] = 0
                 probe()
     assert differ >= 8
@@ -653,10 +643,10 @@ def test_evaluation_backend_keeps_only_the_current_profile(monkeypatch):
     def recording_oracle(dag, weights, proof_oracle, backend):
         ask = threshold_oracle(dag, weights, proof_oracle, backend)
 
-        def recording_ask(threshold, *pins_and_position):
-            if pins_and_position and type(pins_and_position[0]) is dict and len(built) == 1:
-                pins_seen.append(pins_and_position[0])
-            return ask(threshold, *pins_and_position)
+        def recording_ask(threshold, *pins):
+            if pins and type(pins[0]) is dict and len(built) == 1:
+                pins_seen.append(pins[0])
+            return ask(threshold, *pins)
 
         return recording_ask
 
@@ -716,6 +706,47 @@ def test_transcript_export_fields(chain2):
     assert stats.to_doc()[-1]["threshold"] == "1" + "0" * 5000
 
 
+def test_transcript_renders_the_pins_each_query_was_given():
+    # The newest pin may change after its query, and the next query extends
+    # the dict by one entry: here each query pins its newest node at 0 or 1
+    # in turn, and the caller flips that pin before it pins the next node.
+    # The transcript renders every query's pins as they were asked.
+    g = gen_instance("chain", 6, 0)
+    oracle = ProofOracle(transcript=True)
+    ask = threshold_oracle(g, rho_weights(g), oracle, EvaluationBackend())
+    pins, asked = {}, []
+    for k, nid in enumerate(g.topo_order()):
+        pins[nid] = k % 2
+        ask(0, pins)
+        asked.append({str(n): bit for n, bit in sorted(pins.items())})
+        pins[nid] ^= 1
+    assert asked[0] == {str(g.topo_order()[0]): 0}
+    assert [entry["pins"] for entry in oracle.stats.to_doc() if entry["kind"] == "threshold"] == asked
+
+
+@pytest.mark.parametrize("make", [BruteForceBackend, EvaluationBackend])
+def test_binding_the_bound_pair_again_takes_the_new_proof_oracle(make):
+    # A backend bound to one pair under a first proof oracle, then again
+    # under a second, as two solves of the same pair would: a pinned query
+    # below 2T that disagrees with the maximizer makes its proof calls on
+    # the second oracle only.
+    g = gen_instance("chain", 8, 0)
+    weights = rho_weights(g)
+    two_t = brute_two_t(g, weights)
+    first, second = ProofOracle(), ProofOracle()
+    backend = make()
+    threshold_oracle(g, weights, first, backend)
+    before = first.stats.proof_queries
+    ask = threshold_oracle(g, weights, second, backend)
+    assert second.stats.proof_queries == 0
+    head = g.topo_order()[0]
+    flipped = {head: evaluate(g, ProofOracle())[head] ^ 1}
+    assert ask(two_t - 1, flipped) is (brute_two_t(g, weights, flipped) >= two_t - 1)
+    assert first.stats.proof_queries == before
+    assert first.stats.threshold_queries == 0
+    assert second.stats.proof_queries > 0
+
+
 @pytest.mark.parametrize("decide", [decide_compress, decide_depth])
 def test_solve_profiles_once(decide, monkeypatch):
     # The search, the final pinned query and the witness extraction share
@@ -771,13 +802,13 @@ def test_decide_before_bind_is_refused(make, chain2):
     oracle = ProofOracle()
     backend = make()
     with pytest.raises(PipelineError, match="before bind"):
-        backend.decide(0, {}, None, oracle)
+        backend.decide(0, {})
     # A bind that fails validation leaves the backend unbound, not answering
     # off the pair bound before it.
     if make is EvaluationBackend:
         backend.bind(chain2, omega_weights(chain2), oracle)
-        assert backend.decide(8, {}, None, oracle) is True
+        assert backend.decide(8, {}) is True
         with pytest.raises(ValidationError):
             backend.bind(chain2, {1: 1, 2: 1}, oracle)
         with pytest.raises(PipelineError, match="before bind"):
-            backend.decide(0, {}, None, oracle)
+            backend.decide(0, {})

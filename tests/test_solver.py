@@ -168,11 +168,17 @@ def test_witness_modes_produce_correct_strings(chain2):
 
 
 class FirstPinLiesBackend(EvaluationBackend):
-    """Answers the first pinned query of a witness extraction wrongly."""
+    """Answers the first pinned query of a witness extraction wrongly: the
+    one that pins the first node in topological order alone.  (The final
+    query pins the output alone.)"""
 
-    def decide(self, threshold, pins, position, proof_oracle):
-        answer = super().decide(threshold, pins, position, proof_oracle)
-        return not answer if position == 0 else answer
+    def bind(self, dag, weights, proof_oracle):
+        super().bind(dag, weights, proof_oracle)
+        self.first = dag.topo_order()[0]
+
+    def decide(self, threshold, pins):
+        answer = super().decide(threshold, pins)
+        return not answer if pins.keys() == {self.first} else answer
 
 
 @pytest.mark.parametrize("decide", [decide_compress, decide_depth])
@@ -253,9 +259,9 @@ class SnapshotBackend:
     def bind(self, dag, weights, proof_oracle):
         self.inner.bind(dag, weights, proof_oracle)
 
-    def decide(self, threshold, pins, position, proof_oracle):
+    def decide(self, threshold, pins):
         self.seen.append(dict(pins))
-        return self.inner.decide(threshold, pins, position, proof_oracle)
+        return self.inner.decide(threshold, pins)
 
 
 def transcript_pins(stats):
