@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import CapacityError, PipelineError
 from .oracle import EvaluationBackend, ProofOracle, threshold_oracle
-from .querygraph import is_correct_query_string
+from .querygraph import decimal_str, is_correct_query_string
 from .solver import binary_search_T, search_budget
 
 VAR = "var"
@@ -197,16 +197,20 @@ def three_cnf_for_dag(g):
     return padded, n_common
 
 
-def build_p(g, weights):
+def build_p(g, weights, cap=None):
     """(circuit, x_coord): the circuit for p = sum of w * (x * q_V + (1 - x)/2),
     subcircuits shared, and its variable layout.
 
     Coordinates 0..m-1 are the answer bits x in topological order, and
     x_coord maps each node id to its coordinate in that order; each node
     then owns a block of (n_common - indeg) free coordinates for its proof,
-    auxiliary, and padding variables.
+    auxiliary, and padding variables.  With a `cap`, a count of coordinates
+    above it raises CapacityError before any coordinate is laid out.
     """
     clauses_by_node, n_common = three_cnf_for_dag(g)
+    if cap is not None:
+        edges = sum(len(node.inputs) for node in g.nodes)
+        _check_cap(len(clauses_by_node) * (1 + n_common) - edges, cap)
     x_coord = {nid: i for i, nid in enumerate(clauses_by_node)}
     cursor = len(x_coord)
     builder = CircuitBuilder()
@@ -239,8 +243,7 @@ def brute_force_max(circuit, cap=EXHAUSTIVE_CAP):
     cap still counts every coordinate.
     """
     var_count = circuit.var_count
-    if var_count > cap:
-        raise CapacityError(f"{var_count} variables exceed the cap of {cap}")
+    _check_cap(var_count, cap)
     read = sorted({value for kind, value, _ in circuit.gates if kind == VAR})
     point = [0] * var_count
     best = None
@@ -255,6 +258,11 @@ def brute_force_max(circuit, cap=EXHAUSTIVE_CAP):
             best = value
             witness = tuple(point)
     return Fraction(best), witness
+
+
+def _check_cap(var_count, cap):
+    if var_count > cap:
+        raise CapacityError(f"{decimal_str(var_count)} variables exceed the cap of {cap}")
 
 
 def extract_from_optimum(g, x_coord, vertex):

@@ -203,8 +203,8 @@ def _cmd_arith(args):
 
     g = _read_instance(args.input)
     weights = omega_weights(g)
-    circuit, x_coord = arithmetize.build_p(g, weights)
     cap = arithmetize.EXHAUSTIVE_CAP if args.cap is None else args.cap
+    circuit, x_coord = arithmetize.build_p(g, weights, cap)
     best, vertex = arithmetize.brute_force_max(circuit, cap=cap)
     x = arithmetize.extract_from_optimum(g, x_coord, vertex)
     bits, queries_used = arithmetize.audit_weak_compression(g, weights)

@@ -28,7 +28,10 @@ A node's query reads each original input wire its origin can see off the
 node's index, and resolves any other through compute_output, which reads
 the answers of the input's visible ancestors top-down, each off the copy
 their bits select, so a node's answer is a deterministic function of its
-signature and the answer bits of deeper nodes.
+signature and the answer bits of deeper nodes.  Evaluation, the check of a
+string and the admissibility check run on whole blocks (forced_bits,
+out_sums): lists over a block's copies, with compute_output in vector form
+and each distinct input string decided once; forced_bit answers one copy.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import json
 from bisect import bisect_right
 from collections.abc import Mapping
 from itertools import chain, islice, repeat
+from operator import add
 
 from .errors import WireValueError
 from .querygraph import Record, decimal_str
@@ -100,7 +104,8 @@ class CompressedDag:
     visible, shifts and `above` per origin and one list of ids, whose int
     objects the solve's id-keyed dicts share: a copy's origin is the block
     its id falls in, and its bits, edges and record are made off its index
-    when read.  `visible` depends only on the original graph and its tree.
+    when read, a block at a time for forced_bits and out_sums.  `visible`
+    depends only on the original graph and its tree.
     """
 
     conductor_id = output = CONDUCTOR_ID
@@ -162,20 +167,44 @@ class CompressedDag:
         k = cid - self._first[origin]
         return {anc: k >> shift & 1 for anc, shift in self._shifts[origin].items()}
 
-    def _block_rows(self, u):
-        """The out-edges of origin u's copies in id order: the conductor,
-        then per descendant v above u and offset spanned by the ancestors
-        only v sees, one column of targets, the first id of v's copies for
-        each copy of the block, from the ancestors both see, plus that
-        offset."""
-        vis, mine = self._visible[u], self._shifts[u]
-        columns = []
+    def _block(self, u):
+        """The ids of origin u's copies, the id list's own int objects."""
+        start = self._first[u] - self._copies.start + 1
+        return self._ids[start : start + (1 << len(self._visible[u]))]
+
+    def _block_columns(self, u):
+        """The out-edges of origin u's copies but the conductor, yielded as
+        columns over the block in id order: per descendant v above u and
+        offset spanned by the ancestors only v sees, one column of targets,
+        the first id of v's copies for each copy of the block, from the
+        ancestors both see, plus that offset."""
+        mine = self._shifts[u]
         for v in self._above[u]:
             at = self._shifts[v]
-            bases = _offsets([1 << at[a] if a in at else 0 for a, _, _ in vis], self._first[v])
-            for o in _offsets([1 << sh for a, sh in at.items() if a not in mine]):
-                columns.append([b + o for b in bases])
-        return zip(repeat(CONDUCTOR_ID, 1 << len(vis)), *columns)
+            bases = _offsets([1 << at[a] if a in at else 0 for a in mine], self._first[v])
+            yield bases
+            spans = [1 << sh for a, sh in at.items() if a not in mine]
+            if spans:
+                for o in _offsets(spans)[1:]:
+                    yield [*map(o.__add__, bases)]
+
+    def _block_rows(self, u):
+        """The out-edges of origin u's copies in id order: the conductor,
+        then a target from each of _block_columns."""
+        return zip(repeat(CONDUCTOR_ID, 1 << len(self._visible[u])), *self._block_columns(u))
+
+    def out_sums(self, f):
+        """The sum of f over each node's out-neighbours, a block at a time:
+        yields the conductor's, 0, then per origin block in id order its ids
+        and sums, f(conductor) plus f of one column of targets at a time."""
+        yield (CONDUCTOR_ID,), [0]
+        conductor = f(CONDUCTOR_ID)
+        for u in self._origins:
+            block = self._block(u)
+            sums = [conductor] * len(block)
+            for column in self._block_columns(u):
+                sums = [*map(add, sums, map(f, column))]
+            yield block, sums
 
     def _row(self, cid):
         if cid == CONDUCTOR_ID:
@@ -212,6 +241,89 @@ class CompressedDag:
                 known = self._known(cid, origin)
             z.append("01"[compute_output(self, p, known, x)])
         return 1 if sat.exists(query, "".join(z)) else 0
+
+    def forced_bits(self, x, sat, pins):
+        """(id, bit) for every node in topo order: its pin if `pins` holds
+        it, with no proof call, else its forced bit under x.  The copies
+        come one origin block at a time, in id order, each block's bits
+        made when its first pair is taken, from the bits x holds then; the
+        conductor comes last, through forced_bit.  So a caller that puts
+        each pair in x before taking the next evaluates.  The bits, proof
+        calls and transcript entries are forced_bit's, copy by copy in id
+        order (see _block_bits)."""
+        for u in self._origins:
+            block = self._block(u)
+            yield from zip(block, self._block_bits(u, block, x, sat, pins))
+        yield CONDUCTOR_ID, (
+            pins[CONDUCTOR_ID] if CONDUCTOR_ID in pins else self.forced_bit(CONDUCTOR_ID, x, sat)
+        )
+
+    def _block_bits(self, u, block, x, sat, pins):
+        """The bits of origin u's copies `block` under x, pinned or forced,
+        as one list.  Each copy's input bits are its code (_input_codes);
+        the unpinned copies' codes go to sat.exists_each, which counts and
+        records every one in id order and decides each distinct one once,
+        in first-occurrence order."""
+        query = self.origin_dag.by_id[u]
+        try:
+            codes = self._input_codes(u, query.inputs, x)
+        except KeyError:
+            self._raise_missing_wire(u, block, x)
+            raise
+        width = len(query.inputs)
+        if not (pins and any(map(pins.__contains__, block))):
+            return [*map(sat.exists_each(query, codes, width).__getitem__, codes)]
+        free = [code for cid, code in zip(block, codes) if cid not in pins]
+        bit = sat.exists_each(query, free, width)
+        return [pins[cid] if cid in pins else bit[code] for cid, code in zip(block, codes)]
+
+    def _input_codes(self, u, inputs, x):
+        """Each copy of origin u's input bits, in id order, as one number,
+        the first of `inputs` most significant.  A visible input's bit comes
+        off the copy's index.  An input p that u cannot see is
+        compute_output in vector form, over the whole block at once:
+        visible(p) + [p] top down, each vertex neither visible to u nor
+        found yet read from x at the copies that the bits known so far
+        select.  What is found is kept for u's later inputs.  A missing
+        wire raises KeyError."""
+        shifts = self._shifts[u]
+        # Each input's place in the code; a visible ancestor that is no
+        # input has none.
+        places = dict.fromkeys(shifts, 0)
+        hidden = []
+        place = 1 << len(inputs)
+        for p in inputs:
+            place >>= 1
+            if p in places:
+                places[p] = place
+            else:
+                hidden.append((p, place))
+        codes = _offsets([*places.values()])
+        found = {}
+        for p, place in hidden:
+            if p not in found:
+                for v in chain(self._shifts[p], (p,)):
+                    if v in shifts or v in found:
+                        continue
+                    at = self._shifts[v]
+                    cids = _offsets([1 << at[a] if a in at else 0 for a in shifts], self._first[v])
+                    for a, sh in at.items():
+                        if a not in shifts:
+                            cids = [*map(add, cids, map((1 << sh).__mul__, found[a]))]
+                    found[v] = [*map(bool, map(x.__getitem__, cids))]
+            codes = [*map(add, codes, map(place.__mul__, found[p]))]
+        return codes
+
+    def _raise_missing_wire(self, u, block, x):
+        """Raise the WireValueError that forced_bit, copy by copy in id
+        order, raises first over `block`: one compute_output per copy and
+        input u cannot see, in the order forced_bit resolves them."""
+        shifts = self._shifts[u]
+        hidden = [p for p in self.origin_dag.by_id[u].inputs if p not in shifts]
+        for cid in block:
+            known = self._known(cid, u)
+            for p in hidden:
+                compute_output(self, p, known, x)
 
     def _record(self, cid):
         if cid == CONDUCTOR_ID:
@@ -297,8 +409,10 @@ def _offsets(places, start=0):
     """start + sum of bit_i * places[i], for every bit string in
     itertools.product order."""
     out = [start]
-    for p in places:
-        out = [o + b for o in out for b in (0, p)]
+    # The last place is the least significant: each earlier one doubles the
+    # list, its bit 0 on the first half and 1 on the second.
+    for p in reversed(places):
+        out += [*map(p.__add__, out)] if p else out
     return out
 
 

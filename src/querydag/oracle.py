@@ -73,6 +73,17 @@ class OracleStats:
         if self.transcript is not None:
             self.transcript.append(("proof", node_id, input_bits, answer))
 
+    def record_proofs(self, node_id, codes, width, bits):
+        """record_proof for each call of ProofOracle.exists_each, in order:
+        its input bits are its code as a `width`-bit string, its answer
+        bits[code] as exists() gives it, a bool."""
+        self.proof_queries += len(codes)
+        if self.transcript is not None:
+            form = f"0{width}b"
+            self.transcript.extend(
+                [("proof", node_id, format(c, form) if width else "", bits[c] == 1) for c in codes]
+            )
+
     def record_threshold(self, threshold, pins, answer):
         self.threshold_queries += 1
         if self.transcript is not None:
@@ -274,6 +285,26 @@ class ProofOracle:
             answer = memo[key] = sat_exists_proof(node, input_bits)
         self.stats.record_proof(node.id, input_bits, answer)
         return answer
+
+    def exists_each(self, node, codes, width):
+        """exists() for each of `codes`, the input bits of one call each as
+        a `width`-bit binary number, the first input most significant, as
+        the '0'/'1' string forced_bit would build: every call is counted,
+        and recorded in order, and each distinct string decided once,
+        through the memo, in first-occurrence order.  Returns each distinct
+        code's answer as a bit, 1 or 0."""
+        memo = self.stats.decisions
+        form = f"0{width}b"
+        bits = {}
+        for code in dict.fromkeys(codes):
+            input_bits = format(code, form) if width else ""
+            key = (node, input_bits)
+            answer = memo.get(key)
+            if answer is None:
+                answer = memo[key] = sat_exists_proof(node, input_bits)
+            bits[code] = 1 if answer else 0
+        self.stats.record_proofs(node.id, codes, width, bits)
+        return bits
 
 
 def max_t_for_assignment(dag, weights, x, proof_oracle, check=None):

@@ -131,8 +131,23 @@ class QueryDag:
     def forced_bit(self, nid, x, sat):
         """Answer of query `nid` when its input wires read their bits in x."""
         node = self.by_id[nid]
-        z = "".join("1" if x[p] else "0" for p in node.inputs)
+        z = "".join(["1" if x[p] else "0" for p in node.inputs])
         return 1 if sat.exists(node, z) else 0
+
+    def forced_bits(self, x, sat, pins):
+        """(id, bit) for every node in topo order: its pin if `pins` holds
+        it, with no proof call, else its forced bit under x, read when the
+        pair is taken.  So a caller that puts each pair in x before taking
+        the next evaluates.  A node at a time, through forced_bit."""
+        forced_bit = self.forced_bit
+        for nid in self._order:
+            yield nid, pins[nid] if nid in pins else forced_bit(nid, x, sat)
+
+    def out_sums(self, f):
+        """The sum of f over each node's out-neighbours, as one block: yields
+        the node ids and their sums once."""
+        children = self._children
+        yield children.keys(), [sum(map(f, kids)) for kids in children.values()]
 
     def __repr__(self):
         return f"QueryDag(n={len(self.nodes)}, output={self.output})"
@@ -287,24 +302,25 @@ def evaluate(g, sat, pins=None):
 
     `sat` decides proof existence per node given fixed input bits.  NP has no
     invalid queries, so the bits are deterministic.  A node in `pins` keeps
-    its pinned bit instead of its forced one.  Under a weighting admissible
-    with c >= 2 the result is the unique best string among those agreeing
-    with the pins: a forced bit reads only the node's in-neighbours, so
-    setting an unpinned node u to it gains w_u in u's own term and moves
-    only the terms of u's children, each by at most 2 w_child, a total that
-    admissibility keeps below w_u.  Works on any graph with the
-    topo_order()/forced_bit()/output protocol.
+    its pinned bit instead of its forced one, and issues no proof call;
+    every other node reads the bits already settled, pinned or forced.
+    Under a weighting admissible with c >= 2 the result is the unique best
+    string among those agreeing with the pins: a forced bit reads only the
+    node's in-neighbours, so setting an unpinned node u to it gains w_u in
+    u's own term and moves only the terms of u's children, each by at most
+    2 w_child, a total that admissibility keeps below w_u.  The bits come
+    from g.forced_bits, each put in `bits` before the next is made: a query
+    graph settles a node at a time, a compressed graph a block of copies.
     """
-    pins = pins or {}
     bits = {}
-    for nid in g.topo_order():
-        bits[nid] = pins[nid] if nid in pins else g.forced_bit(nid, bits, sat)
+    bits.update(g.forced_bits(bits, sat, pins or {}))
     return bits
 
 
 def is_correct_query_string(g, x, sat):
-    """True iff every bit of x matches the forced answer of its query."""
+    """True iff every bit of x matches the forced answer of its query,
+    checked in g.forced_bits order, up to the first pair that differs."""
     ids = g.node_ids()
     if len(x) != len(ids) or not all(map(x.__contains__, ids)):
         raise ValidationError("query string does not cover the node set")
-    return all(x[nid] == g.forced_bit(nid, x, sat) for nid in ids)
+    return all(map(x.items().__contains__, g.forced_bits(x, sat, {})))

@@ -7,17 +7,23 @@ compression's are built for it, and check_admissible tests against it.
 Such weightings make earlier queries dominate later ones in the
 total-solution-weight objective.
 
-Any graph object exposing node_ids(), out_neighbors() and topo_order()
-works here, so the same functions serve plain query graphs and compressed
-graphs.  Those three methods are the structural half of the graph protocol
-that QueryDag and CompressedDag share; forced_bit(id, x, sat) and
-`output` complete it, and evaluation, the objective and the threshold
-backends are written against those five alone.  out_neighbors() may
-be a read-only Mapping that makes each row when read, as a compressed
-graph's does.
+Any graph object exposing node_ids(), out_neighbors(), out_sums(f) and
+topo_order() works here, so the same functions serve plain query graphs
+and compressed graphs.  Those four methods are the structural half of the
+graph protocol that QueryDag and CompressedDag share; forced_bit(id, x,
+sat), its block form forced_bits(x, sat, pins) and `output` complete it,
+and evaluation, the objective and the threshold backends are written
+against those seven alone.  out_neighbors() may be a read-only Mapping that
+makes each row when read, as a compressed graph's does; out_sums(f) yields
+(ids, sums) per block of nodes, the sum of f over each one's
+out-neighbours, which a compressed graph adds up one column of targets at
+a time, with no row made.
 """
 
 from __future__ import annotations
+
+from itertools import compress, repeat
+from operator import add, lt, mul
 
 from .querygraph import decimal_str, topo_sort
 
@@ -72,13 +78,17 @@ def rho_weights(g):
 
 
 def check_admissible(g, weights):
-    """Verify the defining inequality node by node.
+    """Verify the defining inequality at every node, a block of nodes at a
+    time: g.out_sums gives each block's sums of child weights.
 
-    One pass over out_neighbors().items(); returns (True, None) on success,
-    otherwise (False, first offending node in ascending id order).
+    Returns (True, None) on success, otherwise (False, first offending node
+    in ascending id order).
     """
     w, c = weights.__getitem__, ADMISSIBILITY_C
-    bad = [v for v, kids in g.out_neighbors().items() if w(v) < 1 + c * sum(map(w, kids))]
+    bad = []
+    for ids, sums in g.out_sums(w):
+        # The ids whose weight is below 1 + c * sum.
+        bad += compress(ids, map(lt, map(w, ids), map(add, repeat(1), map(mul, repeat(c), sums))))
     return (False, min(bad)) if bad else (True, None)
 
 

@@ -127,6 +127,10 @@ class CompressedDag:
     def out_neighbors(self):
         return self.edges_out
 
+    def out_sums(self, f):
+        """The sum of f over each node's out-neighbours, as one block."""
+        yield list(self.edges_out), [sum(map(f, kids)) for kids in self.edges_out.values()]
+
     def edge_count(self):
         return sum(len(t) for t in self.edges_out.values())
 
@@ -172,6 +176,13 @@ class CompressedDag:
         known = dict(node.signature)
         z = "".join(str(compute_output(self, p, known, x)) for p in query.inputs)
         return 1 if sat.exists(query, z) else 0
+
+    def forced_bits(self, x, sat, pins):
+        """(id, pinned or forced bit under x) per node in topo order, a copy
+        at a time through forced_bit: the per-copy reference for the
+        package's block form."""
+        for cid in self.topo_order():
+            yield cid, pins[cid] if cid in pins else self.forced_bit(cid, x, sat)
 
     def to_doc(self, weights=None):
         doc = {

@@ -315,3 +315,18 @@ def test_common_padding_invariant(chain2):
     for nid in clauses_by_node:
         assert len(clauses_by_node[nid]) == 2
         assert all(abs(l) <= n_common for cl in clauses_by_node[nid] for l in cl)
+
+
+def test_build_p_checks_its_cap_against_the_circuit_it_would_build():
+    # The count build_p checks before laying out any coordinate is the
+    # circuit's own var_count: a cap of exactly that builds the same
+    # circuit, one less is refused with brute_force_max's message.
+    for seed in range(300):
+        g = random_instance(seed)
+        weights = omega_weights(g)
+        circuit, x_coord = build_p(g, weights)
+        n = circuit.var_count
+        capped, capped_coord = build_p(g, weights, cap=n)
+        assert (capped.to_doc(), capped_coord) == (circuit.to_doc(), x_coord), seed
+        with pytest.raises(CapacityError, match=f"^{n} variables exceed the cap of {n - 1}$"):
+            build_p(g, weights, cap=n - 1)

@@ -1,0 +1,183 @@
+"""The block form of G*'s forced bits against the per-copy reference.
+
+CompressedDag.forced_bits settles one origin block at a time; the per-copy
+reference here settles one copy at a time through forced_bit, which the
+package keeps for single lookups.  evaluate, is_correct_query_string and
+check_admissible go through the block form, so on the random corpus and on
+larger shapes (band-3 n = 48, band-4 n = 40, a grid and a binary in-tree,
+given seeded clauses) each must match what the per-copy path gives: the
+bits, the proof calls counted and recorded, the distinct decisions, the
+check's verdict, the admissibility verdict and a missing wire's error.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from instances import random_instance
+from test_septree_digest import band_dag, binary_in_tree, grid_dag
+
+from querydag import (
+    BruteForceBackend,
+    EvaluationBackend,
+    ProofOracle,
+    WireValueError,
+    build_compressed,
+    build_dag,
+    build_separator_tree,
+    check_admissible,
+    evaluate,
+    is_correct_query_string,
+)
+from querydag.weighting import ADMISSIBILITY_C
+
+
+def per_copy_evaluate(gd, sat, pins=None):
+    """evaluate, one forced_bit per node in topo order."""
+    pins = pins or {}
+    bits = {}
+    for nid in gd.topo_order():
+        bits[nid] = pins[nid] if nid in pins else gd.forced_bit(nid, bits, sat)
+    return bits
+
+
+def per_copy_check(gd, x, sat):
+    """is_correct_query_string, one forced_bit per node in id order."""
+    return all(x[nid] == gd.forced_bit(nid, x, sat) for nid in gd.node_ids())
+
+
+def per_row_admissible(gd, weights):
+    """check_admissible, one out-neighbour row per node."""
+    w = weights.__getitem__
+    bad = [
+        v
+        for v, kids in gd.out_neighbors().items()
+        if w(v) < 1 + ADMISSIBILITY_C * sum(map(w, kids))
+    ]
+    return (False, min(bad)) if bad else (True, None)
+
+
+def with_clauses(shape, seed):
+    """`shape` with every node given one proof variable and one to three
+    seeded clauses over its wires and that variable, so that answers vary."""
+    rng = random.Random(seed)
+    specs = []
+    for node in shape.nodes:
+        width = len(node.inputs) + 1
+        clauses = [
+            [rng.choice((1, -1)) * rng.randint(1, width) for _ in range(rng.randint(1, 3))]
+            for _ in range(rng.randint(1, 3))
+        ]
+        specs.append((node.id, "verifier", node.inputs, 1, clauses))
+    return build_dag(specs, shape.output)
+
+
+SHAPES = {
+    "band3-48": lambda: band_dag(48, 3),
+    "band4-40": lambda: band_dag(40, 4),
+    "grid-4x8": lambda: grid_dag(4, 8),
+    "bintree-31": lambda: binary_in_tree(31),
+}
+
+
+def compressed(g):
+    return build_compressed(g, build_separator_tree(g))
+
+
+def assert_block_form_matches(gd, weights, rng, label):
+    # Unpinned evaluation: bits, counted and distinct calls, transcript.
+    mine, theirs = ProofOracle(transcript=True), ProofOracle(transcript=True)
+    x = evaluate(gd, mine)
+    assert x == per_copy_evaluate(gd, theirs), label
+    assert list(x) == gd.topo_order(), label
+    assert all(type(bit) is int for bit in x.values()), label
+    for attr in ("proof_queries", "proof_distinct", "transcript"):
+        assert getattr(mine.stats, attr) == getattr(theirs.stats, attr), (label, attr)
+    # The same decisions, reached in the same order.
+    assert list(mine.stats.decisions) == list(theirs.stats.decisions), label
+    # The check, on the correct string and with one copy flipped.
+    mine, theirs = ProofOracle(transcript=True), ProofOracle(transcript=True)
+    assert is_correct_query_string(gd, x, mine) and per_copy_check(gd, x, theirs), label
+    assert mine.stats.transcript == theirs.stats.transcript, label
+    ids = gd.node_ids()
+    for cid in rng.sample(ids, min(3, len(ids))):
+        flipped = dict(x)
+        flipped[cid] ^= 1
+        oracle = ProofOracle()
+        assert not is_correct_query_string(gd, flipped, oracle), (label, cid)
+        assert not per_copy_check(gd, flipped, oracle), (label, cid)
+    # Pinned evaluation: a pinned copy keeps its pin and issues no call.
+    pins = {cid: rng.randint(0, 1) for cid in rng.sample(ids, min(4, len(ids)))}
+    mine, theirs = ProofOracle(transcript=True), ProofOracle(transcript=True)
+    assert evaluate(gd, mine, pins) == per_copy_evaluate(gd, theirs, pins), (label, pins)
+    assert mine.stats.transcript == theirs.stats.transcript, (label, pins)
+    # Admissibility on the least weighting and with one copy lowered.
+    assert check_admissible(gd, weights) == per_row_admissible(gd, weights) == (True, None)
+    for cid in rng.sample(ids, min(3, len(ids))):
+        lowered = dict(weights)
+        lowered[cid] -= 1
+        verdict = check_admissible(gd, lowered)
+        assert verdict == per_row_admissible(gd, lowered) == (False, cid), (label, cid)
+
+
+def test_block_form_matches_the_per_copy_path_on_the_corpus():
+    rng = random.Random(31)
+    for seed in range(1000):
+        gd, weights = compressed(random_instance(seed))
+        assert_block_form_matches(gd, weights, rng, seed)
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_block_form_matches_the_per_copy_path_on_larger_shapes(name):
+    gd, weights = compressed(with_clauses(SHAPES[name](), 7))
+    assert_block_form_matches(gd, weights, random.Random(name), name)
+
+
+def test_pinned_queries_below_two_t_agree_with_brute_force():
+    # EvaluationBackend.decide scores a disagreeing pinned query with one
+    # pinned evaluation of G*; enumeration answers it without one.
+    rng = random.Random(13)
+    tried = 0
+    for seed in range(400):
+        gd, weights = compressed(random_instance(seed))
+        ids = gd.node_ids()
+        if len(ids) > 10:
+            continue
+        oracle = ProofOracle()
+        smart, brute = EvaluationBackend(), BruteForceBackend()
+        smart.bind(gd, weights, oracle)
+        brute.bind(gd, weights, oracle)
+        two_t = smart._two_t
+        for _ in range(3):
+            pins = {cid: rng.randint(0, 1) for cid in rng.sample(ids, rng.randint(1, len(ids)))}
+            for theta in (two_t - 1, two_t - 2, two_t - weights[next(iter(pins))]):
+                assert smart.decide(theta, pins) == brute.decide(theta, pins), (seed, theta, pins)
+                tried += 1
+    assert tried > 300
+
+
+def test_a_missing_wire_names_the_copy_the_per_copy_path_names():
+    rng = random.Random(3)
+    checked = 0
+    for g in [random_instance(seed) for seed in range(200)] + [with_clauses(band_dag(24, 3), 1)]:
+        gd, _ = compressed(g)
+        x = evaluate(gd, ProofOracle())
+        for _ in range(5):
+            # Several wires missing, so that copies of one block can miss
+            # different ones.
+            gone = rng.sample(gd.node_ids(), rng.randint(1, min(4, len(x))))
+            partial = {cid: bit for cid, bit in x.items() if cid not in gone}
+            errors = []
+            for settle in (
+                lambda: dict(gd.forced_bits(partial, ProofOracle(), {})),
+                lambda: [gd.forced_bit(nid, partial, ProofOracle()) for nid in gd.topo_order()],
+            ):
+                try:
+                    settle()
+                    errors.append(None)
+                except WireValueError as exc:
+                    errors.append(str(exc))
+            assert errors[0] == errors[1], (g, gone)
+            checked += errors[0] is not None
+    assert checked > 100
