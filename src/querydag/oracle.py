@@ -4,12 +4,14 @@ Only threshold queries are compared against the paper-style budgets; proof
 queries are internal to the oracle's own decision procedure, the way an NP
 oracle does unbounded work behind one answer.  That work is a DPLL search
 over integer bitmasks, one bit per variable that occurs in the clauses: each
-clause is a (positive, negative) pair of variable masks and the assignment a
-(true, false) pair.  The search branches on the smallest variable of the
-first unsatisfied clause with two free literals, or failing that of the
-first unsatisfied clause.  Its root propagates unit clauses to a fixpoint
-over every clause; each search node below propagates only from the variable
-it branched on, through the clauses that lose a literal to it.  The masks
+clause is a (positive, negative, variables) triple of variable masks and the
+assignment a (true, false) pair.  The search branches on the smallest
+variable of the first unsatisfied clause with two free literals, or failing
+that of the first unsatisfied clause.  Its root sets the input wires and
+propagates unit clauses to a fixpoint, reading first only the clauses with
+at most one literal outside the wires, the only ones that can then be unit
+or empty; each search node below propagates only from the variable it
+branched on, through the clauses that lose a literal to it.  The masks
 and those per-variable clause lists are the node's compiled form
 (CompiledCnf), linear in its clauses, built on its first decision and kept
 on the node for later ones; parsing compiles nothing, and a clause-free
@@ -126,12 +128,15 @@ class CompiledCnf:
     clause's smallest free bit is still its smallest free variable.  An
     input in no clause gets no bit; a clause holding v and -v always holds
     and is dropped.  `wires` holds each input wire's bit (0 for none),
-    `clauses` each remaining clause as a (positive, negative) pair of
-    masks, in the node's order, and `on_true[bit]` / `on_false[bit]` the
-    clauses that lose a literal when that variable is set true / false.
-    The root of a search sets the pseudo-variable 0 false, and
-    `on_false[0]` is every clause, so the root checks them all.  The size
-    is linear in the node's literals.
+    `clauses` each remaining clause as a (positive, negative, variables)
+    triple of masks, in the node's order, and `on_true[bit]` /
+    `on_false[bit]` the clauses that lose a literal when that variable is
+    set true / false.  A search sets every input wire before its root, so
+    there only a clause with at most one literal outside the wires can be
+    unit or empty.  The root sets the pseudo-variable 0 false, and
+    `on_false[0]` is those clauses, in clause order; propagation reaches
+    any other clause through a variable it sets.  The size is linear in the
+    node's literals.
     """
 
     __slots__ = ("wires", "clauses", "on_true", "on_false")
@@ -149,7 +154,10 @@ class CompiledCnf:
             lose[var] = self.on_false[bit] = []
             lose[-var] = self.on_true[bit] = []
         self.wires = tuple(mask.get(var, 0) for var in range(1, len(node.inputs) + 1))
+        # The wires' bits are distinct, so their sum is their union.
+        proof = ~sum(self.wires)
         clauses = []
+        root = self.on_false[0] = []
         for clause in node.clauses:
             pos = neg = 0
             for lit in clause:
@@ -159,14 +167,17 @@ class CompiledCnf:
                     neg |= mask[-lit]
             if pos & neg:
                 continue
-            pair = (pos, neg)
-            clauses.append(pair)
-            if pos.bit_count() + neg.bit_count() < len(clause):
+            both = pos | neg
+            entry = (pos, neg, both)
+            clauses.append(entry)
+            rest = both & proof
+            if not rest & (rest - 1):
+                root.append(entry)
+            if both.bit_count() < len(clause):
                 clause = set(clause)  # a repeated literal is listed once
             for lit in clause:
-                lose[lit].append(pair)
+                lose[lit].append(entry)
         self.clauses = tuple(clauses)
-        self.on_false[0] = self.clauses
 
 
 def _propagate(cnf, true, false, var, value):
@@ -174,8 +185,11 @@ def _propagate(cnf, true, false, var, value):
 
     Only clauses that lose a literal are looked at: first those of var,
     then those of each variable a unit clause sets.  At the root (var 0)
-    that is every clause, so the root's fixpoint is the full one, and each
-    search node below it needs only the consequences of its own branch.
+    those are the clauses with at most one literal outside the input wires,
+    the only ones that can be unit or empty with just the wires set, so the
+    root's fixpoint is the full one, and each search node below it needs
+    only the consequences of its own branch.  `unassigned` masks the free
+    variables, so a clause's free literals are one AND away.
     Returns the extended (true, false) assignment, or None on a conflict.
     """
     if value:
@@ -183,13 +197,14 @@ def _propagate(cnf, true, false, var, value):
     else:
         false |= var
     on_true, on_false = cnf.on_true, cnf.on_false
+    unassigned = ~(true | false)
     queue = [var]
     while queue:
         bit = queue.pop()
-        for pos, neg in (on_true if bit & true else on_false)[bit]:
+        for pos, neg, both in (on_true if bit & true else on_false)[bit]:
             if pos & true or neg & false:
                 continue
-            free = (pos | neg) & ~(true | false)
+            free = both & unassigned
             if not free:
                 return None
             if free & (free - 1):
@@ -199,13 +214,14 @@ def _propagate(cnf, true, false, var, value):
                 true |= free
             else:
                 false |= free
+            unassigned ^= free
             queue.append(free)
     return true, false
 
 
 def _dpll(cnf, true, false):
     # Each search node is one _propagate call, from the assignment its
-    # parent reached plus its branch; the root propagates everything.
+    # parent reached plus its branch; the root propagates from the wires.
     # Branch on the smallest free variable of the first unsatisfied clause
     # with two free literals, so that either branch satisfies the clause or
     # forces its other literal; if no clause has two, on that of the first
@@ -221,12 +237,12 @@ def _dpll(cnf, true, false):
         if state is None:
             continue
         true, false = state
-        assigned = true | false
+        unassigned = ~(true | false)
         pick = 0
-        for pos, neg in clauses:
+        for pos, neg, both in clauses:
             if pos & true or neg & false:
                 continue
-            free = (pos | neg) & ~assigned
+            free = both & unassigned
             rest = free & (free - 1)
             if not rest & (rest - 1):
                 pick = free

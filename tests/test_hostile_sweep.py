@@ -7,7 +7,11 @@ type or of an extreme value, a dangling or repeated input, a cycle, a
 literal out of range, a huge proof block.  Every run must exit 0, 1
 (QueryDagError) or 2 (usage error) and raise nothing: no traceback, no
 RecursionError, no MemoryError.  The argument lists include some that the
-parser must refuse.  Only random.Random(seed) drives it.
+parser must refuse.  A second sweep gives valid documents odd clause
+shapes (empty, over input wires only, tautological, with a repeated
+literal), which every decision method must answer alike, with the answer
+and witness that full enumeration gives.  Only random.Random(seed) drives
+it.
 """
 
 from __future__ import annotations
@@ -15,8 +19,10 @@ from __future__ import annotations
 import json
 import random
 
-from querydag import serialize_dag
+from querydag import parse_dag, serialize_dag
 from querydag.cli import gen_instance, main
+
+from conftest import enum_evaluate
 
 SEEDS = range(40)
 
@@ -51,6 +57,12 @@ NO_INPUT = (
     ["arith", "--cap", "-3"],
     [],
 )
+
+
+def seeded_doc(seed):
+    """The small generated instance document of `seed`, as a dict."""
+    family = ("chain", "star", "layered", "random-sep")[seed % 4]
+    return json.loads(serialize_dag(gen_instance(family, 2 + seed % 4, seed)))
 
 
 def mutate(rng, doc):
@@ -99,8 +111,7 @@ def test_hostile_documents_through_every_subcommand(tmp_path):
     path, out = tmp_path / "instance.json", str(tmp_path / "out.json")
     runs = 0
     for seed in SEEDS:
-        family = ("chain", "star", "layered", "random-sep")[seed % 4]
-        doc = json.loads(serialize_dag(gen_instance(family, 2 + seed % 4, seed)))
+        doc = seeded_doc(seed)
         hostile = mutate(rng, doc)
         if isinstance(hostile, bytes):
             path.write_bytes(hostile)
@@ -113,6 +124,56 @@ def test_hostile_documents_through_every_subcommand(tmp_path):
     for argv in NO_INPUT:
         assert main([*argv, "-o", out]) in (0, 1, 2), argv
     assert runs == len(SEEDS) * len(COMMANDS)
+
+
+def mutate_clauses(rng, doc):
+    """`doc` with one to three odd but valid clauses inserted, as text."""
+    for _ in range(rng.randint(1, 3)):
+        node = rng.choice(doc["nodes"])
+        wires = len(node["inputs"])
+        var_count = wires + node["proof_vars"]
+
+        def lit(top):
+            return rng.randint(1, top) * rng.choice((1, -1))
+
+        kind = rng.randrange(4) if var_count else 0
+        if kind == 0:
+            clause = []
+        elif kind == 1:
+            clause = [lit(wires) for _ in range(rng.randint(1, 3))] if wires else []
+        elif kind == 2:
+            var = rng.randint(1, var_count)
+            clause = [var, -var] + [lit(var_count) for _ in range(rng.randint(0, 2))]
+        else:
+            clause = [lit(var_count) for _ in range(rng.randint(1, 2))]
+            clause += clause
+        rng.shuffle(clause)
+        node["clauses"].insert(rng.randint(0, len(node["clauses"])), clause)
+    return json.dumps(doc)
+
+
+def test_odd_clause_shapes_get_one_answer_from_every_method(tmp_path):
+    rng = random.Random(2025)
+    path, out = tmp_path / "instance.json", tmp_path / "out.json"
+    answers = set()
+    for seed in SEEDS:
+        doc = seeded_doc(seed)
+        text = mutate_clauses(rng, doc)
+        path.write_text(text)
+        for command in COMMANDS:
+            assert main([*command, "-i", str(path), "-o", str(out)]) in (0, 1, 2), (seed, command)
+        solved = set()
+        for method in ("direct", "depth", "compress"):
+            code = main(["solve", "--method", method, "--witness", "-i", str(path), "-o", str(out)])
+            assert code == 0, (seed, method)
+            report = json.loads(out.read_text())
+            solved.add((report["answer"], json.dumps(report["witness"], sort_keys=True)))
+        # The witness is the correct query string, by full enumeration.
+        bits, answer = enum_evaluate(parse_dag(text))
+        witness = json.dumps({str(k): v for k, v in bits.items()}, sort_keys=True)
+        assert solved == {(answer, witness)}, (seed, solved)
+        answers.add(answer)
+    assert answers == {0, 1}
 
 
 def test_a_huge_proof_block_is_refused_before_the_arithmetization(tmp_path, capsys):

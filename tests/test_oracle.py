@@ -122,57 +122,101 @@ def test_sat_matches_enumeration_on_random_cnfs():
         assert answers == {True, False}
 
 
-def test_dpll_branches_on_two_literal_clauses(monkeypatch):
-    # Search nodes are _propagate calls.  Branching on the smallest free
-    # variable needed 810 on these 40 formulas.  A branch on a clause with
-    # two free literals satisfies it or forces its other literal, and the
-    # search needs 503.
-    from querydag import oracle
-
-    propagate = oracle._propagate
-    calls = 0
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return propagate(*args)
-
-    monkeypatch.setattr(oracle, "_propagate", counting)
-    answers = set()
-    for node, bits in _branching_cnfs():
-        answers.add(sat_exists_proof(node, bits))
-    assert answers == {True, False}
-    assert calls < 600
-
-
-def test_dpll_searches_as_the_clause_list_reference(monkeypatch):
-    # Incremental propagation reaches the same fixpoint as re-scanning the
-    # live clauses, and the branch rule is the same, so every formula gets
-    # the same answer from a search tree of the same size.
+@pytest.fixture
+def searches(monkeypatch):
+    """Search nodes, i.e. _propagate calls, of oracle's DPLL and of the
+    clause-list reference's, counted under each module as it runs."""
     import dpll_reference
     from querydag import oracle
 
-    calls = {}
+    calls = {oracle: 0, dpll_reference: 0}
+    for module in calls:
 
-    def counting(module):
-        propagate = module._propagate
-
-        def wrapped(*args):
+        def wrapped(*args, module=module, propagate=module._propagate):
             calls[module] += 1
             return propagate(*args)
 
         monkeypatch.setattr(module, "_propagate", wrapped)
+    return calls
 
-    counting(oracle)
-    counting(dpll_reference)
-    small, near = _random_cnfs()
-    for node, bits in small + near + _branching_cnfs():
-        calls[oracle] = calls[dpll_reference] = 0
+
+def test_dpll_branches_on_two_literal_clauses(searches):
+    # Branching on the smallest free variable needed 810 search nodes on
+    # these 40 formulas.  A branch on a clause with two free literals
+    # satisfies it or forces its other literal, and the search needs 503.
+    from querydag import oracle
+
+    answers = set()
+    for node, bits in _branching_cnfs():
+        answers.add(sat_exists_proof(node, bits))
+    assert answers == {True, False}
+    assert searches[oracle] == 503
+
+
+def _assert_searches_as_the_reference(searches, cases):
+    """Each of `cases`, (node, input bits) pairs, gets the reference's
+    answer from a search tree of the same size; returns the total size."""
+    import dpll_reference
+    from querydag import oracle
+
+    total = 0
+    for node, bits in cases:
+        searches[oracle] = searches[dpll_reference] = 0
         answer = sat_exists_proof(node, bits)
         assert answer == dpll_reference.sat_exists_proof(node, bits), (node, bits)
         # A clause-free node is answered before any search.
-        searched = calls[dpll_reference] if node.clauses else 0
-        assert calls[oracle] == searched, (node, bits)
+        searched = searches[dpll_reference] if node.clauses else 0
+        assert searches[oracle] == searched, (node, bits)
+        total += searched
+    return total
+
+
+def test_dpll_searches_as_the_clause_list_reference(searches):
+    # Incremental propagation reaches the same fixpoint as re-scanning the
+    # live clauses, and the branch rule is the same, so every formula gets
+    # the same answer from a search tree of the same size.
+    small, near = _random_cnfs()
+    assert _assert_searches_as_the_reference(searches, small + near) == 3486
+    _assert_searches_as_the_reference(searches, _branching_cnfs())
+
+
+# Hand-built nodes for the root's clause list: inputs 100.. are variables
+# 1..k, the wires, and the proof variables follow.
+ROOT_CNFS = (
+    # An empty clause, among clauses over wires only and wire-plus-proof.
+    ((100, 101), 2, ((1, 3), (), (-2, 4), (1, -2))),
+    # A wire forcing a proof variable whose clauses, none of them read at
+    # the root, then shorten to units and a conflict.
+    ((100, 101), 3, ((-1, 3), (-3, 4, 5), (-3, -4), (-3, -5), (2, 4, 5))),
+    # A unit proof clause, repeated literals and tautologies.
+    ((100,), 3, ((3,), (2, 2), (-3, 4, 4), (2, -2, 3), (1, -1), (4, -2, -4, 1), (-1, 2, 2))),
+    # An input wire in no clause: variable 2 takes no bit.
+    ((100, 101, 102), 3, ((1, 4), (-3, -4, 5), (4, 5, 6), (-5, -6), (-4, 6), (3, 3, 5))),
+    # Only wires, so every clause is read at the root.
+    ((100, 101), 0, ((1, 2), (-1, -2), (1, -2))),
+    # No wires: the root reads only the clauses over one variable.
+    ((), 3, ((1, 2), (-1,), (2, 3, -1), (-2, 3), (-3, -3))),
+)
+
+
+def test_root_reads_the_clauses_with_at_most_one_literal_off_the_wires(searches):
+    for inputs, pv, clauses in ROOT_CNFS:
+        node = QueryNode(1, "verifier", inputs, pv, clauses)
+        cnf = node.cnf
+        k = len(inputs)
+        kept = [c for c in clauses if not any(-lit in c for lit in c)]
+        assert len(kept) == len(cnf.clauses)
+        assert all(both == pos | neg for pos, neg, both in cnf.clauses)
+        expected = [
+            entry
+            for clause, entry in zip(kept, cnf.clauses)
+            if len({abs(lit) for lit in clause if abs(lit) > k}) <= 1
+        ]
+        assert list(map(id, cnf.on_false[0])) == list(map(id, expected)), clauses
+        strings = ["".join(bits) for bits in itertools.product("01", repeat=k)]
+        _assert_searches_as_the_reference(searches, [(node, bits) for bits in strings])
+        answers = [sat_exists_proof(node, bits) for bits in strings]
+        assert answers == [enum_sat(node, bits) for bits in strings], clauses
 
 
 def test_compiled_form_is_reused_across_input_strings():
