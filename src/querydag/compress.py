@@ -28,10 +28,10 @@ A node's query reads each original input wire its origin can see off the
 node's index, and resolves any other through compute_output, which reads
 the answers of the input's visible ancestors top-down, each off the copy
 their bits select, so a node's answer is a deterministic function of its
-signature and the answer bits of deeper nodes.  Evaluation, the check of a
-string and the admissibility check run on whole blocks (forced_bits,
-out_sums): lists over a block's copies, with compute_output in vector form
-and each distinct input string decided once; forced_bit answers one copy.
+signature and the answer bits of deeper nodes.  Evaluation, the objective,
+the check of a string and the admissibility check run on whole blocks
+(forced_bits, out_sums): lists over a block's copies, with compute_output
+in vector form and each distinct input string decided once.
 """
 
 from __future__ import annotations
@@ -217,45 +217,23 @@ class CompressedDag:
         blocks = chain.from_iterable(map(self._block_rows, self._origins))
         return zip(self._ids, chain([()], blocks))
 
-    def forced_bit(self, cid, x, sat):
-        """Answer of copy `cid` when every wire lookup reads its bit in x: the
-        origin's query on its input wires, or for the conductor the replayed
-        original output.  A visible input's bit is read off the copy's
-        index.  Any other input is resolved through compute_output into one
-        dict, seeded with the copy's signature when the first such input is
-        met, so later inputs reuse the bits earlier ones read (a bit depends
-        only on the bits that select its copy)."""
-        if cid == CONDUCTOR_ID:
-            return compute_output(self, self.origin_dag.output, {}, x)
-        origin = self._origin_of(cid)
-        query = self.origin_dag.by_id[origin]
-        shifts = self._shifts[origin]
-        k = cid - self._first[origin]
-        known = None
-        z = []
-        for p in query.inputs:
-            if p in shifts:
-                z.append("01"[k >> shifts[p] & 1])
-                continue
-            if known is None:
-                known = self._known(cid, origin)
-            z.append("01"[compute_output(self, p, known, x)])
-        return 1 if sat.exists(query, "".join(z)) else 0
-
     def forced_bits(self, x, sat, pins):
         """(id, bit) for every node in topo order: its pin if `pins` holds
-        it, with no proof call, else its forced bit under x.  The copies
+        it, with no proof call, else its forced bit under x, the answer of
+        its query when every wire lookup reads its bit in x.  The copies
         come one origin block at a time, in id order, each block's bits
-        made when its first pair is taken, from the bits x holds then; the
-        conductor comes last, through forced_bit.  So a caller that puts
-        each pair in x before taking the next evaluates.  The bits, proof
-        calls and transcript entries are forced_bit's, copy by copy in id
-        order (see _block_bits)."""
+        made when its first pair is taken, from the bits x holds then (see
+        _block_bits); the conductor comes last, the original output
+        replayed through compute_output.  So a caller that puts each pair
+        in x before taking the next evaluates.  Proof calls are counted and
+        recorded copy by copy in id order."""
         for u in self._origins:
             block = self._block(u)
             yield from zip(block, self._block_bits(u, block, x, sat, pins))
         yield CONDUCTOR_ID, (
-            pins[CONDUCTOR_ID] if CONDUCTOR_ID in pins else self.forced_bit(CONDUCTOR_ID, x, sat)
+            pins[CONDUCTOR_ID]
+            if CONDUCTOR_ID in pins
+            else compute_output(self, self.origin_dag.output, {}, x)
         )
 
     def _block_bits(self, u, block, x, sat, pins):
@@ -263,7 +241,9 @@ class CompressedDag:
         as one list.  Each copy's input bits are its code (_input_codes);
         the unpinned copies' codes go to sat.exists_each, which counts and
         records every one in id order and decides each distinct one once,
-        in first-occurrence order."""
+        in first-occurrence order.  A block pinned whole reads no wire."""
+        if pins and all(map(pins.__contains__, block)):
+            return [*map(pins.__getitem__, block)]
         query = self.origin_dag.by_id[u]
         try:
             codes = self._input_codes(u, query.inputs, x)
@@ -315,9 +295,10 @@ class CompressedDag:
         return codes
 
     def _raise_missing_wire(self, u, block, x):
-        """Raise the WireValueError that forced_bit, copy by copy in id
-        order, raises first over `block`: one compute_output per copy and
-        input u cannot see, in the order forced_bit resolves them."""
+        """Raise the WireValueError that settling `block` copy by copy in
+        id order raises first: one compute_output per copy and input u
+        cannot see, in input order, into one dict per copy seeded with its
+        signature."""
         shifts = self._shifts[u]
         hidden = [p for p in self.origin_dag.by_id[u].inputs if p not in shifts]
         for cid in block:

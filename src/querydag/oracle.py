@@ -290,8 +290,9 @@ class ProofOracle:
         self.stats = OracleStats(transcript)
 
     def exists(self, node, input_bits):
-        """Does `node` have a proof on `input_bits`, the '0'/'1' string a
-        forced_bit builds?  It is the memo key and transcript entry as given."""
+        """Does `node` have a proof on `input_bits`, its input wires' bits
+        as a '0'/'1' string, the first input first?  It is the memo key and
+        transcript entry as given."""
         # Keyed on the node's value, not its id: one oracle may serve
         # several graphs whose ids collide.
         key = (node, input_bits)
@@ -305,9 +306,9 @@ class ProofOracle:
     def exists_each(self, node, codes, width):
         """exists() for each of `codes`, the input bits of one call each as
         a `width`-bit binary number, the first input most significant, as
-        the '0'/'1' string forced_bit would build: every call is counted,
-        and recorded in order, and each distinct string decided once,
-        through the memo, in first-occurrence order.  Returns each distinct
+        the '0'/'1' string exists() takes: every call is counted, and
+        recorded in order, and each distinct string decided once, through
+        the memo, in first-occurrence order.  Returns each distinct
         code's answer as a bit, 1 or 0."""
         memo = self.stats.decisions
         form = f"0{width}b"
@@ -328,19 +329,17 @@ def max_t_for_assignment(dag, weights, x, proof_oracle, check=None):
 
     Proofs enter as a cross product, so each node maximizes independently:
     a node claimed 1 contributes 2w when its forced answer under x is 1, a
-    node claimed 0 contributes w.  Only the 1s in `check` (every node when
-    it is None) are looked up; any other node is taken to hold its forced
-    bit and scores w(1 + x) without a proof call.  With check=() that is
-    2T of the correct string, whose every forced bit equals its bit.
+    node claimed 0 contributes w.  One pass of dag.forced_bits looks up
+    only the 1s in `check` (every node when it is None); it holds every
+    other node at its own bit, with no proof call, so it scores w(1 + x).
     """
-    total = 0
-    for nid in dag.node_ids():
-        bit = x[nid]
-        if bit and (check is None or nid in check):
-            total += 2 * weights[nid] * dag.forced_bit(nid, x, proof_oracle)
-        else:
-            total += (1 + bit) * weights[nid]
-    return total
+    held = {
+        nid: bit for nid, bit in x.items() if not bit or (check is not None and nid not in check)
+    }
+    return sum(
+        weights[nid] * (2 * bit if x[nid] else 1)
+        for nid, bit in dag.forced_bits(x, proof_oracle, held)
+    )
 
 
 class BruteForceBackend:
@@ -384,17 +383,18 @@ class EvaluationBackend:
     finds (see querygraph.evaluate).
 
     `bind` profiles (dag, weights): one evaluation, one proof call per node
-    that has a query, and 2T from max_t_for_assignment checking no node: on
-    the correct string every forced bit equals its bit, so the objective is
-    the sum of w(1 + x) over the nodes.  Binding the bound pair again, by
-    identity, keeps the profile.  A query without pins (every binary-search
-    probe) is then one comparison with 2T.  A pinned query that extends the
-    last one's dict by one entry looks at its newest pins only (see
-    _pins_agree); for that the backend keeps the last pinned query's dict,
-    its length and whether the entries before its newest agree, and a new
-    profile drops them.  A query whose pins disagree, below 2T, costs one
-    pass of forced bits, scored checking only its pinned 1s: at most |V|
-    proof calls, on the proof oracle bound last.
+    that has a query, and 2T in closed form: on the correct string every
+    forced bit equals its bit, so the objective is the sum of w(1 + x) over
+    the nodes.  Binding the bound pair again, by identity, keeps the
+    profile.  A query without pins (every binary-search probe) is then one
+    comparison with 2T.  A pinned query that extends the last one's dict by
+    one entry looks at its newest pins only (see _pins_agree); for that the
+    backend keeps the last pinned query's dict, its length and whether the
+    entries before its newest agree, and a new profile drops them.  A query
+    whose pins disagree, below 2T, costs two passes of forced bits: the
+    evaluation keeping its pins, which looks up every other node, and the
+    objective, which looks up only its pinned 1s: at most |V| proof calls
+    in all, on the proof oracle bound last.
     """
 
     def __init__(self):
@@ -424,7 +424,7 @@ class EvaluationBackend:
         if not ok:
             raise ValidationError(f"weighting is not admissible at node {bad}")
         correct = evaluate(dag, proof_oracle)
-        self._two_t = max_t_for_assignment(dag, weights, correct, proof_oracle, check=())
+        self._two_t = sum(weights[nid] * (1 + bit) for nid, bit in correct.items())
         self._dag, self._weights, self._correct = dag, weights, correct
 
     def _pins_agree(self, pins):

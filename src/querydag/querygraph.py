@@ -128,20 +128,20 @@ class QueryDag:
         """Parents first, ties by ascending id; computed once by validation."""
         return list(self._order)
 
-    def forced_bit(self, nid, x, sat):
-        """Answer of query `nid` when its input wires read their bits in x."""
-        node = self.by_id[nid]
-        z = "".join(["1" if x[p] else "0" for p in node.inputs])
-        return 1 if sat.exists(node, z) else 0
-
     def forced_bits(self, x, sat, pins):
         """(id, bit) for every node in topo order: its pin if `pins` holds
-        it, with no proof call, else its forced bit under x, read when the
-        pair is taken.  So a caller that puts each pair in x before taking
-        the next evaluates.  A node at a time, through forced_bit."""
-        forced_bit = self.forced_bit
+        it, with no proof call, else its forced bit, the answer of its query
+        when its input wires read their bits in x, read when the pair is
+        taken.  So a caller that puts each pair in x before taking the next
+        evaluates."""
+        by_id = self.by_id
         for nid in self._order:
-            yield nid, pins[nid] if nid in pins else forced_bit(nid, x, sat)
+            if nid in pins:
+                yield nid, pins[nid]
+                continue
+            node = by_id[nid]
+            z = "".join(["1" if x[p] else "0" for p in node.inputs])
+            yield nid, 1 if sat.exists(node, z) else 0
 
     def out_sums(self, f):
         """The sum of f over each node's out-neighbours, as one block: yields

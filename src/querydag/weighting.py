@@ -10,10 +10,10 @@ total-solution-weight objective.
 Any graph object exposing node_ids(), out_neighbors(), out_sums(f) and
 topo_order() works here, so the same functions serve plain query graphs
 and compressed graphs.  Those four methods are the structural half of the
-graph protocol that QueryDag and CompressedDag share; forced_bit(id, x,
-sat), its block form forced_bits(x, sat, pins) and `output` complete it,
-and evaluation, the objective and the threshold backends are written
-against those seven alone.  out_neighbors() may be a read-only Mapping that
+graph protocol that QueryDag and CompressedDag share; forced_bits(x, sat,
+pins), every node's pinned or forced bit under x, and `output` complete
+it, and evaluation, the objective and the threshold backends are written
+against those six alone.  out_neighbors() may be a read-only Mapping that
 makes each row when read, as a compressed graph's does; out_sums(f) yields
 (ids, sums) per block of nodes, the sum of f over each one's
 out-neighbours, which a compressed graph adds up one column of targets at

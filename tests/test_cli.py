@@ -139,6 +139,26 @@ def test_cli_evaluate_reports_topological_order_of_unordered_document(tmp_path):
     assert doc["answer"] == answer == 1
 
 
+def test_cli_brute_transcript_follows_topological_order_of_unordered_document(tmp_path):
+    # Declared 2, 1.  The brute backend tries the unpinned strings in
+    # declaration order, but scores each in one pass of forced bits, in
+    # topological order: where a string looks up both nodes, node 1 comes
+    # before node 2.  Proof entries are node:inputs, threshold entries |.
+    inst, out = tmp_path / "unordered.json", tmp_path / "out.json"
+    inst.write_text(json.dumps({"nodes": [{"id": 2, "inputs": [1]}, {"id": 1}], "output": 2}))
+    argv = ["solve", "--method", "depth", "--witness", "--transcript", "--backend", "brute"]
+    assert main([*argv, "-i", str(inst), "-o", str(out)]) == 0
+    doc = read_json(out)
+    entries = [
+        f"{e['node']}:{e['inputs']}" if e["kind"] == "proof" else "|" for e in doc["transcript"]
+    ]
+    assert " ".join(entries) == (
+        "1: | 1: 2:0 1: 2:1 | 1: 2:0 1: 2:1 | 1: 2:0 1: 2:1 | 2:0 1: 2:1 | 1: 1: 2:1 | 1: 2:1 | 1: 2:1"
+    )
+    assert doc["proof_queries"] == 23
+    assert doc["witness"] == {"1": 1, "2": 1}
+
+
 def test_cli_septree(tmp_path):
     inst = write_chain2(tmp_path)
     out = tmp_path / "tree.json"

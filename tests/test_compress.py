@@ -468,10 +468,11 @@ def test_blocks_match_the_record_based_build():
 def test_forced_bit_matches_the_record_based_reference():
     # A visible input read off the copy's index, and the rest resolved
     # through compute_output, must give every copy the answer the reference
-    # gives by resolving every input through compute_output, with the same
-    # proof calls in the same order.  Besides the correct string, three
-    # random strings per graph, whose bits are mostly not the forced ones,
-    # stand for the strings the evaluation backend's pinned path evaluates.
+    # gives, one copy at a time, by resolving every input through
+    # compute_output, with the same proof calls in the same order.  Besides
+    # the correct string, three random strings per graph, whose bits are
+    # mostly not the forced ones, stand for the strings the objective
+    # scores.
     rng = random.Random(24)
     checks = 0
     for name, g in record_build_cases(corpus=200):
@@ -483,8 +484,9 @@ def test_forced_bit_matches_the_record_based_reference():
         strings += [{cid: rng.randint(0, 1) for cid in ids} for _ in range(3)]
         for x in strings:
             mine, theirs = ProofOracle(transcript=True), ProofOracle(transcript=True)
+            bits = dict(gstar.forced_bits(x, mine, {}))
             for cid in gstar.topo_order():
-                assert gstar.forced_bit(cid, x, mine) == ref.forced_bit(cid, x, theirs), (name, cid)
+                assert bits[cid] == ref.forced_bit(cid, x, theirs), (name, cid)
                 checks += 1
             assert mine.stats.transcript == theirs.stats.transcript, name
     assert checks > 35_000  # 39,932 at the time of writing
@@ -493,23 +495,29 @@ def test_forced_bit_matches_the_record_based_reference():
 def test_forced_bit_missing_wire_names_node(chain3):
     # v2 sits at the root and v1 below it, so v2's one copy cannot see its
     # input v1: the bit is read off v1's copy, and a string without it
-    # names that copy.
+    # names that copy.  v1 reads no wire and v3 sees its input v2; the
+    # conductor, which would read v2's copy, is pinned.
     tree, gp, gpp, gstar, fstar = compress_all(chain3)
     labels = by_label(gstar)
     with pytest.raises(WireValueError, match=r"v1\^\{\*,\*\}"):
-        gstar.forced_bit(labels["v2^{*}"], {}, ProofOracle())
-    assert gstar.forced_bit(labels["v2^{*}"], {labels["v1^{*,*}"]: 1}, ProofOracle()) == 1
+        dict(gstar.forced_bits({}, ProofOracle(), {}))
+    x, pins = {labels["v1^{*,*}"]: 1}, {gstar.conductor_id: 0}
+    assert dict(gstar.forced_bits(x, ProofOracle(), pins))[labels["v2^{*}"]] == 1
 
 
 def test_forced_bit_with_visible_inputs_reads_no_wire(chain2):
     # v2's one input v1 is visible, so each copy of v2 reads it off its own
-    # index: an empty string, which would fail any wire lookup, suffices.
+    # index: an empty string, which would fail any wire lookup, suffices
+    # once every other node is pinned.
     tree, gp, gpp, gstar, fstar = compress_all(chain2)
     labels = by_label(gstar)
+    v2 = (labels["v2^{0,*}"], labels["v2^{1,*}"])
+    pins = {cid: 0 for cid in gstar.node_ids() if cid not in v2}
     oracle = ProofOracle(transcript=True)
-    assert gstar.forced_bit(labels["v2^{1,*}"], {}, oracle) == 1
-    assert gstar.forced_bit(labels["v2^{0,*}"], {}, oracle) == 0
-    assert oracle.stats.transcript == [("proof", 2, "1", True), ("proof", 2, "0", False)]
+    bits = dict(gstar.forced_bits({}, oracle, pins))
+    assert bits[labels["v2^{1,*}"]] == 1
+    assert bits[labels["v2^{0,*}"]] == 0
+    assert oracle.stats.transcript == [("proof", 2, "0", False), ("proof", 2, "1", True)]
 
 
 def test_compute_output_fills_the_dict_it_is_given():

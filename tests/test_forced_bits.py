@@ -1,8 +1,9 @@
 """The block form of G*'s forced bits against the per-copy reference.
 
 CompressedDag.forced_bits settles one origin block at a time; the per-copy
-reference here settles one copy at a time through forced_bit, which the
-package keeps for single lookups.  evaluate, is_correct_query_string and
+reference here settles one copy at a time through the forced_bit of the
+record-based G* in tests/compress_reference.py, whose ids without_dummies
+matches to the package's.  evaluate, is_correct_query_string and
 check_admissible go through the block form, so on the random corpus and on
 larger shapes (band-3 n = 48, band-4 n = 40, a grid and a binary in-tree,
 given seeded clauses) each must match what the per-copy path gives: the
@@ -15,6 +16,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from compress_reference import build_compressed as record_based_build, without_dummies
 from instances import random_instance
 from test_septree_digest import band_dag, binary_in_tree, grid_dag
 
@@ -33,18 +35,19 @@ from querydag import (
 from querydag.weighting import ADMISSIBILITY_C
 
 
-def per_copy_evaluate(gd, sat, pins=None):
-    """evaluate, one forced_bit per node in topo order."""
+def per_copy_evaluate(ref, sat, pins=None):
+    """evaluate on the reference, one forced_bit per node in topo order."""
     pins = pins or {}
     bits = {}
-    for nid in gd.topo_order():
-        bits[nid] = pins[nid] if nid in pins else gd.forced_bit(nid, bits, sat)
+    for nid in ref.topo_order():
+        bits[nid] = pins[nid] if nid in pins else ref.forced_bit(nid, bits, sat)
     return bits
 
 
-def per_copy_check(gd, x, sat):
-    """is_correct_query_string, one forced_bit per node in id order."""
-    return all(x[nid] == gd.forced_bit(nid, x, sat) for nid in gd.node_ids())
+def per_copy_check(ref, x, sat):
+    """is_correct_query_string on the reference, one forced_bit per node in
+    id order."""
+    return all(x[nid] == ref.forced_bit(nid, x, sat) for nid in ref.node_ids())
 
 
 def per_row_admissible(gd, weights):
@@ -85,11 +88,17 @@ def compressed(g):
     return build_compressed(g, build_separator_tree(g))
 
 
+def reference(gd):
+    """The record-based G* of gd's graph and tree, with gd's ids."""
+    return without_dummies(*record_based_build(gd.origin_dag, gd.septree))[0]
+
+
 def assert_block_form_matches(gd, weights, rng, label):
+    ref = reference(gd)
     # Unpinned evaluation: bits, counted and distinct calls, transcript.
     mine, theirs = ProofOracle(transcript=True), ProofOracle(transcript=True)
     x = evaluate(gd, mine)
-    assert x == per_copy_evaluate(gd, theirs), label
+    assert x == per_copy_evaluate(ref, theirs), label
     assert list(x) == gd.topo_order(), label
     assert all(type(bit) is int for bit in x.values()), label
     for attr in ("proof_queries", "proof_distinct", "transcript"):
@@ -98,7 +107,7 @@ def assert_block_form_matches(gd, weights, rng, label):
     assert list(mine.stats.decisions) == list(theirs.stats.decisions), label
     # The check, on the correct string and with one copy flipped.
     mine, theirs = ProofOracle(transcript=True), ProofOracle(transcript=True)
-    assert is_correct_query_string(gd, x, mine) and per_copy_check(gd, x, theirs), label
+    assert is_correct_query_string(gd, x, mine) and per_copy_check(ref, x, theirs), label
     assert mine.stats.transcript == theirs.stats.transcript, label
     ids = gd.node_ids()
     for cid in rng.sample(ids, min(3, len(ids))):
@@ -106,11 +115,11 @@ def assert_block_form_matches(gd, weights, rng, label):
         flipped[cid] ^= 1
         oracle = ProofOracle()
         assert not is_correct_query_string(gd, flipped, oracle), (label, cid)
-        assert not per_copy_check(gd, flipped, oracle), (label, cid)
+        assert not per_copy_check(ref, flipped, oracle), (label, cid)
     # Pinned evaluation: a pinned copy keeps its pin and issues no call.
     pins = {cid: rng.randint(0, 1) for cid in rng.sample(ids, min(4, len(ids)))}
     mine, theirs = ProofOracle(transcript=True), ProofOracle(transcript=True)
-    assert evaluate(gd, mine, pins) == per_copy_evaluate(gd, theirs, pins), (label, pins)
+    assert evaluate(gd, mine, pins) == per_copy_evaluate(ref, theirs, pins), (label, pins)
     assert mine.stats.transcript == theirs.stats.transcript, (label, pins)
     # Admissibility on the least weighting and with one copy lowered.
     assert check_admissible(gd, weights) == per_row_admissible(gd, weights) == (True, None)
@@ -162,6 +171,7 @@ def test_a_missing_wire_names_the_copy_the_per_copy_path_names():
     checked = 0
     for g in [random_instance(seed) for seed in range(200)] + [with_clauses(band_dag(24, 3), 1)]:
         gd, _ = compressed(g)
+        ref = reference(gd)
         x = evaluate(gd, ProofOracle())
         for _ in range(5):
             # Several wires missing, so that copies of one block can miss
@@ -171,7 +181,7 @@ def test_a_missing_wire_names_the_copy_the_per_copy_path_names():
             errors = []
             for settle in (
                 lambda: dict(gd.forced_bits(partial, ProofOracle(), {})),
-                lambda: [gd.forced_bit(nid, partial, ProofOracle()) for nid in gd.topo_order()],
+                lambda: [ref.forced_bit(nid, partial, ProofOracle()) for nid in ref.topo_order()],
             ):
                 try:
                     settle()

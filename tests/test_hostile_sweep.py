@@ -10,8 +10,12 @@ RecursionError, no MemoryError.  The argument lists include some that the
 parser must refuse.  A second sweep gives valid documents odd clause
 shapes (empty, over input wires only, tautological, with a repeated
 literal), which every decision method must answer alike, with the answer
-and witness that full enumeration gives.  Only random.Random(seed) drives
-it.
+and witness that full enumeration gives.  A third sweep declares the nodes
+in a shuffled order, under ids that run against the edges, so that neither
+declaration order nor id order is topological: every method and both
+threshold backends must again give enumeration's answer and witness, the
+backends through the same threshold queries.  Only random.Random(seed)
+drives it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import json
 import random
 
-from querydag import parse_dag, serialize_dag
+from querydag import build_compressed, build_separator_tree, parse_dag, serialize_dag
 from querydag.cli import gen_instance, main
 
 from conftest import enum_evaluate
@@ -185,3 +189,59 @@ def test_a_huge_proof_block_is_refused_before_the_arithmetization(tmp_path, caps
         assert main(["arith", "-i", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {proof_vars + 1} variables exceed the cap of 16\n"
+
+
+def shuffled_relabelled(rng, doc):
+    """`doc`, as text, with its nodes declared in a shuffled order and given
+    new ids that fall along a topological order, so that every edge runs
+    from a larger id to a smaller one."""
+    order = parse_dag(json.dumps(doc)).topo_order()
+    new_ids = sorted(rng.sample(range(1, 10 * len(order)), len(order)), reverse=True)
+    relabel = dict(zip(order, new_ids))
+    nodes = [
+        dict(node, id=relabel[node["id"]], inputs=[relabel[p] for p in node["inputs"]])
+        for node in doc["nodes"]
+    ]
+    rng.shuffle(nodes)
+    return json.dumps({"nodes": nodes, "output": relabel[doc["output"]]})
+
+
+def test_out_of_order_documents_get_one_answer_from_every_method_and_backend(tmp_path, capsys):
+    rng = random.Random(2026)
+    path, out = tmp_path / "instance.json", tmp_path / "out.json"
+    compared = refused = 0
+    for seed in SEEDS:
+        text = shuffled_relabelled(rng, seeded_doc(seed))
+        path.write_text(text)
+        g = parse_dag(text)
+        # The output, a sink, has the smallest id.
+        assert g.topo_order() != sorted(g.node_ids()), seed
+        bits, answer = enum_evaluate(g)
+        want = (answer, {str(k): v for k, v in bits.items()})
+        for method in ("direct", "depth", "compress"):
+            code = main(["solve", "--method", method, "--witness", "-i", str(path), "-o", str(out)])
+            assert code == 0, (seed, method)
+            report = json.loads(out.read_text())
+            assert (report["answer"], report["witness"]) == want, (seed, method)
+        gstar, _ = build_compressed(g, build_separator_tree(g))
+        for method in ("depth", "compress"):
+            argv = ["solve", "--method", method, "--witness", "--transcript", "-i", str(path)]
+            reports = []
+            for backend in (["eval"], ["brute", "--cap", "8"]):
+                code = main([*argv, "--backend", *backend, "-o", str(out)])
+                if backend[0] == "brute" and method == "compress" and len(gstar.nodes) > 8:
+                    # Every node of G* is free in the first query.
+                    assert code == 1, seed
+                    assert "exceed the cap of 8" in capsys.readouterr().err, seed
+                    refused += 1
+                    break
+                assert code == 0, (seed, method, backend)
+                report = json.loads(out.read_text())
+                assert (report["answer"], report["witness"]) == want, (seed, method, backend)
+                del report["proof_queries"]
+                report["transcript"] = [e for e in report["transcript"] if e["kind"] == "threshold"]
+                reports.append(report)
+            else:
+                assert reports[0] == reports[1], (seed, method)
+                compared += 1
+    assert compared > 60 and refused > 0
