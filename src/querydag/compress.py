@@ -31,7 +31,7 @@ their bits select, so a node's answer is a deterministic function of its
 signature and the answer bits of deeper nodes.  Evaluation, the objective,
 the check of a string and the admissibility check run on whole blocks
 (forced_bits, out_sums): lists over a block's copies, with compute_output
-in vector form and each distinct input string decided once.
+in vector form and each distinct input code decided once.
 """
 
 from __future__ import annotations
@@ -250,11 +250,9 @@ class CompressedDag:
         except KeyError:
             self._raise_missing_wire(u, block, x)
             raise
-        width = len(query.inputs)
         if not (pins and any(map(pins.__contains__, block))):
-            return [*map(sat.exists_each(query, codes, width).__getitem__, codes)]
-        free = [code for cid, code in zip(block, codes) if cid not in pins]
-        bit = sat.exists_each(query, free, width)
+            return [*map(sat.exists_each(query, codes).__getitem__, codes)]
+        bit = sat.exists_each(query, [code for cid, code in zip(block, codes) if cid not in pins])
         return [pins[cid] if cid in pins else bit[code] for cid, code in zip(block, codes)]
 
     def _input_codes(self, u, inputs, x):

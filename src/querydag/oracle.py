@@ -15,10 +15,11 @@ branched on, through the clauses that lose a literal to it.  The masks
 and those per-variable clause lists are the node's compiled form
 (CompiledCnf), linear in its clauses, built on its first decision and kept
 on the node for later ones; parsing compiles nothing, and a clause-free
-node is never compiled.  A ProofOracle lasts one solve and memoizes its
-answers per (query, input bits); every issued call is still counted, and
-recorded when the solve keeps a transcript, and `proof_distinct` is the
-memo's size.
+node is never compiled.  A proof call carries its input bits as one
+integer code, the first input most significant.  A ProofOracle lasts one
+solve and memoizes its answers per (query, code); every issued call is
+still counted, and recorded when the solve keeps a transcript, and
+`proof_distinct` is the memo's size.
 
 Every threshold query of a solve asks about one weighted graph, so the
 solve binds its (dag, weights) and its proof oracle to a threshold backend
@@ -49,7 +50,7 @@ class OracleStats:
     transcript is kept only when asked for (`transcript=True`), and is
     otherwise None, so a solve that prints no transcript does not hold one.
     `decisions` holds each distinct proof decision once, keyed on (query,
-    input bits); the proof oracle reads it as its memo.
+    code); the proof oracle reads it as its memo.
 
     Entries are kept raw, as tuples holding the pins mapping the query was
     given, not a copy, plus its length and its newest entry's bit at query
@@ -70,20 +71,21 @@ class OracleStats:
     def proof_distinct(self):
         return len(self.decisions)
 
-    def record_proof(self, node_id, input_bits, answer):
+    def record_proof(self, node_id, code, width, answer):
+        """Count one proof call; its entry renders `code` as `width` bits."""
         self.proof_queries += 1
         if self.transcript is not None:
-            self.transcript.append(("proof", node_id, input_bits, answer))
+            # The bit above the code keeps its leading zeros; width 0 is "".
+            self.transcript.append(("proof", node_id, bin(code | 1 << width)[3:], answer))
 
     def record_proofs(self, node_id, codes, width, bits):
         """record_proof for each call of ProofOracle.exists_each, in order:
-        its input bits are its code as a `width`-bit string, its answer
-        bits[code] as exists() gives it, a bool."""
+        its answer is bits[code] as exists() gives it, a bool."""
         self.proof_queries += len(codes)
         if self.transcript is not None:
-            form = f"0{width}b"
+            top = 1 << width
             self.transcript.extend(
-                [("proof", node_id, format(c, form) if width else "", bits[c] == 1) for c in codes]
+                [("proof", node_id, bin(c | top)[3:], bits[c] == 1) for c in codes]
             )
 
     def record_threshold(self, threshold, pins, answer):
@@ -127,9 +129,10 @@ class CompiledCnf:
     so masks are as wide as the variables used, not as their numbers, and a
     clause's smallest free bit is still its smallest free variable.  An
     input in no clause gets no bit; a clause holding v and -v always holds
-    and is dropped.  `wires` holds each input wire's bit (0 for none),
-    `clauses` each remaining clause as a (positive, negative, variables)
-    triple of masks, in the node's order, and `on_true[bit]` /
+    and is dropped.  `wires` holds each input wire's bit (0 for none) in
+    code order, the last input first: wires[i] is set by bit i of a code.
+    `clauses` holds each remaining clause as a (positive, negative,
+    variables) triple of masks, in the node's order, and `on_true[bit]` /
     `on_false[bit]` the clauses that lose a literal when that variable is
     set true / false.  A search sets every input wire before its root, so
     there only a clause with at most one literal outside the wires can be
@@ -153,7 +156,7 @@ class CompiledCnf:
             bit = mask[var] = 1 << i
             lose[var] = self.on_false[bit] = []
             lose[-var] = self.on_true[bit] = []
-        self.wires = tuple(mask.get(var, 0) for var in range(1, len(node.inputs) + 1))
+        self.wires = tuple(mask.get(var, 0) for var in range(len(node.inputs), 0, -1))
         # The wires' bits are distinct, so their sum is their union.
         proof = ~sum(self.wires)
         clauses = []
@@ -256,23 +259,23 @@ def _dpll(cnf, true, false):
     return False
 
 
-def sat_exists_proof(node, input_bits):
-    """Does some proof assignment satisfy all clauses, inputs being fixed?"""
-    if len(input_bits) != len(node.inputs):
-        raise ValueError(
-            f"node {node.id}: expected {len(node.inputs)} input bits, "
-            f"got {len(input_bits)}"
-        )
+def sat_exists_proof(node, code):
+    """Does some proof assignment satisfy all clauses, the input wires set
+    from `code`?  A code outside [0, 2**indegree) raises ValueError."""
+    width = len(node.inputs)
+    if code < 0 or code >> width:
+        raise ValueError(f"node {node.id}: input code {code} outside [0, 2**{width})")
     # A clause-free verifier always holds and is never compiled.
     if not node.clauses:
         return True
     cnf = node.cnf
     true = false = 0
-    for bit, wire in zip(input_bits, cnf.wires):
-        if int(bit):
+    for wire in cnf.wires:
+        if code & 1:
             true |= wire
         else:
             false |= wire
+        code >>= 1
     return _dpll(cnf, true, false)
 
 
@@ -282,45 +285,39 @@ class ProofOracle:
     which keeps a transcript only when `transcript` is set.
 
     Answers are memoized for the oracle's lifetime, one solve, on the query
-    itself and its input bits: a repeated call is still counted, but only
-    a new pair reaches `sat_exists_proof`.
+    itself and its input code: a repeated call is still counted, but only
+    a new pair reaches `sat_exists_proof`, whichever method issued it.
     """
 
     def __init__(self, transcript=False):
         self.stats = OracleStats(transcript)
 
-    def exists(self, node, input_bits):
-        """Does `node` have a proof on `input_bits`, its input wires' bits
-        as a '0'/'1' string, the first input first?  It is the memo key and
-        transcript entry as given."""
+    def exists(self, node, code):
+        """Does `node` have a proof on `code`, its input wires' bits as one
+        number, the first input most significant?"""
         # Keyed on the node's value, not its id: one oracle may serve
         # several graphs whose ids collide.
-        key = (node, input_bits)
+        key = (node, code)
         memo = self.stats.decisions
         answer = memo.get(key)
         if answer is None:
-            answer = memo[key] = sat_exists_proof(node, input_bits)
-        self.stats.record_proof(node.id, input_bits, answer)
+            answer = memo[key] = sat_exists_proof(node, code)
+        self.stats.record_proof(node.id, code, len(node.inputs), answer)
         return answer
 
-    def exists_each(self, node, codes, width):
-        """exists() for each of `codes`, the input bits of one call each as
-        a `width`-bit binary number, the first input most significant, as
-        the '0'/'1' string exists() takes: every call is counted, and
-        recorded in order, and each distinct string decided once, through
-        the memo, in first-occurrence order.  Returns each distinct
-        code's answer as a bit, 1 or 0."""
+    def exists_each(self, node, codes):
+        """exists() for each of `codes`: each call counted and recorded in
+        order, each distinct code decided once through the memo, in
+        first-occurrence order.  Returns each distinct code's bit, 1 or 0."""
         memo = self.stats.decisions
-        form = f"0{width}b"
         bits = {}
         for code in dict.fromkeys(codes):
-            input_bits = format(code, form) if width else ""
-            key = (node, input_bits)
+            key = (node, code)
             answer = memo.get(key)
             if answer is None:
-                answer = memo[key] = sat_exists_proof(node, input_bits)
+                answer = memo[key] = sat_exists_proof(node, code)
             bits[code] = 1 if answer else 0
-        self.stats.record_proofs(node.id, codes, width, bits)
+        self.stats.record_proofs(node.id, codes, len(node.inputs), bits)
         return bits
 
 
@@ -344,7 +341,9 @@ def max_t_for_assignment(dag, weights, x, proof_oracle, check=None):
 
 class BruteForceBackend:
     """Reference threshold decision: enumerate every unpinned answer string
-    of the bound (dag, weights), scored with the bound proof oracle."""
+    of the bound (dag, weights), the free bits in ascending id order, so
+    the order a graph was declared in changes nothing; each string is scored
+    with the bound proof oracle."""
 
     def __init__(self, cap=20):
         self.cap = cap
@@ -357,7 +356,7 @@ class BruteForceBackend:
         if self._bound is None:
             raise PipelineError("threshold backend queried before bind")
         dag, weights, proof_oracle = self._bound
-        free = [nid for nid in dag.node_ids() if nid not in pins]
+        free = [nid for nid in sorted(dag.node_ids()) if nid not in pins]
         if len(free) > self.cap:
             raise CapacityError(
                 f"brute-force threshold backend: {len(free)} free bits exceed "

@@ -133,15 +133,17 @@ class QueryDag:
         it, with no proof call, else its forced bit, the answer of its query
         when its input wires read their bits in x, read when the pair is
         taken.  So a caller that puts each pair in x before taking the next
-        evaluates."""
+        evaluates.  A proof call gets its input bits as one code."""
         by_id = self.by_id
         for nid in self._order:
             if nid in pins:
                 yield nid, pins[nid]
                 continue
             node = by_id[nid]
-            z = "".join(["1" if x[p] else "0" for p in node.inputs])
-            yield nid, 1 if sat.exists(node, z) else 0
+            code = 0
+            for p in node.inputs:
+                code += code + (1 if x[p] else 0)
+            yield nid, 1 if sat.exists(node, code) else 0
 
     def out_sums(self, f):
         """The sum of f over each node's out-neighbours, as one block: yields

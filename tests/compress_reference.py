@@ -175,7 +175,7 @@ class CompressedDag:
         query = self.origin_query[node.origin]
         known = dict(node.signature)
         z = "".join(str(compute_output(self, p, known, x)) for p in query.inputs)
-        return 1 if sat.exists(query, z) else 0
+        return 1 if sat.exists(query, int(z or "0", 2)) else 0
 
     def forced_bits(self, x, sat, pins):
         """(id, pinned or forced bit under x) per node in topo order, a copy

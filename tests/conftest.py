@@ -99,6 +99,12 @@ def clause_true(clause, assignment):
     )
 
 
+def code_of(input_bits):
+    """The proof oracle's input code of a '0'/'1' string: one number, the
+    first bit most significant, 0 for the empty string."""
+    return int(input_bits, 2) if input_bits else 0
+
+
 def enum_sat(node, input_bits):
     """Proof existence by full enumeration; independent of the DPLL."""
     n_in = len(node.inputs)

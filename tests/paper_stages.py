@@ -59,7 +59,7 @@ class StagedDag(CompressedDag):
             str(staged_compute_output(self, p, node.conditioning, x))
             for p in query.inputs
         )
-        return 1 if sat.exists(query, z) else 0
+        return 1 if sat.exists(query, int(z or "0", 2)) else 0
 
 
 def staged_compute_output(gd, u, conditioning, wire_values):

@@ -141,21 +141,27 @@ def test_cli_evaluate_reports_topological_order_of_unordered_document(tmp_path):
 
 def test_cli_brute_transcript_follows_topological_order_of_unordered_document(tmp_path):
     # Declared 2, 1.  The brute backend tries the unpinned strings in
-    # declaration order, but scores each in one pass of forced bits, in
-    # topological order: where a string looks up both nodes, node 1 comes
-    # before node 2.  Proof entries are node:inputs, threshold entries |.
-    inst, out = tmp_path / "unordered.json", tmp_path / "out.json"
-    inst.write_text(json.dumps({"nodes": [{"id": 2, "inputs": [1]}, {"id": 1}], "output": 2}))
+    # ascending id order, whatever the declaration order, and scores each
+    # in one pass of forced bits, in topological order: where a string
+    # looks up both nodes, node 1 comes before node 2.  So the transcript is
+    # that of the same graph declared 1, 2.  Proof entries are node:inputs,
+    # threshold entries |.
     argv = ["solve", "--method", "depth", "--witness", "--transcript", "--backend", "brute"]
-    assert main([*argv, "-i", str(inst), "-o", str(out)]) == 0
-    doc = read_json(out)
+    docs = []
+    for nodes in ([{"id": 2, "inputs": [1]}, {"id": 1}], [{"id": 1}, {"id": 2, "inputs": [1]}]):
+        inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+        inst.write_text(json.dumps({"nodes": nodes, "output": 2}))
+        assert main([*argv, "-i", str(inst), "-o", str(out)]) == 0
+        docs.append(read_json(out))
+    doc, in_order = docs
+    assert doc == in_order
     entries = [
         f"{e['node']}:{e['inputs']}" if e["kind"] == "proof" else "|" for e in doc["transcript"]
     ]
     assert " ".join(entries) == (
-        "1: | 1: 2:0 1: 2:1 | 1: 2:0 1: 2:1 | 1: 2:0 1: 2:1 | 2:0 1: 2:1 | 1: 1: 2:1 | 1: 2:1 | 1: 2:1"
+        "2:0 1: | 2:0 1: 1: 2:1 | 2:0 1: 1: 2:1 | 2:0 1: 1: 2:1 | 2:0 1: 2:1 | 1: 1: 2:1 | 1: 2:1 | 1: 2:1"
     )
-    assert doc["proof_queries"] == 23
+    assert doc["proof_queries"] == 24
     assert doc["witness"] == {"1": 1, "2": 1}
 
 

@@ -37,30 +37,46 @@ from querydag import (
 from querydag.cli import gen_instance
 
 from compress_reference import least_weights
-from conftest import brute_two_t, enum_sat, random_instance, search
+from conftest import brute_two_t, code_of, enum_evaluate, enum_sat, random_instance, search
 
 
 def test_sat_chain2_nodes(chain2):
     v1, v2 = chain2.nodes
-    assert sat_exists_proof(v1, "")
-    assert not sat_exists_proof(v2, "0")
-    assert sat_exists_proof(v2, "1")
+    assert sat_exists_proof(v1, 0)
+    assert not sat_exists_proof(v2, 0)
+    assert sat_exists_proof(v2, 1)
 
 
 def test_sat_empty_clause_list():
     node = QueryNode(1, "verifier", (), 0, ())
-    assert sat_exists_proof(node, "")
+    assert sat_exists_proof(node, 0)
 
 
 def test_sat_empty_clause_is_unsat():
     node = QueryNode(1, "verifier", (), 2, ((),))
-    assert not sat_exists_proof(node, "")
+    assert not sat_exists_proof(node, 0)
 
 
-@pytest.mark.parametrize("bits", ["", "01"])
-def test_sat_rejects_the_wrong_number_of_input_bits(chain2, bits):
-    with pytest.raises(ValueError, match="node 2: expected 1 input bits"):
-        sat_exists_proof(chain2.by_id[2], bits)
+@pytest.mark.parametrize("code", [-1, 2])
+def test_sat_rejects_a_code_outside_the_input_width(chain2, code):
+    # Node 2 has one input, so its codes are 0 and 1; the check comes
+    # before the clause-free shortcut, and the memo keeps no bad code.
+    node = chain2.by_id[2]
+    bare = QueryNode(2, "verifier", (1,), 0, ())
+    oracle = ProofOracle()
+    for target in (node, bare):
+        with pytest.raises(ValueError, match=rf"node 2: input code {code} outside \[0, 2\*\*1\)"):
+            sat_exists_proof(target, code)
+        with pytest.raises(ValueError, match="node 2: input code"):
+            oracle.exists(target, code)
+        with pytest.raises(ValueError, match="node 2: input code"):
+            oracle.exists_each(target, [0, code])
+    assert oracle.stats.proof_distinct == 2
+    # A code of 2**70 or more is out of range for a node of 70 inputs.
+    wide = QueryNode(9, "verifier", tuple(range(100, 170)), 0, ((1, 70),))
+    assert sat_exists_proof(wide, 2**70 - 1)
+    with pytest.raises(ValueError, match="node 9: input code"):
+        sat_exists_proof(wide, 2**70)
 
 
 def _near_threshold_cnf(rng, proof_vars, wires):
@@ -116,7 +132,7 @@ def test_sat_matches_enumeration_on_random_cnfs():
     for cases in _random_cnfs():
         answers = set()
         for node, bits in cases:
-            answer = sat_exists_proof(node, bits)
+            answer = sat_exists_proof(node, code_of(bits))
             assert answer == enum_sat(node, bits), (node, bits)
             answers.add(answer)
         assert answers == {True, False}
@@ -148,21 +164,22 @@ def test_dpll_branches_on_two_literal_clauses(searches):
 
     answers = set()
     for node, bits in _branching_cnfs():
-        answers.add(sat_exists_proof(node, bits))
+        answers.add(sat_exists_proof(node, code_of(bits)))
     assert answers == {True, False}
     assert searches[oracle] == 503
 
 
 def _assert_searches_as_the_reference(searches, cases):
     """Each of `cases`, (node, input bits) pairs, gets the reference's
-    answer from a search tree of the same size; returns the total size."""
+    answer from a search tree of the same size, the package's DPLL given
+    the bits' code and the reference the bits; returns the total size."""
     import dpll_reference
     from querydag import oracle
 
     total = 0
     for node, bits in cases:
         searches[oracle] = searches[dpll_reference] = 0
-        answer = sat_exists_proof(node, bits)
+        answer = sat_exists_proof(node, code_of(bits))
         assert answer == dpll_reference.sat_exists_proof(node, bits), (node, bits)
         # A clause-free node is answered before any search.
         searched = searches[dpll_reference] if node.clauses else 0
@@ -215,7 +232,7 @@ def test_root_reads_the_clauses_with_at_most_one_literal_off_the_wires(searches)
         assert list(map(id, cnf.on_false[0])) == list(map(id, expected)), clauses
         strings = ["".join(bits) for bits in itertools.product("01", repeat=k)]
         _assert_searches_as_the_reference(searches, [(node, bits) for bits in strings])
-        answers = [sat_exists_proof(node, bits) for bits in strings]
+        answers = [sat_exists_proof(node, code_of(bits)) for bits in strings]
         assert answers == [enum_sat(node, bits) for bits in strings], clauses
 
 
@@ -237,7 +254,7 @@ def test_compiled_form_is_reused_across_input_strings():
         k = len(node.inputs)
         strings = ["".join(bits) for bits in itertools.product("01", repeat=k)]
         expected = {bits: enum_sat(node, bits) for bits in strings}
-        answers = [sat_exists_proof(node, bits) for bits in strings + strings[::-1]]
+        answers = [sat_exists_proof(node, code_of(bits)) for bits in strings + strings[::-1]]
         assert answers == [expected[bits] for bits in strings + strings[::-1]], node
         assert "cnf" in node.__dict__
         varied += len(set(answers)) == 2
@@ -248,10 +265,10 @@ def test_clause_free_nodes_and_parsing_compile_nothing():
     g = gen_instance("layered", 12, 3)
     assert not any("cnf" in node.__dict__ for node in g.nodes)
     free = QueryNode(1, "verifier", (4, 5), 3, ())
-    assert sat_exists_proof(free, "01")
+    assert sat_exists_proof(free, 0b01)
     assert "cnf" not in free.__dict__
     node = g.by_id[g.output]
-    sat_exists_proof(node, "0" * len(node.inputs))
+    sat_exists_proof(node, 0)
     assert "cnf" in node.__dict__
 
 
@@ -263,7 +280,7 @@ def test_sat_agrees_with_enumeration_at_sixteen_proof_vars():
             tuple(rng.randint(1, 16) * rng.choice((1, -1)) for _ in range(3))
         )
     node = QueryNode(1, "verifier", (), 16, tuple(clauses))
-    assert sat_exists_proof(node, "") == enum_sat(node, "")
+    assert sat_exists_proof(node, 0) == enum_sat(node, "")
 
 
 # (inputs, proof vars, clauses, input bits, expected answer)
@@ -286,7 +303,7 @@ EDGE_CNFS = {
 def test_sat_edge_cases(name):
     inputs, pv, clauses, bits, expected = EDGE_CNFS[name]
     node = QueryNode(1, "verifier", inputs, pv, clauses)
-    assert sat_exists_proof(node, bits) is expected
+    assert sat_exists_proof(node, code_of(bits)) is expected
     assert enum_sat(node, bits) is expected
 
 
@@ -298,7 +315,7 @@ def test_sat_masks_do_not_grow_with_variable_numbers():
     node = QueryNode(1, "verifier", (5, 6, 7), big, clauses)
     tracemalloc.start()
     try:
-        answers = [sat_exists_proof(node, bits) for bits in ("000", "100", "010")]
+        answers = [sat_exists_proof(node, code) for code in (0b000, 0b100, 0b010)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -320,7 +337,7 @@ def test_proof_memo_keeps_graphs_with_colliding_ids_apart():
 def test_proof_memo_records_every_issued_call(chain2):
     oracle = ProofOracle(transcript=True)
     v1, v2 = chain2.nodes
-    answers = [oracle.exists(v2, "0") for _ in range(3)] + [oracle.exists(v2, "1")]
+    answers = [oracle.exists(v2, 0) for _ in range(3)] + [oracle.exists(v2, 1)]
     assert answers == [False, False, False, True]
     stats = oracle.stats
     assert stats.proof_queries == len(stats.to_doc()) == 4
@@ -328,27 +345,98 @@ def test_proof_memo_records_every_issued_call(chain2):
     assert [entry["inputs"] for entry in stats.to_doc()] == ["0", "0", "0", "1"]
 
 
-def test_proof_oracle_keys_bit_strings_as_given():
-    # The '0'/'1' string is the memo key and the transcript entry as given;
-    # an equal string built elsewhere hits the same memo entry.
+def test_proof_oracle_keys_its_memo_on_node_and_code():
+    # The memo key is the node and the code as given; the transcript
+    # renders the code as the node's '0'/'1' string.
     node = build_dag(
         [(1, "verifier", [], 0, []), (2, "verifier", [], 0, []),
          (3, "verifier", [1, 2], 1, [[1], [-2], [3]])],
         3,
     ).by_id[3]
     oracle = ProofOracle(transcript=True)
-    given = "".join(["1", "0"])
+    given = int("10", 2)
     answers = [
         oracle.exists(node, given),
-        oracle.exists(node, "10"),
-        oracle.exists(node, "11"),
+        oracle.exists(node, 0b10),
+        oracle.exists(node, 0b11),
     ]
     assert answers == [True, True, False]
     stats = oracle.stats
-    assert [key[1] for key in stats.decisions] == ["10", "11"]
-    assert next(iter(stats.decisions))[1] is given
+    assert [key[1] for key in stats.decisions] == [0b10, 0b11]
+    assert list(stats.decisions) == [(node, 2), (node, 3)]
+    assert next(iter(stats.decisions))[0] is node
     assert [entry["inputs"] for entry in stats.to_doc()] == ["10", "10", "11"]
     assert (stats.proof_queries, stats.proof_distinct) == (3, 2)
+
+
+def test_exists_and_exists_each_share_one_memo(monkeypatch):
+    # A decision made through either method is a memo hit through the
+    # other: one DPLL run, one distinct decision, every call counted.
+    from querydag import oracle as oracle_module
+
+    runs = []
+
+    def counted(node, code):
+        runs.append((node.id, code))
+        return sat_exists_proof(node, code)
+
+    monkeypatch.setattr(oracle_module, "sat_exists_proof", counted)
+    node = build_dag([(1, "verifier", [], 0, []), (2, "verifier", [1], 1, [[1, 2], [-2]])], 2).by_id[2]
+    for first, second in (("each", "one"), ("one", "each")):
+        oracle = ProofOracle(transcript=True)
+        runs.clear()
+        answers = []
+        for how in (first, second):
+            if how == "one":
+                answers.append(oracle.exists(node, 1))
+            else:
+                answers.append(oracle.exists_each(node, [1, 1]) == {1: 1})
+        stats = oracle.stats
+        assert answers == [True, True]
+        assert runs == [(2, 1)]
+        assert stats.proof_distinct == 1
+        assert stats.proof_queries == 3
+        assert [entry["inputs"] for entry in stats.to_doc()] == ["1"] * 3
+
+
+def test_transcript_renders_codes_at_the_node_width():
+    # Width 0 renders as "", and leading zeros are kept: code 1 at width 3
+    # is "001", through record_proof and record_proofs alike.
+    node = build_dag(
+        [(1, "verifier", [], 0, []), (2, "verifier", [], 0, []), (3, "verifier", [], 0, []),
+         (4, "verifier", [1, 2, 3], 1, [[-1, 4], [-4, 3]])],
+        4,
+    ).by_id
+    oracle = ProofOracle(transcript=True)
+    oracle.exists(node[1], 0)
+    oracle.exists_each(node[2], [0])
+    oracle.exists(node[4], 1)
+    oracle.exists_each(node[4], [1, 0b100])
+    assert [(entry["node"], entry["inputs"], entry["answer"]) for entry in oracle.stats.to_doc()] == [
+        (1, "", True), (2, "", True), (4, "001", True), (4, "001", True), (4, "100", False),
+    ]
+
+
+@pytest.mark.parametrize("last", [0, 1])
+def test_a_star_of_seventy_sources_is_decided_through_one_wide_code(last):
+    # The output reads 70 wires, so its input code is 70 bits wide, more
+    # than a machine word.  Its clauses read the first input, the most
+    # significant bit, and the last, the least, whose source answers
+    # `last`, and the answer follows it.  Every method must give
+    # enumeration's answer and witness.
+    n = 70
+    specs = [(i, "verifier", [], 1, [[1], [-1]] if i % 3 == 0 else [[1]]) for i in range(1, n)]
+    specs.append((n, "verifier", [], 1, [[1]] if last else [[1], [-1]]))
+    specs.append((n + 1, "verifier", list(range(1, n + 1)), 1, [[1], [-n, n + 1], [-(n + 1), 3]]))
+    g = build_dag(specs, n + 1)
+    bits, answer = enum_evaluate(g)
+    assert answer == 1 - last
+    code = int("".join(str(bits[p]) for p in range(1, n + 1)), 2)
+    assert code.bit_length() == n > 64
+    for decide in (decide_direct, decide_depth, decide_compress):
+        report = decide(g, witness=True)
+        assert (report.answer, report.query_string) == (answer, bits), decide
+        assert (g.by_id[n + 1], code) in report.stats.decisions, decide
 
 
 def test_profile_takes_two_t_in_closed_form():

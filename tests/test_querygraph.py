@@ -328,7 +328,7 @@ def test_nodes_of_two_parses_are_equal_and_hash_alike():
 def test_node_copies_carry_fields_only():
     g = parse_dag(CHAIN2_DOC)
     node = g.by_id[2]
-    ProofOracle().exists(node, "1")
+    ProofOracle().exists(node, 1)
     assert "cnf" in node.__dict__
     for copied in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
         assert copied == node and hash(copied) == hash(node)
