@@ -5,7 +5,11 @@ size, then lexicographically by sorted member ids, so all results are
 deterministic.  The search runs on vertex bitmasks, built once per graph:
 bit i stands for the i-th smallest id, a vertex's neighbours are one mask,
 and a subgraph is the mask of its vertices.  The subsets sharing all
-members but the last are judged together, by flood fills or by one
+members but the last are judged together.  When there are many choices of
+the last member, two breadth-first balls rule out most that cannot be
+balanced: a separator's member lies in every ball of at most half + 1
+vertices around any vertex of the big component (the lemma at
+_balanced_separators).  The rest are judged by flood fills or by one
 cut-vertex pass, and the components a separator leaves come from the same
 flood fill.  Trees are padded with isolated dummy vertices so every
 supervertex has the same size.
@@ -122,6 +126,46 @@ def _oversized(rest, nbrs, half):
     return 0
 
 
+def _levels(start, rest, nbrs, limit, whole):
+    """Flood the vertex mask `rest` level by level from the vertex bit
+    `start`.  Returns the vertices reached, the largest ball around start
+    of at most `limit` vertices, and the last level reached.  The flood
+    covers start's whole component if `whole`, else it stops once the
+    ball outgrows `limit`."""
+    reach = ball = layer = start
+    while layer:
+        if reach.bit_count() <= limit:
+            ball = reach
+        elif not whole:
+            break
+        last = layer
+        grow = 0
+        while layer:
+            low = layer & -layer
+            grow |= nbrs[low.bit_length() - 1]
+            layer ^= low
+        layer = grow & rest & ~reach
+        reach |= layer
+    return reach, ball, last
+
+
+def _near(rest, nbrs, half):
+    """The component C of the vertex mask `rest` with more than `half`
+    vertices, and the vertices of C in the largest ball of at most
+    half + 1 vertices around its least vertex r and in the one around a
+    vertex of C farthest from r; (0, rest) if there is no C.  Only these
+    can leave no piece of C larger than half (see _balanced_separators).
+    """
+    left = rest
+    while left.bit_count() > half:
+        comp, near, last = _levels(left & -left, left, nbrs, half + 1, True)
+        if comp.bit_count() > half:
+            far = _levels(last & -last, comp, nbrs, half + 1, False)[1]
+            return comp, near & far
+        left ^= comp
+    return 0, rest
+
+
 def _parts(rest, nbrs):
     """The components of the vertex mask `rest`, as masks by least member."""
     parts = []
@@ -185,38 +229,47 @@ def _balanced_separators(subset, nbrs, max_size):
     or more are left.  The k-subsets sharing a (k-1)-prefix P are judged on
     G - P, where at most one component C is larger than half.  Each
     candidate b > max(P) passes if there is no C, and otherwise if b is in
-    C and leaves no piece of C larger than half.  Up to _FEW_CANDIDATES
-    candidates are checked by a flood fill each; more, by one cut-vertex
-    pass over C.  Components are listed only for the separators yielded.
+    C and leaves no piece of C larger than half.
+
+    Lemma: such a b lies, for every vertex r of C, in the largest ball
+    around r (distances in C) of at most half + 1 vertices.  Proof: a
+    shortest path from r to a vertex v != b with d(r, v) <= d(r, b) cannot
+    pass through b, so r's piece of C - b holds the ball of radius d(r, b)
+    around r except b; the piece has at most half vertices.
+
+    Up to _FEW_CANDIDATES candidates are judged by a flood fill each.  With
+    more, C is flooded by levels and only the candidates in the balls
+    around its least vertex and a vertex farthest from that one are kept;
+    up to _FEW_CANDIDATES of them are judged by a flood fill of C each,
+    more by one cut-vertex pass over C.  A separator is yielded, with its
+    components, as soon as it is judged.
     """
-    bits = []
-    left = subset
-    while left:
-        bits.append(left & -left)
-        left ^= bits[-1]
-    n = len(bits)
+    n = subset.bit_count()
+    bits = ()  # the members prefixes draw on, listed from size 2 on
     for size in range(1, min(max_size, n) + 1):
         half = (n - size + 1) // 2
+        if size == 2:
+            bits = []
+            left = subset
+            while left:
+                bits.append(left & -left)
+                left ^= bits[-1]
         for prefix in itertools.combinations(bits, size - 1):
             rest = subset - sum(prefix)
             first = prefix[-1].bit_length() if prefix else 0
             later = rest >> first << first
-            if later.bit_count() <= _FEW_CANDIDATES:
-                fits = 0
-                while later:
-                    bit = later & -later
-                    later ^= bit
-                    if not _oversized(rest ^ bit, nbrs, half):
-                        fits |= bit
-            else:
-                big = _oversized(rest, nbrs, half)
-                fits = later
-                if big:
-                    fits &= _cut_fits(rest, (big & -big).bit_length() - 1, nbrs, half)
-            while fits:
-                bit = fits & -fits
-                fits ^= bit
-                yield prefix + (bit,), _parts(rest ^ bit, nbrs)
+            scope = rest  # candidates are judged on scope; 0 if all fit
+            if later.bit_count() > _FEW_CANDIDATES:
+                scope, near = _near(rest, nbrs, half)
+                later &= near
+                if scope and later.bit_count() > _FEW_CANDIDATES:
+                    later &= _cut_fits(scope, (scope & -scope).bit_length() - 1, nbrs, half)
+                    scope = 0
+            while later:
+                bit = later & -later
+                later ^= bit
+                if not (scope and _oversized(scope ^ bit, nbrs, half)):
+                    yield prefix + (bit,), _parts(rest ^ bit, nbrs)
 
 
 def _pad(raw_supervertices, uniform_size, max_real_id):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -22,7 +23,7 @@ from separator_reference import (
     skeleton,
     verify_separator_tree,
 )
-from test_septree_digest import corpus
+from test_septree_digest import band_dag, corpus, dag_from_inputs, grid_dag
 
 
 def path(n):
@@ -299,6 +300,81 @@ def test_enumerator_matches_reference_sequence(monkeypatch):
             assert list(mask_separators(subset, adj, len(subset))) == expected
         monkeypatch.undo()
     assert small >= 50
+
+
+def skeleton_masks(g):
+    """Neighbour masks of g's skeleton, bit i the i-th smallest id."""
+    adj = skeleton(g)
+    ids = sorted(adj)
+    index = {v: i for i, v in enumerate(ids)}
+    return [sum(1 << index[w] for w in adj[v]) for v in ids]
+
+
+def test_enumerator_matches_reference_where_the_balls_prune(monkeypatch):
+    # Shapes with more than _FEW_CANDIDATES candidates per prefix, where the
+    # two balls rule candidates out; with _FEW_CANDIDATES at 0 they judge
+    # every prefix.  The last subset leaves out vertices 3-5 of a band-3
+    # graph, so its least vertex lies in the component {1, 2} and the big
+    # component is found by the second flood.  Graphs of up to 13 vertices
+    # are checked at every size bound; the larger ones at bounds up to 5
+    # and at |V|, which take the size loop through every size.
+    band16 = skeleton_masks(band_dag(16, 3))
+    star = dag_from_inputs({i: [] for i in range(1, 10)} | {10: list(range(1, 10))}, 10)
+    shapes = [(skeleton_masks(band_dag(n, 3)), (1 << n) - 1) for n in range(4, 14)]
+    shapes += [
+        (skeleton_masks(star), (1 << 10) - 1),
+        (band16, (1 << 16) - 1 - 0b11100),
+        (band16, (1 << 16) - 1),
+        (skeleton_masks(grid_dag(3, 5)), (1 << 15) - 1),
+        (skeleton_masks(grid_dag(4, 4)), (1 << 16) - 1),
+    ]
+    for nbrs, subset in shapes:
+        n = subset.bit_count()
+        expected = list(reference_on_masks(subset, nbrs, n))
+        bounds = range(1, n + 1) if n <= 13 else [1, 2, 3, 4, 5, n]
+        for few in (0, separator._FEW_CANDIDATES):
+            monkeypatch.setattr(separator, "_FEW_CANDIDATES", few)
+            for max_size in bounds:
+                got = list(separator._balanced_separators(subset, nbrs, max_size))
+                assert got == [s for s in expected if len(s[0]) <= max_size], (n, few, max_size)
+        monkeypatch.undo()
+
+
+def test_trees_match_reference_enumerator_where_the_balls_prune(monkeypatch):
+    def docs():
+        out = []
+        for g in (grid_dag(4, 5), band_dag(16, 4)):
+            balanced = build_separator_tree(g)
+            out.append(balanced.to_doc())
+            for depth in range(1, balanced.depth() + 1):
+                for size in range(1, balanced.uniform_size + 2):
+                    tree = build_depth_bounded_tree(g, depth, size)
+                    out.append(tree and tree.to_doc())
+        return out
+
+    expected = docs()
+    monkeypatch.setattr(separator, "_balanced_separators", reference_on_masks)
+    assert docs() == expected
+
+
+def test_balls_pin_the_cut_passes_and_floods(monkeypatch):
+    # Cut-vertex passes and per-candidate flood fills of one tree build.
+    # Without the balls, band-3 n = 30 took 232 cut passes and 1,286 floods,
+    # and grid 4x8 took 882 and 4,177.
+    calls = collections.Counter()
+    for name in ("_cut_fits", "_oversized"):
+
+        def wrapped(*args, name=name, inner=getattr(separator, name)):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(separator, name, wrapped)
+    work = {}
+    for label, g in (("band-3 n=30", band_dag(30, 3)), ("grid 4x8", grid_dag(4, 8))):
+        calls.clear()
+        build_separator_tree(g)
+        work[label] = (calls["_cut_fits"], calls["_oversized"])
+    assert work == {"band-3 n=30": (0, 1049), "grid 4x8": (0, 3434)}
 
 
 def test_depth_bounded_trees_match_reference_enumerator(monkeypatch):
