@@ -12,6 +12,7 @@ from .compress import (
     compute_output,
     expected_expanded_size,
     lift_query_string,
+    plan,
 )
 from .errors import (
     CapacityError,

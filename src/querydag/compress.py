@@ -16,8 +16,10 @@ block of consecutive ids whose index bits are their signatures, so edges,
 origins and lookups are index arithmetic, and a node's edges and record
 (CompressedNode) are made only when something reads them.  It gives G*
 the least admissible weighting, f(v) = 1 + c * (sum of f over v's
-children), in closed form per origin.  That weighting lies below the paper's merged one at every node,
-so the total W, and with it the threshold search, is smaller.  G' and G'' live in
+children), in closed form per origin (plan), and keeps it per origin
+(OriginWeights).  That weighting lies below the paper's merged one at
+every node, so the total W, and with it the threshold search, is
+smaller.  G' and G'' live in
 tests/paper_stages.py as the reference the tests check G* against, together
 with the paper's compute_output over answer strings; the record-based build
 this replaced is kept as tests/compress_reference.py, with the two-pass
@@ -30,8 +32,9 @@ the answers of the input's visible ancestors top-down, each off the copy
 their bits select, so a node's answer is a deterministic function of its
 signature and the answer bits of deeper nodes.  Evaluation, the objective,
 the check of a string and the admissibility check run on whole blocks
-(forced_bits, out_sums): lists over a block's copies, with compute_output
-in vector form and each distinct input code decided once.
+(forced_bits, out_sums, weight_runs): lists over a block's copies, with
+compute_output in vector form and each distinct input code decided once,
+and G*'s own weighting read once per block.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from bisect import bisect_right
 from collections.abc import Mapping
 from itertools import chain, islice, repeat
 from operator import add
+from types import SimpleNamespace
 
 from .errors import WireValueError
 from .querygraph import Record, decimal_str
@@ -102,7 +106,8 @@ class CompressedDag:
     by decreasing depth of the origin's supervertex, then origin id, which
     is a topological order.  So G* keeps no table per copy, only first,
     visible, shifts and `above` per origin and one list of ids, whose int
-    objects the solve's id-keyed dicts share: a copy's origin is the block
+    objects the maximizer and the witness pins share; its weighting keeps
+    one weight per origin (OriginWeights).  A copy's origin is the block
     its id falls in, and its bits, edges and record are made off its index
     when read, a block at a time for forced_bits and out_sums.  `visible`
     depends only on the original graph and its tree.
@@ -119,6 +124,7 @@ class CompressedDag:
         self._above = above  # descendants above, in id order
         self._copies = copies  # the range of every copy's id
         self._origins, self._starts = list(first), list(first.values())
+        self._sizes = [1 << len(visible[u]) for u in first]
         self._ids = [CONDUCTOR_ID, *copies]
 
     @property
@@ -193,18 +199,48 @@ class CompressedDag:
         then a target from each of _block_columns."""
         return zip(repeat(CONDUCTOR_ID, 1 << len(self._visible[u])), *self._block_columns(u))
 
-    def out_sums(self, f):
-        """The sum of f over each node's out-neighbours, a block at a time:
-        yields the conductor's, 0, then per origin block in id order its ids
-        and sums, f(conductor) plus f of one column of targets at a time."""
+    def out_sums(self, weights):
+        """The sum of `weights` over each node's out-neighbours, a block at
+        a time: yields the conductor's, 0, then per origin block in id order
+        its ids and sums, weights[conductor] plus one column of targets at
+        a time.  Under this graph's OriginWeights every copy of u has one
+        weight and one sum, from 2^|visible(v) - visible(u)| targets per v
+        above u, and the block is yielded as its first copy alone."""
         yield (CONDUCTOR_ID,), [0]
-        conductor = f(CONDUCTOR_ID)
+        conductor = weights[CONDUCTOR_ID]
+        by_origin = self._by_origin(weights)
+        if by_origin is not None:
+            shifts = self._shifts
+            for u in self._origins:
+                mine = shifts[u].keys()
+                row = sum(by_origin[v] << len(shifts[v].keys() - mine) for v in self._above[u])
+                yield (self._first[u],), [conductor + row]
+            return
+        f = weights.__getitem__
         for u in self._origins:
             block = self._block(u)
             sums = [conductor] * len(block)
             for column in self._block_columns(u):
                 sums = [*map(add, sums, map(f, column))]
             yield block, sums
+
+    def weight_runs(self, weights):
+        """The weights in topo order, one per run of nodes that all weigh
+        the same, and the runs' sizes: under this graph's OriginWeights
+        one per origin block, then the conductor's; else one per node,
+        and None for the sizes (see weighting.weigh)."""
+        by_origin = self._by_origin(weights)
+        if by_origin is None:
+            return map(weights.__getitem__, self.topo_order()), None
+        ws = chain(map(by_origin.__getitem__, self._origins), [weights[CONDUCTOR_ID]])
+        return ws, chain(self._sizes, [1])
+
+    def _by_origin(self, weights):
+        """The weight per origin if `weights` is an OriginWeights of this
+        graph, else None: the one place a weighting's type is asked."""
+        if isinstance(weights, OriginWeights) and weights._gd is self:
+            return weights.by_origin
+        return None
 
     def _row(self, cid):
         if cid == CONDUCTOR_ID:
@@ -374,6 +410,28 @@ class _Lazy(Mapping):
         return self._rows() if self._rows else super().items()
 
 
+class OriginWeights(_Lazy):
+    """G*'s weights by id, one per origin: a copy weighs its origin's entry
+    of `by_origin`, the conductor 1.  values() and items() walk the blocks
+    in id order; a lookup finds its copy's block.  G* reads it per origin
+    (out_sums, weight_runs)."""
+
+    def __init__(self, gd, by_origin):
+        super().__init__(gd, None)
+        self.by_origin = by_origin
+
+    def __getitem__(self, cid):
+        return 1 if cid == CONDUCTOR_ID else self.by_origin[self._gd._origin_of(cid)]
+
+    def values(self):
+        gd = self._gd
+        weights = map(self.by_origin.__getitem__, gd._origins)
+        return chain((1,), chain.from_iterable(map(repeat, weights, gd._sizes)))
+
+    def items(self):
+        return zip(self._gd._ids, self.values())
+
+
 def _bit_shifts(visible):
     """Where each visible ancestor's bit sits in the index of a copy within
     its origin's block: the index is the bits read as a binary number, the
@@ -432,49 +490,67 @@ def expected_expanded_size(tree):
     )
 
 
+def plan(g, tree):
+    """What G* costs, from one pass per origin u, with no copy made: its
+    node count `size`, its total `w_total` under the least admissible
+    weighting, and a solve's threshold `budget`, ceil(log2(2W + 1)) + 1.
+    With them come the tables build_compressed lays G* out from:
+    `origins` by decreasing depth of their supervertex, then id, and per
+    origin its `visible` ancestors, their bit `shifts`, its descendants
+    `above` (both from one descendant-mask pass, _relatives) and its
+    `least` weight.
+
+    u has 2^|visible(u)| copies, each pointing to the conductor and, for
+    each descendant v of u in the supervertices strictly above its own on
+    its branch, to 2^|visible(v) - visible(u)| copies of v.  So all of u's
+    copies get one least admissible weight, shallowest origins first:
+
+        f(u) = 1 + c * (1 + sum over v above u of 2^|visible(v) - visible(u)| * f(v))
+
+    with c = ADMISSIBILITY_C and f(t) = 1, and W = 1 + sum over origins u
+    of f(u) * 2^|visible(u)|.
+    """
+    visible, above = _relatives(g, tree)
+    origins = sorted(visible, key=lambda u: (-tree.depth_of(tree.supervertex_of(u)), u))
+    shifts = {u: _bit_shifts(visible[u]) for u in origins}
+    least = {}
+    for u in reversed(origins):
+        least[u] = 1 + ADMISSIBILITY_C * (1 + sum(
+            least[v] << len(shifts[v].keys() - shifts[u].keys()) for v in above[u]
+        ))
+    size = 1 + sum(1 << len(visible[u]) for u in origins)
+    w_total = 1 + sum(least[u] << len(visible[u]) for u in origins)
+    return SimpleNamespace(
+        size=size, w_total=w_total, budget=(2 * w_total).bit_length() + 1, origins=origins,
+        visible=visible, shifts=shifts, above=above, least=least,
+    )
+
+
 def build_compressed(g, tree):
     """Enumerate G* from signatures: one node per vertex u of g and
     assignment of bits to visible(u), with no conditioned copy built and
     none for the tree's dummies.
 
     Node u^sigma stands for the copies of u in G'' that agree with sigma on
-    u's visible ancestors.  It points to the conductor and, for each
-    descendant v of u in the supervertices strictly above u's on its
-    branch, to every v^sigma' whose sigma' agrees with sigma on the
-    ancestors both can see: 2^|visible(v) - visible(u)| copies of v.  Ids
-    are the conductor 0, then one block per origin, consecutive from
-    expected_expanded_size(tree) by decreasing depth and origin id, with
-    sigma in itertools.product order (see CompressedDag).  Per origin only
-    its first id, weight, visible ancestors and descendants above are
-    worked out, the last two from one descendant-mask pass (_relatives);
-    no copy's edges are built (see CompressedDag.out_neighbors).
+    u's visible ancestors, and points to the conductor and to every copy of
+    a descendant above u whose sigma' agrees with sigma on the ancestors
+    both can see (see plan).  Ids are the conductor 0, then one block per
+    origin, consecutive from expected_expanded_size(tree) in plan's order,
+    with sigma in itertools.product order (see CompressedDag).  No copy's
+    edges are built (see CompressedDag.out_neighbors).
 
-    Returns G* and its least admissible weighting, keyed by G*'s own id
-    objects.  Every copy of u has the same children's weights, so all get
-    one weight, shallowest origins first:
-
-        f(u) = 1 + c * (1 + sum over v above u of 2^|visible(v) - visible(u)| * f(v))
-
-    with c = ADMISSIBILITY_C and f(t) = 1, so W = 1 + sum over origins u
-    of f(u) * 2^|visible(u)|.
+    Returns G* and its least admissible weighting, a read-only mapping
+    over G*'s ids that keeps plan's weight per origin (OriginWeights).
     """
-    visible, above = _relatives(g, tree)
-    origins = sorted(visible, key=lambda u: (-tree.depth_of(tree.supervertex_of(u)), u))
-    shifts = {u: _bit_shifts(visible[u]) for u in origins}
+    p = plan(g, tree)
     first = {}
     start = cid = expected_expanded_size(tree)
-    for u in origins:
+    for u in p.origins:
         first[u] = cid
-        cid += 1 << len(visible[u])
-    least = {}
-    for u in reversed(origins):
-        least[u] = 1 + ADMISSIBILITY_C * (1 + sum(
-            least[v] << len(shifts[v].keys() - shifts[u].keys()) for v in above[u]
-        ))
-    above = {u: sorted(above[u], key=first.get) for u in origins}
-    gstar = CompressedDag(g, tree, first, visible, shifts, above, range(start, cid))
-    per_copy = chain.from_iterable(repeat(least[u], 1 << len(visible[u])) for u in origins)
-    return gstar, dict(zip(gstar._ids, chain([1], per_copy)))  # the conductor weighs 1
+        cid += 1 << len(p.visible[u])
+    above = {u: sorted(p.above[u], key=first.get) for u in p.origins}
+    gstar = CompressedDag(g, tree, first, p.visible, p.shifts, above, range(start, cid))
+    return gstar, OriginWeights(gstar, p.least)
 
 
 def compute_output(gd, u, known, wire_values):

@@ -329,33 +329,42 @@ def max_t_for_assignment(dag, weights, x, proof_oracle, check=None):
     node claimed 0 contributes w.  One pass of dag.forced_bits looks up
     only the 1s in `check` (every node when it is None); it holds every
     other node at its own bit, with no proof call, so it scores w(1 + x).
+    The weights come a run of equal ones at a time (weighting.weigh).
     """
+    return _objective(dag, dag.weight_runs(weights), x, proof_oracle, check)
+
+
+def _objective(dag, runs, x, proof_oracle, check=None):
+    """max_t_for_assignment on the weights dag.weight_runs gave as `runs`."""
     held = {
         nid: bit for nid, bit in x.items() if not bit or (check is not None and nid not in check)
     }
-    return sum(
-        weights[nid] * (2 * bit if x[nid] else 1)
-        for nid, bit in dag.forced_bits(x, proof_oracle, held)
-    )
+    scores = [2 * bit if x[nid] else 1 for nid, bit in dag.forced_bits(x, proof_oracle, held)]
+    return weighting.weigh(runs, scores)
 
 
 class BruteForceBackend:
     """Reference threshold decision: enumerate every unpinned answer string
     of the bound (dag, weights), the free bits in ascending id order, so
     the order a graph was declared in changes nothing; each string is scored
-    with the bound proof oracle."""
+    with the bound proof oracle, on the weights read once per bind."""
 
     def __init__(self, cap=20):
         self.cap = cap
         self._bound = None
 
     def bind(self, dag, weights, proof_oracle):
-        self._bound = (dag, weights, proof_oracle)
+        # Read a run at a time once, and kept as one weight per node for
+        # the many strings to come.
+        ws, sizes = dag.weight_runs(weights)
+        if sizes is not None:
+            ws = itertools.chain.from_iterable(map(itertools.repeat, ws, sizes))
+        self._bound = (dag, ([*ws], None), proof_oracle)
 
     def decide(self, threshold, pins):
         if self._bound is None:
             raise PipelineError("threshold backend queried before bind")
-        dag, weights, proof_oracle = self._bound
+        dag, runs, proof_oracle = self._bound
         free = [nid for nid in sorted(dag.node_ids()) if nid not in pins]
         if len(free) > self.cap:
             raise CapacityError(
@@ -365,7 +374,7 @@ class BruteForceBackend:
         for combo in itertools.product((0, 1), repeat=len(free)):
             x = dict(pins)
             x.update(zip(free, combo))
-            if max_t_for_assignment(dag, weights, x, proof_oracle) >= threshold:
+            if _objective(dag, runs, x, proof_oracle) >= threshold:
                 return True
         return False
 
@@ -384,7 +393,10 @@ class EvaluationBackend:
     `bind` profiles (dag, weights): one evaluation, one proof call per node
     that has a query, and 2T in closed form: on the correct string every
     forced bit equals its bit, so the objective is the sum of w(1 + x) over
-    the nodes.  Binding the bound pair again, by identity, keeps the
+    the nodes, on G* one origin block at a time: its weight times its size
+    plus its ones.  The checks that the weighting is integer and
+    admissible read it a block at a time too.  Binding the bound pair
+    again, by identity, keeps the
     profile.  A query without pins (every binary-search probe) is then one
     comparison with 2T.  A pinned query that extends the last one's dict by
     one entry looks at its newest pins only (see _pins_agree); for that the
@@ -415,15 +427,16 @@ class EvaluationBackend:
         self._dag = self._weights = self._correct = self._two_t = self._pinned = None
         # The one-unit gap below the maximum only exists for integer
         # weightings that are admissible.
-        if not all(isinstance(w, int) for w in weights.values()):
+        if not all(isinstance(w, int) for w in dag.weight_runs(weights)[0]):
             raise ValidationError("evaluation backend needs an integer weighting")
         # Looked up on the module at call time, so callers that swap the
         # function there are still heard.
         ok, bad = weighting.check_admissible(dag, weights)
         if not ok:
             raise ValidationError(f"weighting is not admissible at node {bad}")
+        # evaluate's bits come in topo order, as weigh reads values.
         correct = evaluate(dag, proof_oracle)
-        self._two_t = sum(weights[nid] * (1 + bit) for nid, bit in correct.items())
+        self._two_t = weighting.weigh(dag.weight_runs(weights), map((1).__add__, correct.values()))
         self._dag, self._weights, self._correct = dag, weights, correct
 
     def _pins_agree(self, pins):

@@ -145,11 +145,16 @@ class QueryDag:
                 code += code + (1 if x[p] else 0)
             yield nid, 1 if sat.exists(node, code) else 0
 
-    def out_sums(self, f):
-        """The sum of f over each node's out-neighbours, as one block: yields
-        the node ids and their sums once."""
-        children = self._children
+    def out_sums(self, weights):
+        """The sum of `weights` over each node's out-neighbours, as one
+        block: yields the node ids and their sums once."""
+        children, f = self._children, weights.__getitem__
         yield children.keys(), [sum(map(f, kids)) for kids in children.values()]
+
+    def weight_runs(self, weights):
+        """The weights in topo order, one per node, and None for the sizes
+        of runs that are all one node long (see weighting.weigh)."""
+        return map(weights.__getitem__, self._order), None
 
     def __repr__(self):
         return f"QueryDag(n={len(self.nodes)}, output={self.output})"

@@ -25,7 +25,7 @@ from .oracle import EvaluationBackend, ProofOracle, entry_doc, threshold_oracle
 from .oracle import max_t_for_assignment  # noqa: F401
 from .querygraph import Record, decimal_str, evaluate, is_correct_query_string
 from .separator import build_separator_tree
-from .weighting import rho_weights, total_weight
+from .weighting import rho_weights, total_weight, weigh
 
 
 class SolveReport(Record):
@@ -148,8 +148,8 @@ def _decide(method, g, witness, backend, transcript):
         dag, weights = build_compressed(g, build_separator_tree(g))
     else:
         dag, weights = g, rho_weights(g)
-    w_total = total_weight(weights)
-    bits = (2 * w_total).bit_length()  # search_budget(weights), W summed once
+    w_total = weigh(dag.weight_runs(weights))  # W, a run of equal weights at a time
+    bits = (2 * w_total).bit_length()  # search_budget(weights)
     ask = threshold_oracle(dag, weights, proof_oracle, backend)
     t_tilde = binary_search_T(ask, bits)
     answer = ask(t_tilde, {dag.output: 1})

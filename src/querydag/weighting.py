@@ -1,28 +1,29 @@
 """Admissible weighting functions over DAGs, in exact integer arithmetic.
 
-A weighting is a plain {node id: int} dict.  It is admissible when
-f(v) >= 1 + c * sum of f over v's out-neighbors, with the one constant
+A weighting is a read-only mapping from node id to int: a plain dict, or
+G*'s, which keeps one weight per origin.  It is admissible when f(v) >=
+1 + c * sum of f over v's out-neighbors, with the one constant
 c = ADMISSIBILITY_C = 2 of the NP pipeline: the weightings here and the
 compression's are built for it, and check_admissible tests against it.
 Such weightings make earlier queries dominate later ones in the
 total-solution-weight objective.
 
-Any graph object exposing node_ids(), out_neighbors(), out_sums(f) and
-topo_order() works here, so the same functions serve plain query graphs
-and compressed graphs.  Those four methods are the structural half of the
-graph protocol that QueryDag and CompressedDag share; forced_bits(x, sat,
-pins), every node's pinned or forced bit under x, and `output` complete
-it, and evaluation, the objective and the threshold backends are written
-against those six alone.  out_neighbors() may be a read-only Mapping that
-makes each row when read, as a compressed graph's does; out_sums(f) yields
-(ids, sums) per block of nodes, the sum of f over each one's
-out-neighbours, which a compressed graph adds up one column of targets at
-a time, with no row made.
+Any graph object exposing node_ids(), out_neighbors(), out_sums(weights),
+weight_runs(weights) and topo_order() works here, so the same functions
+serve plain query graphs and compressed graphs.  Those five methods are
+the structural half of the graph protocol that QueryDag and CompressedDag
+share; forced_bits(x, sat, pins) and `output` complete it (see README).
+out_neighbors() may be a read-only Mapping that makes each row when
+read.  The other two read a weighting a block of nodes at a time, G*'s
+own once per origin: out_sums yields (ids, sums), the sum of the weights
+of each one's out-neighbours, and weight_runs two iterables: the weights
+in topo order, one per run of nodes that all weigh the same, and the
+runs' sizes, None when every run is one node.
 """
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from operator import add, lt, mul
 
 from .querygraph import decimal_str, topo_sort
@@ -79,14 +80,15 @@ def rho_weights(g):
 
 def check_admissible(g, weights):
     """Verify the defining inequality at every node, a block of nodes at a
-    time: g.out_sums gives each block's sums of child weights.
+    time: g.out_sums gives each block's sums of child weights, or, for a
+    block whose nodes all have one weight and one sum, its first node's.
 
     Returns (True, None) on success, otherwise (False, first offending node
     in ascending id order).
     """
     w, c = weights.__getitem__, ADMISSIBILITY_C
     bad = []
-    for ids, sums in g.out_sums(w):
+    for ids, sums in g.out_sums(weights):
         # The ids whose weight is below 1 + c * sum.
         bad += compress(ids, map(lt, map(w, ids), map(add, repeat(1), map(mul, repeat(c), sums))))
     return (False, min(bad)) if bad else (True, None)
@@ -94,6 +96,19 @@ def check_admissible(g, weights):
 
 def total_weight(weights):
     return sum(weights.values())
+
+
+def weigh(runs, values=None):
+    """The sum over a graph's nodes of each one's weight times its value,
+    the next of `values` in topo order, or 1 when `values` is None, which
+    is W.  `runs` is the graph's weight_runs: a run of n nodes multiplies
+    its weight once, by n or by the sum of its n values."""
+    ws, sizes = runs
+    if values is None:
+        return sum(ws) if sizes is None else sum(map(mul, ws, sizes))
+    if sizes is not None:
+        values = map(sum, map(islice, repeat(iter(values)), sizes))
+    return sum(map(mul, ws, values))
 
 
 def weight_report(weights):

@@ -127,9 +127,15 @@ class CompressedDag:
     def out_neighbors(self):
         return self.edges_out
 
-    def out_sums(self, f):
-        """The sum of f over each node's out-neighbours, as one block."""
+    def out_sums(self, weights):
+        """The sum of `weights` over each node's out-neighbours, as one
+        block."""
+        f = weights.__getitem__
         yield list(self.edges_out), [sum(map(f, kids)) for kids in self.edges_out.values()]
+
+    def weight_runs(self, weights):
+        """The weights in topo order, one per node, and no run sizes."""
+        return map(weights.__getitem__, self.topo_order()), None
 
     def edge_count(self):
         return sum(len(t) for t in self.edges_out.values())

@@ -1,4 +1,5 @@
-"""The block form of G*'s forced bits against the per-copy reference.
+"""The block form of G*'s forced bits and weights against the per-copy
+reference.
 
 CompressedDag.forced_bits settles one origin block at a time; the per-copy
 reference here settles one copy at a time through the forced_bit of the
@@ -9,6 +10,12 @@ larger shapes (band-3 n = 48, band-4 n = 40, a grid and a binary in-tree,
 given seeded clauses) each must match what the per-copy path gives: the
 bits, the proof calls counted and recorded, the distinct decisions, the
 check's verdict, the admissibility verdict and a missing wire's error.
+
+G*'s weighting keeps one weight per origin and is read once per origin:
+there it must equal the least admissible weighting found node by node on
+the reference, W, 2T and plan's figures must equal their sums copy by
+copy, and an origin's weight lowered by 1 must fail the check at the copy
+the per-row check names.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ from __future__ import annotations
 import random
 
 import pytest
-from compress_reference import build_compressed as record_based_build, without_dummies
+from compress_reference import build_compressed as record_based_build
+from compress_reference import least_weights, without_dummies
 from instances import random_instance
 from test_septree_digest import band_dag, binary_in_tree, grid_dag
 
@@ -25,14 +33,20 @@ from querydag import (
     EvaluationBackend,
     ProofOracle,
     WireValueError,
+    binary_search_T,
     build_compressed,
     build_dag,
     build_separator_tree,
     check_admissible,
     evaluate,
     is_correct_query_string,
+    max_t_for_assignment,
+    plan,
+    search_budget,
+    threshold_oracle,
 )
-from querydag.weighting import ADMISSIBILITY_C
+from querydag.compress import OriginWeights
+from querydag.weighting import ADMISSIBILITY_C, weigh
 
 
 def per_copy_evaluate(ref, sat, pins=None):
@@ -121,13 +135,43 @@ def assert_block_form_matches(gd, weights, rng, label):
     mine, theirs = ProofOracle(transcript=True), ProofOracle(transcript=True)
     assert evaluate(gd, mine, pins) == per_copy_evaluate(ref, theirs, pins), (label, pins)
     assert mine.stats.transcript == theirs.stats.transcript, (label, pins)
+    # The weights, one per origin, read copy by copy: the least admissible
+    # weighting of the reference, and W and 2T summed over the copies.
+    per_copy = dict(weights)
+    assert per_copy == least_weights(ref), label
+    w_total = sum(per_copy.values())
+    assert weigh(gd.weight_runs(weights)) == weigh(gd.weight_runs(per_copy)) == w_total, label
+    backend = EvaluationBackend()
+    backend.bind(gd, weights, ProofOracle())
+    assert backend._two_t == sum(per_copy[cid] * (1 + bit) for cid, bit in x.items()), label
     # Admissibility on the least weighting and with one copy lowered.
-    assert check_admissible(gd, weights) == per_row_admissible(gd, weights) == (True, None)
+    assert check_admissible(gd, weights) == per_row_admissible(gd, per_copy) == (True, None)
     for cid in rng.sample(ids, min(3, len(ids))):
         lowered = dict(weights)
         lowered[cid] -= 1
         verdict = check_admissible(gd, lowered)
         assert verdict == per_row_admissible(gd, lowered) == (False, cid), (label, cid)
+    # With one origin's weight lowered, checked once per origin, the check
+    # fails at that origin's first copy.
+    by_origin = weights.by_origin
+    for u in rng.sample(sorted(by_origin), min(3, len(by_origin))):
+        lowered = OriginWeights(gd, {**by_origin, u: by_origin[u] - 1})
+        first = gd.copy_of(u, {anc: 0 for anc, _, _ in gd.visible_ancestors(u)})
+        verdict = check_admissible(gd, lowered)
+        assert verdict == per_row_admissible(gd, dict(lowered)) == (False, first), (label, u)
+
+
+def assert_plan_matches(g, label):
+    """plan's figures against the G* build_compressed makes of g: its node
+    count, W summed copy by copy and the search budget plus the final
+    query."""
+    tree = build_separator_tree(g)
+    p = plan(g, tree)
+    gd, weights = build_compressed(g, tree)
+    assert p.size == len(gd.nodes), label
+    assert p.w_total == sum(weights.values()), label
+    assert p.budget == search_budget(weights) + 1, label
+    assert p.least == weights.by_origin, label
 
 
 def test_block_form_matches_the_per_copy_path_on_the_corpus():
@@ -141,6 +185,38 @@ def test_block_form_matches_the_per_copy_path_on_the_corpus():
 def test_block_form_matches_the_per_copy_path_on_larger_shapes(name):
     gd, weights = compressed(with_clauses(SHAPES[name](), 7))
     assert_block_form_matches(gd, weights, random.Random(name), name)
+
+
+def test_plan_matches_the_built_graph():
+    for seed in range(1000):
+        assert_plan_matches(random_instance(seed), seed)
+    for name in sorted(SHAPES):
+        assert_plan_matches(with_clauses(SHAPES[name](), 7), name)
+
+
+def test_own_weighting_is_read_once_per_origin(monkeypatch):
+    # A solve on G* reads its weighting a block at a time: no lookup by
+    # copy id, one row sum per origin in the check and one run per origin.
+    gd, weights = compressed(with_clauses(band_dag(24, 3), 2))
+    origins = len(weights.by_origin)
+    assert not isinstance(weights, dict) and len(weights) == len(gd.nodes) > 10 * origins
+    assert [len(ids) for ids, _ in gd.out_sums(weights)] == [1] * (1 + origins)
+    ws, sizes = map(list, gd.weight_runs(weights))
+    assert len(ws) == len(sizes) == 1 + origins and sum(sizes) == len(gd.nodes)
+    lookups = []
+    read = OriginWeights.__getitem__
+    monkeypatch.setattr(
+        OriginWeights, "__getitem__", lambda w, cid: lookups.append(cid) or read(w, cid)
+    )
+    oracle = ProofOracle()
+    ask = threshold_oracle(gd, weights, oracle, EvaluationBackend())
+    two_t = binary_search_T(ask, search_budget(weights))
+    x = evaluate(gd, oracle)
+    assert max_t_for_assignment(gd, weights, x, oracle) == two_t
+    # A pinned query below 2T that disagrees with the maximizer scores
+    # the best string under its pins through the objective.
+    assert ask(two_t - 2, {gd.output: 1 - x[gd.output]})
+    assert len(lookups) <= 3 * (1 + origins), len(lookups)
 
 
 def test_pinned_queries_below_two_t_agree_with_brute_force():
