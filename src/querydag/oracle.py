@@ -354,8 +354,8 @@ class BruteForceBackend:
         self._bound = None
 
     def bind(self, dag, weights, proof_oracle):
-        # Read a run at a time once, and kept as one weight per node for
-        # the many strings to come.
+        # The weights are read once, a run at a time, and kept as one per
+        # node for the many strings to come.
         ws, sizes = dag.weight_runs(weights)
         if sizes is not None:
             ws = itertools.chain.from_iterable(map(itertools.repeat, ws, sizes))
@@ -396,12 +396,12 @@ class EvaluationBackend:
     the nodes, on G* one origin block at a time: its weight times its size
     plus its ones.  The checks that the weighting is integer and
     admissible read it a block at a time too.  Binding the bound pair
-    again, by identity, keeps the
-    profile.  A query without pins (every binary-search probe) is then one
-    comparison with 2T.  A pinned query that extends the last one's dict by
-    one entry looks at its newest pins only (see _pins_agree); for that the
-    backend keeps the last pinned query's dict, its length and whether the
-    entries before its newest agree, and a new profile drops them.  A query
+    again, by identity, keeps the profile.  A query without pins (every
+    binary-search probe) is then one comparison with 2T.  A pinned query
+    that extends the last one's dict by one entry looks at its newest pins
+    only (see _pins_agree); for that the backend keeps the last pinned
+    query's dict, its length and whether the entries before its newest
+    agree, and a new profile drops them.  A query
     whose pins disagree, below 2T, costs two passes of forced bits: the
     evaluation keeping its pins, which looks up every other node, and the
     objective, which looks up only its pinned 1s: at most |V| proof calls
