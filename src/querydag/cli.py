@@ -14,7 +14,7 @@ import sys
 
 from .compress import build_compressed, expected_expanded_size
 from .errors import GenerationError, ParseError, QueryDagError
-from .oracle import BruteForceBackend, EvaluationBackend, ProofOracle
+from .oracle import BRUTE_FORCE_CAP, BruteForceBackend, EvaluationBackend, ProofOracle
 from .querygraph import (
     VERIFIER,
     build_dag,
@@ -356,7 +356,10 @@ def _build_parser():
     p.add_argument("--transcript", action="store_true")
     p.add_argument("--backend", choices=("eval", "brute"), default="eval")
     p.add_argument(
-        "--cap", type=_non_negative_int, default=20, help="free-bit cap, brute backend only"
+        "--cap",
+        type=_non_negative_int,
+        default=BRUTE_FORCE_CAP,
+        help="free-bit cap, brute backend only",
     )
     common(p)
 

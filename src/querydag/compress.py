@@ -46,7 +46,7 @@ from itertools import chain, islice, repeat
 from operator import add
 from types import SimpleNamespace
 
-from .errors import WireValueError
+from .errors import ValidationError, WireValueError
 from .querygraph import Record, decimal_str
 from .weighting import ADMISSIBILITY_C, descendant_masks
 
@@ -182,17 +182,21 @@ class CompressedDag:
         """The out-edges of origin u's copies but the conductor, yielded as
         columns over the block in id order: per descendant v above u and
         offset spanned by the ancestors only v sees, one column of targets,
-        the first id of v's copies for each copy of the block, from the
-        ancestors both see, plus that offset."""
+        _bases(u, v) plus that offset."""
         mine = self._shifts[u]
         for v in self._above[u]:
-            at = self._shifts[v]
-            bases = _offsets([1 << at[a] if a in at else 0 for a in mine], self._first[v])
+            bases = self._bases(u, v)
             yield bases
-            spans = [1 << sh for a, sh in at.items() if a not in mine]
+            spans = [1 << sh for a, sh in self._shifts[v].items() if a not in mine]
             if spans:
                 for o in _offsets(spans)[1:]:
                     yield [*map(o.__add__, bases)]
+
+    def _bases(self, u, v):
+        """For each copy of origin u in id order, the copy of v that agrees
+        with it on the ancestors both see and has every other bit 0."""
+        at = self._shifts[v]
+        return _offsets([1 << at[a] if a in at else 0 for a in self._shifts[u]], self._first[v])
 
     def _block_rows(self, u):
         """The out-edges of origin u's copies in id order: the conductor,
@@ -200,47 +204,34 @@ class CompressedDag:
         return zip(repeat(CONDUCTOR_ID, 1 << len(self._visible[u])), *self._block_columns(u))
 
     def out_sums(self, weights):
-        """The sum of `weights` over each node's out-neighbours, a block at
-        a time: yields the conductor's, 0, then per origin block in id order
-        its ids and sums, weights[conductor] plus one column of targets at
-        a time.  Under this graph's OriginWeights every copy of u has one
-        weight and one sum, from 2^|visible(v) - visible(u)| targets per v
-        above u, and the block is yielded as its first copy alone."""
+        """The sum of `weights`, this graph's OriginWeights, over each
+        node's out-neighbours: yields the conductor's, 0, then per origin
+        u in id order its first copy alone and the sum every copy of u
+        shares, weights[conductor] plus f(v) times 2^|visible(v) -
+        visible(u)| targets per v above u."""
+        by_origin = self._by_origin(weights)
         yield (CONDUCTOR_ID,), [0]
         conductor = weights[CONDUCTOR_ID]
-        by_origin = self._by_origin(weights)
-        if by_origin is not None:
-            shifts = self._shifts
-            for u in self._origins:
-                mine = shifts[u].keys()
-                row = sum(by_origin[v] << len(shifts[v].keys() - mine) for v in self._above[u])
-                yield (self._first[u],), [conductor + row]
-            return
-        f = weights.__getitem__
+        shifts = self._shifts
         for u in self._origins:
-            block = self._block(u)
-            sums = [conductor] * len(block)
-            for column in self._block_columns(u):
-                sums = [*map(add, sums, map(f, column))]
-            yield block, sums
+            mine = shifts[u].keys()
+            row = sum(by_origin[v] << len(shifts[v].keys() - mine) for v in self._above[u])
+            yield (self._first[u],), [conductor + row]
 
     def weight_runs(self, weights):
-        """The weights in topo order, one per run of nodes that all weigh
-        the same, and the runs' sizes: under this graph's OriginWeights
-        one per origin block, then the conductor's; else one per node,
-        and None for the sizes (see weighting.weigh)."""
-        by_origin = self._by_origin(weights)
-        if by_origin is None:
-            return map(weights.__getitem__, self.topo_order()), None
-        ws = chain(map(by_origin.__getitem__, self._origins), [weights[CONDUCTOR_ID]])
-        return ws, chain(self._sizes, [1])
+        """The weights of `weights`, this graph's OriginWeights, in topo
+        order, one per origin block, then the conductor's, and the runs'
+        sizes: the blocks' sizes, then 1 (see weighting.weigh)."""
+        ws = map(self._by_origin(weights).__getitem__, self._origins)
+        return chain(ws, [weights[CONDUCTOR_ID]]), chain(self._sizes, [1])
 
     def _by_origin(self, weights):
-        """The weight per origin if `weights` is an OriginWeights of this
-        graph, else None: the one place a weighting's type is asked."""
-        if isinstance(weights, OriginWeights) and weights._gd is self:
-            return weights.by_origin
-        return None
+        """The weight per origin of `weights`, which must be this graph's
+        own OriginWeights: the one place a weighting's type is asked.  Any
+        other mapping, a per-copy dict or another G*'s, is refused."""
+        if not (isinstance(weights, OriginWeights) and weights._gd is self):
+            raise ValidationError("G* reads only its own per-origin weighting")
+        return weights.by_origin
 
     def _row(self, cid):
         if cid == CONDUCTOR_ID:
@@ -319,9 +310,8 @@ class CompressedDag:
                 for v in chain(self._shifts[p], (p,)):
                     if v in shifts or v in found:
                         continue
-                    at = self._shifts[v]
-                    cids = _offsets([1 << at[a] if a in at else 0 for a in shifts], self._first[v])
-                    for a, sh in at.items():
+                    cids = self._bases(u, v)
+                    for a, sh in self._shifts[v].items():
                         if a not in shifts:
                             cids = [*map(add, cids, map((1 << sh).__mul__, found[a]))]
                     found[v] = [*map(bool, map(x.__getitem__, cids))]
@@ -414,7 +404,7 @@ class OriginWeights(_Lazy):
     """G*'s weights by id, one per origin: a copy weighs its origin's entry
     of `by_origin`, the conductor 1.  values() and items() walk the blocks
     in id order; a lookup finds its copy's block.  G* reads it per origin
-    (out_sums, weight_runs)."""
+    (out_sums, weight_runs), and reads no other weighting."""
 
     def __init__(self, gd, by_origin):
         super().__init__(gd, None)

@@ -343,23 +343,26 @@ def _objective(dag, runs, x, proof_oracle, check=None):
     return weighting.weigh(runs, scores)
 
 
+# The default cap on the free bits BruteForceBackend enumerates: 2^cap
+# strings, one forced_bits pass each.
+BRUTE_FORCE_CAP = 20
+
+
 class BruteForceBackend:
     """Reference threshold decision: enumerate every unpinned answer string
     of the bound (dag, weights), the free bits in ascending id order, so
     the order a graph was declared in changes nothing; each string is scored
-    with the bound proof oracle, on the weights read once per bind."""
+    with the bound proof oracle, on the weight runs read once per bind."""
 
-    def __init__(self, cap=20):
+    def __init__(self, cap=BRUTE_FORCE_CAP):
         self.cap = cap
         self._bound = None
 
     def bind(self, dag, weights, proof_oracle):
-        # The weights are read once, a run at a time, and kept as one per
-        # node for the many strings to come.
+        # The weights are read once, a run at a time, and the runs kept for
+        # the many strings to come.
         ws, sizes = dag.weight_runs(weights)
-        if sizes is not None:
-            ws = itertools.chain.from_iterable(map(itertools.repeat, ws, sizes))
-        self._bound = (dag, ([*ws], None), proof_oracle)
+        self._bound = (dag, ([*ws], sizes and [*sizes]), proof_oracle)
 
     def decide(self, threshold, pins):
         if self._bound is None:

@@ -1,7 +1,8 @@
 """Admissible weighting functions over DAGs, in exact integer arithmetic.
 
-A weighting is a read-only mapping from node id to int: a plain dict, or
-G*'s, which keeps one weight per origin.  It is admissible when f(v) >=
+A weighting is a read-only mapping from node id to int: a plain dict on a
+query graph, and on G* only its own, which keeps one weight per origin
+(any other raises ValidationError).  It is admissible when f(v) >=
 1 + c * sum of f over v's out-neighbors, with the one constant
 c = ADMISSIBILITY_C = 2 of the NP pipeline: the weightings here and the
 compression's are built for it, and check_admissible tests against it.
@@ -14,8 +15,8 @@ serve plain query graphs and compressed graphs.  Those five methods are
 the structural half of the graph protocol that QueryDag and CompressedDag
 share; forced_bits(x, sat, pins) and `output` complete it (see README).
 out_neighbors() may be a read-only Mapping that makes each row when
-read.  The other two read a weighting a block of nodes at a time, G*'s
-own once per origin: out_sums yields (ids, sums), the sum of the weights
+read.  The other two read a weighting a block of nodes at a time, G*
+once per origin: out_sums yields (ids, sums), the sum of the weights
 of each one's out-neighbours, and weight_runs two iterables: the weights
 in topo order, one per run of nodes that all weigh the same, and the
 runs' sizes, None when every run is one node.

@@ -15,7 +15,8 @@ G*'s weighting keeps one weight per origin and is read once per origin:
 there it must equal the least admissible weighting found node by node on
 the reference, W, 2T and plan's figures must equal their sums copy by
 copy, and an origin's weight lowered by 1 must fail the check at the copy
-the per-row check names.
+the per-row check names.  Any other weighting, per copy or another G*'s,
+is refused.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from test_septree_digest import band_dag, binary_in_tree, grid_dag
 from querydag import (
     BruteForceBackend,
     EvaluationBackend,
+    PipelineError,
     ProofOracle,
+    ValidationError,
     WireValueError,
     binary_search_T,
     build_compressed,
@@ -140,17 +143,20 @@ def assert_block_form_matches(gd, weights, rng, label):
     per_copy = dict(weights)
     assert per_copy == least_weights(ref), label
     w_total = sum(per_copy.values())
-    assert weigh(gd.weight_runs(weights)) == weigh(gd.weight_runs(per_copy)) == w_total, label
+    assert weigh(gd.weight_runs(weights)) == w_total, label
     backend = EvaluationBackend()
     backend.bind(gd, weights, ProofOracle())
     assert backend._two_t == sum(per_copy[cid] * (1 + bit) for cid, bit in x.items()), label
-    # Admissibility on the least weighting and with one copy lowered.
+    # Admissibility on the least weighting.  With one copy lowered the
+    # weighting is per copy, which G* refuses; the per-row check still
+    # names that copy.
     assert check_admissible(gd, weights) == per_row_admissible(gd, per_copy) == (True, None)
     for cid in rng.sample(ids, min(3, len(ids))):
         lowered = dict(weights)
         lowered[cid] -= 1
-        verdict = check_admissible(gd, lowered)
-        assert verdict == per_row_admissible(gd, lowered) == (False, cid), (label, cid)
+        with pytest.raises(ValidationError):
+            check_admissible(gd, lowered)
+        assert per_row_admissible(gd, lowered) == (False, cid), (label, cid)
     # With one origin's weight lowered, checked once per origin, the check
     # fails at that origin's first copy.
     by_origin = weights.by_origin
@@ -217,6 +223,29 @@ def test_own_weighting_is_read_once_per_origin(monkeypatch):
     # the best string under its pins through the objective.
     assert ask(two_t - 2, {gd.output: 1 - x[gd.output]})
     assert len(lookups) <= 3 * (1 + origins), len(lookups)
+
+
+def test_gstar_refuses_a_foreign_weighting():
+    # G* reads only the OriginWeights built with it: the same weights per
+    # copy, or those of a second build of the same graph, are refused
+    # wherever a weighting is read, and a refused bind drops the profile.
+    g = with_clauses(band_dag(12, 3), 4)
+    gd, weights = compressed(g)
+    x = evaluate(gd, ProofOracle())
+    for foreign in (dict(weights), compressed(g)[1]):
+        assert dict(foreign) == dict(weights)
+        with pytest.raises(ValidationError):
+            check_admissible(gd, foreign)
+        with pytest.raises(ValidationError):
+            max_t_for_assignment(gd, foreign, x, ProofOracle())
+        with pytest.raises(ValidationError):
+            BruteForceBackend().bind(gd, foreign, ProofOracle())
+        backend = EvaluationBackend()
+        backend.bind(gd, weights, ProofOracle())
+        with pytest.raises(ValidationError):
+            backend.bind(gd, foreign, ProofOracle())
+        with pytest.raises(PipelineError):
+            backend.decide(0, {})
 
 
 def test_pinned_queries_below_two_t_agree_with_brute_force():
