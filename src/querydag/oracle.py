@@ -398,8 +398,7 @@ class EvaluationBackend:
     forced bit equals its bit, so the objective is the sum of w(1 + x) over
     the nodes, on G* one origin block at a time: its weight times its size
     plus its ones.  The checks that the weighting is integer and
-    admissible read it a block at a time too.  Binding the bound pair
-    again, by identity, keeps the profile.  A query without pins (every
+    admissible read it a block at a time too.  A query without pins (every
     binary-search probe) is then one comparison with 2T.  A pinned query
     that extends the last one's dict by one entry looks at its newest pins
     only (see _pins_agree); for that the backend keeps the last pinned
@@ -421,12 +420,10 @@ class EvaluationBackend:
 
     def bind(self, dag, weights, proof_oracle):
         """Keep `proof_oracle` for the queries to come, and profile (dag,
-        weights) and keep it as the bound pair, dropping the last, unless it
-        already is the bound pair.  Checks that the weighting is integer and
-        admissible; 2T is read off the maximizer without a proof call."""
+        weights) and keep it as the bound pair, dropping the last.  Checks
+        that the weighting is integer and admissible; 2T is read off the
+        maximizer without a proof call."""
         self._proof_oracle = proof_oracle
-        if dag is self._dag and weights is self._weights:
-            return
         self._dag = self._weights = self._correct = self._two_t = self._pinned = None
         # The one-unit gap below the maximum only exists for integer
         # weightings that are admissible.

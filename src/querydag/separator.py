@@ -9,10 +9,10 @@ members but the last are judged together.  When there are many choices of
 the last member, two breadth-first balls rule out most that cannot be
 balanced: a separator's member lies in every ball of at most half + 1
 vertices around any vertex of the big component (the lemma at
-_balanced_separators).  The rest are judged by flood fills or by one
-cut-vertex pass, and the components a separator leaves come from the same
-flood fill.  Trees are padded with isolated dummy vertices so every
-supervertex has the same size.
+_balanced_separators).  Every candidate the balls keep is judged by a
+flood fill of that component, and the components a separator leaves come
+from the same flood fill.  Trees are padded with isolated dummy vertices
+so every supervertex has the same size.
 """
 
 from __future__ import annotations
@@ -176,47 +176,6 @@ def _parts(rest, nbrs):
     return parts
 
 
-def _cut_fits(rest, root, nbrs, half):
-    """Mask of the vertices b of root's component C in the vertex mask `rest`
-    that leave no piece of C - b with more than `half` vertices.
-
-    One iterative DFS for cut vertices (Hopcroft-Tarjan), lowpoints kept as
-    masks: reach[v] holds the vertices seen earlier that v's subtree is
-    adjacent to.  A child c of b whose reach misses the path above b is a
-    piece of its own; what is left of C beside b and them is one more.
-    """
-    n = len(nbrs)
-    reach, cut, top, size = [0] * n, [0] * n, [0] * n, [1] * n
-    seen = path = 1 << root
-    unseen = rest ^ seen
-    stack, found = [root], [root]
-    while stack:
-        v = stack[-1]
-        todo = nbrs[v] & unseen
-        if todo:
-            bit = todo & -todo
-            w = bit.bit_length() - 1
-            reach[w] = nbrs[w] & seen
-            seen |= bit
-            unseen ^= bit
-            path |= bit
-            stack.append(w)
-            found.append(w)
-            continue
-        stack.pop()
-        path ^= 1 << v
-        if stack:
-            p = stack[-1]
-            size[p] += size[v]
-            if reach[v] & (path ^ 1 << p):
-                reach[p] |= reach[v]
-            else:
-                cut[p] += size[v]
-                top[p] = max(top[p], size[v])
-    left = len(found) - 1
-    return sum(1 << b for b in found if max(top[b], left - cut[b]) <= half)
-
-
 def _balanced_separators(subset, nbrs, max_size):
     """Every balanced separator of size <= max_size of the vertex mask
     `subset`, in enumeration order: by increasing size, then
@@ -239,10 +198,9 @@ def _balanced_separators(subset, nbrs, max_size):
 
     Up to _FEW_CANDIDATES candidates are judged by a flood fill each.  With
     more, C is flooded by levels and only the candidates in the balls
-    around its least vertex and a vertex farthest from that one are kept;
-    up to _FEW_CANDIDATES of them are judged by a flood fill of C each,
-    more by one cut-vertex pass over C.  A separator is yielded, with its
-    components, as soon as it is judged.
+    around its least vertex and a vertex farthest from that one are kept,
+    and each of them is judged by a flood fill of C.  A separator is
+    yielded, with its components, as soon as it is judged.
     """
     n = subset.bit_count()
     bits = ()  # the members prefixes draw on, listed from size 2 on
@@ -262,9 +220,6 @@ def _balanced_separators(subset, nbrs, max_size):
             if later.bit_count() > _FEW_CANDIDATES:
                 scope, near = _near(rest, nbrs, half)
                 later &= near
-                if scope and later.bit_count() > _FEW_CANDIDATES:
-                    later &= _cut_fits(scope, (scope & -scope).bit_length() - 1, nbrs, half)
-                    scope = 0
             while later:
                 bit = later & -later
                 later ^= bit

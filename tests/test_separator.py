@@ -1,4 +1,3 @@
-import collections
 import itertools
 import math
 import random
@@ -14,6 +13,7 @@ from querydag import (
     build_separator_tree,
 )
 from querydag import separator
+from querydag.cli import gen_instance
 
 from conftest import random_instance
 from separator_reference import (
@@ -23,7 +23,7 @@ from separator_reference import (
     skeleton,
     verify_separator_tree,
 )
-from test_septree_digest import band_dag, corpus, dag_from_inputs, grid_dag
+from test_septree_digest import band_dag, binary_in_tree, corpus, dag_from_inputs, grid_dag
 
 
 def path(n):
@@ -284,8 +284,8 @@ def random_adjacency(rng):
 
 def test_enumerator_matches_reference_sequence(monkeypatch):
     # Every separator, members and components, in order, for every size
-    # bound; and for the largest bound with cut passes only and with flood
-    # fills only.
+    # bound; and for the largest bound with balls and floods on every prefix
+    # and with flood fills only.
     rng = random.Random(13)
     small = 0
     for _ in range(600):
@@ -312,8 +312,8 @@ def skeleton_masks(g):
 
 def test_enumerator_matches_reference_where_the_balls_prune(monkeypatch):
     # Shapes with more than _FEW_CANDIDATES candidates per prefix, where the
-    # two balls rule candidates out; with _FEW_CANDIDATES at 0 they judge
-    # every prefix.  The last subset leaves out vertices 3-5 of a band-3
+    # two balls rule candidates out; with _FEW_CANDIDATES at 0 the balls and
+    # floods judge every prefix.  The last subset leaves out vertices 3-5 of a band-3
     # graph, so its least vertex lies in the component {1, 2} and the big
     # component is found by the second flood.  Graphs of up to 13 vertices
     # are checked at every size bound; the larger ones at bounds up to 5
@@ -357,24 +357,40 @@ def test_trees_match_reference_enumerator_where_the_balls_prune(monkeypatch):
     assert docs() == expected
 
 
-def test_balls_pin_the_cut_passes_and_floods(monkeypatch):
-    # Cut-vertex passes and per-candidate flood fills of one tree build.
-    # Without the balls, band-3 n = 30 took 232 cut passes and 1,286 floods,
-    # and grid 4x8 took 882 and 4,177.
-    calls = collections.Counter()
-    for name in ("_cut_fits", "_oversized"):
+def test_balanced_trees_match_reference_enumerator_on_trees_and_layers(monkeypatch):
+    # Binary in-trees and a layered graph: the shapes where more than
+    # _FEW_CANDIDATES candidates survive the balls.
+    graphs = [binary_in_tree(n) for n in (63, 127, 255)]
+    graphs.append(gen_instance("layered", 200, 3))
+    expected = [build_separator_tree(g).to_doc() for g in graphs]
+    monkeypatch.setattr(separator, "_balanced_separators", reference_on_masks)
+    assert [build_separator_tree(g).to_doc() for g in graphs] == expected
 
-        def wrapped(*args, name=name, inner=getattr(separator, name)):
-            calls[name] += 1
-            return inner(*args)
 
-        monkeypatch.setattr(separator, name, wrapped)
+def test_balls_pin_the_floods(monkeypatch):
+    # Per-candidate flood fills of one tree build.  Without the balls,
+    # band-3 n = 30 took 1,286 floods and 232 cut-vertex passes, and grid
+    # 4x8 took 4,177 and 882.
+    floods = 0
+    inner = separator._oversized
+
+    def counted(*args):
+        nonlocal floods
+        floods += 1
+        return inner(*args)
+
+    monkeypatch.setattr(separator, "_oversized", counted)
     work = {}
-    for label, g in (("band-3 n=30", band_dag(30, 3)), ("grid 4x8", grid_dag(4, 8))):
-        calls.clear()
+    shapes = (
+        ("band-3 n=30", band_dag(30, 3)),
+        ("grid 4x8", grid_dag(4, 8)),
+        ("bintree-255", binary_in_tree(255)),
+    )
+    for label, g in shapes:
+        floods = 0
         build_separator_tree(g)
-        work[label] = (calls["_cut_fits"], calls["_oversized"])
-    assert work == {"band-3 n=30": (0, 1049), "grid 4x8": (0, 3434)}
+        work[label] = floods
+    assert work == {"band-3 n=30": 1049, "grid 4x8": 3434, "bintree-255": 255}
 
 
 def test_depth_bounded_trees_match_reference_enumerator(monkeypatch):
