@@ -34,7 +34,9 @@ signature and the answer bits of deeper nodes.  Evaluation, the objective,
 the check of a string and the admissibility check run on whole blocks
 (forced_bits, out_sums, weight_runs): lists over a block's copies, with
 compute_output in vector form and each distinct input code decided once,
-and G*'s own weighting read once per block.
+and G*'s own weighting read once per block.  A string evaluate settles is
+a CompactString, one byte per copy, which G* reads by position; the string
+format is decided here alone.
 """
 
 from __future__ import annotations
@@ -104,13 +106,14 @@ class CompressedDag:
     number with the first visible ancestor most significant, is its
     signature (see _bit_shifts).  Blocks follow one another, with no gap,
     by decreasing depth of the origin's supervertex, then origin id, which
-    is a topological order.  So G* keeps no table per copy, only first,
-    visible, shifts and `above` per origin and one list of ids, whose int
-    objects the maximizer and the witness pins share; its weighting keeps
-    one weight per origin (OriginWeights).  A copy's origin is the block
-    its id falls in, and its bits, edges and record are made off its index
-    when read, a block at a time for forced_bits and out_sums.  `visible`
-    depends only on the original graph and its tree.
+    is a topological order.  So G* keeps no table and no object per copy,
+    only first, visible, shifts and `above` per origin and the range of the
+    copies' ids; its weighting keeps one weight per origin (OriginWeights),
+    and a string evaluate settles one byte per copy (CompactString).  A
+    copy's origin is the block its id falls in, and its bits, edges and
+    record are made off its index when read, a block at a time for
+    forced_bits and out_sums.  `visible` depends only on the original graph
+    and its tree.
     """
 
     conductor_id = output = CONDUCTOR_ID
@@ -125,7 +128,6 @@ class CompressedDag:
         self._copies = copies  # the range of every copy's id
         self._origins, self._starts = list(first), list(first.values())
         self._sizes = [1 << len(visible[u]) for u in first]
-        self._ids = [CONDUCTOR_ID, *copies]
 
     @property
     def nodes(self):
@@ -133,7 +135,7 @@ class CompressedDag:
         return _Lazy(self, self._record)
 
     def node_ids(self):
-        return self._ids[:]
+        return [CONDUCTOR_ID, *self._copies]
 
     def out_neighbors(self):
         """Each node's out-edges in id order, a tuple made off its origin's
@@ -159,7 +161,7 @@ class CompressedDag:
     def topo_order(self):
         """Deepest supervertices first (their copies feed shallower ones),
         conductor last: the plain ids ascending."""
-        return [*self._ids[1:], CONDUCTOR_ID]
+        return [*self._copies, CONDUCTOR_ID]
 
     def _origin_of(self, cid):
         """The origin whose block holds copy `cid`; KeyError for any other id."""
@@ -174,9 +176,9 @@ class CompressedDag:
         return {anc: k >> shift & 1 for anc, shift in self._shifts[origin].items()}
 
     def _block(self, u):
-        """The ids of origin u's copies, the id list's own int objects."""
-        start = self._first[u] - self._copies.start + 1
-        return self._ids[start : start + (1 << len(self._visible[u]))]
+        """The ids of origin u's copies, as the range they cover."""
+        start = self._first[u]
+        return range(start, start + (1 << len(self._visible[u])))
 
     def _block_columns(self, u):
         """The out-edges of origin u's copies but the conductor, yielded as
@@ -192,11 +194,13 @@ class CompressedDag:
                 for o in _offsets(spans)[1:]:
                     yield [*map(o.__add__, bases)]
 
-    def _bases(self, u, v):
+    def _bases(self, u, v, base=0):
         """For each copy of origin u in id order, the copy of v that agrees
-        with it on the ancestors both see and has every other bit 0."""
+        with it on the ancestors both see and has every other bit 0, as its
+        id less `base`."""
         at = self._shifts[v]
-        return _offsets([1 << at[a] if a in at else 0 for a in self._shifts[u]], self._first[v])
+        places = [1 << at[a] if a in at else 0 for a in self._shifts[u]]
+        return _offsets(places, self._first[v] - base)
 
     def _block_rows(self, u):
         """The out-edges of origin u's copies in id order: the conductor,
@@ -242,7 +246,7 @@ class CompressedDag:
     def _rows(self):
         """(id, out-edges) for every id in order, a block at a time."""
         blocks = chain.from_iterable(map(self._block_rows, self._origins))
-        return zip(self._ids, chain([()], blocks))
+        return zip(chain((CONDUCTOR_ID,), self._copies), chain([()], blocks))
 
     def forced_bits(self, x, sat, pins):
         """(id, bit) for every node in topo order: its pin if `pins` holds
@@ -257,11 +261,37 @@ class CompressedDag:
         for u in self._origins:
             block = self._block(u)
             yield from zip(block, self._block_bits(u, block, x, sat, pins))
-        yield CONDUCTOR_ID, (
-            pins[CONDUCTOR_ID]
-            if CONDUCTOR_ID in pins
-            else compute_output(self, self.origin_dag.output, {}, x)
-        )
+        yield CONDUCTOR_ID, self._conductor_bit(x, pins)
+
+    def evaluate(self, sat, pins):
+        """The bits forced_bits gives, settled into a CompactString: each
+        origin block's bits, made from the blocks before it, are put in by
+        one slice assignment, then the conductor's bit.  The same proof
+        calls, in the same order, as forced_bits."""
+        x = CompactString(self)
+        bits, base = x._bits, self._copies.start
+        for u in self._origins:
+            block = self._block(u)
+            bits[block.start - base : block.stop - base] = self._block_bits(u, block, x, sat, pins)
+        x._conductor = self._conductor_bit(x, pins)
+        return x
+
+    def positions(self, x):
+        """The string x as (seq, base), to read by position: the bit of copy
+        cid is seq[cid - base], and the conductor's is x[0].  A string of
+        this graph's own (CompactString) gives its bytes and the first
+        copy's id; any other mapping is read by id, with base 0.  This is
+        the one place a string's form is asked."""
+        if type(x) is CompactString and x._gd is self:
+            return x._bits, self._copies.start
+        return x, 0
+
+    def _conductor_bit(self, x, pins):
+        """The conductor's pin, or the original output replayed through
+        compute_output on x."""
+        if CONDUCTOR_ID in pins:
+            return pins[CONDUCTOR_ID]
+        return compute_output(self, self.origin_dag.output, {}, x)
 
     def _block_bits(self, u, block, x, sat, pins):
         """The bits of origin u's copies `block` under x, pinned or forced,
@@ -288,9 +318,10 @@ class CompressedDag:
         off the copy's index.  An input p that u cannot see is
         compute_output in vector form, over the whole block at once:
         visible(p) + [p] top down, each vertex neither visible to u nor
-        found yet read from x at the copies that the bits known so far
-        select.  What is found is kept for u's later inputs.  A missing
-        wire raises KeyError."""
+        found yet read from x, by position (see positions), at the copies
+        that the bits known so far select.  What is found is kept for u's
+        later inputs.  A missing wire raises KeyError."""
+        seq, base = self.positions(x)
         shifts = self._shifts[u]
         # Each input's place in the code; a visible ancestor that is no
         # input has none.
@@ -310,11 +341,11 @@ class CompressedDag:
                 for v in chain(self._shifts[p], (p,)):
                     if v in shifts or v in found:
                         continue
-                    cids = self._bases(u, v)
+                    at = self._bases(u, v, base)
                     for a, sh in self._shifts[v].items():
                         if a not in shifts:
-                            cids = [*map(add, cids, map((1 << sh).__mul__, found[a]))]
-                    found[v] = [*map(bool, map(x.__getitem__, cids))]
+                            at = [*map(add, at, map((1 << sh).__mul__, found[a]))]
+                    found[v] = [*map(bool, map(seq.__getitem__, at))]
             codes = [*map(add, codes, map(place.__mul__, found[p]))]
         return codes
 
@@ -385,10 +416,10 @@ class _Lazy(Mapping):
         self._gd, self._read, self._rows = gd, read, rows
 
     def __len__(self):
-        return len(self._gd._ids)
+        return 1 + len(self._gd._copies)
 
     def __iter__(self):
-        return iter(self._gd._ids)
+        return chain((CONDUCTOR_ID,), self._gd._copies)
 
     def __contains__(self, cid):
         return cid == CONDUCTOR_ID or cid in self._gd._copies
@@ -419,7 +450,39 @@ class OriginWeights(_Lazy):
         return chain((1,), chain.from_iterable(map(repeat, weights, gd._sizes)))
 
     def items(self):
-        return zip(self._gd._ids, self.values())
+        return zip(self, self.values())
+
+
+class CompactString(Mapping):
+    """A query string of G*, as its evaluate makes it: read-only, one byte
+    per copy in id order, each 0 or 1, and the conductor's bit.  It is
+    iterated in topo order, the copies then the conductor, and values()
+    walks the bytes; a lookup by id is a Python call, so G* reads it by
+    position (CompressedDag.positions)."""
+
+    __slots__ = ("_gd", "_bits", "_conductor")
+
+    def __init__(self, gd):
+        self._gd = gd
+        self._bits = bytearray(len(gd._copies))
+        self._conductor = None
+
+    def __len__(self):
+        return len(self._bits) + 1
+
+    def __iter__(self):
+        return chain(self._gd._copies, (CONDUCTOR_ID,))
+
+    def __getitem__(self, cid):
+        if cid == CONDUCTOR_ID:
+            return self._conductor
+        copies = self._gd._copies
+        if cid not in copies:
+            raise KeyError(cid)
+        return self._bits[cid - copies.start]
+
+    def values(self):
+        return chain(self._bits, (self._conductor,))
 
 
 def _bit_shifts(visible):

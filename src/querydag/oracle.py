@@ -396,14 +396,17 @@ class EvaluationBackend:
     `bind` profiles (dag, weights): one evaluation, one proof call per node
     that has a query, and 2T in closed form: on the correct string every
     forced bit equals its bit, so the objective is the sum of w(1 + x) over
-    the nodes, on G* one origin block at a time: its weight times its size
-    plus its ones.  The checks that the weighting is integer and
+    the nodes, W plus the weight of the ones, on G* one origin block at a
+    time: its weight times its size plus its ones, then the conductor's.
+    The profile keeps the maximizer as evaluate returns it, a dict on a
+    query graph and on G* one byte per copy, and reads it by position (see
+    the graphs' positions).  The checks that the weighting is integer and
     admissible read it a block at a time too.  A query without pins (every
     binary-search probe) is then one comparison with 2T.  A pinned query
     that extends the last one's dict by one entry looks at its newest pins
     only (see _pins_agree); for that the backend keeps the last pinned
-    query's dict, its length and whether the entries before its newest
-    agree, and a new profile drops them.  A query
+    query's dict, its length, whether the entries before its newest agree
+    and the maximizer's bit there, and a new profile drops them.  A query
     whose pins disagree, below 2T, costs two passes of forced bits: the
     evaluation keeping its pins, which looks up every other node, and the
     objective, which looks up only its pinned 1s: at most |V| proof calls
@@ -411,11 +414,13 @@ class EvaluationBackend:
     """
 
     def __init__(self):
-        # The bound (dag, weights), its maximizer and 2T, and the proof
-        # oracle of the current solve.
+        # The bound (dag, weights), its maximizer, that read by position
+        # as (seq, base), and 2T, and the proof oracle of the current solve.
         self._dag = self._weights = self._correct = self._two_t = self._proof_oracle = None
-        # (pins, len(pins), do the entries before its newest agree?) of the
-        # last pinned query on the bound profile.
+        self._positions = None
+        # (pins, len(pins), do the entries before its newest agree?, the
+        # maximizer's bit at its newest) of the last pinned query on the
+        # bound profile.
         self._pinned = None
 
     def bind(self, dag, weights, proof_oracle):
@@ -425,6 +430,7 @@ class EvaluationBackend:
         maximizer without a proof call."""
         self._proof_oracle = proof_oracle
         self._dag = self._weights = self._correct = self._two_t = self._pinned = None
+        self._positions = None
         # The one-unit gap below the maximum only exists for integer
         # weightings that are admissible.
         if not all(isinstance(w, int) for w in dag.weight_runs(weights)[0]):
@@ -434,30 +440,42 @@ class EvaluationBackend:
         ok, bad = weighting.check_admissible(dag, weights)
         if not ok:
             raise ValidationError(f"weighting is not admissible at node {bad}")
-        # evaluate's bits come in topo order, as weigh reads values.
+        # evaluate's bits come in topo order, as weigh reads values: 2T is
+        # W plus the weight of the maximizer's ones, summed a run at a time.
         correct = evaluate(dag, proof_oracle)
-        self._two_t = weighting.weigh(dag.weight_runs(weights), map((1).__add__, correct.values()))
+        w_total = weighting.weigh(dag.weight_runs(weights))
+        self._two_t = w_total + weighting.weigh(dag.weight_runs(weights), correct.values())
         self._dag, self._weights, self._correct = dag, weights, correct
+        self._positions = dag.positions(correct)
 
     def _pins_agree(self, pins):
         """Do all of the non-empty `pins` agree with the maximizer?
 
         Under the pins contract of threshold_oracle, a query on the last
         pinned query's dict, exactly one entry longer, checks two entries
-        read from the dict's end: the last query's newest, final since, and
-        its own.  Any other query checks the entries before its newest once.
+        read from the dict's end: the last query's newest, final since,
+        against the maximizer's bit kept there, and its own.  Any other
+        query checks the entries before its newest once.  The maximizer's
+        bit at a pin's id cid is read by position, seq[cid - base], with no
+        Python call; an id below base (G*'s conductor) reads it off the
+        maximizer itself.
         """
-        agreed = self._correct.items()
+        seq, base = self._positions
         n = len(pins)
         last = self._pinned
         newest = reversed(pins.items())
-        entry = next(newest)
+        cid, bit = next(newest)
+        mine = seq[cid - base] if cid >= base else self._correct[cid]
         if last is not None and last[0] is pins and last[1] == n - 1:
-            before = last[2] and next(newest) in agreed
+            before = last[2] and next(newest)[1] == last[3]
         else:
-            before = all(e in agreed for e in itertools.islice(pins.items(), n - 1))
-        self._pinned = (pins, n, before)
-        return before and entry in agreed
+            correct = self._correct
+            before = all(
+                (seq[c - base] if c >= base else correct[c]) == b
+                for c, b in itertools.islice(pins.items(), n - 1)
+            )
+        self._pinned = (pins, n, before, mine)
+        return before and bit == mine
 
     def decide(self, threshold, pins):
         """Does some string of the bound pair under `pins` reach
@@ -486,7 +504,7 @@ def threshold_oracle(dag, weights, proof_oracle, backend):
     """Bind (dag, weights) and `proof_oracle` to `backend` and return the
     solve's threshold query, ask(threshold, pins): one counted oracle call,
     recorded in the proof oracle's stats, asking whether some answer string
-    under `pins` reaches the scaled threshold.
+    under `pins`, bits keyed by ids of dag, reaches the scaled threshold.
 
     The pins contract.  Nothing copies the pins mapping: the backend may
     compare later queries with it, and a transcript, when the solve keeps

@@ -145,6 +145,18 @@ class QueryDag:
                 code += code + (1 if x[p] else 0)
             yield nid, 1 if sat.exists(node, code) else 0
 
+    def evaluate(self, sat, pins):
+        """The bits of forced_bits as a dict keyed in topo order, each pair
+        put in it before the next is taken."""
+        bits = {}
+        bits.update(self.forced_bits(bits, sat, pins))
+        return bits
+
+    def positions(self, x):
+        """The string x as (seq, base), to read by position: here x itself
+        and 0, so the bit of node nid is x[nid]."""
+        return x, 0
+
     def out_sums(self, weights):
         """The sum of `weights` over each node's out-neighbours, as one
         block: yields the node ids and their sums once."""
@@ -305,7 +317,9 @@ def topo_sort(ids, out):
 
 def evaluate(g, sat, pins=None):
     """Answer every query of g in g's topological order; returns the bits,
-    a dict keyed in g.topo_order(), whose entry at g.output decides g.
+    a mapping iterated in g.topo_order(), whose entry at g.output decides g:
+    a dict on a query graph, a read-only mapping with one byte per copy on
+    a compressed graph (compress.CompactString).
 
     `sat` decides proof existence per node given fixed input bits.  NP has no
     invalid queries, so the bits are deterministic.  A node in `pins` keeps
@@ -316,12 +330,11 @@ def evaluate(g, sat, pins=None):
     node's in-neighbours, so setting an unpinned node u to it gains w_u in
     u's own term and moves only the terms of u's children, each by at most
     2 w_child, a total that admissibility keeps below w_u.  The bits come
-    from g.forced_bits, each put in `bits` before the next is made: a query
-    graph settles a node at a time, a compressed graph a block of copies.
+    from g.evaluate, which puts those of g.forced_bits in the string before
+    making the next: a query graph settles a node at a time, a compressed
+    graph a block of copies.
     """
-    bits = {}
-    bits.update(g.forced_bits(bits, sat, pins or {}))
-    return bits
+    return g.evaluate(sat, pins or {})
 
 
 def is_correct_query_string(g, x, sat):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from functools import cache
 
 from .errors import ValidationError
 from .querygraph import Record
@@ -276,6 +277,13 @@ def _search_tree(g, depth_bound, size_bound):
             else:
                 return (members, kids)
         return None
+
+    # With a bound below |V| a subset can fail, and the search then meets it
+    # again as a component under another separator above it: each (subset,
+    # budget) pair is searched once.  With both at |V| none fails, so none
+    # recurs, and the memo would only hold every result.
+    if min(depth_bound, size_bound) < len(ids):
+        search = cache(search)
 
     found = search((1 << len(ids)) - 1, depth_bound)
     if found is None:

@@ -40,7 +40,7 @@ from querydag.compress import (
     expected_expanded_size,
 )
 from querydag.errors import WireValueError
-from querydag.querygraph import VERIFIER, QueryNode, decimal_str
+from querydag.querygraph import VERIFIER, QueryDag, QueryNode, decimal_str
 from querydag.weighting import ADMISSIBILITY_C, descendant_masks
 
 
@@ -189,6 +189,10 @@ class CompressedDag:
         package's block form."""
         for cid in self.topo_order():
             yield cid, pins[cid] if cid in pins else self.forced_bit(cid, x, sat)
+
+    # A dict string, settled and read as a query graph's.
+    evaluate = QueryDag.evaluate
+    positions = QueryDag.positions
 
     def to_doc(self, weights=None):
         doc = {

@@ -10,6 +10,8 @@ larger shapes (band-3 n = 48, band-4 n = 40, a grid and a binary in-tree,
 given seeded clauses) each must match what the per-copy path gives: the
 bits, the proof calls counted and recorded, the distinct decisions, the
 check's verdict, the admissibility verdict and a missing wire's error.
+evaluate returns G*'s compact string, one byte per copy, which G* reads by
+position; a dict of the same bits, read by id, must give the same results.
 
 G*'s weighting keeps one weight per origin and is read once per origin:
 there it must equal the least admissible weighting found node by node on
@@ -191,6 +193,38 @@ def test_block_form_matches_the_per_copy_path_on_the_corpus():
 def test_block_form_matches_the_per_copy_path_on_larger_shapes(name):
     gd, weights = compressed(with_clauses(SHAPES[name](), 7))
     assert_block_form_matches(gd, weights, random.Random(name), name)
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_both_string_forms_read_the_same(name):
+    # evaluate on G* returns its compact string, which G* reads by position;
+    # a dict of the same bits is read by id.  The check, the objective and
+    # the brute backend, given the string as its pins, must not tell them
+    # apart, on the correct string and on one evaluated with four copies
+    # pinned to the other bit.
+    gd, weights = compressed(with_clauses(SHAPES[name](), 7))
+    rng = random.Random(name)
+    correct = evaluate(gd, ProofOracle())
+    flips = rng.sample(gd.topo_order()[:-1], 4)
+    flipped = evaluate(gd, ProofOracle(), {cid: correct[cid] ^ 1 for cid in flips})
+    for compact, is_correct in ((correct, True), (flipped, False)):
+        plain = dict(compact)
+        assert compact == plain and list(compact) == list(plain) == gd.topo_order(), name
+        results = []
+        for x in (compact, plain):
+            oracle = ProofOracle(transcript=True)
+            check = is_correct_query_string(gd, x, oracle)
+            two_t = max_t_for_assignment(gd, weights, x, oracle)
+            pinned_ones = max_t_for_assignment(gd, weights, x, oracle, check=flips)
+            brute = BruteForceBackend(cap=0)
+            brute.bind(gd, weights, oracle)
+            reach = [brute.decide(theta, x) for theta in (two_t, two_t + 1)]
+            results.append((check, two_t, pinned_ones, reach, oracle.stats.transcript))
+        assert results[0] == results[1], name
+        assert results[0][0] is is_correct and results[0][3] == [True, False], name
+    with pytest.raises(TypeError):
+        correct[flips[0]] = 1
+    assert correct == evaluate(gd, ProofOracle()), name
 
 
 def test_plan_matches_the_built_graph():

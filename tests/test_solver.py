@@ -31,6 +31,7 @@ from querydag.cli import gen_instance
 
 from compress_reference import build_compressed as paper_build
 from conftest import brute_two_t, random_instance, search
+from test_septree_digest import band_dag
 
 
 def test_max_t_chain2_values(chain2):
@@ -310,6 +311,22 @@ def test_witness_extraction_memory_is_linear():
     assert len(report.query_string) == 96
     assert report.stats.threshold_queries > 800
     assert peak < 5 * 10**6
+
+
+def test_answer_solve_keeps_no_object_per_copy():
+    # G*'s maximizer is one byte per copy and its ids are the range they
+    # cover: on band-3 n = 48 (10,861 nodes in G*) an answer-only solve
+    # peaked at 1.02 MB with a dict entry and an int object per copy.
+    g = band_dag(48, 3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = decide_compress(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.answer == 1
+    assert peak < 4 * 10**5
 
 
 def test_transcript_renders_one_entry_at_a_time():
