@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping
 from itertools import chain, islice, repeat
 from operator import add
 from types import SimpleNamespace
@@ -457,8 +457,8 @@ class CompactString(Mapping):
     """A query string of G*, as its evaluate makes it: read-only, one byte
     per copy in id order, each 0 or 1, and the conductor's bit.  It is
     iterated in topo order, the copies then the conductor, and values()
-    walks the bytes; a lookup by id is a Python call, so G* reads it by
-    position (CompressedDag.positions)."""
+    and items() walk the bytes; a lookup by id is a Python call, so G*
+    reads it by position (CompressedDag.positions)."""
 
     __slots__ = ("_gd", "_bits", "_conductor")
 
@@ -473,6 +473,9 @@ class CompactString(Mapping):
     def __iter__(self):
         return chain(self._gd._copies, (CONDUCTOR_ID,))
 
+    def __contains__(self, cid):
+        return cid == CONDUCTOR_ID or cid in self._gd._copies
+
     def __getitem__(self, cid):
         if cid == CONDUCTOR_ID:
             return self._conductor
@@ -483,6 +486,19 @@ class CompactString(Mapping):
 
     def values(self):
         return chain(self._bits, (self._conductor,))
+
+    def items(self):
+        return _CompactItems(self)
+
+
+class _CompactItems(ItemsView):
+    """A CompactString's items, its ids zipped with its bytes."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        x = self._mapping
+        return zip(x, x.values())
 
 
 def _bit_shifts(visible):

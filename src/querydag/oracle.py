@@ -335,11 +335,17 @@ def max_t_for_assignment(dag, weights, x, proof_oracle, check=None):
 
 
 def _objective(dag, runs, x, proof_oracle, check=None):
-    """max_t_for_assignment on the weights dag.weight_runs gave as `runs`."""
+    """max_t_for_assignment on the weights dag.weight_runs gave as `runs`.
+    forced_bits gives each held node its own bit back, so a score reads x
+    only through held, with no lookup by id in x, which on G*'s string is
+    a Python call per node."""
     held = {
         nid: bit for nid, bit in x.items() if not bit or (check is not None and nid not in check)
     }
-    scores = [2 * bit if x[nid] else 1 for nid, bit in dag.forced_bits(x, proof_oracle, held)]
+    scores = [
+        2 * bit if bit or nid not in held else 1
+        for nid, bit in dag.forced_bits(x, proof_oracle, held)
+    ]
     return weighting.weigh(runs, scores)
 
 
@@ -480,11 +486,18 @@ class EvaluationBackend:
     def decide(self, threshold, pins):
         """Does some string of the bound pair under `pins` reach
         `threshold`?  Without pins, or with pins that agree with the
-        maximizer, one comparison with 2T."""
+        maximizer, one comparison with 2T.  A pin on an id the bound graph
+        lacks is a ValidationError."""
         two_t = self._two_t
         if two_t is None:
             raise PipelineError("threshold backend queried before bind")
-        if not pins or self._pins_agree(pins):
+        if not pins:
+            return threshold <= two_t
+        try:
+            agree = self._pins_agree(pins)
+        except (IndexError, KeyError, TypeError):
+            raise ValidationError("a pin's id is not a node of the bound graph") from None
+        if agree:
             return threshold <= two_t
         if threshold >= two_t:
             return False

@@ -264,6 +264,9 @@ def _search_tree(g, depth_bound, size_bound):
             nbrs[u] |= 1 << v
             nbrs[v] |= 1 << u
 
+    # A subset that fails under one separator is met again as a component
+    # under another above it: each (subset, budget) pair is searched once.
+    @cache
     def search(subset, budget):
         for members, parts in _balanced_separators(subset, nbrs, size_bound):
             if budget == 1 and parts:
@@ -277,13 +280,6 @@ def _search_tree(g, depth_bound, size_bound):
             else:
                 return (members, kids)
         return None
-
-    # With a bound below |V| a subset can fail, and the search then meets it
-    # again as a component under another separator above it: each (subset,
-    # budget) pair is searched once.  With both at |V| none fails, so none
-    # recurs, and the memo would only hold every result.
-    if min(depth_bound, size_bound) < len(ids):
-        search = cache(search)
 
     found = search((1 << len(ids)) - 1, depth_bound)
     if found is None:

@@ -614,6 +614,31 @@ def test_evaluation_backend_decides_a_flipped_pin_on_a_30_chain():
     assert oracle.stats.proof_queries - before <= len(g.nodes)
 
 
+@pytest.mark.parametrize("kind", ["omega", "gstar"])
+def test_a_pin_off_the_graph_is_a_validation_error(kind):
+    # The maximizer is read by position, so each id the bound graph lacks
+    # (past its last node, below its first, between G*'s conductor and its
+    # copies, not an int) must fail one way, alone, after settled pins and
+    # as the newest pin of an extending query.
+    dag, weights = WEIGHTED_GRAPHS[kind](random_instance(2, max_n=6))
+    smart = EvaluationBackend()
+    smart.bind(dag, weights, ProofOracle())
+    ids = sorted(dag.node_ids())
+    outside = [ids[-1] + 1, ids[0] - 1, "a", None]
+    if ids[1] - ids[0] > 1:
+        outside.append(ids[0] + 1)
+    first = dag.topo_order()[0]
+    for cid in outside:
+        assert cid not in ids
+        pins = {first: 1}
+        smart.decide(0, pins)
+        pins[cid] = 0
+        for p in ({cid: 1}, {first: 0, cid: 1}, pins):
+            with pytest.raises(ValidationError):
+                smart.decide(0, p)
+    assert smart.decide(0, {first: 0}) is True
+
+
 def test_positioned_queries_agree_with_brute_force():
     # Pins sequences driven by hand, each query one entry longer than the
     # last, many of them with settled entries off the maximizer: the
