@@ -41,7 +41,6 @@ format is decided here alone.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from collections.abc import ItemsView, Mapping
 from itertools import chain, islice, repeat
@@ -168,12 +167,6 @@ class CompressedDag:
         if cid not in self._copies:
             raise KeyError(cid)
         return self._origins[bisect_right(self._starts, cid) - 1]
-
-    def _known(self, cid, origin):
-        """The bits of the visible ancestors of `origin` in copy `cid`, read
-        off its index, in signature order."""
-        k = cid - self._first[origin]
-        return {anc: k >> shift & 1 for anc, shift in self._shifts[origin].items()}
 
     def _block(self, u):
         """The ids of origin u's copies, as the range they cover."""
@@ -302,11 +295,7 @@ class CompressedDag:
         if pins and all(map(pins.__contains__, block)):
             return [*map(pins.__getitem__, block)]
         query = self.origin_dag.by_id[u]
-        try:
-            codes = self._input_codes(u, query.inputs, x)
-        except KeyError:
-            self._raise_missing_wire(u, block, x)
-            raise
+        codes = self._input_codes(u, query.inputs, x)
         if not (pins and any(map(pins.__contains__, block))):
             return [*map(sat.exists_each(query, codes).__getitem__, codes)]
         bit = sat.exists_each(query, [code for cid, code in zip(block, codes) if cid not in pins])
@@ -320,7 +309,8 @@ class CompressedDag:
         visible(p) + [p] top down, each vertex neither visible to u nor
         found yet read from x, by position (see positions), at the copies
         that the bits known so far select.  What is found is kept for u's
-        later inputs.  A missing wire raises KeyError."""
+        later inputs.  A wire x lacks raises WireValueError, naming the
+        first missing copy in the order the block reads them."""
         seq, base = self.positions(x)
         shifts = self._shifts[u]
         # Each input's place in the code; a visible ancestor that is no
@@ -345,21 +335,13 @@ class CompressedDag:
                     for a, sh in self._shifts[v].items():
                         if a not in shifts:
                             at = [*map(add, at, map((1 << sh).__mul__, found[a]))]
-                    found[v] = [*map(bool, map(seq.__getitem__, at))]
+                    try:
+                        found[v] = [*map(bool, map(seq.__getitem__, at))]
+                    except KeyError as exc:
+                        missing = self.label(exc.args[0] + base)
+                        raise WireValueError(f"no wire value for node {missing}") from None
             codes = [*map(add, codes, map(place.__mul__, found[p]))]
         return codes
-
-    def _raise_missing_wire(self, u, block, x):
-        """Raise the WireValueError that settling `block` copy by copy in
-        id order raises first: one compute_output per copy and input u
-        cannot see, in input order, into one dict per copy seeded with its
-        signature."""
-        shifts = self._shifts[u]
-        hidden = [p for p in self.origin_dag.by_id[u].inputs if p not in shifts]
-        for cid in block:
-            known = self._known(cid, u)
-            for p in hidden:
-                compute_output(self, p, known, x)
 
     def _record(self, cid):
         if cid == CONDUCTOR_ID:
@@ -367,7 +349,9 @@ class CompressedDag:
         origin = self._origin_of(cid)
         tree = self.septree
         svid = tree.supervertex_of(origin)
-        signature = tuple(self._known(cid, origin).items())
+        # The visible ancestors' bits, read off the copy's index.
+        k = cid - self._first[origin]
+        signature = tuple((anc, k >> shift & 1) for anc, shift in self._shifts[origin].items())
         cond = [["*"] * tree.uniform_size for _ in tree.branch(svid)]
         for (_, lvl, pos), (_, bit) in zip(self._visible[origin], signature):
             cond[lvl][pos] = str(bit)
@@ -402,9 +386,6 @@ class CompressedDag:
             "edges": [[a, b] for a, targets in self.out_neighbors().items() for b in targets],
             "weights": {str(cid): decimal_str(w) for cid, w in sorted(weights.items())},
         }
-
-    def serialize(self, weights):
-        return json.dumps(self.to_doc(weights), sort_keys=True) + "\n"
 
 
 class _Lazy(Mapping):

@@ -52,13 +52,10 @@ class OracleStats:
     `decisions` holds each distinct proof decision once, keyed on (query,
     code); the proof oracle reads it as its memo.
 
-    Entries are kept raw, as tuples holding the pins mapping the query was
-    given, not a copy, plus its length and its newest entry's bit at query
-    time; entry_doc renders one, so each query costs an append and nothing
-    more.  The queries of a witness extraction all hold its one pins dict,
-    which is right as long as callers keep the pins contract of
-    threshold_oracle: what a query pinned is then the first n entries of
-    its dict as they end up, the newest as recorded.
+    Entries are kept raw: a threshold entry holds the pins mapping its
+    query was given, not a copy, with its length and newest bit at query
+    time, from which the pins contract of threshold_oracle rebuilds what
+    it pinned.  entry_doc renders one, so each query costs an append.
     """
 
     def __init__(self, transcript=False):
@@ -105,7 +102,7 @@ class OracleStats:
 def entry_doc(entry):
     """One transcript entry as its document (see OracleStats): a threshold
     entry is (threshold, pins, answer, n, newest) as the query recorded it,
-    and its pins are the first n entries of `pins`, the newest at `newest`."""
+    its pins rebuilt as the pins contract of threshold_oracle allows."""
     if entry[0] == "proof":
         _, node, inputs, answer = entry
         return {"kind": "proof", "node": node, "inputs": inputs, "answer": answer}
@@ -349,6 +346,14 @@ def _objective(dag, runs, x, proof_oracle, check=None):
     return weighting.weigh(runs, scores)
 
 
+def _pin_bit(cid, bit):
+    """A pin's bit, which must be the int 0 or 1 or a bool; anything else
+    is a ValidationError naming the pin's id `cid`."""
+    if type(bit) is bool or type(bit) is int and 0 <= bit <= 1:
+        return bit
+    raise ValidationError(f"pin on node {cid!r}: {bit!r} is not the bit 0 or 1")
+
+
 # The default cap on the free bits BruteForceBackend enumerates: 2^cap
 # strings, one forced_bits pass each.
 BRUTE_FORCE_CAP = 20
@@ -368,13 +373,23 @@ class BruteForceBackend:
         # The weights are read once, a run at a time, and the runs kept for
         # the many strings to come.
         ws, sizes = dag.weight_runs(weights)
-        self._bound = (dag, ([*ws], sizes and [*sizes]), proof_oracle)
+        try:
+            ws = [*ws]
+        except KeyError as exc:
+            raise weighting.missing_weight(exc) from None
+        self._bound = (dag, (ws, sizes and [*sizes]), proof_oracle)
 
     def decide(self, threshold, pins):
         if self._bound is None:
             raise PipelineError("threshold backend queried before bind")
         dag, runs, proof_oracle = self._bound
-        free = [nid for nid in sorted(dag.node_ids()) if nid not in pins]
+        for cid, bit in pins.items():
+            _pin_bit(cid, bit)
+        ids = dag.node_ids()
+        free = [nid for nid in sorted(ids) if nid not in pins]
+        # Each pin on a node of the graph leaves one node fewer free.
+        if len(free) + len(pins) != len(ids):
+            raise ValidationError("a pin's id is not a node of the bound graph")
         if len(free) > self.cap:
             raise CapacityError(
                 f"brute-force threshold backend: {len(free)} free bits exceed "
@@ -410,7 +425,8 @@ class EvaluationBackend:
     admissible read it a block at a time too.  A query without pins (every
     binary-search probe) is then one comparison with 2T.  A pinned query
     that extends the last one's dict by one entry looks at its newest pins
-    only (see _pins_agree); for that the backend keeps the last pinned
+    only, as the pins contract of threshold_oracle allows (see
+    _pins_agree); for that the backend keeps the last pinned
     query's dict, its length, whether the entries before its newest agree
     and the maximizer's bit there, and a new profile drops them.  A query
     whose pins disagree, below 2T, costs two passes of forced bits: the
@@ -439,7 +455,11 @@ class EvaluationBackend:
         self._positions = None
         # The one-unit gap below the maximum only exists for integer
         # weightings that are admissible.
-        if not all(isinstance(w, int) for w in dag.weight_runs(weights)[0]):
+        try:
+            integer = all(isinstance(w, int) for w in dag.weight_runs(weights)[0])
+        except KeyError as exc:
+            raise weighting.missing_weight(exc) from None
+        if not integer:
             raise ValidationError("evaluation backend needs an integer weighting")
         # Looked up on the module at call time, so callers that swap the
         # function there are still heard.
@@ -457,14 +477,14 @@ class EvaluationBackend:
     def _pins_agree(self, pins):
         """Do all of the non-empty `pins` agree with the maximizer?
 
-        Under the pins contract of threshold_oracle, a query on the last
-        pinned query's dict, exactly one entry longer, checks two entries
-        read from the dict's end: the last query's newest, final since,
-        against the maximizer's bit kept there, and its own.  Any other
-        query checks the entries before its newest once.  The maximizer's
-        bit at a pin's id cid is read by position, seq[cid - base], with no
-        Python call; an id below base (G*'s conductor) reads it off the
-        maximizer itself.
+        A query on the last pinned query's dict, exactly one entry longer,
+        checks the two entries at the dict's end (see threshold_oracle):
+        the last query's newest against the maximizer's bit kept there, and
+        its own.  Any other query checks every entry.  Each pin checked is
+        also checked to be a bit (_pin_bit).  The maximizer's bit at a
+        pin's id cid is read by position, seq[cid - base], with no Python
+        call; an id below base (G*'s conductor) reads it off the maximizer
+        itself.
         """
         seq, base = self._positions
         n = len(pins)
@@ -473,21 +493,21 @@ class EvaluationBackend:
         cid, bit = next(newest)
         mine = seq[cid - base] if cid >= base else self._correct[cid]
         if last is not None and last[0] is pins and last[1] == n - 1:
-            before = last[2] and next(newest)[1] == last[3]
+            before = _pin_bit(*next(newest)) == last[3] and last[2]
         else:
             correct = self._correct
-            before = all(
-                (seq[c - base] if c >= base else correct[c]) == b
+            before = all([
+                (seq[c - base] if c >= base else correct[c]) == _pin_bit(c, b)
                 for c, b in itertools.islice(pins.items(), n - 1)
-            )
+            ])
         self._pinned = (pins, n, before, mine)
-        return before and bit == mine
+        return _pin_bit(cid, bit) == mine and before
 
     def decide(self, threshold, pins):
         """Does some string of the bound pair under `pins` reach
         `threshold`?  Without pins, or with pins that agree with the
-        maximizer, one comparison with 2T.  A pin on an id the bound graph
-        lacks is a ValidationError."""
+        maximizer, one comparison with 2T.  A malformed pin is a
+        ValidationError (see threshold_oracle)."""
         two_t = self._two_t
         if two_t is None:
             raise PipelineError("threshold backend queried before bind")
@@ -528,6 +548,11 @@ def threshold_oracle(dag, weights, proof_oracle, backend):
     entry longer each time; a backend may then check only what is new since
     the last query, and a transcript rebuilds each query's pins from their
     length and newest bit.
+
+    The pin rule.  A pin's id must be a node of dag and its value the int 0
+    or 1, or a bool; both backends raise ValidationError for any other,
+    each checking a pin where it reads it.  A weighting that lacks a node
+    of dag is a ValidationError when bound.
     """
     backend.bind(dag, weights, proof_oracle)
     stats = proof_oracle.stats

@@ -122,9 +122,8 @@ def extract_query_string(ask, dag, t_tilde):
     long as every pinned bit matches it, and at threshold 2T the maximizer is
     unique and correct.  Every query is handed the one pins dict, holding the
     bits fixed so far and the next node at 1, one entry longer each time, as
-    the pins contract of threshold_oracle allows: the evaluation backend
-    checks only the newest pins, and a transcript, if the solve keeps one,
-    holds the dict rather than a copy, so its memory stays linear.
+    the pins contract of threshold_oracle allows, so a transcript's memory
+    stays linear.
     """
     pins = {}
     for nid in dag.topo_order():

@@ -2,7 +2,9 @@
 
 A weighting is a read-only mapping from node id to int: a plain dict on a
 query graph, and on G* only its own, which keeps one weight per origin
-(any other raises ValidationError).  It is admissible when f(v) >=
+(any other raises ValidationError).  One that lacks a node is a
+ValidationError where a check or a threshold backend reads it
+(missing_weight).  It is admissible when f(v) >=
 1 + c * sum of f over v's out-neighbors, with the one constant
 c = ADMISSIBILITY_C = 2 of the NP pipeline: the weightings here and the
 compression's are built for it, and check_admissible tests against it.
@@ -28,6 +30,7 @@ from __future__ import annotations
 from itertools import compress, islice, repeat
 from operator import add, lt, mul
 
+from .errors import ValidationError
 from .querygraph import decimal_str, topo_sort
 
 # eta = (alpha - beta) / 2 = 1/2 for NP, so the pipeline needs a weighting
@@ -86,14 +89,26 @@ def check_admissible(g, weights):
     block whose nodes all have one weight and one sum, its first node's.
 
     Returns (True, None) on success, otherwise (False, first offending node
-    in ascending id order).
+    in ascending id order).  A weighting that lacks a node of g is a
+    ValidationError (missing_weight).
     """
     w, c = weights.__getitem__, ADMISSIBILITY_C
     bad = []
-    for ids, sums in g.out_sums(weights):
-        # The ids whose weight is below 1 + c * sum.
-        bad += compress(ids, map(lt, map(w, ids), map(add, repeat(1), map(mul, repeat(c), sums))))
+    try:
+        for ids, sums in g.out_sums(weights):
+            # The ids whose weight is below 1 + c * sum.
+            least = map(add, repeat(1), map(mul, repeat(c), sums))
+            bad += compress(ids, map(lt, map(w, ids), least))
+    except KeyError as exc:
+        raise missing_weight(exc) from None
     return (False, min(bad)) if bad else (True, None)
+
+
+def missing_weight(exc):
+    """The ValidationError for a weighting that lacks the node whose lookup
+    raised the KeyError `exc`.  Callers catch the failed lookup where they
+    read the weights, so a complete weighting is never scanned for it."""
+    return ValidationError(f"node {exc.args[0]}: the weighting gives it no weight")
 
 
 def total_weight(weights):

@@ -30,7 +30,6 @@ one-pass relatives against a separate computation.
 from __future__ import annotations
 
 import itertools
-import json
 
 from querydag.compress import (
     CONDUCTOR_ID,
@@ -220,9 +219,6 @@ class CompressedDag:
                 str(cid): decimal_str(w) for cid, w in sorted(weights.items())
             }
         return doc
-
-    def serialize(self, weights=None):
-        return json.dumps(self.to_doc(weights), sort_keys=True) + "\n"
 
 
 def build_compressed(g, tree):

@@ -436,7 +436,7 @@ def record_build_cases(corpus=1000):
 
 def test_blocks_match_the_record_based_build():
     # The block build must be the graph the record-based reference builds,
-    # less the dummies' copies: the same document byte for byte, the same
+    # less the dummies' copies: the same to_doc document, the same
     # edges and orders in the same order, and every signature must find the
     # same copy.  Its closed-form weights must be the least admissible
     # weighting, found node by node on the reference graph, keyed like the
@@ -447,7 +447,7 @@ def test_blocks_match_the_record_based_build():
         gstar, fstar = build_compressed(g, tree)
         ref, ref_weights = without_dummies(*record_based_build(g, tree))
         least = least_weights(ref)
-        assert gstar.serialize(fstar) == ref.serialize(least), name
+        assert gstar.to_doc(fstar) == ref.to_doc(least), name
         assert fstar == least, name
         assert list(fstar) == list(ref_weights), name
         assert all(fstar[cid] <= w for cid, w in ref_weights.items()), name

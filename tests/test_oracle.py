@@ -20,6 +20,7 @@ from querydag import (
     build_dag,
     build_separator_tree,
     binary_search_T,
+    check_admissible,
     decide_compress,
     decide_depth,
     decide_direct,
@@ -614,29 +615,67 @@ def test_evaluation_backend_decides_a_flipped_pin_on_a_30_chain():
     assert oracle.stats.proof_queries - before <= len(g.nodes)
 
 
+BACKENDS = {"brute": BruteForceBackend, "eval": EvaluationBackend}
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("kind", ["omega", "gstar"])
-def test_a_pin_off_the_graph_is_a_validation_error(kind):
-    # The maximizer is read by position, so each id the bound graph lacks
-    # (past its last node, below its first, between G*'s conductor and its
-    # copies, not an int) must fail one way, alone, after settled pins and
-    # as the newest pin of an extending query.
+def test_a_malformed_pin_is_a_validation_error(kind, backend):
+    # Each id the bound graph lacks (past its last node, below its first,
+    # between G*'s conductor and its copies, not an int) and each value
+    # that is not the bit 0 or 1 must fail one way on both backends: alone,
+    # after a settled pin and in a query one entry longer than the last
+    # on the same dict, as its newest pin or, for a value, as its settled
+    # one, the entries the evaluation backend checks on that path.
     dag, weights = WEIGHTED_GRAPHS[kind](random_instance(2, max_n=6))
-    smart = EvaluationBackend()
-    smart.bind(dag, weights, ProofOracle())
+    chooser = BACKENDS[backend]()
+    chooser.bind(dag, weights, ProofOracle())
     ids = sorted(dag.node_ids())
     outside = [ids[-1] + 1, ids[0] - 1, "a", None]
     if ids[1] - ids[0] > 1:
         outside.append(ids[0] + 1)
-    first = dag.topo_order()[0]
+    first, second, third = dag.topo_order()[:3]
+
+    def extending(settled, cid, bit):
+        pins = {first: 1}
+        chooser.decide(0, pins)
+        pins[first] = settled
+        pins[cid] = bit
+        return pins
+
+    # Pins dicts asked alone, the malformed pin newest or after a first pin
+    # that agrees with the maximizer or not; and queries on a dict one
+    # entry longer, as (settled, newest id, newest bit).
+    alone, extended = [], []
     for cid in outside:
         assert cid not in ids
-        pins = {first: 1}
-        smart.decide(0, pins)
-        pins[cid] = 0
-        for p in ({cid: 1}, {first: 0, cid: 1}, pins):
-            with pytest.raises(ValidationError):
-                smart.decide(0, p)
-    assert smart.decide(0, {first: 0}) is True
+        alone += [{cid: 1}] + [{first: b, cid: 1, second: 0} for b in (0, 1)]
+        extended.append((1, cid, 0))
+    for bit in (2, -1, 256, "1", 1.0, None):
+        alone += [{first: bit}] + [{first: b, second: bit, third: 0} for b in (0, 1)]
+        extended += [(1, second, bit), (bit, second, 0)]
+    for pins in alone:
+        with pytest.raises(ValidationError):
+            chooser.decide(0, pins)
+    for args in extended:
+        with pytest.raises(ValidationError):
+            chooser.decide(0, extending(*args))
+    assert chooser.decide(0, {first: 0}) is True
+    assert chooser.decide(0, extending(False, second, True)) is True
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_a_weighting_that_lacks_a_node_is_a_validation_error(backend):
+    # Binding either backend, and the admissibility check, read every
+    # node's weight and must name the node a weighting lacks.
+    g = random_instance(2)
+    for nid in g.node_ids():
+        weights = rho_weights(g)
+        del weights[nid]
+        with pytest.raises(ValidationError, match=rf"^node {nid}: "):
+            threshold_oracle(g, weights, ProofOracle(), BACKENDS[backend]())
+        with pytest.raises(ValidationError, match=rf"^node {nid}: "):
+            check_admissible(g, weights)
 
 
 def test_positioned_queries_agree_with_brute_force():
