@@ -34,9 +34,10 @@ signature and the answer bits of deeper nodes.  Evaluation, the objective,
 the check of a string and the admissibility check run on whole blocks
 (forced_bits, out_sums, weight_runs): lists over a block's copies, with
 compute_output in vector form and each distinct input code decided once,
-and G*'s own weighting read once per block.  A string evaluate settles is
-a CompactString, one byte per copy, which G* reads by position; the string
-format is decided here alone.
+and G*'s own weighting read once per block.  A string of G*'s own is a
+CompactString, one byte per copy and one for the conductor, in topo order:
+evaluate settles one, a witness extraction pins one from empty, and G*
+reads either by position; the string format is decided here alone.
 """
 
 from __future__ import annotations
@@ -162,6 +163,11 @@ class CompressedDag:
         conductor last: the plain ids ascending."""
         return [*self._copies, CONDUCTOR_ID]
 
+    def pins(self):
+        """A new empty CompactString to pin, and the ids in topo order to
+        pin it in (see solver.extract_query_string)."""
+        return CompactString(self, 0), chain(self._copies, (CONDUCTOR_ID,))
+
     def _origin_of(self, cid):
         """The origin whose block holds copy `cid`; KeyError for any other id."""
         if cid not in self._copies:
@@ -261,21 +267,21 @@ class CompressedDag:
         origin block's bits, made from the blocks before it, are put in by
         one slice assignment, then the conductor's bit.  The same proof
         calls, in the same order, as forced_bits."""
-        x = CompactString(self)
+        x = CompactString(self, len(self._copies) + 1)
         bits, base = x._bits, self._copies.start
         for u in self._origins:
             block = self._block(u)
             bits[block.start - base : block.stop - base] = self._block_bits(u, block, x, sat, pins)
-        x._conductor = self._conductor_bit(x, pins)
+        bits[-1] = self._conductor_bit(x, pins)
         return x
 
     def positions(self, x):
         """The string x as (seq, base), to read by position: the bit of copy
         cid is seq[cid - base], and the conductor's is x[0].  A string of
-        this graph's own (CompactString) gives its bytes and the first
-        copy's id; any other mapping is read by id, with base 0.  This is
-        the one place a string's form is asked."""
-        if type(x) is CompactString and x._gd is self:
+        this graph's own (CompactString) gives its bytes, in topo order,
+        and the first copy's id; any other mapping is read by id, with
+        base 0.  This is the one place a string's form is asked."""
+        if type(x) is CompactString and x._copies is self._copies:
             return x._bits, self._copies.start
         return x, 0
 
@@ -310,7 +316,8 @@ class CompressedDag:
         found yet read from x, by position (see positions), at the copies
         that the bits known so far select.  What is found is kept for u's
         later inputs.  A wire x lacks raises WireValueError, naming the
-        first missing copy in the order the block reads them."""
+        first missing copy in the order the block reads them: a dict lacks
+        its id, a string of G*'s own pinned short of it its index."""
         seq, base = self.positions(x)
         shifts = self._shifts[u]
         # Each input's place in the code; a visible ancestor that is no
@@ -337,9 +344,9 @@ class CompressedDag:
                             at = [*map(add, at, map((1 << sh).__mul__, found[a]))]
                     try:
                         found[v] = [*map(bool, map(seq.__getitem__, at))]
-                    except KeyError as exc:
-                        missing = self.label(exc.args[0] + base)
-                        raise WireValueError(f"no wire value for node {missing}") from None
+                    except (KeyError, IndexError) as exc:
+                        i = exc.args[0] if seq is x else next(i for i in at if i >= len(seq))
+                        raise WireValueError(f"no wire value for node {self.label(i + base)}") from None
             codes = [*map(add, codes, map(place.__mul__, found[p]))]
         return codes
 
@@ -435,38 +442,64 @@ class OriginWeights(_Lazy):
 
 
 class CompactString(Mapping):
-    """A query string of G*, as its evaluate makes it: read-only, one byte
-    per copy in id order, each 0 or 1, and the conductor's bit.  It is
-    iterated in topo order, the copies then the conductor, and values()
-    and items() walk the bytes; a lookup by id is a Python call, so G*
-    reads it by position (CompressedDag.positions)."""
+    """A query string of G*: one byte per node in topo order, each 0 or 1,
+    the copies in id order, then the conductor, of which it holds the
+    first `size`.  evaluate makes one of every node, read-only; a witness
+    extraction pins one from empty (CompressedDag.pins), which takes only
+    the changes the pins contract of oracle.threshold_oracle allows: the
+    next node's byte added at the end, or the newest one's changed.  A
+    lookup by id is a Python call, so G* reads it by position (positions).
+    It keeps G*'s range of copy ids, not G*, so a transcript that holds
+    its pins keeps no graph alive."""
 
-    __slots__ = ("_gd", "_bits", "_conductor")
+    __slots__ = ("_copies", "_bits", "_open")
 
-    def __init__(self, gd):
-        self._gd = gd
-        self._bits = bytearray(len(gd._copies))
-        self._conductor = None
+    def __init__(self, gd, size):
+        self._copies, self._bits, self._open = gd._copies, bytearray(size), not size
+
+    def _index(self, cid):
+        """cid's place in the bytes, held or not; KeyError for no node."""
+        copies = self._copies
+        if cid in copies:
+            return cid - copies.start
+        if cid == CONDUCTOR_ID:
+            return len(copies)
+        raise KeyError(cid)
 
     def __len__(self):
-        return len(self._bits) + 1
+        return len(self._bits)
 
     def __iter__(self):
-        return chain(self._gd._copies, (CONDUCTOR_ID,))
+        copies, n = self._copies, len(self._bits)
+        return chain(copies, (CONDUCTOR_ID,)) if n > len(copies) else iter(copies[:n])
 
-    def __contains__(self, cid):
-        return cid == CONDUCTOR_ID or cid in self._gd._copies
+    def __reversed__(self):
+        copies, n = self._copies, len(self._bits)
+        return chain((CONDUCTOR_ID,), reversed(copies)) if n > len(copies) else reversed(copies[:n])
 
     def __getitem__(self, cid):
-        if cid == CONDUCTOR_ID:
-            return self._conductor
-        copies = self._gd._copies
-        if cid not in copies:
+        i = self._index(cid)
+        if i >= len(self._bits):
             raise KeyError(cid)
-        return self._bits[cid - copies.start]
+        return self._bits[i]
+
+    def __setitem__(self, cid, bit):
+        """Pin `cid`, the node after the newest in topo order or the newest
+        again, to `bit`, the int 0 or 1 or a bool."""
+        bits, copies = self._bits, self._copies
+        i = cid - copies.start if cid in copies else self._index(cid)
+        n = len(bits)
+        if not self._open:
+            raise TypeError("an evaluated string of G* is read-only")
+        if not (type(bit) is int or type(bit) is bool) or bit >> 1 or not n - 1 <= i <= n:
+            raise ValidationError(f"pin on node {cid!r}: {bit!r} is not the next or newest bit")
+        if i == n:
+            bits.append(bit)
+        else:
+            bits[i] = bit
 
     def values(self):
-        return chain(self._bits, (self._conductor,))
+        return iter(self._bits)
 
     def items(self):
         return _CompactItems(self)
@@ -479,7 +512,7 @@ class _CompactItems(ItemsView):
 
     def __iter__(self):
         x = self._mapping
-        return zip(x, x.values())
+        return zip(x, x._bits)
 
 
 def _bit_shifts(visible):
@@ -611,16 +644,19 @@ def compute_output(gd, u, known, wire_values):
     not yet known is the answer of the copy that the bits found so far
     select, its visible ancestors all coming earlier in that order.  A u
     in `known` is answered from it, reading no wire.  `wire_values` maps
-    node ids of this compressed graph to answer bits; a missing entry is a
-    construction bug and raises immediately.
+    node ids of this compressed graph to answer bits, read by position
+    (gd.positions); a missing entry is a construction bug and raises.
     """
     if u not in known:
+        seq, base = gd.positions(wire_values)
         for v in [anc for anc, _, _ in gd.visible_ancestors(u)] + [u]:
             if v not in known:
                 cid = gd.copy_of(v, known)
-                if cid not in wire_values:
-                    raise WireValueError(f"no wire value for node {gd.label(cid)}")
-                known[v] = 1 if wire_values[cid] else 0
+                try:
+                    bit = seq[cid - base]
+                except (KeyError, IndexError):
+                    raise WireValueError(f"no wire value for node {gd.label(cid)}") from None
+                known[v] = 1 if bit else 0
     return known[u]
 
 
@@ -628,7 +664,8 @@ def lift_query_string(g, gstar, xstar):
     """Pull a correct query string for the compressed graph back to G.
 
     Each original vertex's bit is what compute_output returns when every
-    wire lookup reads the corresponding bit of xstar, in one shared dict.
+    wire lookup reads the corresponding bit of xstar, by position, in one
+    shared dict.
     """
     known = {}
     return {nid: compute_output(gstar, nid, known, xstar) for nid in g.by_id}

@@ -335,7 +335,8 @@ def _objective(dag, runs, x, proof_oracle, check=None):
     """max_t_for_assignment on the weights dag.weight_runs gave as `runs`.
     forced_bits gives each held node its own bit back, so a score reads x
     only through held, with no lookup by id in x, which on G*'s string is
-    a Python call per node."""
+    a Python call per node.  A weighting that lacks a node is a
+    ValidationError (weighting.missing_weight)."""
     held = {
         nid: bit for nid, bit in x.items() if not bit or (check is not None and nid not in check)
     }
@@ -343,7 +344,10 @@ def _objective(dag, runs, x, proof_oracle, check=None):
         2 * bit if bit or nid not in held else 1
         for nid, bit in dag.forced_bits(x, proof_oracle, held)
     ]
-    return weighting.weigh(runs, scores)
+    try:
+        return weighting.weigh(runs, scores)
+    except KeyError as exc:
+        raise weighting.missing_weight(exc) from None
 
 
 def _pin_bit(cid, bit):
@@ -420,29 +424,31 @@ class EvaluationBackend:
     the nodes, W plus the weight of the ones, on G* one origin block at a
     time: its weight times its size plus its ones, then the conductor's.
     The profile keeps the maximizer as evaluate returns it, a dict on a
-    query graph and on G* one byte per copy, and reads it by position (see
-    the graphs' positions).  The checks that the weighting is integer and
-    admissible read it a block at a time too.  A query without pins (every
-    binary-search probe) is then one comparison with 2T.  A pinned query
-    that extends the last one's dict by one entry looks at its newest pins
-    only, as the pins contract of threshold_oracle allows (see
-    _pins_agree); for that the backend keeps the last pinned
-    query's dict, its length, whether the entries before its newest agree
-    and the maximizer's bit there, and a new profile drops them.  A query
-    whose pins disagree, below 2T, costs two passes of forced bits: the
+    query graph and on G* one byte per node, with the sequence the graph's
+    positions reads it through.  The checks that the weighting is integer
+    and admissible read it a block at a time too.  A query without pins
+    (every binary-search probe) is then one comparison with 2T.  A pinned
+    query that extends the last one's pins by one entry looks at its
+    newest pins only, as the pins contract of threshold_oracle allows (see
+    _pins_agree); for that the backend keeps the last pinned query's pins,
+    as positions reads them, their length, whether the entries before
+    their newest agree and, for pins read by id, the maximizer's bit
+    there, and a new profile drops them.  A query whose pins disagree,
+    below 2T, costs two passes of forced bits: the
     evaluation keeping its pins, which looks up every other node, and the
     objective, which looks up only its pinned 1s: at most |V| proof calls
     in all, on the proof oracle bound last.
     """
 
     def __init__(self):
-        # The bound (dag, weights), its maximizer, that read by position
-        # as (seq, base), and 2T, and the proof oracle of the current solve.
+        # The bound (dag, weights), its maximizer, the sequence positions
+        # reads it through, and 2T, and the proof oracle of the current
+        # solve.
         self._dag = self._weights = self._correct = self._two_t = self._proof_oracle = None
-        self._positions = None
-        # (pins, len(pins), do the entries before its newest agree?, the
-        # maximizer's bit at its newest) of the last pinned query on the
-        # bound profile.
+        self._seq = None
+        # (pins, pins read by position, their length, do the entries before
+        # their newest agree?, the maximizer's bit at their newest) of the
+        # last pinned query on the bound profile.
         self._pinned = None
 
     def bind(self, dag, weights, proof_oracle):
@@ -452,7 +458,7 @@ class EvaluationBackend:
         maximizer without a proof call."""
         self._proof_oracle = proof_oracle
         self._dag = self._weights = self._correct = self._two_t = self._pinned = None
-        self._positions = None
+        self._seq = None
         # The one-unit gap below the maximum only exists for integer
         # weightings that are admissible.
         try:
@@ -472,35 +478,40 @@ class EvaluationBackend:
         w_total = weighting.weigh(dag.weight_runs(weights))
         self._two_t = w_total + weighting.weigh(dag.weight_runs(weights), correct.values())
         self._dag, self._weights, self._correct = dag, weights, correct
-        self._positions = dag.positions(correct)
+        self._seq = dag.positions(correct)[0]
 
     def _pins_agree(self, pins):
         """Do all of the non-empty `pins` agree with the maximizer?
 
-        A query on the last pinned query's dict, exactly one entry longer,
-        checks the two entries at the dict's end (see threshold_oracle):
-        the last query's newest against the maximizer's bit kept there, and
-        its own.  Any other query checks every entry.  Each pin checked is
-        also checked to be a bit (_pin_bit).  The maximizer's bit at a
-        pin's id cid is read by position, seq[cid - base], with no Python
-        call; an id below base (G*'s conductor) reads it off the maximizer
-        itself.
+        A query on the last pinned query's pins, exactly one entry longer,
+        checks the two entries at their end (see threshold_oracle), any
+        other every entry.  G*'s own string (see positions) lists its bits
+        as the maximizer does, so an entry is compared with the maximizer's
+        byte at its index, with no Python call.  Other pins are read by id,
+        each checked to be a bit (_pin_bit); the maximizer's lookup refuses
+        an id that is no node.
         """
-        seq, base = self._positions
-        n = len(pins)
         last = self._pinned
+        same = last is not None and last[0] is pins
+        at = last[1] if same else self._dag.positions(pins)[0]
+        n = len(at)
+        grown = same and last[2] == n - 1
+        if at is not pins:
+            seq, i = self._seq, n - 1
+            before = last[3] and at[i - 1] == seq[i - 1] if grown else at[:i] == seq[:i]
+            self._pinned = (pins, at, n, before, None)
+            return at[i] == seq[i] and before
+        correct = self._correct
         newest = reversed(pins.items())
         cid, bit = next(newest)
-        mine = seq[cid - base] if cid >= base else self._correct[cid]
-        if last is not None and last[0] is pins and last[1] == n - 1:
-            before = _pin_bit(*next(newest)) == last[3] and last[2]
+        mine = correct[cid]
+        if grown:
+            before = _pin_bit(*next(newest)) == last[4] and last[3]
         else:
-            correct = self._correct
             before = all([
-                (seq[c - base] if c >= base else correct[c]) == _pin_bit(c, b)
-                for c, b in itertools.islice(pins.items(), n - 1)
+                correct[c] == _pin_bit(c, b) for c, b in itertools.islice(pins.items(), n - 1)
             ])
-        self._pinned = (pins, n, before, mine)
+        self._pinned = (pins, at, n, before, mine)
         return _pin_bit(cid, bit) == mine and before
 
     def decide(self, threshold, pins):
@@ -511,7 +522,10 @@ class EvaluationBackend:
         two_t = self._two_t
         if two_t is None:
             raise PipelineError("threshold backend queried before bind")
-        if not pins:
+        # The last pinned query's pins are not empty; asking G*'s string is
+        # a Python call.
+        last = self._pinned
+        if not (last is not None and last[0] is pins or pins):
             return threshold <= two_t
         try:
             agree = self._pins_agree(pins)
@@ -542,12 +556,14 @@ def threshold_oracle(dag, weights, proof_oracle, backend):
     The pins contract.  Nothing copies the pins mapping: the backend may
     compare later queries with it, and a transcript, when the solve keeps
     one, reads it again whenever it is rendered.  So, transcript or not,
-    after its query a pins dict may gain entries at its end, and its newest
-    entry may change; nothing else about it changes, and it is not cleared
-    or reused.  A witness extraction hands every query the same dict, one
-    entry longer each time; a backend may then check only what is new since
-    the last query, and a transcript rebuilds each query's pins from their
-    length and newest bit.
+    after its query a pins mapping may gain entries at its end, and its
+    newest entry may change; nothing else about it changes, and it is not
+    cleared or reused.  A witness extraction hands every query the same
+    mapping, one entry longer each time: a dict, or on G* its compact
+    string (compress.CompactString), which allows no other change; a
+    backend may then check only what is new since the last query, and a
+    transcript rebuilds each query's pins from their length and newest
+    bit.
 
     The pin rule.  A pin's id must be a node of dag and its value the int 0
     or 1, or a bool; both backends raise ValidationError for any other,

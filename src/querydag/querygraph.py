@@ -15,6 +15,7 @@ import heapq
 import json
 from functools import cached_property
 from itertools import chain
+from operator import eq, itemgetter
 
 from .errors import ParseError, ValidationError
 
@@ -127,6 +128,11 @@ class QueryDag:
     def topo_order(self):
         """Parents first, ties by ascending id; computed once by validation."""
         return list(self._order)
+
+    def pins(self):
+        """A new empty dict to pin, and the ids in topo order to pin it in
+        (see solver.extract_query_string)."""
+        return {}, self._order
 
     def forced_bits(self, x, sat, pins):
         """(id, bit) for every node in topo order: its pin if `pins` holds
@@ -339,8 +345,13 @@ def evaluate(g, sat, pins=None):
 
 def is_correct_query_string(g, x, sat):
     """True iff every bit of x matches the forced answer of its query,
-    checked in g.forced_bits order, up to the first pair that differs."""
-    ids = g.node_ids()
-    if len(x) != len(ids) or not all(map(x.__contains__, ids)):
+    checked in g.forced_bits order, up to the first pair that differs.
+    A string g reads by position (g.positions), G*'s own, lists its bits
+    in that order, and covers the node set if it is as long."""
+    seq, _ = g.positions(x)
+    if len(x) != len(g.out_neighbors()) or seq is x and not all(map(x.__contains__, g.node_ids())):
         raise ValidationError("query string does not cover the node set")
-    return all(map(x.items().__contains__, g.forced_bits(x, sat, {})))
+    pairs = g.forced_bits(x, sat, {})
+    if seq is x:
+        return all(map(x.items().__contains__, pairs))
+    return all(map(eq, seq, map(itemgetter(1), pairs)))

@@ -118,21 +118,23 @@ def binary_search_T(ask, bits):
 def extract_query_string(ask, dag, t_tilde):
     """Recover the string attaining 2t >= t_tilde, one pinned query per node.
 
-    Bits are pinned in dag.topo_order(); a prefix extends to the maximizer as
-    long as every pinned bit matches it, and at threshold 2T the maximizer is
-    unique and correct.  Every query is handed the one pins dict, holding the
-    bits fixed so far and the next node at 1, one entry longer each time, as
-    the pins contract of threshold_oracle allows, so a transcript's memory
-    stays linear.
+    Bits are pinned in topo order into the graph's new empty string,
+    dag.pins(): a dict, or on G* one byte per node.  A prefix extends to the
+    maximizer as long as every pinned bit matches it, and at threshold 2T the
+    maximizer is unique and correct.  Every query is handed that one mapping,
+    holding the bits fixed so far and the next node at 1, one entry longer
+    each time, as the pins contract of threshold_oracle allows, so a
+    transcript's memory stays linear.
     """
-    pins = {}
-    for nid in dag.topo_order():
+    pins, order = dag.pins()
+    for nid in order:
         pins[nid] = 1
         if not ask(t_tilde, pins):
             pins[nid] = 0
-    # A copy, so a caller changing the string cannot rewrite the pins that
-    # the backend and a transcript may still hold.
-    return dict(pins)
+    # A dict is copied, so a caller changing the string cannot rewrite the
+    # pins that the backend and a transcript may still hold; G*'s string
+    # takes no such change.
+    return dict(pins) if type(pins) is dict else pins
 
 
 def _decide(method, g, witness, backend, transcript):

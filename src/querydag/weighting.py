@@ -15,8 +15,8 @@ Any graph object exposing node_ids(), out_neighbors(), out_sums(weights),
 weight_runs(weights) and topo_order() works here, so the same functions
 serve plain query graphs and compressed graphs.  Those five methods are
 the structural half of the graph protocol that QueryDag and CompressedDag
-share; forced_bits(x, sat, pins), evaluate(sat, pins), positions(x) and
-`output` complete it (see README).
+share; forced_bits(x, sat, pins), evaluate(sat, pins), positions(x),
+pins() and `output` complete it (see README).
 out_neighbors() may be a read-only Mapping that makes each row when
 read.  The other two read a weighting a block of nodes at a time, G*
 once per origin: out_sums yields (ids, sums), the sum of the weights

@@ -169,6 +169,10 @@ class CompressedDag:
         plain.append(CONDUCTOR_ID)
         return plain
 
+    def pins(self):
+        """A new empty dict to pin, and the ids in topo order to pin it in."""
+        return {}, self.topo_order()
+
     def forced_bit(self, cid, x, sat):
         """Answer of copy `cid` when every wire lookup reads its bit in x: the
         origin's query on wires resolved through compute_output from the

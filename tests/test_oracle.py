@@ -36,6 +36,7 @@ from querydag import (
 )
 
 from querydag.cli import gen_instance
+from querydag.compress import CompactString
 
 from compress_reference import least_weights
 from conftest import brute_two_t, code_of, enum_evaluate, enum_sat, random_instance, search
@@ -678,6 +679,23 @@ def test_a_weighting_that_lacks_a_node_is_a_validation_error(backend):
             check_admissible(g, weights)
 
 
+def test_the_objective_refuses_a_weighting_that_lacks_a_node():
+    # The objective reads every node's weight as well, and must name the
+    # node the weighting lacks, with every node looked up or only the 1s.
+    # A string that lacks a node is another fault, and stays a KeyError.
+    g = random_instance(2)
+    x = evaluate(g, ProofOracle())
+    weights = rho_weights(g)
+    del weights[1]
+    for check in (None, x):
+        with pytest.raises(ValidationError, match=r"^node 1: "):
+            max_t_for_assignment(g, weights, x, ProofOracle(), check=check)
+    read = next(nid for nid in g.node_ids() if any(nid in g.by_id[v].inputs for v in g.by_id))
+    short = {nid: bit for nid, bit in x.items() if nid != read}
+    with pytest.raises(KeyError):
+        max_t_for_assignment(g, rho_weights(g), short, ProofOracle())
+
+
 def test_positioned_queries_agree_with_brute_force():
     # Pins sequences driven by hand, each query one entry longer than the
     # last, many of them with settled entries off the maximizer: the
@@ -810,14 +828,15 @@ def test_profiled_queries_import_and_recompute_nothing(monkeypatch):
 
 def _reaches(root, target):
     """Is `target` among the objects held by `root`'s attributes, through
-    tuples, lists, sets and dicts?  (A dict takes no weak reference.)"""
+    tuples, lists, sets, dicts and G*'s compact strings?  (A dict takes no
+    weak reference.)"""
     seen = set()
     stack = [vars(root)]
     while stack:
         obj = stack.pop()
         if obj is target:
             return True
-        if id(obj) in seen or not isinstance(obj, (tuple, list, set, dict)):
+        if id(obj) in seen or not isinstance(obj, (tuple, list, set, dict, CompactString)):
             continue
         seen.add(id(obj))
         stack.extend(gc.get_referents(obj))
@@ -826,7 +845,8 @@ def _reaches(root, target):
 
 def test_evaluation_backend_keeps_only_the_current_profile(monkeypatch):
     # A backend reused across solves must not keep earlier graphs alive, nor
-    # the pins dicts of an earlier solve's queries.
+    # the pins of an earlier solve's queries: dicts, and on G* the witness
+    # extraction's compact string.
     from querydag import solver
 
     built = []
@@ -841,7 +861,7 @@ def test_evaluation_backend_keeps_only_the_current_profile(monkeypatch):
         ask = threshold_oracle(dag, weights, proof_oracle, backend)
 
         def recording_ask(threshold, *pins):
-            if pins and type(pins[0]) is dict and len(built) == 1:
+            if pins and type(pins[0]) in (dict, CompactString) and len(built) == 1:
                 pins_seen.append(pins[0])
             return ask(threshold, *pins)
 
@@ -858,6 +878,7 @@ def test_evaluation_backend_keeps_only_the_current_profile(monkeypatch):
     assert len(built) == 2
     assert built[0]() is None and built[1]() is not None
     assert len(pins_seen) > 2
+    assert any(type(pins) is CompactString for pins in pins_seen)
     assert not any(_reaches(backend, pins) for pins in pins_seen)
     assert first.answer == second.answer == evaluate(g, ProofOracle())[g.output]
     witness_doc = first.stats.to_doc()

@@ -329,6 +329,32 @@ def test_answer_solve_keeps_no_object_per_copy():
     assert peak < 4 * 10**5
 
 
+def test_witness_solve_keeps_no_object_per_copy(monkeypatch):
+    # G*'s witness is its compact string too: the extraction pins it a
+    # byte at a time and returns it, the check and the lift read it by
+    # position, and nothing lists G*'s ids.  On band-3 n = 48 (10,861
+    # nodes in G*) a witness solve peaked at 1.55 MB with a pins dict, its
+    # copy and two id lists.
+    from querydag.compress import CompressedDag
+
+    def forbidden(self):
+        raise AssertionError("a list of G*'s ids was made")
+
+    monkeypatch.setattr(CompressedDag, "node_ids", forbidden)
+    monkeypatch.setattr(CompressedDag, "topo_order", forbidden)
+    g = band_dag(48, 3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = decide_compress(g, witness=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.answer == 1
+    assert report.query_string == evaluate(g, ProofOracle())
+    assert peak < 3 * 10**5
+
+
 def test_transcript_renders_one_entry_at_a_time():
     # Every pinned query's pins are written out: the 48-node chain's
     # compress witness transcript is a 0.56 MB document, which peaked at
