@@ -12,9 +12,12 @@ every supervertex to one size; no query reads such a copy.
 
 build_compressed enumerates G* straight from the signatures, over the real
 vertices only, without building a copy: the nodes of one origin are a
-block of consecutive ids whose index bits are their signatures, so edges,
-origins and lookups are index arithmetic, and a node's edges and record
-(CompressedNode) are made only when something reads them.  It gives G*
+block of consecutive ids whose index bits are their signatures, and the
+origin keeps one table, its visible ancestors in branch order with the
+place of each one's bit, so edges, origins and lookups are index
+arithmetic, and a node's edges and record (CompressedNode) are made only
+when something reads them; a record reads its levels and positions off
+the tree.  It gives G*
 the least admissible weighting, f(v) = 1 + c * (sum of f over v's
 children), in closed form per origin (plan), and keeps it per origin
 (OriginWeights).  That weighting lies below the paper's merged one at
@@ -107,27 +110,27 @@ class CompressedDag:
     signature (see _bit_shifts).  Blocks follow one another, with no gap,
     by decreasing depth of the origin's supervertex, then origin id, which
     is a topological order.  So G* keeps no table and no object per copy,
-    only first, visible, shifts and `above` per origin and the range of the
-    copies' ids; its weighting keeps one weight per origin (OriginWeights),
-    and a string evaluate settles one byte per copy (CompactString).  A
-    copy's origin is the block its id falls in, and its bits, edges and
-    record are made off its index when read, a block at a time for
-    forced_bits and out_sums.  `visible` depends only on the original graph
-    and its tree.
+    only per origin its first id, its `shifts`, an ordered dict from each
+    visible ancestor, in branch order, to the place of its bit, and its
+    descendants `above`, and the range of the copies' ids; its weighting
+    keeps one weight per origin (OriginWeights), and a string evaluate
+    settles one byte per copy (CompactString).  A copy's origin is the
+    block its id falls in, and its bits, edges and record are made off its
+    index when read, a block at a time for forced_bits and out_sums.
+    `shifts` and `above` depend only on the original graph and its tree.
     """
 
     conductor_id = output = CONDUCTOR_ID
 
-    def __init__(self, origin_dag, septree, first, visible, shifts, above, copies):
+    def __init__(self, origin_dag, septree, first, shifts, above, copies):
         self.origin_dag = origin_dag
         self.septree = septree
         self._first = first
-        self._visible = visible
         self._shifts = shifts
         self._above = above  # descendants above, in id order
         self._copies = copies  # the range of every copy's id
         self._origins, self._starts = list(first), list(first.values())
-        self._sizes = [1 << len(visible[u]) for u in first]
+        self._sizes = [1 << len(shifts[u]) for u in first]
 
     @property
     def nodes(self):
@@ -143,8 +146,9 @@ class CompressedDag:
         return _Lazy(self, self._row, self._rows)
 
     def visible_ancestors(self, origin):
-        """Ancestors of `origin` lying on its own branch, with bit coordinates."""
-        return self._visible[origin]
+        """The ids of the ancestors of `origin` lying on its own branch, in
+        branch order."""
+        return self._shifts[origin].keys()
 
     def label(self, cid):
         return self.nodes[cid].label
@@ -177,7 +181,7 @@ class CompressedDag:
     def _block(self, u):
         """The ids of origin u's copies, as the range they cover."""
         start = self._first[u]
-        return range(start, start + (1 << len(self._visible[u])))
+        return range(start, start + (1 << len(self._shifts[u])))
 
     def _block_columns(self, u):
         """The out-edges of origin u's copies but the conductor, yielded as
@@ -204,7 +208,7 @@ class CompressedDag:
     def _block_rows(self, u):
         """The out-edges of origin u's copies in id order: the conductor,
         then a target from each of _block_columns."""
-        return zip(repeat(CONDUCTOR_ID, 1 << len(self._visible[u])), *self._block_columns(u))
+        return zip(repeat(CONDUCTOR_ID, 1 << len(self._shifts[u])), *self._block_columns(u))
 
     def out_sums(self, weights):
         """The sum of `weights`, this graph's OriginWeights, over each
@@ -359,9 +363,10 @@ class CompressedDag:
         # The visible ancestors' bits, read off the copy's index.
         k = cid - self._first[origin]
         signature = tuple((anc, k >> shift & 1) for anc, shift in self._shifts[origin].items())
-        cond = [["*"] * tree.uniform_size for _ in tree.branch(svid)]
-        for (_, lvl, pos), (_, bit) in zip(self._visible[origin], signature):
-            cond[lvl][pos] = str(bit)
+        branch = tree.branch(svid)
+        cond = [["*"] * tree.uniform_size for _ in branch]
+        for anc, bit in signature:
+            cond[branch.index(tree.supervertex_of(anc))][tree.position_of(anc)] = str(bit)
         return CompressedNode(
             cid=cid,
             origin=origin,
@@ -521,8 +526,7 @@ def _bit_shifts(visible):
     first visible ancestor most significant, which is itertools.product
     order.  copy_of, the copies' signatures and their edges all read the
     numbering from here."""
-    n = len(visible)
-    return {anc: n - 1 - i for i, (anc, _, _) in enumerate(visible)}
+    return dict(zip(visible, range(len(visible) - 1, -1, -1)))
 
 
 def _offsets(places, start=0):
@@ -538,30 +542,26 @@ def _offsets(places, start=0):
 
 def _relatives(g, tree):
     """Per vertex of g, read off one set of descendant masks: its visible
-    ancestors, those in the supervertices on its branch, as (id, branch
-    level index, position) in branch order; and its descendants above, those
-    in supervertices strictly above its own on its branch, as ids.  The
-    dummies, which pad each supervertex after its real members, are left
-    out, and every position kept."""
+    ancestors, those in the supervertices on its branch, in branch order,
+    as the bit shifts of _bit_shifts; and its descendants above, those in
+    supervertices strictly above its own on its branch.  The dummies, which
+    pad each supervertex after its real members, are left out."""
     ids = g.node_ids()
     bit = {nid: 1 << i for i, nid in enumerate(ids)}
     desc = descendant_masks(ids, g.out_neighbors())
     real = {sv.id: [m for m in sv.members if m in bit] for sv in tree.supervertices}
-    visible, above = {}, {}
+    shifts, above = {}, {}
     for sv in tree.supervertices:
         branch = [real[svid] for svid in tree.branch(sv.id)]
         for member in real[sv.id]:
             below, me = desc[member], bit[member]
-            visible[member] = tuple(
-                (other, lvl, pos)
-                for lvl, members in enumerate(branch)
-                for pos, other in enumerate(members)
-                if desc[other] & me
+            shifts[member] = _bit_shifts(
+                [other for members in branch for other in members if desc[other] & me]
             )
-            above[member] = tuple(
+            above[member] = [
                 other for members in branch[:-1] for other in members if below & bit[other]
-            )
-    return visible, above
+            ]
+    return shifts, above
 
 
 def expected_expanded_size(tree):
@@ -579,7 +579,7 @@ def plan(g, tree):
     weighting, and a solve's threshold `budget`, ceil(log2(2W + 1)) + 1.
     With them come the tables build_compressed lays G* out from:
     `origins` by decreasing depth of their supervertex, then id, and per
-    origin its `visible` ancestors, their bit `shifts`, its descendants
+    origin the bit `shifts` of its visible ancestors, its descendants
     `above` (both from one descendant-mask pass, _relatives) and its
     `least` weight.
 
@@ -593,19 +593,18 @@ def plan(g, tree):
     with c = ADMISSIBILITY_C and f(t) = 1, and W = 1 + sum over origins u
     of f(u) * 2^|visible(u)|.
     """
-    visible, above = _relatives(g, tree)
-    origins = sorted(visible, key=lambda u: (-tree.depth_of(tree.supervertex_of(u)), u))
-    shifts = {u: _bit_shifts(visible[u]) for u in origins}
+    shifts, above = _relatives(g, tree)
+    origins = sorted(shifts, key=lambda u: (-tree.depth_of(tree.supervertex_of(u)), u))
     least = {}
     for u in reversed(origins):
         least[u] = 1 + ADMISSIBILITY_C * (1 + sum(
             least[v] << len(shifts[v].keys() - shifts[u].keys()) for v in above[u]
         ))
-    size = 1 + sum(1 << len(visible[u]) for u in origins)
-    w_total = 1 + sum(least[u] << len(visible[u]) for u in origins)
+    size = 1 + sum(1 << len(shifts[u]) for u in origins)
+    w_total = 1 + sum(least[u] << len(shifts[u]) for u in origins)
     return SimpleNamespace(
         size=size, w_total=w_total, budget=(2 * w_total).bit_length() + 1, origins=origins,
-        visible=visible, shifts=shifts, above=above, least=least,
+        shifts=shifts, above=above, least=least,
     )
 
 
@@ -630,9 +629,9 @@ def build_compressed(g, tree):
     start = cid = expected_expanded_size(tree)
     for u in p.origins:
         first[u] = cid
-        cid += 1 << len(p.visible[u])
-    above = {u: sorted(p.above[u], key=first.get) for u in p.origins}
-    gstar = CompressedDag(g, tree, first, p.visible, p.shifts, above, range(start, cid))
+        cid += 1 << len(p.shifts[u])
+    above = {u: tuple(sorted(p.above[u], key=first.get)) for u in p.origins}
+    gstar = CompressedDag(g, tree, first, p.shifts, above, range(start, cid))
     return gstar, OriginWeights(gstar, p.least)
 
 
@@ -649,7 +648,7 @@ def compute_output(gd, u, known, wire_values):
     """
     if u not in known:
         seq, base = gd.positions(wire_values)
-        for v in [anc for anc, _, _ in gd.visible_ancestors(u)] + [u]:
+        for v in [*gd.visible_ancestors(u), u]:
             if v not in known:
                 cid = gd.copy_of(v, known)
                 try:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from functools import cache
 
 from .errors import ValidationError
 from .querygraph import Record
@@ -48,25 +47,16 @@ class SeparatorTree:
         for sv in self.supervertices:
             for pos, member in enumerate(sv.members):
                 self._home[member] = (sv.id, pos)
-        self._branch = {}
 
     def branch(self, svid):
         """Supervertex ids on the superpath from the root down to svid."""
-        if svid in self._branch:
-            return self._branch[svid]
-        path = []
-        cur = svid
-        for _ in range(len(self.supervertices) + 1):
-            path.append(cur)
-            parent = self.by_id[cur].parent
+        path = [svid]
+        for _ in self.supervertices:
+            parent = self.by_id[path[-1]].parent
             if parent is None:
-                break
-            cur = parent
-        else:
-            raise ValidationError("parent pointers do not reach a root")
-        result = tuple(reversed(path))
-        self._branch[svid] = result
-        return result
+                return tuple(reversed(path))
+            path.append(parent)
+        raise ValidationError("parent pointers do not reach a root")
 
     def depth_of(self, svid):
         """Distance from the root plus one; the root has depth 1."""
@@ -243,6 +233,33 @@ def _pad(raw_supervertices, uniform_size, max_real_id):
     return padded, dummies
 
 
+def _search(subset, budget, nbrs, size_bound, memo):
+    """A tree (members, kids) for the vertex mask `subset` within depth
+    `budget`, or None.  A subset that fails under one separator is met
+    again as a component under another above it, so each (subset, budget)
+    pair is searched once, its result kept in `memo`, a dict that the
+    caller owns and drops: no closure reaches it, so it leaves no garbage
+    cycle behind."""
+    key = (subset, budget)
+    if key in memo:
+        return memo[key]
+    found = None
+    for members, parts in _balanced_separators(subset, nbrs, size_bound):
+        if budget == 1 and parts:
+            continue
+        kids = []
+        for part in parts:
+            sub = _search(part, budget - 1, nbrs, size_bound, memo)
+            if sub is None:
+                break
+            kids.append(sub)
+        else:
+            found = (members, kids)
+            break
+    memo[key] = found
+    return found
+
+
 def _search_tree(g, depth_bound, size_bound):
     """Backtracking search for a separator tree of depth <= depth_bound whose
     separators have at most size_bound members.
@@ -264,38 +281,19 @@ def _search_tree(g, depth_bound, size_bound):
             nbrs[u] |= 1 << v
             nbrs[v] |= 1 << u
 
-    # A subset that fails under one separator is met again as a component
-    # under another above it: each (subset, budget) pair is searched once.
-    @cache
-    def search(subset, budget):
-        for members, parts in _balanced_separators(subset, nbrs, size_bound):
-            if budget == 1 and parts:
-                continue
-            kids = []
-            for part in parts:
-                sub = search(part, budget - 1)
-                if sub is None:
-                    break
-                kids.append(sub)
-            else:
-                return (members, kids)
-        return None
-
-    found = search((1 << len(ids)) - 1, depth_bound)
+    found = _search((1 << len(ids)) - 1, depth_bound, nbrs, size_bound, {})
     if found is None:
         return None
     pos = {nid: i for i, nid in enumerate(g.topo_order())}
     raw = []
-
-    def assign(tree, parent):
-        members, kids = tree
+    # Pre-order, kids pushed in reverse so they are numbered in order.
+    stack = [(found, None)]
+    while stack:
+        (members, kids), parent = stack.pop()
         svid = len(raw) + 1
         chosen = (ids[bit.bit_length() - 1] for bit in members)
         raw.append((svid, tuple(sorted(chosen, key=pos.__getitem__)), parent))
-        for kid in kids:
-            assign(kid, svid)
-
-    assign(found, None)
+        stack += ((kid, svid) for kid in reversed(kids))
     return raw
 
 

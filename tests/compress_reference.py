@@ -140,8 +140,9 @@ class CompressedDag:
         return sum(len(t) for t in self.edges_out.values())
 
     def visible_ancestors(self, origin):
-        """Ancestors of `origin` lying on its own branch, with bit coordinates."""
-        return self._visible[origin]
+        """The ids of the ancestors of `origin` lying on its own branch, in
+        branch order."""
+        return tuple(anc for anc, _, _ in self._visible[origin])
 
     def label(self, cid):
         node = self.nodes[cid]

@@ -167,7 +167,7 @@ def assert_block_form_matches(gd, weights, rng, label):
     by_origin = weights.by_origin
     for u in rng.sample(sorted(by_origin), min(3, len(by_origin))):
         lowered = OriginWeights(gd, {**by_origin, u: by_origin[u] - 1})
-        first = gd.copy_of(u, {anc: 0 for anc, _, _ in gd.visible_ancestors(u)})
+        first = gd.copy_of(u, dict.fromkeys(gd.visible_ancestors(u), 0))
         verdict = check_admissible(gd, lowered)
         assert verdict == per_row_admissible(gd, dict(lowered)) == (False, first), (label, u)
 

@@ -12,6 +12,7 @@ from querydag import (
     ProofOracle,
     binary_search_T,
     build_compressed,
+    build_depth_bounded_tree,
     build_separator_tree,
     decide_compress,
     decide_depth,
@@ -462,3 +463,30 @@ def test_least_weights_keep_the_corpus_answers_and_witnesses():
         assert queries <= paper_queries, seed
         saved += paper_queries - queries
     assert saved == 2211
+
+
+def test_tree_builds_and_solves_leave_no_garbage_cycle():
+    # The separator search keeps its memo in a dict it drops and numbers
+    # the tree off a stack, so with the collector off a tree build or a
+    # solve leaves nothing for it: each memo entry, the neighbour masks and
+    # the tree's triples were left in cycles through the search's closures.
+    graphs = [random_instance(seed) for seed in range(3, 400, 37)]
+    graphs += [band_dag(16, 2), gen_instance("chain", 24, 1)]
+    calls = [
+        build_separator_tree,
+        lambda g: build_depth_bounded_tree(g, 3, min(2, len(g.nodes))),
+        lambda g: decide_compress(g).serialize(),
+        lambda g: decide_compress(g, witness=True).serialize(),
+        lambda g: decide_depth(g).serialize(),
+        lambda g: decide_depth(g, witness=True).serialize(),
+    ]
+    gc.collect()
+    for i, g in enumerate(graphs):
+        for j, call in enumerate(calls):
+            gc.disable()
+            try:
+                call(g)
+                left = gc.collect()
+            finally:
+                gc.enable()
+            assert left == 0, (i, j)
