@@ -102,6 +102,9 @@ CONDUCTOR_NODE = CompressedNode(
 class CompressedDag:
     """The merged graph G*: one node per origin and assignment to its
     visible ancestors, plus the conductor, which is the graph's `output`.
+    Its part of the graph protocol is eight members (see README):
+    out_neighbors, whose keys are its one list of ids, out_sums,
+    weight_runs, pins, forced_bits, evaluate, positions and `output`.
 
     The copies of origin u are one block of consecutive ids, first[u] to
     first[u] + 2^|visible(u)| - 1, in itertools.product order over the bits
@@ -120,7 +123,7 @@ class CompressedDag:
     `shifts` and `above` depend only on the original graph and its tree.
     """
 
-    conductor_id = output = CONDUCTOR_ID
+    output = CONDUCTOR_ID
 
     def __init__(self, origin_dag, septree, first, shifts, above, copies):
         self.origin_dag = origin_dag
@@ -136,9 +139,6 @@ class CompressedDag:
     def nodes(self):
         """G*'s nodes by id as CompressedNode records, made when read."""
         return _Lazy(self, self._record)
-
-    def node_ids(self):
-        return [CONDUCTOR_ID, *self._copies]
 
     def out_neighbors(self):
         """Each node's out-edges in id order, a tuple made off its origin's
@@ -161,11 +161,6 @@ class CompressedDag:
         for anc, shift in self._shifts[origin].items():
             cid += bits[anc] << shift
         return cid
-
-    def topo_order(self):
-        """Deepest supervertices first (their copies feed shallower ones),
-        conductor last: the plain ids ascending."""
-        return [*self._copies, CONDUCTOR_ID]
 
     def pins(self):
         """A new empty CompactString to pin, and the ids in topo order to
@@ -546,9 +541,9 @@ def _relatives(g, tree):
     as the bit shifts of _bit_shifts; and its descendants above, those in
     supervertices strictly above its own on its branch.  The dummies, which
     pad each supervertex after its real members, are left out."""
-    ids = g.node_ids()
-    bit = {nid: 1 << i for i, nid in enumerate(ids)}
-    desc = descendant_masks(ids, g.out_neighbors())
+    out = g.out_neighbors()
+    bit = {nid: 1 << i for i, nid in enumerate(out)}
+    desc = descendant_masks(out, out)
     real = {sv.id: [m for m in sv.members if m in bit] for sv in tree.supervertices}
     shifts, above = {}, {}
     for sv in tree.supervertices:

@@ -389,7 +389,7 @@ class BruteForceBackend:
         dag, runs, proof_oracle = self._bound
         for cid, bit in pins.items():
             _pin_bit(cid, bit)
-        ids = dag.node_ids()
+        ids = dag.out_neighbors()
         free = [nid for nid in sorted(ids) if nid not in pins]
         # Each pin on a node of the graph leaves one node fewer free.
         if len(free) + len(pins) != len(ids):

@@ -119,9 +119,6 @@ class QueryDag:
         self._children = {nid: tuple(sorted(kids)) for nid, kids in children.items()}
         _validate(self)
 
-    def node_ids(self):
-        return [node.id for node in self.nodes]
-
     def out_neighbors(self):
         return self._children
 
@@ -199,7 +196,7 @@ def _validate(g):
             raise ValidationError(f"node {node.id}: literal {lit} out of range")
     if g.output not in g.by_id:
         raise ValidationError(f"node {g.output}: missing output node")
-    g._order = tuple(topo_sort(g.node_ids(), g._children))
+    g._order = tuple(topo_sort(g._children, g._children))
     sinks = [nid for nid, kids in g._children.items() if not kids]
     if g.output not in sinks:
         raise ValidationError(f"node {g.output}: output node has outgoing edges")
@@ -322,10 +319,10 @@ def topo_sort(ids, out):
 
 
 def evaluate(g, sat, pins=None):
-    """Answer every query of g in g's topological order; returns the bits,
-    a mapping iterated in g.topo_order(), whose entry at g.output decides g:
-    a dict on a query graph, a read-only mapping with one byte per copy on
-    a compressed graph (compress.CompactString).
+    """Answer every query of g in the topological order g.pins() lists;
+    returns the bits, a mapping iterated in that order, whose entry at
+    g.output decides g: a dict on a query graph, a read-only mapping with
+    one byte per copy on a compressed graph (compress.CompactString).
 
     `sat` decides proof existence per node given fixed input bits.  NP has no
     invalid queries, so the bits are deterministic.  A node in `pins` keeps
@@ -349,7 +346,8 @@ def is_correct_query_string(g, x, sat):
     A string g reads by position (g.positions), G*'s own, lists its bits
     in that order, and covers the node set if it is as long."""
     seq, _ = g.positions(x)
-    if len(x) != len(g.out_neighbors()) or seq is x and not all(map(x.__contains__, g.node_ids())):
+    ids = g.out_neighbors()
+    if len(x) != len(ids) or seq is x and not all(map(x.__contains__, ids)):
         raise ValidationError("query string does not cover the node set")
     pairs = g.forced_bits(x, sat, {})
     if seq is x:

@@ -140,8 +140,9 @@ def extract_query_string(ask, dag, t_tilde):
 def _decide(method, g, witness, backend, transcript):
     """Weighted graph for the method, bound once to the backend; binary
     search, one pinned query on its output; in witness mode one pinned query
-    per node, checked, and pulled back to g when the graph was compressed.
-    The oracle keeps a transcript only if `transcript` is set."""
+    per node, checked, pulled back to g when the graph was compressed, and
+    its bit at g's output checked against the answer.  The oracle keeps a
+    transcript only if `transcript` is set."""
     proof_oracle = ProofOracle(transcript)
     stats = proof_oracle.stats
     backend = backend if backend is not None else EvaluationBackend()
@@ -153,7 +154,7 @@ def _decide(method, g, witness, backend, transcript):
     bits = (2 * w_total).bit_length()  # search_budget(weights)
     ask = threshold_oracle(dag, weights, proof_oracle, backend)
     t_tilde = binary_search_T(ask, bits)
-    answer = ask(t_tilde, {dag.output: 1})
+    answer = 1 if ask(t_tilde, {dag.output: 1}) else 0
     used = stats.threshold_queries
     query_string = None
     if witness:
@@ -164,8 +165,10 @@ def _decide(method, g, witness, backend, transcript):
             query_string = lift_query_string(g, dag, query_string)
             if not is_correct_query_string(g, query_string, proof_oracle):
                 raise PipelineError("lifted query string is not correct")
+        if query_string[g.output] != answer:
+            raise PipelineError("the answer disagrees with the witness")
     return SolveReport(
-        answer=1 if answer else 0,
+        answer=answer,
         method=method,
         t_scaled=t_tilde,
         w_total=w_total,

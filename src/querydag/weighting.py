@@ -11,18 +11,18 @@ compression's are built for it, and check_admissible tests against it.
 Such weightings make earlier queries dominate later ones in the
 total-solution-weight objective.
 
-Any graph object exposing node_ids(), out_neighbors(), out_sums(weights),
-weight_runs(weights) and topo_order() works here, so the same functions
-serve plain query graphs and compressed graphs.  Those five methods are
-the structural half of the graph protocol that QueryDag and CompressedDag
-share; forced_bits(x, sat, pins), evaluate(sat, pins), positions(x),
-pins() and `output` complete it (see README).
-out_neighbors() may be a read-only Mapping that makes each row when
-read.  The other two read a weighting a block of nodes at a time, G*
-once per origin: out_sums yields (ids, sums), the sum of the weights
-of each one's out-neighbours, and weight_runs two iterables: the weights
-in topo order, one per run of nodes that all weigh the same, and the
-runs' sizes, None when every run is one node.
+check_admissible and omega_weights take any graph exposing out_neighbors(),
+out_sums(weights) and weight_runs(weights), query graph or G*; levels and
+rho_weights take a query graph and read its topo_order().  Those three are
+the structural half of the eight-member graph protocol (see README);
+pins(), forced_bits(x, sat, pins), evaluate(sat, pins), positions(x) and
+`output` complete it.  The keys of out_neighbors() are a graph's one list
+of ids; it may be a read-only Mapping that makes each row when read.  The
+other two read a weighting a block of nodes at a time, G* once per origin:
+out_sums yields (ids, sums), the sum of the weights of each one's
+out-neighbours, and weight_runs two iterables: the weights in topo order,
+one per run of nodes that all weigh the same, and the runs' sizes, None
+when every run is one node.
 """
 
 from __future__ import annotations
@@ -64,9 +64,9 @@ def levels(g):
 
 def omega_weights(g):
     """The weighting (c+1) ** |descendants|."""
-    ids = list(g.node_ids())
-    masks = descendant_masks(ids, g.out_neighbors())
-    return {nid: (ADMISSIBILITY_C + 1) ** masks[nid].bit_count() for nid in ids}
+    out = g.out_neighbors()
+    masks = descendant_masks(out, out)
+    return {nid: (ADMISSIBILITY_C + 1) ** masks[nid].bit_count() for nid in out}
 
 
 def rho_weights(g):

@@ -55,7 +55,7 @@ def _relatives_on_branch(g, tree, edges, own_level):
     """Per origin: (relative id, branch level index, position) for every
     node reachable along `edges` that lives in a supervertex on the origin's
     branch, its own supervertex included only when `own_level` is set."""
-    ids = list(g.node_ids())
+    ids = list(g.out_neighbors())
     idx = {nid: i for i, nid in enumerate(ids)}
     masks = descendant_masks(ids, edges)
     out = {}
@@ -87,10 +87,11 @@ def _descendants_above(g, tree):
 
 def least_weights(g):
     """The least weighting admissible with c = ADMISSIBILITY_C, node by
-    node: one more than c times the children's total."""
+    node, children first (the pins() order reversed): one more than c
+    times the children's total."""
     out = g.out_neighbors()
     weights = {}
-    for nid in reversed(g.topo_order()):
+    for nid in reversed([*g.pins()[1]]):
         weights[nid] = 1 + ADMISSIBILITY_C * sum(weights[child] for child in out[nid])
     return weights
 

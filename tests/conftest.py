@@ -134,7 +134,7 @@ def brute_two_t(dag, weights, pins=None):
     agree with `pins`."""
     oracle = ProofOracle()
     pins = pins or {}
-    free = [nid for nid in dag.node_ids() if nid not in pins]
+    free = [nid for nid in dag.out_neighbors() if nid not in pins]
     best = None
     for combo in itertools.product((0, 1), repeat=len(free)):
         x = dict(pins)

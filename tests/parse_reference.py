@@ -57,7 +57,7 @@ def _validate(g):
                     raise ValidationError(f"node {node.id}: literal {lit} out of range")
     if g.output not in g.by_id:
         raise ValidationError(f"node {g.output}: missing output node")
-    g._order = tuple(topo_sort(g.node_ids(), g._children))
+    g._order = tuple(topo_sort(g._children, g._children))
     sinks = [nid for nid, kids in g._children.items() if not kids]
     if g.output not in sinks:
         raise ValidationError(f"node {g.output}: output node has outgoing edges")

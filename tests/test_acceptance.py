@@ -50,7 +50,7 @@ CORPUS_SIZE = 1000
 
 
 def _origin_descendant_count(gd):
-    ids = list(gd.node_ids())
+    ids = list(gd.out_neighbors())
     idx = {nid: i for i, nid in enumerate(ids)}
     masks = descendant_masks(ids, gd.out_neighbors())
     best = 0

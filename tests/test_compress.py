@@ -178,7 +178,7 @@ def test_gstar_is_gpp_grouped_by_signature():
                 assert gpp.edges_out[node.cid] == (gpp.conductor_id,)
         gstar, _ = build_compressed(g, tree)
         _, paper = without_dummies(*record_based_build(g, tree))
-        rep = {gpp.conductor_id: gstar.conductor_id}
+        rep = {gpp.conductor_id: gstar.output}
         for node in gstar.nodes.values():
             if node.is_conductor:
                 continue
@@ -200,7 +200,7 @@ def test_gstar_is_gpp_grouped_by_signature():
                 for pos, ch in enumerate(part):
                     assert ch == (str(shown[lvl, pos]) if (lvl, pos) in shown else "*")
         assert len(gstar.nodes) == len(groups) + 1
-        assert paper[gstar.conductor_id] == omega[gpp.conductor_id]
+        assert paper[gstar.output] == omega[gpp.conductor_id]
         image = {
             (rep[a], rep[b]) for a, targets in gpp.edges_out.items() if a in rep for b in targets
         }
@@ -244,7 +244,7 @@ def test_weight_conservation_and_admissibility_on_random_instances():
 def origin_descendant_count(gd):
     """Largest number of distinct origin vertices (conductor counted) among
     any node's descendants."""
-    ids = list(gd.node_ids())
+    ids = list(gd.out_neighbors())
     idx = {nid: i for i, nid in enumerate(ids)}
     masks = descendant_masks(ids, gd.out_neighbors())
     best = 0
@@ -295,7 +295,7 @@ def test_merge_union_can_exceed_per_node_descendant_bound():
     g = random_instance(94)
     tree = build_separator_tree(g)
     gstar, fstar = build_compressed(g, tree)
-    masks = descendant_masks(list(gstar.node_ids()), gstar.out_neighbors())
+    masks = descendant_masks(list(gstar.out_neighbors()), gstar.out_neighbors())
     bound = tree.uniform_size * tree.depth() + 1
     assert max(m.bit_count() for m in masks.values()) == bound + 1
     assert origin_descendant_count(gstar) <= bound
@@ -306,7 +306,7 @@ def test_evaluate_compressed_equals_evaluate(chain2, chain2_v2_unsat):
     for g in (chain2, chain2_v2_unsat):
         tree, gp, gpp, gstar, fstar = compress_all(g)
         bits = evaluate(gstar, oracle)
-        assert bits[gstar.conductor_id] == evaluate(g, oracle)[g.output]
+        assert bits[gstar.output] == evaluate(g, oracle)[g.output]
 
 
 def test_compression_equivalence_on_random_instances():
@@ -316,7 +316,7 @@ def test_compression_equivalence_on_random_instances():
         tree = build_separator_tree(g)
         gstar, fstar = build_compressed(g, tree)
         bits = evaluate(gstar, oracle)
-        assert bits[gstar.conductor_id] == evaluate(g, oracle)[g.output]
+        assert bits[gstar.output] == evaluate(g, oracle)[g.output]
         assert is_correct_query_string(gstar, bits, oracle)
 
 
@@ -381,7 +381,7 @@ def test_padding_costs_nothing():
         assert two_t_ref - two_t == 2 * step * dummies, name
         assert x[gstar.output] == x_ref[ref.output], name
         assert lift_query_string(g, gstar, x) == lift_query_string(g, ref, x_ref), name
-        origins = {gstar.nodes[cid].origin for cid in gstar.node_ids()}
+        origins = {gstar.nodes[cid].origin for cid in gstar.out_neighbors()}
         assert origins == {None, *g.by_id}, name
         if name.startswith("corpus"):
             padded += dummies > 0
@@ -413,7 +413,7 @@ def test_backends_agree_on_a_padded_graph():
     brute.bind(gstar, fstar, oracle)
     smart.bind(gstar, fstar, oracle)
     _, two_t = two_t_of(gstar, fstar, oracle)
-    ids = gstar.node_ids()
+    ids = list(gstar.out_neighbors())
     rng = random.Random(4)
     below = 0
     for _ in range(30):
@@ -458,8 +458,8 @@ def test_blocks_match_the_record_based_build():
         assert list(fstar) == list(ref_weights), name
         assert all(fstar[cid] <= w for cid, w in ref_weights.items()), name
         assert list(gstar.out_neighbors().items()) == list(ref.out_neighbors().items()), name
-        assert gstar.topo_order() == ref.topo_order(), name
-        assert gstar.node_ids() == ref.node_ids(), name
+        assert list(gstar.pins()[1]) == ref.topo_order(), name
+        assert list(gstar.out_neighbors()) == ref.node_ids(), name
         assert len(gstar.nodes) == len(ref.nodes), name
         assert list(gstar.nodes.values()) == list(ref.nodes.values()), name
         for node in ref.nodes.values():
@@ -485,13 +485,13 @@ def test_forced_bit_matches_the_record_based_reference():
         tree = build_separator_tree(g)
         gstar, _ = build_compressed(g, tree)
         ref, _ = without_dummies(*record_based_build(g, tree))
-        ids = gstar.node_ids()
+        ids = list(gstar.out_neighbors())
         strings = [evaluate(gstar, ProofOracle())]
         strings += [{cid: rng.randint(0, 1) for cid in ids} for _ in range(3)]
         for x in strings:
             mine, theirs = ProofOracle(transcript=True), ProofOracle(transcript=True)
             bits = dict(gstar.forced_bits(x, mine, {}))
-            for cid in gstar.topo_order():
+            for cid in gstar.pins()[1]:
                 assert bits[cid] == ref.forced_bit(cid, x, theirs), (name, cid)
                 checks += 1
             assert mine.stats.transcript == theirs.stats.transcript, name
@@ -507,7 +507,7 @@ def test_forced_bit_missing_wire_names_node(chain3):
     labels = by_label(gstar)
     with pytest.raises(WireValueError, match=r"v1\^\{\*,\*\}"):
         dict(gstar.forced_bits({}, ProofOracle(), {}))
-    x, pins = {labels["v1^{*,*}"]: 1}, {gstar.conductor_id: 0}
+    x, pins = {labels["v1^{*,*}"]: 1}, {gstar.output: 0}
     assert dict(gstar.forced_bits(x, ProofOracle(), pins))[labels["v2^{*}"]] == 1
 
 
@@ -518,7 +518,7 @@ def test_forced_bit_with_visible_inputs_reads_no_wire(chain2):
     tree, gp, gpp, gstar, fstar = compress_all(chain2)
     labels = by_label(gstar)
     v2 = (labels["v2^{0,*}"], labels["v2^{1,*}"])
-    pins = {cid: 0 for cid in gstar.node_ids() if cid not in v2}
+    pins = {cid: 0 for cid in gstar.out_neighbors() if cid not in v2}
     oracle = ProofOracle(transcript=True)
     bits = dict(gstar.forced_bits({}, oracle, pins))
     assert bits[labels["v2^{1,*}"]] == 1
@@ -533,7 +533,7 @@ def test_compute_output_fills_the_dict_it_is_given():
     rng = random.Random(20)
     for name, g in record_build_cases():
         gstar, _ = build_compressed(g, build_separator_tree(g))
-        x = {cid: rng.randint(0, 1) for cid in gstar.node_ids()}
+        x = {cid: rng.randint(0, 1) for cid in gstar.out_neighbors()}
         fresh = {v: compute_output(gstar, v, {}, x) for v in g.by_id}
         assert lift_query_string(g, gstar, x) == fresh, name
         for u in g.by_id:
@@ -611,11 +611,11 @@ def test_row_lookups_match_the_block_rows():
         gstar, _ = build_compressed(g, build_separator_tree(g))
         out = gstar.out_neighbors()
         rows = list(out.items())
-        assert [cid for cid, _ in rows] == list(out) == gstar.node_ids(), name
+        assert [cid for cid, _ in rows] == list(out) == sorted(gstar.pins()[1]), name
         assert len(out) == len(rows), name
         for cid, row in rows:
             assert out[cid] == row, (name, cid)
-        for bad in (-1, 1, max(gstar.node_ids()) + 1):
+        for bad in (-1, 1, max(out) + 1):
             assert bad not in out and bad not in gstar.nodes, (name, bad)
             with pytest.raises(KeyError):
                 out[bad]
@@ -660,12 +660,13 @@ def test_node_count_and_lookups_build_no_record(monkeypatch):
         raise AssertionError("a record was made")
 
     monkeypatch.setattr(CompressedDag, "_record", forbidden)
-    assert len(gstar.nodes) == len(gstar.node_ids()) == 214
-    assert gstar.conductor_id in gstar.nodes and gstar.topo_order()[0] in gstar.nodes
+    assert len(gstar.nodes) == len(gstar.out_neighbors()) == 214
+    first = next(gstar.pins()[1])
+    assert gstar.output in gstar.nodes and first in gstar.nodes
     assert -1 not in gstar.nodes
     bits = evaluate(gstar, ProofOracle())
     assert is_correct_query_string(gstar, bits, ProofOracle())
     monkeypatch.undo()
-    assert gstar.nodes[gstar.topo_order()[0]].origin is not None
+    assert gstar.nodes[first].origin is not None
     with pytest.raises(KeyError):
         gstar.nodes[-1]

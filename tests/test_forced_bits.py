@@ -121,7 +121,7 @@ def assert_block_form_matches(gd, weights, rng, label):
     mine, theirs = ProofOracle(transcript=True), ProofOracle(transcript=True)
     x = evaluate(gd, mine)
     assert x == per_copy_evaluate(ref, theirs), label
-    assert list(x) == gd.topo_order(), label
+    assert list(x) == list(gd.pins()[1]), label
     assert all(type(bit) is int for bit in x.values()), label
     for attr in ("proof_queries", "proof_distinct", "transcript"):
         assert getattr(mine.stats, attr) == getattr(theirs.stats, attr), (label, attr)
@@ -131,7 +131,7 @@ def assert_block_form_matches(gd, weights, rng, label):
     mine, theirs = ProofOracle(transcript=True), ProofOracle(transcript=True)
     assert is_correct_query_string(gd, x, mine) and per_copy_check(ref, x, theirs), label
     assert mine.stats.transcript == theirs.stats.transcript, label
-    ids = gd.node_ids()
+    ids = list(gd.out_neighbors())
     for cid in rng.sample(ids, min(3, len(ids))):
         flipped = dict(x)
         flipped[cid] ^= 1
@@ -208,11 +208,11 @@ def test_both_string_forms_read_the_same(name):
     gd, weights = compressed(with_clauses(SHAPES[name](), 7))
     rng = random.Random(name)
     correct = evaluate(gd, ProofOracle())
-    flips = rng.sample(gd.topo_order()[:-1], 4)
+    flips = rng.sample(list(gd.pins()[1])[:-1], 4)
     flipped = evaluate(gd, ProofOracle(), {cid: correct[cid] ^ 1 for cid in flips})
     for compact, is_correct in ((correct, True), (flipped, False)):
         plain = dict(compact)
-        assert compact == plain and list(compact) == list(plain) == gd.topo_order(), name
+        assert compact == plain and list(compact) == list(plain) == list(gd.pins()[1]), name
         results = []
         for x in (compact, plain):
             oracle = ProofOracle(transcript=True)
@@ -292,7 +292,7 @@ def test_pinned_queries_below_two_t_agree_with_brute_force():
     tried = 0
     for seed in range(400):
         gd, weights = compressed(random_instance(seed))
-        ids = gd.node_ids()
+        ids = list(gd.out_neighbors())
         if len(ids) > 10:
             continue
         oracle = ProofOracle()
@@ -323,7 +323,7 @@ def test_a_missing_wire_names_a_copy_the_string_lacks():
         for _ in range(5):
             # Several wires missing, so that copies of one block can miss
             # different ones.
-            gone = rng.sample(gd.node_ids(), rng.randint(1, min(4, len(x))))
+            gone = rng.sample(list(gd.out_neighbors()), rng.randint(1, min(4, len(x))))
             partial = {cid: bit for cid, bit in x.items() if cid not in gone}
             errors = []
             for settle in (
@@ -368,8 +368,8 @@ def test_blocks_settle_without_compute_output(monkeypatch):
         assert len(calls) == 1, seed
         del calls[:]
         # With the conductor pinned, only a block can read a missing wire.
-        pins = {gd.conductor_id: x[gd.conductor_id]}
-        for gone in gd.topo_order()[:-1]:
+        pins = {gd.output: x[gd.output]}
+        for gone in list(gd.pins()[1])[:-1]:
             partial = {cid: bit for cid, bit in x.items() if cid != gone}
             try:
                 dict(gd.forced_bits(partial, oracle, pins))

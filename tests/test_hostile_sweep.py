@@ -215,7 +215,7 @@ def test_out_of_order_documents_get_one_answer_from_every_method_and_backend(tmp
         path.write_text(text)
         g = parse_dag(text)
         # The output, a sink, has the smallest id.
-        assert g.topo_order() != sorted(g.node_ids()), seed
+        assert g.topo_order() != sorted(g.out_neighbors()), seed
         bits, answer = enum_evaluate(g)
         want = (answer, {str(k): v for k, v in bits.items()})
         for method in ("direct", "depth", "compress"):

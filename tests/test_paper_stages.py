@@ -54,7 +54,7 @@ def test_string_and_signature_lookups_agree_on_arbitrary_strings():
             for cid, node in gpp.nodes.items()
             if node.origin in g.by_id
         }
-        rep[gpp.conductor_id] = gstar.conductor_id
+        rep[gpp.conductor_id] = gstar.output
         rng = random.Random(seed)
         for _ in range(3):
             xstar = {cid: rng.randint(0, 1) for cid in gstar.nodes}

@@ -14,6 +14,7 @@ from querydag import (
     build_compressed,
     build_depth_bounded_tree,
     build_separator_tree,
+    check_admissible,
     decide_compress,
     decide_depth,
     decide_direct,
@@ -171,12 +172,12 @@ def test_witness_modes_produce_correct_strings(chain2):
 
 class FirstPinLiesBackend(EvaluationBackend):
     """Answers the first pinned query of a witness extraction wrongly: the
-    one that pins the first node in topological order alone.  (The final
-    query pins the output alone.)"""
+    one that pins the first node of the graph's pins() order alone.  (The
+    final query pins the output alone.)"""
 
     def bind(self, dag, weights, proof_oracle):
         super().bind(dag, weights, proof_oracle)
-        self.first = dag.topo_order()[0]
+        self.first = next(iter(dag.pins()[1]))
 
     def decide(self, threshold, pins):
         answer = super().decide(threshold, pins)
@@ -206,6 +207,77 @@ def test_witness_from_a_wrong_lift_is_refused(chain2, monkeypatch):
         decide_compress(chain2, witness=True)
     # The depth pipeline lifts nothing.
     assert decide_depth(chain2, witness=True).query_string == {1: 1, 2: 1}
+
+
+class FinalQueryLiesBackend(EvaluationBackend):
+    """Answers the final query of a solve wrongly, the one that pins the
+    output alone, and every other query rightly."""
+
+    def bind(self, dag, weights, proof_oracle):
+        super().bind(dag, weights, proof_oracle)
+        self.final = {dag.output: 1}
+
+    def decide(self, threshold, pins):
+        answer = super().decide(threshold, pins)
+        return not answer if pins == self.final else answer
+
+
+@pytest.mark.parametrize("decide", [decide_compress, decide_depth])
+def test_an_answer_the_witness_contradicts_is_refused(chain2, decide):
+    # The witness is extracted, checked and lifted rightly, so its bit at
+    # the output, 1, is the correct answer, and the flipped final query's 0
+    # contradicts it.
+    with pytest.raises(PipelineError, match="the answer disagrees with the witness"):
+        decide(chain2, witness=True, backend=FinalQueryLiesBackend())
+    # Without a witness nothing checks the answer.
+    assert decide(chain2, backend=FinalQueryLiesBackend()).answer == 0
+
+
+# The graph protocol: the members through which the weighting, the search
+# and the pinned queries read a query graph and G* alike.
+PROTOCOL = (
+    "out_neighbors", "out_sums", "weight_runs", "pins", "forced_bits", "evaluate", "positions",
+    "output",
+)
+
+
+class ProtocolOnly:
+    """A graph seen through the graph protocol alone: its eight members are
+    forwarded, and any other attribute is an AttributeError."""
+
+    __slots__ = PROTOCOL
+
+    def __init__(self, graph):
+        for name in PROTOCOL:
+            setattr(self, name, getattr(graph, name))
+
+
+@pytest.mark.parametrize("backend", [EvaluationBackend, BruteForceBackend])
+def test_the_graph_protocol_is_all_a_solve_reads(backend):
+    # On a query graph and its G* (at most 10 nodes, for enumeration), each
+    # generic reader gives through the protocol alone what it gives on the
+    # bare graph: the admissibility check, the evaluation, the objective,
+    # the check of a string, and the search, final query and witness.
+    for seed in (2, 11, 15):
+        g = random_instance(seed, max_n=6)
+        for dag, weights in ((g, rho_weights(g)), build_compressed(g, build_separator_tree(g))):
+            proxy, oracle = ProtocolOnly(dag), ProofOracle()
+            assert check_admissible(proxy, weights) == check_admissible(dag, weights) == (True, None)
+            x = evaluate(proxy, oracle)
+            assert x == evaluate(dag, oracle)
+            flipped = dict(x)
+            flipped[next(iter(flipped))] ^= 1
+            for y, correct in ((x, True), (dict(x), True), (flipped, False)):
+                assert is_correct_query_string(proxy, y, oracle) is correct, seed
+                assert max_t_for_assignment(proxy, weights, y, oracle) == max_t_for_assignment(
+                    dag, weights, y, oracle
+                ), seed
+            runs = []
+            for graph in (proxy, dag):
+                ask, two_t = search(graph, weights, oracle, backend())
+                answer = ask(two_t, {graph.output: 1})
+                runs.append((answer, two_t, dict(extract_query_string(ask, graph, two_t))))
+            assert runs[0] == runs[1] and runs[0][2] == dict(x), seed
 
 
 def test_correct_string_gap_property_on_tiny_instances():
@@ -330,19 +402,12 @@ def test_answer_solve_keeps_no_object_per_copy():
     assert peak < 4 * 10**5
 
 
-def test_witness_solve_keeps_no_object_per_copy(monkeypatch):
+def test_witness_solve_keeps_no_object_per_copy():
     # G*'s witness is its compact string too: the extraction pins it a
     # byte at a time and returns it, the check and the lift read it by
-    # position, and nothing lists G*'s ids.  On band-3 n = 48 (10,861
-    # nodes in G*) a witness solve peaked at 1.55 MB with a pins dict, its
-    # copy and two id lists.
-    from querydag.compress import CompressedDag
-
-    def forbidden(self):
-        raise AssertionError("a list of G*'s ids was made")
-
-    monkeypatch.setattr(CompressedDag, "node_ids", forbidden)
-    monkeypatch.setattr(CompressedDag, "topo_order", forbidden)
+    # position, and G* has no member that lists its ids.  On band-3 n = 48
+    # (10,861 nodes in G*) a witness solve peaked at 1.55 MB with a pins
+    # dict, its copy and two id lists.
     g = band_dag(48, 3)
     gc.collect()
     tracemalloc.start()

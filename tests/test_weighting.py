@@ -56,7 +56,7 @@ def test_rho_is_the_closed_form_per_level(single_vacuous):
             level[nid] = 1 + max((level[u] for u in g.by_id[nid].inputs), default=-1)
         depth = max(level.values())
         base = ADMISSIBILITY_C * len(g.nodes)
-        closed = {nid: base ** (depth - level[nid]) for nid in g.node_ids()}
+        closed = {nid: base ** (depth - level[nid]) for nid in g.out_neighbors()}
         assert rho_weights(g) == closed
     assert rho_weights(single_vacuous) == {1: 1}
     chain = graphs[-1]
